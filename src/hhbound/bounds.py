@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     BoundCase,
+    ConvexityParams,
     InvalidCaseError,
     InvalidParamsError,
     Interval,
@@ -379,12 +380,47 @@ def is_symmetric_about_midpoint(g: RealFunction, iv: Interval,
     return bool(np.max(np.abs(fwd - bwd)) <= tol)
 
 
-def _check_midsplit(case: BoundCase, tid: TheoremId) -> None:
-    iv = case.interval
-    if abs(case.x - iv.midpoint) > _MIDPOINT_TOL * iv.width:
-        raise InvalidCaseError(f"{tid.value} requires x at the midpoint, got x={case.x}")
-    if tid.requires_symmetric_weight and not is_symmetric_about_midpoint(case.g, iv):
+def _check_midpoint(tid: TheoremId, iv: Interval, x: float) -> None:
+    if abs(x - iv.midpoint) > _MIDPOINT_TOL * iv.width:
+        raise InvalidCaseError(f"{tid.value} requires x at the midpoint, got x={x}")
+
+
+def _check_symmetric_weight(tid: TheoremId, g: RealFunction, iv: Interval) -> None:
+    if not is_symmetric_about_midpoint(g, iv):
         raise InvalidCaseError(f"{tid.value} requires a weight symmetric about the midpoint")
+
+
+def _check_class_params(tid: TheoremId, params: ConvexityParams) -> None:
+    if not params.bounds_admissible:
+        raise InvalidParamsError(
+            f"{tid.value} needs (alpha, m) in (0, 1]^2, got {(params.alpha, params.m)}"
+        )
+
+
+def _derivative_magnitude(fp: RealFunction, t: float) -> float:
+    return abs(float(registry_eval(fp, t)))
+
+
+def _closed_form_rhs(tid: TheoremId, iv: Interval, x: float, q: float,
+                     params: ConvexityParams, fp_a: float, fp_b: float,
+                     fp_scaled: float | None, g_sup: float) -> float:
+    """Dispatch to the theorem's closed form; fp_scaled = |f'(b/m)| is used
+    by the class forms only, fp_b = |f'(b)| by the plain-convex ones."""
+    if tid.uses_class_params:
+        alpha, m = params.alpha, params.m
+        if tid is TheoremId.T21:
+            return trapezoid_rhs(iv, x, q, alpha, m, fp_a, fp_scaled, g_sup)
+        if tid is TheoremId.T22:
+            return midpoint_rhs(iv, x, q, alpha, m, fp_a, fp_scaled, g_sup)
+        if tid is TheoremId.C21:
+            return trapezoid_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
+        return midpoint_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
+    if tid is TheoremId.T13:
+        return trapezoid_rhs_convex(iv, x, q, fp_a, fp_b, g_sup)
+    if tid is TheoremId.T14:
+        return midpoint_rhs_convex(iv, x, q, fp_a, fp_b, g_sup)
+    # C11 and C12 share one right-hand side
+    return classical_symmetric_rhs(iv, q, fp_a, fp_b, g_sup)
 
 
 def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
@@ -397,27 +433,15 @@ def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
     tid = TheoremId(theorem_id)
     iv = case.interval
     fp = case.pair.f_prime
-    fp_a = abs(float(registry_eval(fp, iv.a)))
-    fp_b = abs(float(registry_eval(fp, iv.b)))
+    fp_a = _derivative_magnitude(fp, iv.a)
+    fp_b = _derivative_magnitude(fp, iv.b)
     if tid.requires_midpoint:
-        _check_midsplit(case, tid)
+        _check_midpoint(tid, iv, case.x)
+        if tid.requires_symmetric_weight:
+            _check_symmetric_weight(tid, case.g, iv)
+    fp_scaled = None
     if tid.uses_class_params:
-        alpha, m = case.params.alpha, case.params.m
-        if not case.params.bounds_admissible:
-            raise InvalidParamsError(
-                f"{tid.value} needs (alpha, m) in (0, 1]^2, got {(alpha, m)}"
-            )
-        fp_scaled = abs(float(registry_eval(fp, case.scaled_endpoint)))
-        if tid is TheoremId.T21:
-            return trapezoid_rhs(iv, case.x, case.q, alpha, m, fp_a, fp_scaled, case.g_sup)
-        if tid is TheoremId.T22:
-            return midpoint_rhs(iv, case.x, case.q, alpha, m, fp_a, fp_scaled, case.g_sup)
-        if tid is TheoremId.C21:
-            return trapezoid_rhs_midsplit(iv, case.q, alpha, m, fp_a, fp_scaled, case.g_sup)
-        return midpoint_rhs_midsplit(iv, case.q, alpha, m, fp_a, fp_scaled, case.g_sup)
-    if tid is TheoremId.T13:
-        return trapezoid_rhs_convex(iv, case.x, case.q, fp_a, fp_b, case.g_sup)
-    if tid is TheoremId.T14:
-        return midpoint_rhs_convex(iv, case.x, case.q, fp_a, fp_b, case.g_sup)
-    # C11 and C12 share one right-hand side
-    return classical_symmetric_rhs(iv, case.q, fp_a, fp_b, case.g_sup)
+        _check_class_params(tid, case.params)
+        fp_scaled = _derivative_magnitude(fp, case.scaled_endpoint)
+    return _closed_form_rhs(tid, iv, case.x, case.q, case.params, fp_a, fp_b,
+                            fp_scaled, case.g_sup)

@@ -10,6 +10,7 @@ usage or configuration errors, 2 when a verification fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -78,7 +79,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--m", type=float)
     v.add_argument("--theorem", help="one of " + ",".join(t.value for t in TheoremId))
     v.add_argument("--out", help="report directory (default ./reports)")
-    v.add_argument("--jobs", type=int, help="concurrent case evaluations")
 
     c = sub.add_parser("classify", help="map a convexity-class region")
     c.add_argument("--f", required=True)
@@ -115,8 +115,7 @@ def _seed_override(config: SuiteConfig) -> SuiteConfig:
         seed = int(env)
     except ValueError:
         raise HHBoundError(f"HHBOUND_SEED must be an integer, got {env!r}")
-    return SuiteConfig(cases=config.cases, seed=seed, output_dir=config.output_dir,
-                       jobs=config.jobs, grid=config.grid)
+    return dataclasses.replace(config, seed=seed)
 
 
 def _cmd_verify(args) -> int:
@@ -135,12 +134,7 @@ def _cmd_verify(args) -> int:
             theorems=(TheoremId(args.theorem).value,), x_values=(args.x,))
         config = SuiteConfig(cases=(spec,))
     if args.out is not None:
-        config = SuiteConfig(cases=config.cases, seed=config.seed,
-                             output_dir=args.out, jobs=config.jobs, grid=config.grid)
-    if args.jobs is not None:
-        config = SuiteConfig(cases=config.cases, seed=config.seed,
-                             output_dir=config.output_dir, jobs=args.jobs,
-                             grid=config.grid)
+        config = dataclasses.replace(config, output_dir=args.out)
     config = _seed_override(config)
     result = run_suite(config)
     for r in result.reports:
@@ -215,8 +209,7 @@ def _cmd_identities(args) -> int:
     iv = make_interval(args.a, args.b)
     if not iv.a <= args.x <= iv.b:
         raise HHBoundError(f"x={args.x} outside [{iv.a}, {iv.b}]")
-    b_star = max(iv.b, 1.0)
-    pair = DifferentiablePair.from_family(f, DomainSpec(max(b_star, iv.b)))
+    pair = DifferentiablePair.from_family(f, DomainSpec(max(iv.b, 1.0)))
     g_sup = sup_norm(g, iv) * SUP_SAFETY_FACTOR
     case = BoundCase(pair, g, iv, args.x, 1.0, ConvexityParams(1.0, 1.0), g_sup)
     r_endpoint = residual_endpoint_identity(case)

@@ -35,6 +35,9 @@ __all__ = [
     "TheoremId",
     "BoundCase",
     "BoundReport",
+    "validate_split_point",
+    "validate_case_params",
+    "validate_g_sup",
 ]
 
 
@@ -438,13 +441,47 @@ class TheoremId(str, Enum):
 _CASE_SUP_SAMPLES = 1001
 
 
+def validate_split_point(iv: Interval, x: float) -> None:
+    """Raise InvalidCaseError unless a <= x <= b."""
+    if not iv.a <= x <= iv.b:
+        raise InvalidCaseError(f"x={x} outside [{iv.a}, {iv.b}]")
+
+
+def validate_case_params(iv: Interval, q: float, params: ConvexityParams,
+                         b_star: float) -> None:
+    """Raise InvalidCaseError unless q >= 1, [a, b] lies inside [0, b_star]
+    and the scaled endpoint b/m is a point of [0, b_star]."""
+    if not q >= 1.0:
+        raise InvalidCaseError(f"q must be >= 1, got {q}")
+    if not (0.0 <= iv.a and iv.b <= b_star):
+        raise InvalidCaseError(f"[{iv.a}, {iv.b}] not contained in [0, {b_star}]")
+    if params.m == 0.0:
+        raise InvalidCaseError("m = 0 leaves no evaluable scaled endpoint b/m")
+    if iv.b / params.m > b_star * (1.0 + 1e-12):
+        raise InvalidCaseError(
+            f"b/m = {iv.b / params.m:.6g} exceeds b_star = {b_star:.6g}"
+        )
+
+
+def validate_g_sup(g: RealFunction, iv: Interval, g_sup: float) -> None:
+    """Raise InvalidCaseError unless g_sup is finite and at least the sup of
+    |g| sampled on a 1001-point grid of [a, b]."""
+    if not math.isfinite(g_sup):
+        raise InvalidCaseError(f"g_sup must be finite, got {g_sup}")
+    sampled = float(np.max(np.abs(registry_eval(g, iv.grid(_CASE_SUP_SAMPLES)))))
+    if g_sup < sampled:
+        raise InvalidCaseError(
+            f"g_sup = {g_sup:.12g} below sampled sup {sampled:.12g}"
+        )
+
+
 @dataclass(frozen=True)
 class BoundCase:
     """Everything needed to evaluate one inequality instance.
 
     Construction enforces: a <= x <= b, q >= 1, [a, b] inside [0, b_star],
-    b/m <= b_star (so the scaled derivative endpoint is evaluable), and
-    g_sup at least the sampled sup of |g| on a 1001-point grid.
+    b/m <= b_star (so the scaled derivative endpoint is evaluable), and a
+    finite g_sup at least the sampled sup of |g| on a 1001-point grid.
     """
 
     pair: DifferentiablePair
@@ -456,25 +493,10 @@ class BoundCase:
     g_sup: float
 
     def __post_init__(self) -> None:
-        iv = self.interval
-        if not iv.a <= self.x <= iv.b:
-            raise InvalidCaseError(f"x={self.x} outside [{iv.a}, {iv.b}]")
-        if not self.q >= 1.0:
-            raise InvalidCaseError(f"q must be >= 1, got {self.q}")
-        b_star = self.pair.domain.b_star
-        if not (0.0 <= iv.a and iv.b <= b_star):
-            raise InvalidCaseError(f"[{iv.a}, {iv.b}] not contained in [0, {b_star}]")
-        if self.params.m == 0.0:
-            raise InvalidCaseError("m = 0 leaves no evaluable scaled endpoint b/m")
-        if iv.b / self.params.m > b_star * (1.0 + 1e-12):
-            raise InvalidCaseError(
-                f"b/m = {iv.b / self.params.m:.6g} exceeds b_star = {b_star:.6g}"
-            )
-        sampled = float(np.max(np.abs(registry_eval(self.g, iv.grid(_CASE_SUP_SAMPLES)))))
-        if self.g_sup < sampled:
-            raise InvalidCaseError(
-                f"g_sup = {self.g_sup:.12g} below sampled sup {sampled:.12g}"
-            )
+        validate_split_point(self.interval, self.x)
+        validate_case_params(self.interval, self.q, self.params,
+                             self.pair.domain.b_star)
+        validate_g_sup(self.g, self.interval, self.g_sup)
 
     @property
     def scaled_endpoint(self) -> float:

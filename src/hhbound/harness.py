@@ -2,14 +2,22 @@
 
 A suite is a list of case specs, each expanding into a cartesian product of
 theorems, exponents q, class parameters (alpha, m) and split points x. For
-every combination the |f'|**q hypothesis is checked first on a grid; rejected
-combinations are counted and skipped, never reported as violations. Admitted
-combinations are evaluated by an oracle left-hand side against the closed-form
-right-hand side.
+every combination the |f'|**q hypothesis is checked first on a grid over the
+working domain [0, b_star]; rejected combinations are counted and skipped,
+never reported as violations. Admitted combinations are evaluated by an
+oracle left-hand side against the closed-form right-hand side.
+
+run_suite plans a run before evaluating it. All gate verdicts come from one
+batched check_hypotheses call. Every check a BoundCase and evaluate_bound
+make runs once per spec, per (q, alpha, m) or per x, whichever it depends
+on; each lhs is computed once per (rule, x) and each derivative magnitude
+once per spec and m. Every row equals what verify_case gives for the
+corresponding BoundCase.
 
 Reports are written as a CSV with 17-significant-digit reals plus a sibling
-JSON file echoing the configuration and the seed. Two runs of the same config
-produce byte-identical files; nothing time-dependent is serialized.
+JSON file echoing the configuration and the seed. The JSON is streamed row
+by row, byte-equal to json.dump(payload, indent=1). Two runs of the same
+config produce byte-identical files; nothing time-dependent is serialized.
 """
 
 from __future__ import annotations
@@ -17,14 +25,19 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (
+    _check_class_params,
+    _check_midpoint,
+    _check_symmetric_weight,
+    _closed_form_rhs,
+    _derivative_magnitude,
     classical_symmetric_rhs,
     evaluate_bound,
     midpoint_rhs,
@@ -34,7 +47,7 @@ from .bounds import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
-from .convexity import GridSpec, Verdict, check_hypothesis
+from .convexity import GridSpec, Verdict, check_hypotheses
 from .core import (
     BoundCase,
     BoundReport,
@@ -47,10 +60,13 @@ from .core import (
     RealFunction,
     TheoremId,
     parse_function,
+    validate_case_params,
+    validate_g_sup,
+    validate_split_point,
 )
 from .quadrature import (
-    lhs_endpoint_with_error,
-    lhs_point_with_error,
+    lhs_endpoint_at,
+    lhs_point_at,
     sup_norm,
 )
 
@@ -80,9 +96,12 @@ _HOLDS_REL = 1e-9
 CSV_HEADER = "theorem_id,family_f,family_g,a,b,x,q,alpha,m,lhs,rhs,slack,tightness,holds"
 
 
+_REAL_FORMAT = "%.17g"
+
+
 def format_real(v: float) -> str:
     """Render a float with 17 significant digits (round-trip safe)."""
-    return f"{v:.17g}"
+    return _REAL_FORMAT % v
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +136,8 @@ class CaseSpec:
             raise InvalidCaseError("exactly one of x_sweep, x_values, x_random is required")
         for tid in self.theorems:
             TheoremId(tid)  # raises ValueError on unknown ids
+        if self.g_sup is not None and not math.isfinite(self.g_sup):
+            raise InvalidCaseError(f"g_sup must be finite, got {self.g_sup}")
 
     def effective_b_star(self) -> float:
         if self.b_star is not None:
@@ -167,26 +188,26 @@ class CaseSpec:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Suite-level settings; mirrors the JSON config format field for field."""
+    """Suite-level settings; mirrors the JSON config format field for field.
+
+    from_dict ignores keys it does not know, such as the "jobs" of older
+    config files.
+    """
 
     cases: tuple[CaseSpec, ...]
     seed: int = 20260815
     output_dir: str = "reports"
-    jobs: int = 1
     grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self) -> None:
         if not self.cases:
             raise InvalidCaseError("suite config needs at least one case")
-        if self.jobs < 1:
-            raise InvalidCaseError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_dict(self) -> dict:
         return {
             "cases": [c.to_dict() for c in self.cases],
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "jobs": self.jobs,
             "grid": {"nx": self.grid.nx, "ny": self.grid.ny, "nt": self.grid.nt},
         }
 
@@ -197,7 +218,6 @@ class SuiteConfig:
             cases=tuple(CaseSpec.from_dict(c) for c in d["cases"]),
             seed=int(d.get("seed", 20260815)),
             output_dir=str(d.get("output_dir", "reports")),
-            jobs=int(d.get("jobs", 1)),
             grid=GridSpec(int(grid.get("nx", 51)), int(grid.get("ny", 51)),
                           int(grid.get("nt", 51))),
         )
@@ -210,6 +230,9 @@ class SuiteConfig:
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+_CSV_ROW_FORMAT = "%s,%s,%s," + ",".join([_REAL_FORMAT] * 10) + ",%s"
 
 
 @dataclass(frozen=True)
@@ -232,11 +255,11 @@ class CaseReport:
     holds: bool
 
     def to_csv_row(self) -> str:
-        reals = (self.a, self.b, self.x, self.q, self.alpha, self.m,
-                 self.lhs, self.rhs, self.slack, self.tightness)
-        return ",".join([self.theorem_id, self.family_f, self.family_g]
-                        + [format_real(v) for v in reals]
-                        + ["true" if self.holds else "false"])
+        # one formatting pass; every real is rendered as format_real does
+        return _CSV_ROW_FORMAT % (
+            self.theorem_id, self.family_f, self.family_g, self.a, self.b,
+            self.x, self.q, self.alpha, self.m, self.lhs, self.rhs, self.slack,
+            self.tightness, "true" if self.holds else "false")
 
     def to_dict(self) -> dict:
         return {
@@ -287,22 +310,33 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> BoundReport:
     plus max(1e-9, 1e-9 * |rhs|).
 
     The |f'|**q hypothesis is a precondition here; the suite runner gates on
-    check_hypothesis before calling this.
+    check_hypotheses before evaluating a combination.
     """
     tid = TheoremId(theorem_id)
-    if tid.uses_endpoint_rule:
-        lhs, lhs_err = lhs_endpoint_with_error(case)
-    else:
-        lhs, lhs_err = lhs_point_with_error(case)
-    lhs = float(lhs)
+    lhs, lhs_err = _lhs(tid.uses_endpoint_rule, case.pair.f, case.g,
+                        case.interval, case.x)
     rhs = float(evaluate_bound(case, tid))
+    return BoundReport(tid, lhs, rhs, *_compare(lhs, lhs_err, rhs))
+
+
+def _lhs(endpoint_rule: bool, f: RealFunction, g: RealFunction, iv: Interval,
+         x: float) -> tuple[float, float]:
+    if endpoint_rule:
+        lhs, lhs_err = lhs_endpoint_at(f, g, iv, x)
+    else:
+        lhs, lhs_err = lhs_point_at(f, g, iv, x)
+    return float(lhs), lhs_err
+
+
+def _compare(lhs: float, lhs_err: float, rhs: float) -> tuple[float, float, bool]:
+    """slack, tightness and the holds verdict of one lhs/rhs pair."""
     slack = rhs - lhs
     if rhs != 0.0:
         tightness = lhs / rhs
     else:
         tightness = 0.0 if lhs == 0.0 else math.inf
     holds = bool(lhs <= rhs + max(_HOLDS_ABS, _HOLDS_REL * abs(rhs)) + lhs_err)
-    return BoundReport(tid, lhs, rhs, slack, tightness, holds)
+    return slack, tightness, holds
 
 
 @dataclass(frozen=True)
@@ -381,16 +415,8 @@ def reduction_check(iv: Interval, n_cases: int, seed: int = 20260815) -> float:
 
 _GATE_PLAIN = ConvexityParams(1.0, 1.0)
 
-
-@lru_cache(maxsize=None)
-def _gate_verdict(pair: DifferentiablePair, q: float, params: ConvexityParams,
-                  iv: Interval, grid: GridSpec) -> Verdict:
-    return check_hypothesis(pair, q, params, iv, grid)
-
-
-@lru_cache(maxsize=None)
-def _pair_checked(pair: DifferentiablePair, iv: Interval) -> float:
-    return pair.validate_finite_difference(iv)
+# one hypothesis gate request: check_hypothesis's (pair, q, params, iv)
+_GateRequest = tuple[DifferentiablePair, float, ConvexityParams, Interval]
 
 
 def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
@@ -403,64 +429,128 @@ def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
     return tuple(sorted(float(v) for v in rng.uniform(spec.a, spec.b, spec.x_random)))
 
 
-def _evaluate_spec(spec: CaseSpec, xs: tuple[float, ...],
-                   grid: GridSpec) -> tuple[list[CaseReport], int]:
-    f = parse_function(spec.f)
-    g = parse_function(spec.g)
-    iv = Interval(spec.a, spec.b)
-    pair = DifferentiablePair.from_family(f, DomainSpec(spec.effective_b_star()))
-    _pair_checked(pair, iv)
-    if spec.g_sup is not None:
-        g_sup = spec.g_sup
-    else:
-        g_sup = sup_norm(g, iv) * SUP_SAFETY_FACTOR
-    rows: list[CaseReport] = []
-    rejections = 0
-    for tid_str in spec.theorems:
-        tid = TheoremId(tid_str)
-        for q in spec.q_values:
-            for alpha in spec.alpha_values:
-                for m in spec.m_values:
-                    params = ConvexityParams(alpha, m)
-                    gate = params if tid.uses_class_params else _GATE_PLAIN
-                    if not _gate_verdict(pair, q, gate, iv, grid).holds:
-                        rejections += 1
-                        continue
-                    for x in xs:
-                        case = BoundCase(pair, g, iv, x, q, params, g_sup)
-                        rep = verify_case(case, tid)
-                        rows.append(CaseReport(
-                            tid.value, spec.f, spec.g, iv.a, iv.b, x, q,
-                            alpha, m, rep.lhs, rep.rhs, rep.slack,
-                            rep.tightness, rep.holds))
-    return rows, rejections
+class _SpecRun:
+    """One CaseSpec of a suite run, with its checks and hoisted values.
+
+    A check that does not depend on x runs once per admitted (q, alpha, m),
+    or once per spec when it does not depend on those either; a check on x
+    runs once per x. As with one BoundCase per row, case checks run only
+    for combinations the gate admits: the split-point and g_sup checks at
+    the first one, the midpoint-split checks at the first one per theorem.
+    """
+
+    def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
+                 lhs_memo: dict) -> None:
+        self.spec = spec
+        self.xs = xs
+        self.f = parse_function(spec.f)
+        self.g = parse_function(spec.g)
+        self.iv = Interval(spec.a, spec.b)
+        self.pair = DifferentiablePair.from_family(
+            self.f, DomainSpec(spec.effective_b_star()))
+        self.pair.validate_finite_difference(self.iv)
+        if spec.g_sup is not None:
+            self.g_sup = spec.g_sup
+        else:
+            self.g_sup = sup_norm(self.g, self.iv) * SUP_SAFETY_FACTOR
+        # lhs values of this (f, g, [a, b]), shared with other specs of the run
+        self._lhs = lhs_memo.setdefault((self.f, self.g, self.iv), {})
+        self._fp_ends: tuple[float, float] | None = None
+        self._fp_scaled: dict[float, float] = {}
+        self._midsplit_checked: set[TheoremId] = set()
+
+    def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
+                                             _GateRequest]]:
+        """(theorem, q, params, gate request) in report order."""
+        spec = self.spec
+        for tid_str in spec.theorems:
+            tid = TheoremId(tid_str)
+            for q in spec.q_values:
+                for alpha in spec.alpha_values:
+                    for m in spec.m_values:
+                        params = ConvexityParams(alpha, m)
+                        gate = params if tid.uses_class_params else _GATE_PLAIN
+                        yield tid, q, params, (self.pair, q, gate, self.iv)
+
+    def evaluate(self, verdicts: dict[_GateRequest, Verdict],
+                 out: list[CaseReport]) -> int:
+        """Append the rows of every admitted combination; return the number
+        of gate rejections."""
+        spec, iv, xs, g_sup = self.spec, self.iv, self.xs, self.g_sup
+        rejections = 0
+        for tid, q, params, gate in self.combinations():
+            if not verdicts[gate].holds:
+                rejections += 1
+                continue
+            fp_a, fp_b, fp_scaled = self._check_template(tid, q, params)
+            endpoint_rule = tid.uses_endpoint_rule
+            for x in xs:
+                lhs, lhs_err = self._lhs_at(endpoint_rule, x)
+                rhs = float(_closed_form_rhs(tid, iv, x, q, params, fp_a, fp_b,
+                                             fp_scaled, g_sup))
+                out.append(CaseReport(
+                    tid.value, spec.f, spec.g, iv.a, iv.b, x, q, params.alpha,
+                    params.m, lhs, rhs, *_compare(lhs, lhs_err, rhs)))
+        return rejections
+
+    def _check_template(self, tid: TheoremId, q: float, params: ConvexityParams
+                        ) -> tuple[float, float, float | None]:
+        """The BoundCase and evaluate_bound checks of one admitted
+        combination; returns |f'(a)|, |f'(b)| and, for class forms, |f'(b/m)|."""
+        iv, fp = self.iv, self.pair.f_prime
+        validate_case_params(iv, q, params, self.pair.domain.b_star)
+        if self._fp_ends is None:  # the spec's first admitted combination
+            for x in self.xs:
+                validate_split_point(iv, x)
+            validate_g_sup(self.g, iv, self.g_sup)
+            self._fp_ends = (_derivative_magnitude(fp, iv.a),
+                             _derivative_magnitude(fp, iv.b))
+        if tid.requires_midpoint and tid not in self._midsplit_checked:
+            for x in self.xs:
+                _check_midpoint(tid, iv, x)
+            if tid.requires_symmetric_weight:
+                _check_symmetric_weight(tid, self.g, iv)
+            self._midsplit_checked.add(tid)
+        fp_scaled = None
+        if tid.uses_class_params:
+            _check_class_params(tid, params)
+            fp_scaled = self._fp_scaled.get(params.m)
+            if fp_scaled is None:
+                fp_scaled = _derivative_magnitude(fp, iv.b / params.m)
+                self._fp_scaled[params.m] = fp_scaled
+        return (*self._fp_ends, fp_scaled)
+
+    def _lhs_at(self, endpoint_rule: bool, x: float) -> tuple[float, float]:
+        hit = self._lhs.get((endpoint_rule, x))
+        if hit is None:
+            hit = _lhs(endpoint_rule, self.f, self.g, self.iv, x)
+            self._lhs[(endpoint_rule, x)] = hit
+        return hit
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run every case of the config and persist CSV and JSON reports.
 
-    Case specs are independent and evaluated concurrently up to config.jobs;
-    report order is always the config order. Random split points are drawn
-    up front from the config seed, so results do not depend on scheduling.
+    Report order is the config order. Random split points are drawn up
+    front from the config seed. The gate verdicts of the whole run come from
+    one check_hypotheses call; lhs values are shared between the specs of
+    a run and live only as long as the run.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     resolved = [_resolve_xs(spec, rng) for spec in config.cases]
+    lhs_memo: dict = {}
+    runs = [_SpecRun(spec, xs, lhs_memo)
+            for spec, xs in zip(config.cases, resolved)]
 
-    if config.jobs == 1:
-        outcomes = [_evaluate_spec(spec, xs, config.grid)
-                    for spec, xs in zip(config.cases, resolved)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_evaluate_spec, spec, xs, config.grid)
-                       for spec, xs in zip(config.cases, resolved)]
-            outcomes = [f.result() for f in futures]
+    requests = list(dict.fromkeys(gate for run in runs
+                                  for *_, gate in run.combinations()))
+    verdicts = dict(zip(requests, check_hypotheses(requests, config.grid)))
 
     reports: list[CaseReport] = []
     rejections = 0
-    for rows, rej in outcomes:
-        reports.extend(rows)
-        rejections += rej
+    for run in runs:
+        rejections += run.evaluate(verdicts, reports)
 
     violations = sum(1 for r in reports if not r.holds)
     finite = [r.tightness for r in reports if math.isfinite(r.tightness)]
@@ -474,32 +564,80 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         fh.write(CSV_HEADER + "\n")
         for r in reports:
             fh.write(r.to_csv_row() + "\n")
-    # where the report went and how many workers produced it are not part
-    # of the result; dropping them keeps report bytes run-independent
+    # where the report went is not part of the result; dropping it keeps
+    # report bytes run-independent
     config_echo = config.to_dict()
     del config_echo["output_dir"]
-    del config_echo["jobs"]
-    payload = {
+    head = {
         "config": config_echo,
         "seed": config.seed,
         "violations": violations,
         "hypothesis_rejections": rejections,
         "max_tightness": max_tightness,
-        "reports": [r.to_dict() for r in reports],
     }
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        _stream_json_report(fh, head, reports)
 
     return SuiteResult(tuple(reports), violations, rejections, max_tightness,
                        time.perf_counter() - start, csv_path, json_path)
 
 
 # ---------------------------------------------------------------------------
+# streamed JSON report
+#
+# json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
+# only serves indent=None), and building the payload holds every row as a
+# dict at once. The writer below emits the same bytes one row at a time.
+
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_scalar(v) -> str:
+    """json.dumps(v) for a scalar, including float.__repr__ of float
+    subclasses such as numpy floats and Infinity/NaN for non-finite ones."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _JSON_NONFINITE.get(text, text)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    return json.dumps(v)
+
+
+_ROW_KEYS = {name: "   " + encode_basestring_ascii(name) + ": "
+             for name in CaseReport.__dataclass_fields__}
+
+
+def _json_row(row: dict) -> str:
+    """One report row as json.dump(..., indent=1) lays it out in the list."""
+    return ("{\n" + ",\n".join([_ROW_KEYS[k] + _json_scalar(v)
+                                for k, v in row.items()])
+            + "\n  }")
+
+
+def _stream_json_report(fh, head: dict, reports: list[CaseReport]) -> None:
+    """Write head plus a final "reports" list, as json.dump with indent=1
+    and a trailing newline would."""
+    text = json.dumps({**head, "reports": []}, indent=1)
+    if not reports:
+        fh.write(text + "\n")
+        return
+    fh.write(text[:-len("[]\n}")] + "[\n  ")
+    for k, r in enumerate(reports):
+        if k:
+            fh.write(",\n  ")
+        fh.write(_json_row(r.to_dict()))
+    fh.write("\n ]\n}\n")
+
+
+# ---------------------------------------------------------------------------
 # bundled suite
 
 
-def default_suite(output_dir: str = "reports", jobs: int = 1) -> SuiteConfig:
+def default_suite(output_dir: str = "reports") -> SuiteConfig:
     """The bundled verification suite.
 
     Sweeps the two general-class forms over f in {t^2, t^3, e^t}, weights
@@ -534,4 +672,4 @@ def default_suite(output_dir: str = "reports", jobs: int = 1) -> SuiteConfig:
                 f=f, g=g, a=0.0, b=1.0, q_values=qs, alpha_values=(1.0,),
                 m_values=(1.0,), theorems=("C11", "C12"), x_values=(0.5,),
                 b_star=4.0))
-    return SuiteConfig(cases=tuple(cases), output_dir=output_dir, jobs=jobs)
+    return SuiteConfig(cases=tuple(cases), output_dir=output_dir)

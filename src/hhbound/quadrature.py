@@ -41,6 +41,8 @@ __all__ = [
     "lhs_point",
     "lhs_endpoint_with_error",
     "lhs_point_with_error",
+    "lhs_endpoint_at",
+    "lhs_point_at",
     "residual_endpoint_identity",
     "residual_point_identity",
 ]
@@ -307,15 +309,20 @@ _LHS_TOL = 1e-10
 def lhs_endpoint_with_error(case: BoundCase) -> tuple[float, float]:
     """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
     error estimate propagated from the three oracle integrals."""
-    val, err = _endpoint_signed(case)
+    return lhs_endpoint_at(case.pair.f, case.g, case.interval, case.x)
+
+
+def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
+                    x: float) -> tuple[float, float]:
+    """lhs_endpoint_with_error from the only inputs it reads: f, g, [a, b], x."""
+    val, err = _endpoint_signed(f, g, iv, x)
     return abs(val), err
 
 
-def _endpoint_signed(case: BoundCase) -> tuple[float, float]:
-    iv = case.interval
-    f, g = case.pair.f, case.g
-    i_left = _integral_between(g, iv.a, case.x, _LHS_TOL, _LHS_TOL)
-    i_right = _integral_between(g, case.x, iv.b, _LHS_TOL, _LHS_TOL)
+def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
+                     x: float) -> tuple[float, float]:
+    i_left = _integral_between(g, iv.a, x, _LHS_TOL, _LHS_TOL)
+    i_right = _integral_between(g, x, iv.b, _LHS_TOL, _LHS_TOL)
     i_fg = integrate(Product(f, g), iv, _LHS_TOL, _LHS_TOL)
     fa, fb = f(iv.a), f(iv.b)
     val = fa * i_left.value + fb * i_right.value - i_fg.value
@@ -331,16 +338,21 @@ def lhs_endpoint(case: BoundCase) -> float:
 
 def lhs_point_with_error(case: BoundCase) -> tuple[float, float]:
     """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
-    val, err = _point_signed(case)
+    return lhs_point_at(case.pair.f, case.g, case.interval, case.x)
+
+
+def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
+                 x: float) -> tuple[float, float]:
+    """lhs_point_with_error from the only inputs it reads: f, g, [a, b], x."""
+    val, err = _point_signed(f, g, iv, x)
     return abs(val), err
 
 
-def _point_signed(case: BoundCase) -> tuple[float, float]:
-    iv = case.interval
-    f, g = case.pair.f, case.g
+def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
+                  x: float) -> tuple[float, float]:
     i_g = integrate(g, iv, _LHS_TOL, _LHS_TOL)
     i_fg = integrate(Product(f, g), iv, _LHS_TOL, _LHS_TOL)
-    fx = f(case.x)
+    fx = f(x)
     val = fx * i_g.value - i_fg.value
     err = abs(fx) * i_g.error_estimate + i_fg.error_estimate
     return val, err
@@ -365,7 +377,7 @@ def residual_endpoint_identity(case: BoundCase) -> float:
     table for smooth weights and nested adaptive quadrature otherwise.
     """
     iv = case.interval
-    sign_val, _ = _endpoint_signed(case)
+    sign_val, _ = _endpoint_signed(case.pair.f, case.g, iv, case.x)
     cls = _KernelTimesDeriv if case.g.is_smooth else _KernelTimesDerivNested
     integrand = cls(case.g, case.pair.f_prime, iv.a, iv.b, case.x)
     rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL, _RESIDUAL_OUTER_TOL).value
@@ -380,7 +392,7 @@ def residual_point_identity(case: BoundCase) -> float:
     by per-point adaptive integration otherwise.
     """
     iv = case.interval
-    sign_val, _ = _point_signed(case)
+    sign_val, _ = _point_signed(case.pair.f, case.g, iv, case.x)
     if case.g.is_smooth:
         left = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, True)
         right = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, False)

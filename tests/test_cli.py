@@ -33,6 +33,26 @@ def test_verify_inline_case(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+def test_verify_gates_on_working_domain(tmp_path, capsys):
+    # admitted by a gate on [a, b]^2 only, this case reported a violation
+    code = main(["verify", "--f", "monomial:2", "--g", "const:1",
+                 "--a", "0.2", "--b", "0.6", "--x", "0.2", "--q", "1",
+                 "--alpha", "0.25", "--m", "0.25", "--theorem", "T21",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "(0 rows, 0 violations, 1 hypothesis rejections)" in out
+
+
+def test_verify_has_no_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--f", "monomial:2", "--g", "const:1", "--a", "0",
+              "--b", "1", "--x", "0.5", "--q", "1", "--alpha", "1", "--m", "1",
+              "--theorem", "T21", "--out", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_verify_requires_full_inline_case(capsys):
     assert main(["verify", "--f", "monomial:2"]) == 1
     assert "required" in capsys.readouterr().err

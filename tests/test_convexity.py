@@ -17,6 +17,7 @@ from hhbound import (
     check_alpha_m_convex,
     check_convex_direct,
     check_hermite_hadamard,
+    check_hypotheses,
     check_hypothesis,
     classify_region,
     parse_function,
@@ -142,6 +143,54 @@ def test_hypothesis_check_preconditions(square_pair):
         check_hypothesis(square_pair, 0.5, PLAIN, Interval(0.0, 1.0))
     with pytest.raises(InvalidCaseError):
         check_hypothesis(square_pair, 1.0, PLAIN, Interval(0.0, 5.0))
+
+
+def test_hypothesis_gate_scans_working_domain():
+    # |2t| is in the (0.25, 0.25) class on [0.2, 0.6]^2 but not on [0, 2.4]^2,
+    # and the bounds apply the class inequality at y = b/m = 2.4
+    pair = DifferentiablePair.from_family(parse_function("monomial:2"),
+                                          DomainSpec(2.4))
+    v = check_hypothesis(pair, 1.0, ConvexityParams(0.25, 0.25),
+                         Interval(0.2, 0.6))
+    assert not v.holds
+    assert v.witness.x < 0.2
+
+
+def _gate_requests():
+    unit = Interval(0.0, 1.0)
+    square = DifferentiablePair.from_family(parse_function("monomial:2"), DOM)
+    cube = DifferentiablePair.from_family(parse_function("monomial:3"),
+                                          DomainSpec(2.0))
+    exp = DifferentiablePair.from_family(parse_function("exp"), DOM)
+    return [(pair, q, ConvexityParams(alpha, m), unit)
+            for pair in (square, cube, exp)
+            for q in (1.0, 1.5, 3.0)
+            for alpha in (0.25, 1.0)
+            for m in (0.5, 1.0)]
+
+
+def test_batched_gate_matches_single_checks():
+    grid = GridSpec(21, 21, 21)
+    requests = _gate_requests()
+    batched = check_hypotheses(requests + requests[:3], grid)
+    assert len(batched) == len(requests) + 3
+    assert batched[-3:] == batched[:3]
+    assert any(v.holds for v in batched) and not all(v.holds for v in batched)
+    for (pair, q, params, iv), verdict in zip(requests, batched):
+        single = check_hypothesis(pair, q, params, iv, grid)
+        # the class check of |f'|**q on [0, b_star] is the gate's definition
+        direct = check_alpha_m_convex(AbsPower(pair.f_prime, q), pair.domain,
+                                      params, grid)
+        assert verdict == single == direct, (pair.f, q, params)
+
+
+def test_batched_gate_preconditions(square_pair):
+    ok = (square_pair, 1.0, PLAIN, Interval(0.0, 1.0))
+    with pytest.raises(InvalidCaseError):
+        check_hypotheses([ok, (square_pair, 0.5, PLAIN, Interval(0.0, 1.0))])
+    with pytest.raises(InvalidCaseError):
+        check_hypotheses([ok, (square_pair, 1.0, PLAIN, Interval(0.0, 5.0))])
+    assert check_hypotheses([]) == []
 
 
 def test_classify_region_matrix():

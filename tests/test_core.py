@@ -202,6 +202,8 @@ def test_bound_case_scaled_endpoint(square_pair):
     dict(params=ConvexityParams(1.0, 0.0)),        # no scaled endpoint
     dict(params=ConvexityParams(1.0, 0.2)),        # b/m beyond b_star
     dict(g_sup=0.5),                               # below the sampled sup
+    dict(g_sup=math.inf),                          # would certify every case
+    dict(g_sup=math.nan),                          # would violate every case
 ])
 def test_bound_case_rejects_invalid(square_pair, kw):
     with pytest.raises(InvalidCaseError):

@@ -1,6 +1,7 @@
 """Suite configuration, case verification, reports, determinism."""
 
 import dataclasses
+import io
 import json
 import math
 
@@ -11,24 +12,30 @@ from hypothesis import strategies as st
 
 from hhbound import (
     CSV_HEADER,
+    SUP_SAFETY_FACTOR,
     BoundCase,
+    CaseReport,
     CaseSpec,
     CaseTemplate,
     ConvexityParams,
     DifferentiablePair,
     DomainSpec,
+    GridSpec,
     Interval,
     InvalidCaseError,
     SuiteConfig,
     TheoremId,
+    check_hypothesis,
     default_suite,
     format_real,
     parse_function,
     reduction_check,
     run_suite,
+    sup_norm,
     sweep_x,
     verify_case,
 )
+from hhbound.harness import _stream_json_report
 
 UNIT = Interval(0.0, 1.0)
 
@@ -54,6 +61,14 @@ def test_case_spec_rejects_unknown_theorem():
         CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(1.0,),
                  alpha_values=(1.0,), m_values=(1.0,), theorems=("T99",),
                  x_sweep=5)
+
+
+@pytest.mark.parametrize("g_sup", [math.inf, -math.inf, math.nan])
+def test_case_spec_rejects_non_finite_g_sup(g_sup):
+    with pytest.raises(InvalidCaseError):
+        CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(1.0,),
+                 alpha_values=(1.0,), m_values=(1.0,), theorems=("T21",),
+                 x_sweep=5, g_sup=g_sup)
 
 
 def test_effective_b_star():
@@ -166,11 +181,146 @@ def test_run_suite_explicit_g_sup_is_exact(tmp_path):
     assert abs(by_key[("T21", 1.0, 0.0)].tightness - 1.0) <= 1e-9
 
 
-def test_run_suite_parallel_matches_sequential(tmp_path):
-    seq = run_suite(_small_config(tmp_path / "a", jobs=1))
-    par = run_suite(_small_config(tmp_path / "b", jobs=4))
-    assert seq.csv_path.read_bytes() == par.csv_path.read_bytes()
-    assert seq.json_path.read_bytes() == par.json_path.read_bytes()
+def test_legacy_jobs_key_is_ignored(tmp_path):
+    # config files from before the thread pool was removed carry "jobs"
+    current = _small_config(tmp_path / "a").to_dict()
+    assert "jobs" not in current
+    legacy = {**current, "jobs": 4, "output_dir": str(tmp_path / "b")}
+    a = run_suite(SuiteConfig.from_dict(current))
+    b = run_suite(SuiteConfig.from_dict(legacy))
+    assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+    assert a.json_path.read_bytes() == b.json_path.read_bytes()
+
+
+def test_run_suite_json_equals_json_dump(tmp_path):
+    config = _small_config(tmp_path)
+    result = run_suite(config)
+    echo = config.to_dict()
+    del echo["output_dir"]
+    payload = {"config": echo, "seed": config.seed,
+               "violations": result.violations,
+               "hypothesis_rejections": result.hypothesis_rejections,
+               "max_tightness": result.max_tightness,
+               "reports": [r.to_dict() for r in result.reports]}
+    want = json.dumps(payload, indent=1) + "\n"
+    assert result.json_path.read_text(encoding="utf-8") == want
+
+
+def test_streamed_json_handles_nonfinite_and_numpy_floats():
+    rows = [
+        CaseReport("T21", "monomial:2", "const:1", 0.0, 1.0, np.float64(0.1),
+                   1.0, 0.5, 0.25, 1.0 / 3.0, 0.0, -1.0 / 3.0, math.inf, False),
+        CaseReport("C22", "caf\u00e9", "sin", 0, 2.0, np.float64(1.0), 2.0,
+                   1.0, 1.0, math.nan, -math.inf, 1e-300, 5e-324, True),
+    ]
+    head = {"config": {"cases": [{"x": {"sweep": 3}, "g_sup": None}],
+                       "grid": {"nx": 3}}, "seed": 1, "violations": 1,
+            "hypothesis_rejections": 0, "max_tightness": 0.5}
+    for reports in (rows, rows[:1], []):
+        got = io.StringIO()
+        _stream_json_report(got, head, reports)
+        want = io.StringIO()
+        json.dump({**head, "reports": [r.to_dict() for r in reports]}, want,
+                  indent=1)
+        want.write("\n")
+        assert got.getvalue() == want.getvalue()
+
+
+def _equivalence_specs():
+    # all eight theorems; gate rejections (t**2 fails alpha < 1, e**t fails
+    # m < 1); seeded, swept and explicit x; sampled and explicit g_sup
+    return (
+        CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
+                 q_values=(1.0, 2.0), alpha_values=(0.5, 1.0),
+                 m_values=(0.5, 1.0), theorems=("T21", "T22", "T13", "T14"),
+                 x_random=4, b_star=4.0),
+        CaseSpec(f="exp", g="poly:0:1:-1", a=0.0, b=1.0, q_values=(1.0, 3.0),
+                 alpha_values=(1.0,), m_values=(0.5, 1.0),
+                 theorems=("C21", "C22", "C11", "C12"), x_values=(0.5,),
+                 g_sup=0.3),
+        CaseSpec(f="monomial:3", g="sin", a=0.5, b=1.0, q_values=(1.5,),
+                 alpha_values=(1.0,), m_values=(0.75,),
+                 theorems=("T21", "T22"), x_sweep=3),
+    )
+
+
+def test_suite_rows_equal_verify_case(tmp_path):
+    specs = _equivalence_specs()
+    config = SuiteConfig(cases=specs, output_dir=str(tmp_path),
+                         grid=GridSpec(21, 21, 21))
+    result = run_suite(config)
+    rng = np.random.default_rng(config.seed)
+    expected = []
+    rejected = 0
+    for spec in specs:
+        iv = Interval(spec.a, spec.b)
+        if spec.x_random is not None:
+            xs = sorted(float(v) for v in rng.uniform(iv.a, iv.b, spec.x_random))
+        elif spec.x_sweep is not None:
+            xs = list(np.linspace(iv.a, iv.b, spec.x_sweep))
+        else:
+            xs = list(spec.x_values)
+        g = parse_function(spec.g)
+        pair = DifferentiablePair.from_family(
+            parse_function(spec.f), DomainSpec(spec.effective_b_star()))
+        g_sup = (spec.g_sup if spec.g_sup is not None
+                 else sup_norm(g, iv) * SUP_SAFETY_FACTOR)
+        for tid in spec.theorems:
+            for q in spec.q_values:
+                for alpha in spec.alpha_values:
+                    for m in spec.m_values:
+                        params = ConvexityParams(alpha, m)
+                        gate = (params if TheoremId(tid).uses_class_params
+                                else ConvexityParams(1.0, 1.0))
+                        if not check_hypothesis(pair, q, gate, iv, config.grid).holds:
+                            rejected += 1
+                            continue
+                        for x in xs:
+                            case = BoundCase(pair, g, iv, x, q, params, g_sup)
+                            rep = verify_case(case, tid)
+                            expected.append(CaseReport(
+                                tid, spec.f, spec.g, iv.a, iv.b, x, q, alpha,
+                                m, rep.lhs, rep.rhs, rep.slack, rep.tightness,
+                                rep.holds))
+    assert rejected > 0
+    assert result.hypothesis_rejections == rejected
+    assert {r.theorem_id for r in expected} == {t.value for t in TheoremId}
+    assert list(result.reports) == expected
+
+
+def test_run_suite_rejects_b_over_m_beyond_b_star(tmp_path):
+    # |2t| is in the (1, 1/2) class, so the gate admits the case and the
+    # template check must catch b/m = 2 > b_star = 1
+    spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
+                    q_values=(1.0,), alpha_values=(1.0,), m_values=(0.5,),
+                    theorems=("T21",), x_values=(0.5,), b_star=1.0)
+    with pytest.raises(InvalidCaseError, match="b/m"):
+        run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
+
+
+def test_run_suite_rejects_off_midpoint_split(tmp_path):
+    spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
+                    q_values=(1.0,), alpha_values=(1.0,), m_values=(1.0,),
+                    theorems=("C21",), x_values=(0.5, 0.25), b_star=4.0)
+    with pytest.raises(InvalidCaseError, match="midpoint"):
+        run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
+
+
+def test_gate_on_working_domain_has_no_false_violations(tmp_path):
+    # with x, y only from [a, b] the gate admitted 576 of these combinations
+    # and 121 of their rows were violations; the bounds need the class
+    # inequality at y = b/m, outside [a, b] for m < 1
+    levels = (0.25, 0.5, 0.75, 1.0)
+    cases = tuple(
+        CaseSpec(f=f, g="const:1", a=a, b=b, q_values=(1.0, 1.5, 2.0, 3.0),
+                 alpha_values=levels, m_values=levels, theorems=("T21", "T22"),
+                 x_sweep=6)
+        for f in ("monomial:2", "monomial:3")
+        for a, b in ((0.5, 1.0), (0.2, 0.6), (0.8, 1.0)))
+    result = run_suite(SuiteConfig(cases=cases, output_dir=str(tmp_path)))
+    assert result.violations == 0
+    assert len(result.reports) == 3060
+    assert result.hypothesis_rejections == 258
 
 
 def test_run_suite_counts_rejections(tmp_path):
