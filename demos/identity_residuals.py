@@ -4,7 +4,8 @@ The endpoint rule's deviation equals a double integral of the weight kernel
 against f', and the point rule's deviation equals the integral of a signed
 step weight against f'. Both identities are exact; the script shows how far
 numerical evaluation drifts for a spread of integrands, including a
-piecewise-linear weight that forces the slow nested-quadrature path.
+piecewise-linear weight with a kink inside the interval. Its antiderivative
+table puts a node on the kink, so the kernel it supplies stays exact.
 
 Run:  python3 demos/identity_residuals.py
 """
@@ -43,7 +44,8 @@ def main() -> None:
                 r1, r2 = residual_row(fspec, gspec, x)
                 print(f"{fspec:>12} {gspec:>24} {x:5.2f} {r1:15.3e} {r2:14.3e}")
     print("\nEverything sits far below the 1e-7 gate; the piecewise weight")
-    print("loses a few digits to nested quadrature but stays comfortable.")
+    print("loses a few digits where the adaptive integrals cross its kink")
+    print("but stays comfortable.")
 
 
 if __name__ == "__main__":

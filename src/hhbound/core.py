@@ -249,9 +249,14 @@ class RealFunction:
         return self.family_id + ":" + ":".join(f"{p:g}" for p in self.params)
 
     @property
-    def is_smooth(self) -> bool:
-        """True when the function has continuous derivatives of all orders."""
-        return self.family_id not in ("pwlinear", "pwconst")
+    def knots(self) -> tuple[float, ...]:
+        """Breakpoints of a piecewise family, end knots included; empty for
+        the smooth families, which have continuous derivatives of all orders."""
+        if self.family_id == "pwlinear":
+            return self.params[0::2]
+        if self.family_id == "pwconst":
+            return self.params[: (len(self.params) + 1) // 2]
+        return ()
 
 
 def registry_eval(fn: RealFunction, t):

@@ -138,6 +138,8 @@ class CaseSpec:
             TheoremId(tid)  # raises ValueError on unknown ids
         if self.g_sup is not None and not math.isfinite(self.g_sup):
             raise InvalidCaseError(f"g_sup must be finite, got {self.g_sup}")
+        if 0.0 in self.m_values:
+            raise InvalidCaseError("m = 0 leaves no evaluable scaled endpoint b/m")
 
     def effective_b_star(self) -> float:
         if self.b_star is not None:

@@ -8,16 +8,19 @@ scheme has algebraic degree 3 per panel.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule), the kernel and step-weight primitives behind them, and the
-residuals of the two integral identities that generate the bounds.
+residuals of the two integral identities that generate the bounds. The
+residuals and the step-weight profile read the antiderivative of the weight
+from one cubic Hermite table per (g, a, b), with nodes on the knots of a
+piecewise weight, so smooth and piecewise weights take the same path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     BoundCase,
@@ -126,7 +129,7 @@ def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
     return IntegralResult(value, est, evals)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # above the misses of one 1,536-row fresh-x sweep
 def _integrate_cached(fn, a: float, b: float, abs_tol: float, rel_tol: float,
                       max_panels: int) -> IntegralResult:
     return _integrate_impl(fn, a, b, abs_tol, rel_tol, max_panels)
@@ -236,21 +239,58 @@ def step_weight(g, iv: Interval, x: float, t: float,
 _TABLE_NODES = 4097
 
 
-@lru_cache(maxsize=None)
-def _antiderivative_table(g: RealFunction, a: float, b: float) -> CubicSpline:
-    """Cubic interpolant of W(t) = integral of g over [a, t] on a fixed grid.
+class _AntiderivativeTable:
+    """Cubic Hermite interpolant of W(t) = integral of g over [a, t].
 
-    W is accumulated by per-segment Simpson increments over 4096 segments
-    (midpoints included), giving O(h^4) accuracy, far below the tolerances
-    the nested-identity residuals need.
+    The nodes are a 4097-point uniform grid of [a, b] plus the knots of a
+    piecewise g inside (a, b), so g is a polynomial on every segment. Each
+    segment adds its Simpson increment to W, and its Hermite end slopes are
+    g one ulp inside the segment: the one-sided limits at a knot. W is then
+    exact for piecewise-linear and piecewise-constant g, and O(h^4) accurate
+    for smooth g.
+
+    ``value_at`` serves the oracle, which integrates one float at a time, in
+    pure Python, where numpy's per-call overhead would dominate; ``values``
+    serves arrays. Both evaluate the same float expression, so they agree
+    exactly.
     """
-    fine = np.linspace(a, b, 2 * _TABLE_NODES - 1)
-    vals = np.asarray(registry_eval(g, fine))
-    nodes = fine[0::2]
-    h = nodes[1] - nodes[0]
-    inc = h / 6.0 * (vals[0:-2:2] + 4.0 * vals[1::2] + vals[2::2])
-    w = np.concatenate(([0.0], np.cumsum(inc)))
-    return CubicSpline(nodes, w)
+
+    def __init__(self, g: RealFunction, a: float, b: float) -> None:
+        inner = [k for k in g.knots if a < k < b]
+        nodes = np.union1d(np.linspace(a, b, _TABLE_NODES), inner)
+        lo, hi = nodes[:-1], nodes[1:]
+        n = len(lo)
+        vals = np.asarray(registry_eval(g, np.concatenate(
+            (np.nextafter(lo, np.inf), 0.5 * (lo + hi), np.nextafter(hi, -np.inf)))))
+        d0, mid, d1 = vals[:n], vals[n:2 * n], vals[2 * n:]
+        h = hi - lo
+        dw = h / 6.0 * (d0 + 4.0 * mid + d1)
+        w = np.concatenate(([0.0], np.cumsum(dw[:-1])))
+        # on segment j, W = c0 + s (c1 + s (c2 + s c3)) with s = (t - t_j) / h_j
+        self._lo = lo
+        self._h = h
+        self._coef = (w, h * d0, 3.0 * dw - h * (2.0 * d0 + d1),
+                      h * (d0 + d1) - 2.0 * dw)
+        self._lo_list = lo.tolist()
+        self._segments = list(zip(self._lo_list, h.tolist(),
+                                  *(c.tolist() for c in self._coef)))
+
+    def value_at(self, t: float) -> float:
+        j = max(bisect_right(self._lo_list, t) - 1, 0)
+        t0, h, c0, c1, c2, c3 = self._segments[j]
+        s = (t - t0) / h
+        return c0 + s * (c1 + s * (c2 + s * c3))
+
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        j = np.maximum(np.searchsorted(self._lo, ts, side="right") - 1, 0)
+        s = (ts - self._lo[j]) / self._h[j]
+        c0, c1, c2, c3 = (c[j] for c in self._coef)
+        return c0 + s * (c1 + s * (c2 + s * c3))
+
+
+@lru_cache(maxsize=16)  # each table holds about 1 MB
+def _antiderivative_table(g: RealFunction, a: float, b: float) -> _AntiderivativeTable:
+    return _AntiderivativeTable(g, a, b)
 
 
 @dataclass(frozen=True)
@@ -264,23 +304,8 @@ class _KernelTimesDeriv:
     x: float
 
     def __call__(self, t):
-        spl = _antiderivative_table(self.g, self.a, self.b)
-        return (spl(t) - spl(self.x)) * self.f_prime(t)
-
-
-@dataclass(frozen=True)
-class _KernelTimesDerivNested:
-    """Same integrand with the inner integral done adaptively (non-smooth g)."""
-
-    g: RealFunction
-    f_prime: RealFunction
-    a: float
-    b: float
-    x: float
-
-    def __call__(self, t):
-        iv = Interval(self.a, self.b)
-        return kernel_K(self.g, iv, self.x, float(t), 1e-10, 1e-10) * self.f_prime(t)
+        table = _antiderivative_table(self.g, self.a, self.b)
+        return (table.value_at(t) - table.value_at(self.x)) * self.f_prime(t)
 
 
 @dataclass(frozen=True)
@@ -294,10 +319,10 @@ class _StepTimesDeriv:
     left_branch: bool
 
     def __call__(self, t):
-        spl = _antiderivative_table(self.g, self.a, self.b)
+        table = _antiderivative_table(self.g, self.a, self.b)
         if self.left_branch:
-            return spl(t) * self.f_prime(t)
-        return (spl(t) - spl(self.b)) * self.f_prime(t)
+            return table.value_at(t) * self.f_prime(t)
+        return (table.value_at(t) - table.value_at(self.b)) * self.f_prime(t)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +398,12 @@ def residual_endpoint_identity(case: BoundCase) -> float:
     """Residual of the kernel identity behind the endpoint rule.
 
     Compares the signed endpoint-rule deviation against the double integral
-    of kernel times derivative, the latter evaluated with an antiderivative
-    table for smooth weights and nested adaptive quadrature otherwise.
+    of kernel times derivative, with the kernel W(t) - W(x) read from the
+    knot-aligned antiderivative table of g, smooth or piecewise.
     """
     iv = case.interval
     sign_val, _ = _endpoint_signed(case.pair.f, case.g, iv, case.x)
-    cls = _KernelTimesDeriv if case.g.is_smooth else _KernelTimesDerivNested
-    integrand = cls(case.g, case.pair.f_prime, iv.a, iv.b, case.x)
+    integrand = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, case.x)
     rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL, _RESIDUAL_OUTER_TOL).value
     return abs(sign_val - rhs)
 
@@ -388,17 +412,12 @@ def residual_point_identity(case: BoundCase) -> float:
     """Residual of the step-weight identity behind the point rule.
 
     The right-hand side integrates S_g(t) f'(t) over each branch separately,
-    with S_g evaluated from the antiderivative table for smooth weights and
-    by per-point adaptive integration otherwise.
+    with S_g read from the knot-aligned antiderivative table of g.
     """
     iv = case.interval
     sign_val, _ = _point_signed(case.pair.f, case.g, iv, case.x)
-    if case.g.is_smooth:
-        left = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, True)
-        right = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, False)
-    else:
-        left = _StepTimesDerivNested(case.g, case.pair.f_prime, iv.a, iv.b, True)
-        right = _StepTimesDerivNested(case.g, case.pair.f_prime, iv.a, iv.b, False)
+    left = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, True)
+    right = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, False)
     rhs = 0.0
     if case.x > iv.a:
         rhs += integrate(left, Interval(iv.a, case.x),
@@ -409,25 +428,6 @@ def residual_point_identity(case: BoundCase) -> float:
     return abs(sign_val - rhs)
 
 
-@dataclass(frozen=True)
-class _StepTimesDerivNested:
-    """Branch integrand S_g(t) * f'(t) with S_g integrated adaptively."""
-
-    g: RealFunction
-    f_prime: RealFunction
-    a: float
-    b: float
-    left_branch: bool
-
-    def __call__(self, t):
-        t = float(t)
-        if self.left_branch:
-            sg = _integral_between(self.g, self.a, t, 1e-10, 1e-10).value
-        else:
-            sg = -_integral_between(self.g, t, self.b, 1e-10, 1e-10).value
-        return sg * self.f_prime(t)
-
-
 # ---------------------------------------------------------------------------
 # envelope diagnostics
 
@@ -436,18 +436,15 @@ def step_weight_profile(g: RealFunction, iv: Interval, x: float,
                         n: int = 1001) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (t, S_g(t), S(t)) profile over an n-point grid of ``iv``.
 
-    Uses the antiderivative table for smooth weights; falls back to the
-    per-point adaptive step weight otherwise. Agrees with step_weight to
-    interpolation accuracy (about 1e-14 on unit-scale weights).
+    Reads S_g from the knot-aligned antiderivative table, which serves smooth
+    and piecewise weights alike. Agrees with step_weight to interpolation
+    accuracy (about 1e-14 on unit-scale weights).
     """
     ts = iv.grid(n)
     s = np.where(ts < x, ts - iv.a, iv.b - ts)
-    if g.is_smooth:
-        spl = _antiderivative_table(g, iv.a, iv.b)
-        w = spl(ts)
-        sg = np.where(ts < x, w, w - spl(iv.b))
-    else:
-        sg = np.array([step_weight(g, iv, x, float(t))[0] for t in ts])
+    table = _antiderivative_table(g, iv.a, iv.b)
+    w = table.values(ts)
+    sg = np.where(ts < x, w, w - table.value_at(iv.b))
     return ts, sg, s
 
 

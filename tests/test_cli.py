@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hhbound
 from hhbound.cli import main
 
 
@@ -51,6 +56,40 @@ def test_verify_has_no_jobs_flag(tmp_path, capsys):
               "--theorem", "T21", "--out", str(tmp_path), "--jobs", "2"])
     assert exc.value.code == 1
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_m(tmp_path, capsys):
+    code = main(["verify", "--f", "monomial:2", "--g", "const:1",
+                 "--a", "0", "--b", "1", "--x", "0.25", "--q", "2",
+                 "--alpha", "0.75", "--m", "0", "--theorem", "T21",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "hhbound verify: error: m = 0 leaves no evaluable scaled endpoint b/m"]
+
+
+def _imported_modules(args, cwd):
+    # -X importtime logs every module the interpreter imports to stderr
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hhbound.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line]
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import hhbound"],
+    ["-m", "hhbound.cli", "verify", "--f", "monomial:2", "--g", "const:1",
+     "--a", "0", "--b", "1", "--x", "0.25", "--q", "2", "--alpha", "0.75",
+     "--m", "0.75", "--theorem", "T21", "--out", "reports"],
+])
+def test_no_scipy_import(args, tmp_path):
+    modules = _imported_modules(args, tmp_path)
+    assert "hhbound" in modules
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
 def test_verify_requires_full_inline_case(capsys):

@@ -129,6 +129,13 @@ def test_eval_domain_errors():
         registry_eval(parse_function("pwlinear:0:0:1:1"), 1.5)
 
 
+def test_knots():
+    pw = parse_function("pwlinear:0:0:2:1:4:0")
+    assert pw.knots == (0.0, 2.0, 4.0)
+    assert derivative(pw).knots == (0.0, 2.0, 4.0)
+    assert parse_function("sin").knots == ()
+
+
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_derivative_stays_in_registry(spec):
     fn = parse_function(spec)

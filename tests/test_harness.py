@@ -71,6 +71,14 @@ def test_case_spec_rejects_non_finite_g_sup(g_sup):
                  x_sweep=5, g_sup=g_sup)
 
 
+@pytest.mark.parametrize("b_star", [None, 4.0])
+def test_case_spec_rejects_zero_m(b_star):
+    with pytest.raises(InvalidCaseError, match="m = 0"):
+        CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(2.0,),
+                 alpha_values=(0.75,), m_values=(0.5, 0.0), theorems=("T21",),
+                 x_values=(0.25,), b_star=b_star)
+
+
 def test_effective_b_star():
     kw = dict(f="exp", g="const:1", a=0.0, b=2.0, q_values=(1.0,),
               alpha_values=(1.0,), m_values=(0.25, 1.0), theorems=("T21",),

@@ -29,6 +29,7 @@ from hhbound import (
     step_weight_profile,
     sup_norm,
 )
+from hhbound.quadrature import _antiderivative_table, _integrate_cached
 
 UNIT = Interval(0.0, 1.0)
 
@@ -140,8 +141,9 @@ def test_step_weight_branches():
     assert abs(sg + 1.0) <= 1e-12 and s == 0.5
 
 
-def test_step_weight_profile_matches_pointwise():
-    g = parse_function("sin")
+@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:0:0.5:1:1:0"])
+def test_step_weight_profile_matches_pointwise(gspec):
+    g = parse_function(gspec)
     ts, sg, s = step_weight_profile(g, UNIT, 0.3, 41)
     for t, v in zip(ts, sg):
         ref, _ = step_weight(g, UNIT, 0.3, float(t))
@@ -151,14 +153,41 @@ def test_step_weight_profile_matches_pointwise():
 @pytest.mark.parametrize("gspec", ["const:1", "sin", "poly:0:1:-1",
                                    "pwlinear:0:0:0.5:1:1:0"])
 def test_envelope_never_exceeded(gspec):
-    g = parse_function(gspec)
-    n = 201 if not g.is_smooth else 1001
-    assert envelope_excess(g, UNIT, 0.3, n) <= 1e-10
+    assert envelope_excess(parse_function(gspec), UNIT, 0.3) <= 1e-10
+
+
+def _pwlinear_dip_integral(a, t):
+    # g = 1 - s/2 on [0, 2] and (s - 2)/2 on [2, 4], integrated over [a, t]
+    def prim(u):
+        return u - u * u / 4.0 if u <= 2.0 else 1.0 + (u - 2.0) ** 2 / 4.0
+    return prim(t) - prim(a)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 4.0), (0.5, 3.0)])
+def test_antiderivative_table_exact_for_pwlinear(a, b):
+    # on [0, 4] knot 2 is a uniform node; on [0.5, 3] it falls between nodes
+    # and knots 0 and 4 lie outside the interval
+    table = _antiderivative_table(parse_function("pwlinear:0:1:2:0:4:1"), a, b)
+    ts = np.random.default_rng(0).uniform(a, b, 1000)
+    exact = np.array([_pwlinear_dip_integral(a, t) for t in ts])
+    assert np.max(np.abs(table.values(ts) - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:1:2:0:4:1"])
+def test_antiderivative_table_scalar_matches_array(gspec):
+    table = _antiderivative_table(parse_function(gspec), 0.5, 3.0)
+    ts = np.random.default_rng(1).uniform(0.5, 3.0, 1000)
+    assert [table.value_at(t) for t in ts.tolist()] == table.values(ts).tolist()
+
+
+def test_memo_caches_are_bounded():
+    for cache in (_integrate_cached, _antiderivative_table):
+        assert cache.cache_info().maxsize is not None
 
 
 def _case(fspec, gspec, x, g_sup=None):
     f = parse_function(fspec)
-    g = parse_function(gspec)
+    g = gspec if isinstance(gspec, RealFunction) else parse_function(gspec)
     pair = DifferentiablePair.from_family(f, DomainSpec(4.0))
     if g_sup is None:
         g_sup = sup_norm(g, UNIT) * (1.0 + 1e-6)
@@ -187,7 +216,17 @@ def test_identity_residuals_smooth(fspec, gspec):
 
 
 def test_identity_residuals_nonsmooth_weight():
-    # piecewise-linear weight exercises the nested-quadrature path
+    # a knot of the piecewise-linear weight lies inside the interval
     case = _case("monomial:2", "pwlinear:0:0:0.5:1:1:0", 0.4)
     assert residual_endpoint_identity(case) <= 1e-7
     assert residual_point_identity(case) <= 1e-7
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.6, 1.0])
+def test_identity_residuals_step_weight(x):
+    # the weight jumps at 0.3, so the table's one-sided slopes must differ there
+    g = RealFunction("pwconst", (0.0, 0.3, 1.0, 1.0, 2.0))
+    case = _case("exp", g, x)
+    assert residual_endpoint_identity(case) <= 1e-9
+    assert residual_point_identity(case) <= 1e-9
+    assert envelope_excess(g, UNIT, x) <= 1e-10
