@@ -4,7 +4,14 @@ The oracle is adaptive Simpson with interval bisection: each panel carries a
 Richardson error estimate |S2 - S1| / 15, panels are accepted against a
 proportional share of the requested tolerance, and accepted estimates are
 summed into the global error estimate. Simpson is exact on cubics, so the
-scheme has algebraic degree 3 per panel.
+scheme has algebraic degree 3 per panel. The panels are processed breadth
+first, a level at a time (Shampine, "Vectorized adaptive quadrature in
+MATLAB", J. Comput. Appl. Math. 211, 2008): the integrand is called with a
+1-D float array holding the new sample points of every active panel, and
+returns an array of that shape or a scalar that broadcasts to it. Splits,
+tolerances and the order of summation are those of the depth-first
+recursion, so an integrand whose array and scalar evaluations agree gets
+the recursive result bit for bit.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule), the kernel and step-weight primitives behind them, and the
@@ -16,7 +23,6 @@ piecewise weight, so smooth and piecewise weights take the same path.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,50 +84,111 @@ class Product:
 
 
 _MIN_DEPTH = 5  # guards against coincidental early agreement across a kink
+# every panel shallower than _MIN_DEPTH splits, so unless the panel budget or
+# the float64 floor intervenes the oracle samples the whole nested grid of
+# 2**(_MIN_DEPTH + 2) + 1 points before its first acceptance test
+_FORCED_SPLITS = 2 ** _MIN_DEPTH - 1
+
+
+def _refine(grid: np.ndarray) -> np.ndarray:
+    """Insert the float midpoint 0.5 * (lo + hi) between neighbouring points."""
+    out = np.empty(2 * grid.size - 1)
+    out[0::2] = grid
+    out[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    return out
+
+
+def _sample(f, x3: np.ndarray, f3: np.ndarray):
+    """Quarter points of the panels with rows (lo, mid, hi) of ``x3``.
+
+    Returns the rows (lo, lm, mid, rm, hi) of the panels, their integrand
+    values, and the mask of panels whose five points are strictly increasing;
+    only those are evaluated, in one call, and the rest keep NaN at lm, rm.
+    """
+    lo, mid, hi = x3
+    x5 = np.stack((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))
+    ok = np.all(x5[:-1] < x5[1:], axis=0)
+    f5 = np.full(x5.shape, np.nan)
+    f5[0::2] = f3
+    if ok.any():
+        f5[1::2, ok] = f(x5[1::2, ok].ravel()).reshape(2, -1)
+    return x5, f5, ok
+
+
+def _halves(p: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """Rows (lo, mid, hi) of the left and right halves of the split panels,
+    each panel's halves side by side in that order."""
+    return np.stack((p[0:3, split], p[2:5, split]), axis=2).reshape(3, -1)
 
 
 def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
                     max_panels: int) -> IntegralResult:
     evals = 0
-    panels = 0
 
-    def f(t: float) -> float:
+    def f(ts: np.ndarray) -> np.ndarray:
         nonlocal evals
-        evals += 1
-        return float(fn(t))
+        evals += ts.size
+        return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
 
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    grid = np.array([a, b], dtype=float)
+    for _ in range(_MIN_DEPTH + 2):
+        grid = _refine(grid)
+    if max_panels >= _FORCED_SPLITS and np.all(grid[:-1] < grid[1:]):
+        # no forced panel meets the float64 floor: start at _MIN_DEPTH with
+        # all the samples above it taken in one call
+        depth, panels = _MIN_DEPTH, _FORCED_SPLITS
+        fgrid = f(grid)
+        x5 = np.vstack((grid[:-1].reshape(-1, 4).T, grid[4::4]))
+        f5 = np.vstack((fgrid[:-1].reshape(-1, 4).T, fgrid[4::4]))
+        ok = np.ones(x5.shape[1], dtype=bool)
+        fa, fm, fb = fgrid[[0, grid.size // 2, -1]]
+    else:
+        depth, panels = 0, 0
+        x3 = grid[[0, grid.size // 2, -1]]
+        fa, fm, fb = f3 = f(x3)
+        x5, f5, ok = _sample(f, x3[:, None], f3[:, None])
+    whole = float((b - a) * (fa + 4.0 * fm + fb) / 6.0)
     eps = max(abs_tol, rel_tol * abs(whole))
+    start = depth
+    tol = eps
+    for _ in range(depth):
+        tol *= 0.5
 
-    def recurse(lo: float, hi: float, flo: float, fmid: float, fhi: float,
-                s: float, tol: float, depth: int) -> tuple[float, float]:
-        nonlocal panels
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        # once midpoints stop being strictly interior the panel cannot be
-        # split further in float64; accept it and report its estimate
-        if not (lo < lm < mid < rm < hi):
-            return s, abs(s)
-        flm, frm = f(lm), f(rm)
+    levels = []
+    while True:
+        lo, lm, mid, rm, hi = x5
+        flo, flm, fmid, frm, fhi = f5
+        # the panel's Simpson estimate, bitwise as its parent computed it
+        s = (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
         s_left = (mid - lo) * (flo + 4.0 * flm + fmid) / 6.0
         s_right = (hi - mid) * (fmid + 4.0 * frm + fhi) / 6.0
         delta = s_left + s_right - s
-        est = abs(delta) / 15.0
-        if est <= tol and depth >= _MIN_DEPTH:
-            return s_left + s_right + delta / 15.0, est
-        panels += 1
+        est = np.abs(delta) / 15.0
+        # a panel past the float64 floor is accepted with its own estimate
+        split = ok & ~(est <= tol) if depth >= _MIN_DEPTH else ok
+        levels.append((np.where(ok, s_left + s_right + delta / 15.0, s),
+                       np.where(ok, est, np.abs(s)), split))
+        n_split = int(np.count_nonzero(split))
+        if n_split == 0:
+            break
+        panels += n_split
         if panels > max_panels:
             raise QuadratureError(
                 f"no convergence on [{a}, {b}] after {max_panels} panel splits"
             )
-        vl, el = recurse(lo, mid, flo, flm, fmid, s_left, 0.5 * tol, depth + 1)
-        vr, er = recurse(mid, hi, fmid, frm, fhi, s_right, 0.5 * tol, depth + 1)
-        return vl + vr, el + er
+        x5, f5, ok = _sample(f, _halves(x5, split), _halves(f5, split))
+        depth += 1
+        tol *= 0.5
 
-    value, est = recurse(a, b, fa, fm, fb, whole, eps, 0)
+    # fold bottom-up: a split panel is the sum of its halves, left + right
+    value, err, _ = levels.pop()
+    for leaf_value, leaf_err, split in reversed(levels):
+        leaf_value[split] = value[0::2] + value[1::2]
+        leaf_err[split] = err[0::2] + err[1::2]
+        value, err = leaf_value, leaf_err
+    for _ in range(start):
+        value, err = value[0::2] + value[1::2], err[0::2] + err[1::2]
+    value, est = float(value[0]), float(err[0])
     if est > max(abs_tol, rel_tol * abs(value)):
         raise QuadratureError(
             f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
@@ -142,7 +209,9 @@ def integrate(fn, iv: Interval, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
     Parameters
     ----------
     fn : callable
-        Scalar integrand; registry functions and their products qualify.
+        Vectorized integrand: called with a 1-D float array of sample points,
+        it returns their values as an array of that shape, or a scalar that
+        broadcasts to it. Registry functions and their products qualify.
     iv : Interval
         Integration range.
     abs_tol, rel_tol : float
@@ -152,12 +221,14 @@ def integrate(fn, iv: Interval, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
         Subdivision budget; exceeding it raises QuadratureError.
 
     Results for hashable integrands are memoized, keyed by the integrand and
-    the exact (a, b, abs_tol, rel_tol) tuple.
+    the exact (a, b, abs_tol, rel_tol, max_panels) tuple. An error raised by
+    the integrand propagates from the one run that raised it.
     """
     try:
-        return _integrate_cached(fn, iv.a, iv.b, abs_tol, rel_tol, max_panels)
+        hash(fn)
     except TypeError:
         return _integrate_impl(fn, iv.a, iv.b, abs_tol, rel_tol, max_panels)
+    return _integrate_cached(fn, iv.a, iv.b, abs_tol, rel_tol, max_panels)
 
 
 def _integral_between(fn, lo: float, hi: float, abs_tol: float,
@@ -249,10 +320,8 @@ class _AntiderivativeTable:
     exact for piecewise-linear and piecewise-constant g, and O(h^4) accurate
     for smooth g.
 
-    ``value_at`` serves the oracle, which integrates one float at a time, in
-    pure Python, where numpy's per-call overhead would dominate; ``values``
-    serves arrays. Both evaluate the same float expression, so they agree
-    exactly.
+    ``values`` evaluates W elementwise at a float or an array of points, so
+    a single lookup and an array lookup give the same float.
     """
 
     def __init__(self, g: RealFunction, a: float, b: float) -> None:
@@ -271,17 +340,8 @@ class _AntiderivativeTable:
         self._h = h
         self._coef = (w, h * d0, 3.0 * dw - h * (2.0 * d0 + d1),
                       h * (d0 + d1) - 2.0 * dw)
-        self._lo_list = lo.tolist()
-        self._segments = list(zip(self._lo_list, h.tolist(),
-                                  *(c.tolist() for c in self._coef)))
 
-    def value_at(self, t: float) -> float:
-        j = max(bisect_right(self._lo_list, t) - 1, 0)
-        t0, h, c0, c1, c2, c3 = self._segments[j]
-        s = (t - t0) / h
-        return c0 + s * (c1 + s * (c2 + s * c3))
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
+    def values(self, ts: float | np.ndarray) -> float | np.ndarray:
         j = np.maximum(np.searchsorted(self._lo, ts, side="right") - 1, 0)
         s = (ts - self._lo[j]) / self._h[j]
         c0, c1, c2, c3 = (c[j] for c in self._coef)
@@ -305,7 +365,7 @@ class _KernelTimesDeriv:
 
     def __call__(self, t):
         table = _antiderivative_table(self.g, self.a, self.b)
-        return (table.value_at(t) - table.value_at(self.x)) * self.f_prime(t)
+        return (table.values(t) - table.values(self.x)) * self.f_prime(t)
 
 
 @dataclass(frozen=True)
@@ -321,8 +381,8 @@ class _StepTimesDeriv:
     def __call__(self, t):
         table = _antiderivative_table(self.g, self.a, self.b)
         if self.left_branch:
-            return table.value_at(t) * self.f_prime(t)
-        return (table.value_at(t) - table.value_at(self.b)) * self.f_prime(t)
+            return table.values(t) * self.f_prime(t)
+        return (table.values(t) - table.values(self.b)) * self.f_prime(t)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +504,7 @@ def step_weight_profile(g: RealFunction, iv: Interval, x: float,
     s = np.where(ts < x, ts - iv.a, iv.b - ts)
     table = _antiderivative_table(g, iv.a, iv.b)
     w = table.values(ts)
-    sg = np.where(ts < x, w, w - table.value_at(iv.b))
+    sg = np.where(ts < x, w, w - table.values(iv.b))
     return ts, sg, s
 
 

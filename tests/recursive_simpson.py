@@ -1,0 +1,56 @@
+"""Depth-first adaptive Simpson, one float at a time: the test reference.
+
+This is the recursive form of ``hhbound.quadrature``'s oracle, kept only so
+tests can require the breadth-first, array-evaluating oracle to return the
+same ``IntegralResult`` bit for bit. It calls the integrand with one Python
+float per sample and sums each split panel as ``left + right``.
+"""
+
+from hhbound.quadrature import _MIN_DEPTH, IntegralResult, QuadratureError
+
+
+def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
+                        max_panels: int) -> IntegralResult:
+    evals = 0
+    panels = 0
+
+    def f(t: float) -> float:
+        nonlocal evals
+        evals += 1
+        return float(fn(t))
+
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    eps = max(abs_tol, rel_tol * abs(whole))
+
+    def recurse(lo: float, hi: float, flo: float, fmid: float, fhi: float,
+                s: float, tol: float, depth: int) -> tuple[float, float]:
+        nonlocal panels
+        mid = 0.5 * (lo + hi)
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        if not (lo < lm < mid < rm < hi):
+            return s, abs(s)
+        flm, frm = f(lm), f(rm)
+        s_left = (mid - lo) * (flo + 4.0 * flm + fmid) / 6.0
+        s_right = (hi - mid) * (fmid + 4.0 * frm + fhi) / 6.0
+        delta = s_left + s_right - s
+        est = abs(delta) / 15.0
+        if est <= tol and depth >= _MIN_DEPTH:
+            return s_left + s_right + delta / 15.0, est
+        panels += 1
+        if panels > max_panels:
+            raise QuadratureError(
+                f"no convergence on [{a}, {b}] after {max_panels} panel splits"
+            )
+        vl, el = recurse(lo, mid, flo, flm, fmid, s_left, 0.5 * tol, depth + 1)
+        vr, er = recurse(mid, hi, fmid, frm, fhi, s_right, 0.5 * tol, depth + 1)
+        return vl + vr, el + er
+
+    value, est = recurse(a, b, fa, fm, fb, whole, eps, 0)
+    if est > max(abs_tol, rel_tol * abs(value)):
+        raise QuadratureError(
+            f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
+        )
+    return IntegralResult(value, est, evals)

@@ -1,6 +1,7 @@
 """Adaptive oracle, kernel primitives, rule left-hand sides, residuals."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,7 +30,17 @@ from hhbound import (
     step_weight_profile,
     sup_norm,
 )
-from hhbound.quadrature import _antiderivative_table, _integrate_cached
+from hhbound.quadrature import (
+    _LHS_TOL,
+    _RESIDUAL_OUTER_TOL,
+    DEFAULT_PANEL_BUDGET,
+    _antiderivative_table,
+    _integrate_cached,
+    _integrate_impl,
+    _KernelTimesDeriv,
+    _StepTimesDeriv,
+)
+from recursive_simpson import integrate_recursive
 
 UNIT = Interval(0.0, 1.0)
 
@@ -87,10 +98,113 @@ def test_integrate_budget_exhaustion():
         """Deterministic high-frequency wiggle that never settles."""
 
         def __call__(self, t):
-            return math.sin(1e4 * t) + math.sin(9931.0 * t)
+            return np.sin(1e4 * t) + np.sin(9931.0 * t)
 
     with pytest.raises(QuadratureError):
         integrate(Noise(), UNIT, 1e-14, 1e-14, max_panels=8)
+
+
+def test_integrand_error_propagates_from_one_run():
+    class FailsOnThirdCall:
+        calls = 0
+
+        def __call__(self, t):
+            self.calls += 1
+            if self.calls == 3:
+                raise TypeError("integrand failure")
+            return np.sin(1e4 * t)
+
+    fn = FailsOnThirdCall()
+    with pytest.raises(TypeError, match="integrand failure"):
+        integrate(fn, UNIT, 1e-12, 1e-12)
+    assert fn.calls == 3
+
+
+def test_integrate_unhashable_integrand_is_not_memoized():
+    @dataclass(frozen=True)
+    class Scaled:
+        coef: list
+
+        def __call__(self, t):
+            return self.coef[0] * np.exp(t)
+
+    fn = Scaled([2.0])
+    first = integrate(fn, UNIT)
+    assert first == integrate(fn, UNIT) and first is not integrate(fn, UNIT)
+    assert abs(first.value - 2.0 * (math.e - 1.0)) <= 1e-12
+
+
+class _CountingCalls:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(t)
+
+
+@pytest.mark.parametrize("spec", ["exp", "sin", "pwlinear:0:0:0.5:1:1:0"])
+def test_oracle_samples_forced_depths_in_one_call(spec):
+    # every point down to the first acceptance test comes in one array call
+    fn = _CountingCalls(parse_function(spec))
+    res = integrate(fn, UNIT, 1e-10, 1e-10)
+    assert res.evaluations == 129
+    assert fn.calls <= 2
+
+
+def _assert_same_as_recursive(fn, a, b, tol, max_panels=DEFAULT_PANEL_BUDGET):
+    try:
+        want = integrate_recursive(fn, a, b, tol, tol, max_panels)
+    except QuadratureError as exc:
+        with pytest.raises(QuadratureError) as got:
+            _integrate_impl(fn, a, b, tol, tol, max_panels)
+        assert str(got.value) == str(exc)
+        return
+    assert _integrate_impl(fn, a, b, tol, tol, max_panels) == want
+
+
+_SWEEP_FS = ("monomial:2", "monomial:3", "exp")
+_SWEEP_GS = ("const:1", "monomial:1", "poly:0:1:-1", "sin")
+
+
+@pytest.mark.parametrize("fspec", _SWEEP_FS)
+@pytest.mark.parametrize("gspec", _SWEEP_GS)
+def test_oracle_bit_identical_to_recursion_on_sweep_pairs(fspec, gspec):
+    f, g = parse_function(fspec), parse_function(gspec)
+    _assert_same_as_recursive(Product(f, g), 0.0, 1.0, _LHS_TOL)
+    for x in np.random.default_rng(3).uniform(0.0, 1.0, 6).tolist():
+        _assert_same_as_recursive(g, 0.0, x, _LHS_TOL)
+        _assert_same_as_recursive(g, x, 1.0, _LHS_TOL)
+
+
+def test_oracle_bit_identical_to_recursion_on_kinked_weight():
+    g = parse_function("pwlinear:0:0:0.5:1:1:0")
+    for lo, hi in ((0.0, 1.0), (0.0, 0.3), (0.3, 1.0)):
+        _assert_same_as_recursive(g, lo, hi, _LHS_TOL)
+
+
+@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:0:0.5:1:1:0"])
+def test_oracle_bit_identical_to_recursion_on_residual_integrands(gspec):
+    g, fp = parse_function(gspec), RealFunction("cexp", (1.0, 1.0))
+    tol = _RESIDUAL_OUTER_TOL
+    _assert_same_as_recursive(_KernelTimesDeriv(g, fp, 0.0, 1.0, 0.4), 0.0, 1.0, tol)
+    _assert_same_as_recursive(_StepTimesDeriv(g, fp, 0.0, 1.0, True), 0.0, 0.4, tol)
+    _assert_same_as_recursive(_StepTimesDeriv(g, fp, 0.0, 1.0, False), 0.4, 1.0, tol)
+
+
+@pytest.mark.parametrize("ulps", [3, 40, 127, 128])
+@pytest.mark.parametrize("max_panels", [8, DEFAULT_PANEL_BUDGET])
+def test_oracle_bit_identical_to_recursion_at_float_floor(ulps, max_panels):
+    # below ~128 ulps the nested grid repeats points and panels hit the floor
+    b = 1.0 + ulps * np.spacing(1.0)
+    _assert_same_as_recursive(parse_function("exp"), 1.0, float(b), 1e-10, max_panels)
+
+
+@pytest.mark.parametrize("max_panels", [8, 30, 31])
+def test_oracle_bit_identical_to_recursion_on_small_budgets(max_panels):
+    # 31 splits take every panel down to the first acceptance test
+    _assert_same_as_recursive(parse_function("exp"), 0.0, 1.0, 1e-10, max_panels)
 
 
 def test_product_wraps_pair():
@@ -174,10 +288,13 @@ def test_antiderivative_table_exact_for_pwlinear(a, b):
 
 
 @pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:1:2:0:4:1"])
-def test_antiderivative_table_scalar_matches_array(gspec):
+def test_antiderivative_table_single_lookup_matches_array(gspec):
+    # the residuals read W(x) and W(b) one point at a time
     table = _antiderivative_table(parse_function(gspec), 0.5, 3.0)
     ts = np.random.default_rng(1).uniform(0.5, 3.0, 1000)
-    assert [table.value_at(t) for t in ts.tolist()] == table.values(ts).tolist()
+    want = table.values(ts).tolist()
+    assert [float(table.values(np.array([t]))[0]) for t in ts] == want
+    assert [float(table.values(t)) for t in ts.tolist()] == want
 
 
 def test_memo_caches_are_bounded():
