@@ -9,6 +9,18 @@ counterexample at grid resolution; a "fails" verdict carries a concrete
 witness that any caller can re-evaluate. Verdicts are deterministic: the
 witness is the lexicographically smallest (x, y, t) among the maximal-gap
 triples, independent of evaluation order.
+
+A gap violates when it exceeds 1e-12 * (1 + |rhs|). That threshold never
+rounds below 1e-12, so each comparison first screens for a gap above 1e-12
+and returns "holds" when there is none. Otherwise, if the first maximal gap
+violates, it is the witness; only if it does not is the threshold built
+for the whole grid. The right side, the gaps and the violation mask are
+written into three scratch arrays allocated once per scan (once per
+(pair, m) group in check_hypotheses) with the same float expressions as a
+fresh-array scan, so verdicts and witnesses are bit for bit those of the
+unscreened test. A map that is not finite somewhere on the grid (an
+overflowed |f'|**q, say) is rejected with InvalidCaseError: a NaN gap
+compares false and would otherwise pass.
 """
 
 from __future__ import annotations
@@ -98,29 +110,65 @@ def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
     return T * X + m * (1.0 - T) * Y
 
 
+def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch arrays for _verdict's rhs, gap and violation mask."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
 def _verdict(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray, xs: np.ndarray,
-             ys: np.ndarray, ts: np.ndarray, alpha: float, m: float) -> Verdict:
-    """Compare fn at the scan points against the class weights of fn(x), fn(y)."""
+             ys: np.ndarray, ts: np.ndarray, alpha: float, m: float,
+             buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Verdict:
+    """Compare fn at the scan points against the class weights of fn(x), fn(y).
+
+    buffers come from _buffers for the (x, y, t) grid and are overwritten;
+    nothing carries from one call to the next.
+    """
+    rhs, gap, viol = buffers
     ta = ts[None, None, :] ** alpha
-    rhs = ta * fx[:, None, None] + m * (1.0 - ta) * fy[None, :, None]
-    gap = lhs - rhs
-    viol = gap > _GAP_TOL * (1.0 + np.abs(rhs))
-    if not viol.any():
+    np.add(ta * fx[:, None, None], m * (1.0 - ta) * fy[None, :, None], out=rhs)
+    np.subtract(lhs, rhs, out=gap)
+    # the threshold tol * (1 + |rhs|) never rounds below tol and NaN fails
+    # every comparison, so without a gap above tol nothing can violate
+    if not np.greater(gap, _GAP_TOL, out=viol).any():
         return Verdict(True)
     # argmax returns the first maximum in C order, so the witness is the
     # lexicographically smallest (x, y, t) index triple among the maximal
-    # violations; grids are increasing, so index order is value order
-    viol_gap = np.where(viol, gap, -np.inf)
-    i, j, k = np.unravel_index(np.argmax(viol_gap), viol_gap.shape)
-    gmax = float(viol_gap[i, j, k])
+    # violations; grids are increasing, so index order is value order. When
+    # the first maximal gap overall violates, it is that witness.
+    top = np.argmax(gap)
+    if not gap.flat[top] > _GAP_TOL * (1.0 + abs(rhs.flat[top])):
+        threshold = np.abs(rhs, out=rhs)
+        np.add(1.0, threshold, out=threshold)
+        np.multiply(_GAP_TOL, threshold, out=threshold)
+        if not np.greater(gap, threshold, out=viol).any():
+            return Verdict(True)
+        np.copyto(gap, -np.inf, where=np.logical_not(viol, out=viol))
+        top = np.argmax(gap)
+    i, j, k = np.unravel_index(top, gap.shape)
+    gmax = float(gap[i, j, k])
     return Verdict(False, Witness(float(xs[i]), float(ys[j]), float(ts[k]), gmax))
+
+
+def _all_finite(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray,
+                scratch: np.ndarray) -> bool:
+    # a NaN gap never counts as a violation, so an overflowed or undefined
+    # map would otherwise pass the scan
+    return bool(np.isfinite(lhs, out=scratch).all() and np.isfinite(fx).all()
+                and np.isfinite(fy).all())
 
 
 def _grid_verdict(fn, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
                   alpha: float, m: float) -> Verdict:
-    lhs = fn(_scan_points(xs, ys, ts, m))
-    return _verdict(lhs, np.asarray(fn(xs)), np.asarray(fn(ys)), xs, ys, ts,
-                    alpha, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.asarray(fn(_scan_points(xs, ys, ts, m)))
+        fx = np.asarray(fn(xs))
+        fy = np.asarray(fn(ys))
+    buffers = _buffers((xs.size, ys.size, ts.size))
+    if not _all_finite(lhs, fx, fy, buffers[2]):
+        name = (f"|{fn.fn.label}|**{fn.q:g}" if isinstance(fn, AbsPower)
+                else fn.label)
+        raise InvalidCaseError(f"{name} is not finite on [0, {xs[-1]:g}]")
+    return _verdict(lhs, fx, fy, xs, ys, ts, alpha, m, buffers)
 
 
 def _domain_axes(b_star: float,
@@ -136,7 +184,8 @@ def check_alpha_m_convex(fn: RealFunction, domain: DomainSpec,
     """Scan the defining inequality over [0, b_star]^2 x [0, 1].
 
     Gaps count as violations above 1e-12 * (1 + |rhs|). The convention
-    0**0 = 1 applies at t = 0 when alpha = 0.
+    0**0 = 1 applies at t = 0 when alpha = 0. A fn that is not finite
+    somewhere on the grid raises InvalidCaseError.
     """
     xs, ys, ts = _domain_axes(domain.b_star, grid)
     return _grid_verdict(fn, xs, ys, ts, params.alpha, params.m)
@@ -175,8 +224,9 @@ def check_hypothesis(pair: DifferentiablePair, q: float, params: ConvexityParams
     This is the hypothesis of the bounds: their proof applies the class
     inequality at y = b/m, which leaves [a, b] when m < 1, so x and y range
     over the whole working domain [0, b_star] (and t over [0, 1]), exactly
-    as in check_alpha_m_convex. q < 1 or an interval outside [0, b_star] is a
-    precondition failure, not a negative verdict.
+    as in check_alpha_m_convex. q < 1, an interval outside [0, b_star] or a
+    |f'|**q not finite somewhere on the grid is a precondition failure
+    (InvalidCaseError), not a negative verdict.
     """
     return check_hypotheses([(pair, q, params, iv)], grid)[0]
 
@@ -188,8 +238,10 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
 
     Verdicts, witnesses included, equal those of one check_hypothesis call
     per request. Requests sharing a pair and m share one evaluation of |f'|
-    at the scan points, raised to each distinct q once; only one such group
-    is held in memory at a time.
+    at the scan points, raised to each distinct q once, and one set of
+    scratch buffers for all their comparisons; only one such group is held
+    in memory at a time. A |f'|**q that is not finite somewhere on the grid
+    raises InvalidCaseError naming f, q and b_star, instead of a verdict.
     """
     for pair, q, _, iv in requests:
         _require_gate_inputs(pair, q, iv)
@@ -207,17 +259,26 @@ def _scan_group(pair: DifferentiablePair, m: float,
                 alphas_by_q: dict[float, set[float]], grid: GridSpec,
                 out: dict[tuple, Verdict]) -> None:
     # the arrays of one group die with this frame, before the next group
-    xs, ys, ts = _domain_axes(pair.domain.b_star, grid)
-    fp_pts = np.abs(pair.f_prime(_scan_points(xs, ys, ts, m)))
-    fp_xs = np.abs(np.asarray(pair.f_prime(xs)))
-    fp_ys = np.abs(np.asarray(pair.f_prime(ys)))
+    b_star = pair.domain.b_star
+    xs, ys, ts = _domain_axes(b_star, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp_pts = np.abs(pair.f_prime(_scan_points(xs, ys, ts, m)))
+        fp_xs = np.abs(np.asarray(pair.f_prime(xs)))
+        fp_ys = np.abs(np.asarray(pair.f_prime(ys)))
+    buffers = _buffers((xs.size, ys.size, ts.size))
     for q, alphas in alphas_by_q.items():
         # the same arithmetic as AbsPower(pair.f_prime, q) in _grid_verdict
-        lhs = fp_pts ** q
-        fx = fp_xs ** q
-        fy = fp_ys ** q
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = fp_pts ** q
+            fx = fp_xs ** q
+            fy = fp_ys ** q
+        if not _all_finite(lhs, fx, fy, buffers[2]):
+            raise InvalidCaseError(
+                f"|f'|**q is not finite on [0, {b_star:g}] for "
+                f"f = {pair.f.label}, q = {q:g}")
         for alpha in sorted(alphas):
-            out[(pair, m, q, alpha)] = _verdict(lhs, fx, fy, xs, ys, ts, alpha, m)
+            out[(pair, m, q, alpha)] = _verdict(lhs, fx, fy, xs, ys, ts, alpha,
+                                                m, buffers)
 
 
 def classify_region(fn: RealFunction, domain: DomainSpec,

@@ -362,14 +362,25 @@ class DifferentiablePair:
         Uses step h = 1e-6 * (b - a) on an n-point grid kept h away from the
         interval ends (so one-sided domain restrictions never bite). Returns
         the worst absolute deviation and raises InvalidCaseError when the
-        deviation exceeds 1e-4 * (1 + |f_prime|) anywhere.
+        deviation is not finite (f or f_prime overflowed or is undefined) or
+        exceeds 1e-4 * (1 + |f_prime|) anywhere.
         """
         h = 1e-6 * iv.width
         ts = np.linspace(iv.a + h, iv.b - h, n)
-        fd = (registry_eval(self.f, ts + h) - registry_eval(self.f, ts - h)) / (2.0 * h)
-        fp = registry_eval(self.f_prime, ts)
-        err = np.abs(fd - fp)
-        allowed = 1e-4 * (1.0 + np.abs(fp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fd = (registry_eval(self.f, ts + h)
+                  - registry_eval(self.f, ts - h)) / (2.0 * h)
+            fp = registry_eval(self.f_prime, ts)
+            err = np.abs(fd - fp)
+            allowed = 1e-4 * (1.0 + np.abs(fp))
+        finite = np.isfinite(err)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise InvalidCaseError(
+                f"derivative check for {self.f.label} is not finite at "
+                f"t={ts[k]:.6g}: finite difference {fd[k]:.9g} vs declared "
+                f"{fp[k]:.9g}"
+            )
         if np.any(err > allowed):
             k = int(np.argmax(err - allowed))
             raise InvalidCaseError(

@@ -16,8 +16,9 @@ corresponding BoundCase.
 
 Reports are written as a CSV with 17-significant-digit reals plus a sibling
 JSON file echoing the configuration and the seed. The JSON is streamed row
-by row, byte-equal to json.dump(payload, indent=1). Two runs of the same
-config produce byte-identical files; nothing time-dependent is serialized.
+by row, byte-equal to json.dump(payload, indent=1); a row of finite floats
+is laid out in one formatting pass. Two runs of the same config produce
+byte-identical files; nothing time-dependent is serialized.
 """
 
 from __future__ import annotations
@@ -620,6 +621,37 @@ def _json_row(row: dict) -> str:
             + "\n  }")
 
 
+# one row as _json_row lays it out when every number is a finite float:
+# json.dumps renders those, numpy floats included, with float.__repr__
+_JSON_ROW_FORMAT = ("{\n" + ",\n".join([key + "%s" for key in _ROW_KEYS.values()])
+                    + "\n  }")
+
+
+def _fast_json_row(r: CaseReport) -> str | None:
+    """_json_row(r.to_dict()) in one formatting pass, or None when a field
+    needs the general path: a number that is not a float, a text field that
+    is not a str, a holds that is not a bool, or a non-finite number. A
+    finite row whose sum overflows also takes the general path."""
+    # x last: swept specs give numpy floats, so the sum runs on Python
+    # floats until the final term
+    nums = (r.a, r.b, r.q, r.alpha, r.m, r.lhs, r.rhs, r.slack, r.tightness,
+            r.x)
+    if type(r.holds) is not bool:
+        return None
+    try:
+        a, b, q, alpha, m, lhs, rhs, slack, tightness, x = map(float.__repr__,
+                                                               nums)
+        tid, family_f, family_g = map(encode_basestring_ascii, (
+            r.theorem_id, r.family_f, r.family_g))
+    except TypeError:
+        return None
+    if not math.isfinite(sum(nums)):
+        return None
+    return _JSON_ROW_FORMAT % (tid, family_f, family_g, a, b, x, q, alpha, m,
+                               lhs, rhs, slack, tightness,
+                               "true" if r.holds else "false")
+
+
 def _stream_json_report(fh, head: dict, reports: list[CaseReport]) -> None:
     """Write head plus a final "reports" list, as json.dump with indent=1
     and a trailing newline would."""
@@ -628,10 +660,13 @@ def _stream_json_report(fh, head: dict, reports: list[CaseReport]) -> None:
         fh.write(text + "\n")
         return
     fh.write(text[:-len("[]\n}")] + "[\n  ")
-    for k, r in enumerate(reports):
-        if k:
-            fh.write(",\n  ")
-        fh.write(_json_row(r.to_dict()))
+    # numpy float sums that overflow would warn; the row falls back instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, r in enumerate(reports):
+            if k:
+                fh.write(",\n  ")
+            row = _fast_json_row(r)
+            fh.write(_json_row(r.to_dict()) if row is None else row)
     fh.write("\n ]\n}\n")
 
 

@@ -69,6 +69,29 @@ def test_verify_rejects_zero_m(tmp_path, capsys):
         "hhbound verify: error: m = 0 leaves no evaluable scaled endpoint b/m"]
 
 
+@pytest.mark.parametrize("f, m, q, message", [
+    # f = e**(800 t) overflows inside [0, 1], so the derivative check is NaN
+    ("exp:800", "1", "1", "derivative check for exp:800 is not finite"),
+    # f' = 250 e**(250 t) overflows on the gate domain [0, b/m] = [0, 4]
+    ("exp:250", "0.25", "1", "|f'|**q is not finite on [0, 4] for f = exp:250"),
+    # f' is finite on [0, 1] but its square is not
+    ("exp:700", "1", "2", "|f'|**q is not finite on [0, 1] for f = exp:700"),
+], ids=["derivative-check", "gate-derivative", "gate-power"])
+def test_verify_rejects_non_finite_case_in_one_line(f, m, q, message, tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hhbound.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhbound.cli", "verify", "--f", f, "--g",
+         "const:1", "--a", "0", "--b", "1", "--x", "0.5", "--q", q,
+         "--alpha", "1", "--m", m, "--theorem", "T21", "--out", "reports"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    # one error line and no RuntimeWarning from an overflow
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("hhbound verify: error: " + message)
+
+
 def _imported_modules(args, cwd):
     # -X importtime logs every module the interpreter imports to stderr
     env = dict(os.environ,

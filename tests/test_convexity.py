@@ -14,14 +14,22 @@ from hhbound import (
     Interval,
     InvalidCaseError,
     RealFunction,
+    Verdict,
+    Witness,
     check_alpha_m_convex,
     check_convex_direct,
     check_hermite_hadamard,
     check_hypotheses,
     check_hypothesis,
     classify_region,
+    default_suite,
     parse_function,
 )
+from hhbound.convexity import _domain_axes, _scan_points
+from hhbound.harness import _SpecRun
+
+from dense_verdict import dense_verdict
+from test_harness import _equivalence_specs
 
 DOM = DomainSpec(4.0)
 PLAIN = ConvexityParams(1.0, 1.0)
@@ -213,3 +221,94 @@ def test_hermite_hadamard_chain():
     v = check_hermite_hadamard(parse_function("negmonomial:2"), iv)
     assert not v.holds
     assert v.witness is not None and v.witness.t == 0.5
+
+
+def test_gate_rejects_non_finite_derivative_power():
+    # f' = 250 e**(250 t) overflows for t > ~2.82, inside [0, b_star] = [0, 4]
+    wide = DifferentiablePair.from_family(parse_function("exp:250"), DOM)
+    with pytest.raises(InvalidCaseError, match=r"\[0, 4\] for f = exp:250, q = 1"):
+        check_hypothesis(wide, 1.0, PLAIN, Interval(0.0, 1.0))
+    with pytest.raises(InvalidCaseError, match=r"\|cexp:250:250\|\*\*1 is not finite"):
+        check_alpha_m_convex(AbsPower(wide.f_prime, 1.0), DOM, PLAIN)
+    # f' = 700 e**(700 t) is finite on [0, 1]; its square is not
+    narrow = DifferentiablePair.from_family(parse_function("exp:700"),
+                                            DomainSpec(1.0))
+    assert check_hypothesis(narrow, 1.0, PLAIN, Interval(0.0, 1.0)).holds
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        check_hypothesis(narrow, 2.0, PLAIN, Interval(0.0, 1.0))
+    with pytest.raises(InvalidCaseError, match="is not finite on"):
+        check_alpha_m_convex(AbsPower(narrow.f_prime, 2.0), DomainSpec(1.0),
+                             PLAIN)
+
+
+def test_alpha_m_check_rejects_non_finite_function():
+    with pytest.raises(InvalidCaseError, match=r"exp:800 is not finite on \[0, 1\]"):
+        check_alpha_m_convex(parse_function("exp:800"), DomainSpec(1.0), PLAIN)
+
+
+def _suite_gate_requests(specs):
+    """The distinct gate requests of a suite run over specs, in run order."""
+    runs = [_SpecRun(spec, (), {}) for spec in specs]
+    return list(dict.fromkeys(gate for run in runs
+                              for *_, gate in run.combinations()))
+
+
+def _dense_gate_verdicts(requests, grid):
+    """check_hypotheses's verdicts, each from fresh dense arrays."""
+    powered = {}
+    out = []
+    for pair, q, params, _ in requests:
+        xs, ys, ts = _domain_axes(pair.domain.b_star, grid)
+        key = (pair, params.m, q)
+        if key not in powered:
+            fn = AbsPower(pair.f_prime, q)
+            powered[key] = (fn(_scan_points(xs, ys, ts, params.m)), fn(xs),
+                            fn(ys))
+        out.append(dense_verdict(*powered[key], xs, ys, ts, params.alpha,
+                                 params.m))
+    return out
+
+
+@pytest.mark.parametrize("suite, grid", [
+    ("bundled", GridSpec()),
+    ("equivalence", GridSpec(21, 21, 21)),
+])
+def test_screened_gate_equals_dense_verdicts(suite, grid, tmp_path):
+    specs = (default_suite(str(tmp_path)).cases if suite == "bundled"
+             else _equivalence_specs())
+    requests = _suite_gate_requests(specs)
+    if suite == "bundled":
+        assert len(requests) == 192
+    want = _dense_gate_verdicts(requests, grid)
+    assert any(v.holds for v in want) and not all(v.holds for v in want)
+    assert check_hypotheses(requests, grid) == want
+    # reversed, the scratch buffers see the verdicts in another order
+    assert check_hypotheses(requests[::-1], grid) == want[::-1]
+
+
+@pytest.mark.parametrize("spec, b_star, unit_cell", [
+    ("monomial:2", 4.0, None),
+    ("exp", 4.0, None),
+    ("pwlinear:0:0:0.5:1:1:0", 1.0, None),
+    # at (1, 1) its largest gap, 1.5e-12 where rhs ~ 1, lies between the
+    # screen's 1e-12 and the threshold 1e-12 * (1 + |rhs|)
+    ("poly:1:0:-6e-12", 1.0, Verdict(True)),
+    # at (1, 1) its largest gap, 2e-10 where rhs = 500, is below its
+    # threshold, and the 5e-12 tent at t = 1.5, where rhs = 0, violates
+    ("pwlinear:0:1000:0.5:500.0000000002:1:0:1.5:5e-12:2:0", 2.0,
+     Verdict(False, Witness(1.0, 2.0, 0.5, 5e-12))),
+])
+def test_classify_region_equals_dense_verdicts(spec, b_star, unit_cell):
+    fn = parse_function(spec)
+    grid = GridSpec(41, 41, 41)
+    alphas = (0.0, 0.25, 0.5, 1.0)
+    ms = (0.0, 0.25, 0.5, 1.0)
+    matrix = classify_region(fn, DomainSpec(b_star), alphas, ms, grid)
+    xs, ys, ts = _domain_axes(b_star, grid)
+    for alpha, row in zip(alphas, matrix):
+        for m, verdict in zip(ms, row):
+            lhs = fn(_scan_points(xs, ys, ts, m))
+            assert verdict == dense_verdict(lhs, fn(xs), fn(ys), xs, ys, ts,
+                                            alpha, m), (alpha, m)
+    if unit_cell is not None:
+        assert matrix[-1][-1] == unit_cell

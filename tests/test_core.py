@@ -162,6 +162,14 @@ def test_finite_difference_catches_wrong_derivative(domain4):
         pair.validate_finite_difference(Interval(0.0, 1.0))
 
 
+def test_finite_difference_rejects_non_finite_values(domain4):
+    # e**(800 t) overflows inside [0, 1]: the deviation is NaN there, which
+    # no "deviation > allowed" test can catch
+    pair = DifferentiablePair.from_family(parse_function("exp:800"), domain4)
+    with pytest.raises(InvalidCaseError, match="exp:800 is not finite"):
+        pair.validate_finite_difference(Interval(0.0, 1.0))
+
+
 def test_convexity_params_range():
     p = ConvexityParams(0.5, 1.0)
     assert p.bounds_admissible

@@ -220,6 +220,17 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
                    1.0, 0.5, 0.25, 1.0 / 3.0, 0.0, -1.0 / 3.0, math.inf, False),
         CaseReport("C22", "caf\u00e9", "sin", 0, 2.0, np.float64(1.0), 2.0,
                    1.0, 1.0, math.nan, -math.inf, 1e-300, 5e-324, True),
+        # finite rows: an int a, then all floats (the one-pass layout)
+        CaseReport("T13", "caf\u00e9", "sin", 0, 1.0, np.float64(0.1), 1.5,
+                   1.0, 1.0, 0.25, 0.5, 0.25, 0.5, True),
+        CaseReport("T14", "caf\u00e9\"", "const:1", -0.0, 1.0,
+                   np.float64(0.7), 1.5, 0.75, 0.25, 1e-300, 5e-324, -1e-300,
+                   2.0 ** 1000, False),
+        # every field finite, but their sum overflows
+        CaseReport("T21", "exp", "const:1", 0.0, 1.0, np.float64(0.5), 1.0,
+                   1.0, 1.0, 1e308, 1e308, 0.0, 1.0, True),
+        CaseReport("T21", "exp", "const:1", 0.0, 1.0, np.float64(1e308), 1.0,
+                   1.0, 1.0, 1e308, 0.5, 0.0, 1.0, True),
     ]
     head = {"config": {"cases": [{"x": {"sweep": 3}, "g_sup": None}],
                        "grid": {"nx": 3}}, "seed": 1, "violations": 1,
