@@ -28,8 +28,6 @@ from .core import (
     DifferentiablePair,
     DomainSpec,
     HHBoundError,
-    Interval,
-    InvalidParamsError,
     TheoremId,
     make_interval,
     parse_function,
@@ -210,6 +208,7 @@ def _cmd_identities(args) -> int:
     if not iv.a <= args.x <= iv.b:
         raise HHBoundError(f"x={args.x} outside [{iv.a}, {iv.b}]")
     pair = DifferentiablePair.from_family(f, DomainSpec(max(iv.b, 1.0)))
+    pair.validate_finite_difference(iv)
     g_sup = sup_norm(g, iv) * SUP_SAFETY_FACTOR
     case = BoundCase(pair, g, iv, args.x, 1.0, ConvexityParams(1.0, 1.0), g_sup)
     r_endpoint = residual_endpoint_identity(case)

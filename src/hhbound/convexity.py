@@ -14,18 +14,24 @@ A gap violates when it exceeds 1e-12 * (1 + |rhs|). That threshold never
 rounds below 1e-12, so each comparison first screens for a gap above 1e-12
 and returns "holds" when there is none. Otherwise, if the first maximal gap
 violates, it is the witness; only if it does not is the threshold built
-for the whole grid. The right side, the gaps and the violation mask are
-written into three scratch arrays allocated once per scan (once per
-(pair, m) group in check_hypotheses) with the same float expressions as a
-fresh-array scan, so verdicts and witnesses are bit for bit those of the
-unscreened test. A map that is not finite somewhere on the grid (an
-overflowed |f'|**q, say) is rejected with InvalidCaseError: a NaN gap
-compares false and would otherwise pass.
+for the whole grid.
+
+One scan routine serves the class checks and the hypothesis gate. It
+evaluates the map once per m (the gate's |f'| once per (pair, m) group),
+raises it to each q (q = 1 for the class checks of fn itself, which leaves
+the values bit for bit) and compares once per alpha. The right side, the
+gaps and the violation mask are written into three scratch arrays allocated
+once per scan with the same float expressions as a fresh-array scan, so
+verdicts and witnesses are bit for bit those of the unscreened test. A map
+that is not finite somewhere on the grid (an overflowed |f'|**q, say) is
+rejected with InvalidCaseError: a NaN gap compares false and would
+otherwise pass. check_convex_direct stays a separate literal scan, with its
+own finiteness check, as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +43,7 @@ from .core import (
     InvalidCaseError,
     Interval,
     RealFunction,
-    registry_eval,
 )
-from .quadrature import integrate
 
 __all__ = [
     "GridSpec",
@@ -51,7 +55,6 @@ __all__ = [
     "check_hypothesis",
     "check_hypotheses",
     "classify_region",
-    "check_hermite_hadamard",
 ]
 
 _GAP_TOL = 1e-12
@@ -157,18 +160,41 @@ def _all_finite(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray,
                 and np.isfinite(fy).all())
 
 
-def _grid_verdict(fn, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
-                  alpha: float, m: float) -> Verdict:
+def _scan(fn, b_star: float, m: float,
+          alphas_by_q: dict[float, Iterable[float]], grid: GridSpec,
+          not_finite: Callable[[float], str],
+          absolute: bool = False) -> dict[tuple[float, float], Verdict]:
+    """Verdicts of h**q in the (alpha, m) class on [0, b_star], keyed
+    (q, alpha), where h is fn, or |fn| when absolute (the gate's |f'|).
+
+    h is evaluated once at the scan points and raised to each q once; all
+    comparisons share one set of scratch buffers, and the arrays die with
+    this frame. An h**q that is not finite somewhere on the grid raises
+    InvalidCaseError with the message not_finite(q).
+    """
+    xs, ys, ts = _domain_axes(b_star, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.asarray(fn(_scan_points(xs, ys, ts, m)))
-        fx = np.asarray(fn(xs))
-        fy = np.asarray(fn(ys))
+        base = (np.asarray(fn(_scan_points(xs, ys, ts, m))),
+                np.asarray(fn(xs)), np.asarray(fn(ys)))
+        if absolute:
+            # only after the scan points are freed, which bounds peak memory
+            base = tuple(np.abs(v) for v in base)
     buffers = _buffers((xs.size, ys.size, ts.size))
-    if not _all_finite(lhs, fx, fy, buffers[2]):
-        name = (f"|{fn.fn.label}|**{fn.q:g}" if isinstance(fn, AbsPower)
-                else fn.label)
-        raise InvalidCaseError(f"{name} is not finite on [0, {xs[-1]:g}]")
-    return _verdict(lhs, fx, fy, xs, ys, ts, alpha, m, buffers)
+    out = {}
+    for q, alphas in alphas_by_q.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs, fx, fy = (v ** q for v in base)
+        if not _all_finite(lhs, fx, fy, buffers[2]):
+            raise InvalidCaseError(not_finite(q))
+        for alpha in sorted(alphas):
+            out[(q, alpha)] = _verdict(lhs, fx, fy, xs, ys, ts, alpha, m, buffers)
+    return out
+
+
+def _label(fn) -> str:
+    if isinstance(fn, AbsPower):
+        return f"|{fn.fn.label}|**{fn.q:g}"
+    return fn.label
 
 
 def _domain_axes(b_star: float,
@@ -187,17 +213,27 @@ def check_alpha_m_convex(fn: RealFunction, domain: DomainSpec,
     0**0 = 1 applies at t = 0 when alpha = 0. A fn that is not finite
     somewhere on the grid raises InvalidCaseError.
     """
-    xs, ys, ts = _domain_axes(domain.b_star, grid)
-    return _grid_verdict(fn, xs, ys, ts, params.alpha, params.m)
+    return classify_region(fn, domain, (params.alpha,), (params.m,), grid)[0][0]
 
 
 def check_convex_direct(fn: RealFunction, domain: DomainSpec,
                         grid: GridSpec = GridSpec()) -> Verdict:
-    """Plain convexity scan, written out literally as the (1, 1) weights."""
+    """Plain convexity scan, written out literally as the (1, 1) weights.
+
+    A fn that is not finite somewhere on the grid raises InvalidCaseError.
+    """
     xs, ys, ts = _domain_axes(domain.b_star, grid)
     X, Y, T = xs[:, None, None], ys[None, :, None], ts[None, None, :]
-    lhs = fn(T * X + (1.0 - T) * Y)
-    rhs = T * np.asarray(fn(xs))[:, None, None] + (1.0 - T) * np.asarray(fn(ys))[None, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.asarray(fn(T * X + (1.0 - T) * Y))
+        fx = np.asarray(fn(xs))
+        fy = np.asarray(fn(ys))
+    # a NaN gap never compares as a violation
+    if not (np.isfinite(lhs).all() and np.isfinite(fx).all()
+            and np.isfinite(fy).all()):
+        raise InvalidCaseError(
+            f"{_label(fn)} is not finite on [0, {domain.b_star:g}]")
+    rhs = T * fx[:, None, None] + (1.0 - T) * fy[None, :, None]
     gap = lhs - rhs
     viol = gap > _GAP_TOL * (1.0 + np.abs(rhs))
     if not viol.any():
@@ -250,63 +286,32 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
         groups.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
     verdicts: dict[tuple, Verdict] = {}
     for (pair, m), alphas_by_q in groups.items():
-        _scan_group(pair, m, alphas_by_q, grid, verdicts)
+        b_star = pair.domain.b_star
+        found = _scan(
+            pair.f_prime, b_star, m, alphas_by_q, grid,
+            lambda q: (f"|f'|**q is not finite on [0, {b_star:g}] for "
+                       f"f = {pair.f.label}, q = {q:g}"), absolute=True)
+        for (q, alpha), verdict in found.items():
+            verdicts[(pair, m, q, alpha)] = verdict
     return [verdicts[(pair, params.m, q, params.alpha)]
             for pair, q, params, _ in requests]
-
-
-def _scan_group(pair: DifferentiablePair, m: float,
-                alphas_by_q: dict[float, set[float]], grid: GridSpec,
-                out: dict[tuple, Verdict]) -> None:
-    # the arrays of one group die with this frame, before the next group
-    b_star = pair.domain.b_star
-    xs, ys, ts = _domain_axes(b_star, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fp_pts = np.abs(pair.f_prime(_scan_points(xs, ys, ts, m)))
-        fp_xs = np.abs(np.asarray(pair.f_prime(xs)))
-        fp_ys = np.abs(np.asarray(pair.f_prime(ys)))
-    buffers = _buffers((xs.size, ys.size, ts.size))
-    for q, alphas in alphas_by_q.items():
-        # the same arithmetic as AbsPower(pair.f_prime, q) in _grid_verdict
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = fp_pts ** q
-            fx = fp_xs ** q
-            fy = fp_ys ** q
-        if not _all_finite(lhs, fx, fy, buffers[2]):
-            raise InvalidCaseError(
-                f"|f'|**q is not finite on [0, {b_star:g}] for "
-                f"f = {pair.f.label}, q = {q:g}")
-        for alpha in sorted(alphas):
-            out[(pair, m, q, alpha)] = _verdict(lhs, fx, fy, xs, ys, ts, alpha,
-                                                m, buffers)
 
 
 def classify_region(fn: RealFunction, domain: DomainSpec,
                     alpha_grid, m_grid,
                     grid: GridSpec = GridSpec()) -> list[list[Verdict]]:
-    """Verdict matrix over a grid of class parameters (rows alpha, cols m)."""
-    out = []
-    for alpha in alpha_grid:
-        row = []
-        for m in m_grid:
-            row.append(check_alpha_m_convex(fn, domain, ConvexityParams(alpha, m), grid))
-        out.append(row)
-    return out
+    """Verdict matrix over a grid of class parameters (rows alpha, cols m).
 
-
-def check_hermite_hadamard(fn: RealFunction, iv: Interval, tol: float = 1e-9) -> Verdict:
-    """Check the midpoint <= mean <= endpoint-average chain by oracle quadrature.
-
-    Failure returns a Verdict whose witness stores (a, b, 1/2) and the larger
-    of the two violations as the gap.
+    Each cell is the check_alpha_m_convex verdict of its (alpha, m); fn is
+    evaluated once per m, and q = 1 leaves its values bit for bit.
     """
-    res = integrate(fn, iv, 1e-12, 1e-12)
-    avg = res.value / iv.width
-    f_mid = float(registry_eval(fn, iv.midpoint))
-    f_ends = 0.5 * (float(registry_eval(fn, iv.a)) + float(registry_eval(fn, iv.b)))
-    slack = tol * (1.0 + abs(avg)) + res.error_estimate / iv.width
-    left_gap = f_mid - avg
-    right_gap = avg - f_ends
-    if left_gap <= slack and right_gap <= slack:
-        return Verdict(True)
-    return Verdict(False, Witness(iv.a, iv.b, 0.5, max(left_gap, right_gap)))
+    alpha_grid, m_grid = tuple(alpha_grid), tuple(m_grid)
+    for alpha in alpha_grid:
+        for m in m_grid:
+            ConvexityParams(alpha, m)  # raises on parameters outside [0, 1]^2
+    b_star = domain.b_star
+    by_m = {m: _scan(fn, b_star, m, {1.0: set(alpha_grid)}, grid,
+                     lambda q: f"{_label(fn)} is not finite on [0, {b_star:g}]")
+            for m in m_grid}
+    return [[by_m[m][(1.0, alpha)] for m in m_grid] for alpha in alpha_grid]
+

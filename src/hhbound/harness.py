@@ -55,7 +55,6 @@ from .core import (
     ConvexityParams,
     DifferentiablePair,
     DomainSpec,
-    HHBoundError,
     Interval,
     InvalidCaseError,
     RealFunction,
@@ -78,9 +77,7 @@ __all__ = [
     "SuiteConfig",
     "CaseReport",
     "SuiteResult",
-    "CaseTemplate",
     "verify_case",
-    "sweep_x",
     "reduction_check",
     "run_suite",
     "default_suite",
@@ -135,6 +132,8 @@ class CaseSpec:
         chosen = sum(v is not None for v in (self.x_sweep, self.x_values, self.x_random))
         if chosen != 1:
             raise InvalidCaseError("exactly one of x_sweep, x_values, x_random is required")
+        if self.x_sweep is not None and self.x_sweep < 2:
+            raise InvalidCaseError("x sweep needs at least 2 points")
         for tid in self.theorems:
             TheoremId(tid)  # raises ValueError on unknown ids
         if self.g_sup is not None and not math.isfinite(self.g_sup):
@@ -342,42 +341,6 @@ def _compare(lhs: float, lhs_err: float, rhs: float) -> tuple[float, float, bool
     return slack, tightness, holds
 
 
-@dataclass(frozen=True)
-class CaseTemplate:
-    """A bound case with the split point left open; ``at(x)`` closes it."""
-
-    pair: DifferentiablePair
-    g: RealFunction
-    interval: Interval
-    q: float
-    params: ConvexityParams
-    g_sup: float
-
-    def at(self, x: float) -> BoundCase:
-        return BoundCase(self.pair, self.g, self.interval, x, self.q,
-                         self.params, self.g_sup)
-
-
-def sweep_x(template: CaseTemplate, n_points: int,
-            theorem_id: TheoremId | str) -> list[BoundReport]:
-    """Verify the inequality across an equally spaced x-sweep.
-
-    A point whose evaluation raises a library error is skipped; the sweep
-    continues and reports stay in x order.
-    """
-    if n_points < 2:
-        raise InvalidCaseError(f"sweep needs at least 2 points, got {n_points}")
-    iv = template.interval
-    out: list[BoundReport] = []
-    for k in range(n_points):
-        x = iv.a + k * iv.width / (n_points - 1)
-        try:
-            out.append(verify_case(template.at(x), theorem_id))
-        except HHBoundError:
-            continue
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reduction identities
 
@@ -424,8 +387,6 @@ _GateRequest = tuple[DifferentiablePair, float, ConvexityParams, Interval]
 
 def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
     if spec.x_sweep is not None:
-        if spec.x_sweep < 2:
-            raise InvalidCaseError("x sweep needs at least 2 points")
         return tuple(np.linspace(spec.a, spec.b, spec.x_sweep))
     if spec.x_values is not None:
         return spec.x_values

@@ -11,7 +11,10 @@ MATLAB", J. Comput. Appl. Math. 211, 2008): the integrand is called with a
 returns an array of that shape or a scalar that broadcasts to it. Splits,
 tolerances and the order of summation are those of the depth-first
 recursion, so an integrand whose array and scalar evaluations agree gets
-the recursive result bit for bit.
+the recursive result bit for bit. Where the recursion would stop with its
+summed estimate above the tolerance, because the 3-point start overstated
+the integral, the oracle instead runs its levels once more against the
+value it computed.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule), the kernel and step-weight primitives behind them, and the
@@ -46,10 +49,6 @@ __all__ = [
     "step_weight_profile",
     "envelope_excess",
     "Product",
-    "lhs_endpoint",
-    "lhs_point",
-    "lhs_endpoint_with_error",
-    "lhs_point_with_error",
     "lhs_endpoint_at",
     "lhs_point_at",
     "residual_endpoint_identity",
@@ -149,6 +148,29 @@ def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         x5, f5, ok = _sample(f, x3[:, None], f3[:, None])
     whole = float((b - a) * (fa + 4.0 * fm + fb) / 6.0)
     eps = max(abs_tol, rel_tol * abs(whole))
+    value, est = _levels(f, x5, f5, ok, depth, panels, eps, max_panels, a, b)
+    retry_eps = max(abs_tol, rel_tol * abs(value))
+    if est > retry_eps and retry_eps < eps:
+        # the 3-point estimate whole can overstate |value| many times over
+        # (50x for exp(300 t) on [0, 1]), so the panels were accepted too
+        # loosely; run the levels once more against the value just computed
+        # (Gander and Gautschi, BIT 40, 2000). Converged integrals never
+        # get here, so their results do not change.
+        value, est = _levels(f, x5, f5, ok, depth, panels, retry_eps,
+                             max_panels, a, b)
+    if est > max(abs_tol, rel_tol * abs(value)):
+        raise QuadratureError(
+            f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
+        )
+    return IntegralResult(value, est, evals)
+
+
+def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
+            panels: int, eps: float, max_panels: int, a: float,
+            b: float) -> tuple[float, float]:
+    """Value and error estimate of adaptive Simpson against tolerance eps,
+    starting from the panels (x5, f5, ok) at ``depth`` after ``panels``
+    splits; the starting arrays are not modified."""
     start = depth
     tol = eps
     for _ in range(depth):
@@ -188,12 +210,7 @@ def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         value, err = leaf_value, leaf_err
     for _ in range(start):
         value, err = value[0::2] + value[1::2], err[0::2] + err[1::2]
-    value, est = float(value[0]), float(err[0])
-    if est > max(abs_tol, rel_tol * abs(value)):
-        raise QuadratureError(
-            f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
-        )
-    return IntegralResult(value, est, evals)
+    return float(value[0]), float(err[0])
 
 
 @lru_cache(maxsize=4096)  # above the misses of one 1,536-row fresh-x sweep
@@ -218,7 +235,8 @@ def integrate(fn, iv: Interval, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
         The requested tolerance is max(abs_tol, rel_tol * |value|); on
         successful return the accumulated error estimate is below it.
     max_panels : int
-        Subdivision budget; exceeding it raises QuadratureError.
+        Subdivision budget of each pass (a rerun against the computed value
+        is the second); exceeding it raises QuadratureError.
 
     Results for hashable integrands are memoized, keyed by the integrand and
     the exact (a, b, abs_tol, rel_tol, max_panels) tuple. An error raised by
@@ -391,15 +409,10 @@ class _StepTimesDeriv:
 _LHS_TOL = 1e-10
 
 
-def lhs_endpoint_with_error(case: BoundCase) -> tuple[float, float]:
-    """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
-    error estimate propagated from the three oracle integrals."""
-    return lhs_endpoint_at(case.pair.f, case.g, case.interval, case.x)
-
-
 def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
                     x: float) -> tuple[float, float]:
-    """lhs_endpoint_with_error from the only inputs it reads: f, g, [a, b], x."""
+    """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
+    error estimate propagated from the three oracle integrals."""
     val, err = _endpoint_signed(f, g, iv, x)
     return abs(val), err
 
@@ -416,19 +429,9 @@ def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
     return val, err
 
 
-def lhs_endpoint(case: BoundCase) -> float:
-    """Endpoint-rule deviation for the case, as a plain float."""
-    return lhs_endpoint_with_error(case)[0]
-
-
-def lhs_point_with_error(case: BoundCase) -> tuple[float, float]:
-    """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
-    return lhs_point_at(case.pair.f, case.g, case.interval, case.x)
-
-
 def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
                  x: float) -> tuple[float, float]:
-    """lhs_point_with_error from the only inputs it reads: f, g, [a, b], x."""
+    """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
     val, err = _point_signed(f, g, iv, x)
     return abs(val), err
 
@@ -441,11 +444,6 @@ def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
     val = fx * i_g.value - i_fg.value
     err = abs(fx) * i_g.error_estimate + i_fg.error_estimate
     return val, err
-
-
-def lhs_point(case: BoundCase) -> float:
-    """Point-rule deviation for the case, as a plain float."""
-    return lhs_point_with_error(case)[0]
 
 
 # ---------------------------------------------------------------------------

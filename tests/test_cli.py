@@ -78,18 +78,35 @@ def test_verify_rejects_zero_m(tmp_path, capsys):
     ("exp:700", "1", "2", "|f'|**q is not finite on [0, 1] for f = exp:700"),
 ], ids=["derivative-check", "gate-derivative", "gate-power"])
 def test_verify_rejects_non_finite_case_in_one_line(f, m, q, message, tmp_path):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(hhbound.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhbound.cli", "verify", "--f", f, "--g",
-         "const:1", "--a", "0", "--b", "1", "--x", "0.5", "--q", q,
-         "--alpha", "1", "--m", m, "--theorem", "T21", "--out", "reports"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_cli(tmp_path, "verify", "--f", f, "--g", "const:1", "--a", "0",
+                    "--b", "1", "--x", "0.5", "--q", q, "--alpha", "1",
+                    "--m", m, "--theorem", "T21", "--out", "reports")
     assert proc.returncode == 1
     # one error line and no RuntimeWarning from an overflow
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("hhbound verify: error: " + message)
+
+
+def _run_cli(cwd, *args):
+    """hhbound in a fresh interpreter, so warnings reach stderr as printed."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hhbound.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "hhbound.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("k", ["31", "300"])
+def test_verify_steep_exponential_gets_a_verdict(k, tmp_path, capsys):
+    # the oracle used to stop with "error estimate ... above requested
+    # tolerance" on these finite integrands
+    code = main(["verify", "--f", f"exp:{k}", "--g", "const:1", "--a", "0",
+                 "--b", "1", "--x", "0.5", "--q", "1", "--alpha", "1",
+                 "--m", "1", "--theorem", "T21", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"T21 f=exp:{k} " in out and "holds=true" in out
 
 
 def _imported_modules(args, cwd):
@@ -209,6 +226,18 @@ def test_identities_within_tolerance(capsys):
                  "--a", "0", "--b", "1", "--x", "0.3"])
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
+
+
+def test_identities_rejects_non_finite_f_in_one_line(tmp_path):
+    # e**(800 t) overflows on [0, 1]: the derivative check rejects it before
+    # the oracle runs into warnings and its panel budget
+    proc = _run_cli(tmp_path, "identities", "--f", "exp:800", "--g", "const:1",
+                    "--a", "0", "--b", "1", "--x", "0.5")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(
+        "hhbound identities: error: derivative check for exp:800 is not finite")
 
 
 def test_identities_rejects_outside_x(capsys):

@@ -18,7 +18,6 @@ from hhbound import (
     Witness,
     check_alpha_m_convex,
     check_convex_direct,
-    check_hermite_hadamard,
     check_hypotheses,
     check_hypothesis,
     classify_region,
@@ -215,14 +214,6 @@ def test_classify_region_matrix():
             assert matrix[i][j].holds == direct.holds
 
 
-def test_hermite_hadamard_chain():
-    iv = Interval(0.0, 1.0)
-    assert check_hermite_hadamard(parse_function("monomial:2"), iv).holds
-    v = check_hermite_hadamard(parse_function("negmonomial:2"), iv)
-    assert not v.holds
-    assert v.witness is not None and v.witness.t == 0.5
-
-
 def test_gate_rejects_non_finite_derivative_power():
     # f' = 250 e**(250 t) overflows for t > ~2.82, inside [0, b_star] = [0, 4]
     wide = DifferentiablePair.from_family(parse_function("exp:250"), DOM)
@@ -244,6 +235,15 @@ def test_gate_rejects_non_finite_derivative_power():
 def test_alpha_m_check_rejects_non_finite_function():
     with pytest.raises(InvalidCaseError, match=r"exp:800 is not finite on \[0, 1\]"):
         check_alpha_m_convex(parse_function("exp:800"), DomainSpec(1.0), PLAIN)
+    with pytest.raises(InvalidCaseError, match=r"exp:800 is not finite on \[0, 1\]"):
+        classify_region(parse_function("exp:800"), DomainSpec(1.0), (1.0,),
+                        (0.5, 1.0))
+
+
+def test_convex_direct_rejects_non_finite_function():
+    # exp(800 t) overflows on [0, 1]; its NaN gaps used to read as "holds"
+    with pytest.raises(InvalidCaseError, match=r"exp:800 is not finite on \[0, 1\]"):
+        check_convex_direct(parse_function("exp:800"), DomainSpec(1.0))
 
 
 def _suite_gate_requests(specs):

@@ -16,7 +16,6 @@ from hhbound import (
     BoundCase,
     CaseReport,
     CaseSpec,
-    CaseTemplate,
     ConvexityParams,
     DifferentiablePair,
     DomainSpec,
@@ -32,7 +31,6 @@ from hhbound import (
     reduction_check,
     run_suite,
     sup_norm,
-    sweep_x,
     verify_case,
 )
 from hhbound.harness import _stream_json_report
@@ -54,6 +52,19 @@ def test_case_spec_requires_one_x_mode():
         CaseSpec(**kw)
     with pytest.raises(InvalidCaseError):
         CaseSpec(**kw, x_sweep=5, x_values=(0.5,))
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_case_spec_rejects_short_sweep(n):
+    kw = dict(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(1.0,),
+              alpha_values=(1.0,), m_values=(1.0,), theorems=("T21",))
+    with pytest.raises(InvalidCaseError, match="at least 2 points"):
+        CaseSpec(**kw, x_sweep=n)
+    # config files, and so hhbound verify --config, take the same path
+    with pytest.raises(InvalidCaseError, match="at least 2 points"):
+        CaseSpec.from_dict({"f": "monomial:2", "g": "const:1", "a": 0.0,
+                            "b": 1.0, "q": [1.0], "alpha": [1.0], "m": [1.0],
+                            "theorems": ["T21"], "x": {"sweep": n}})
 
 
 def test_case_spec_rejects_unknown_theorem():
@@ -118,30 +129,6 @@ def test_verify_case_equality_point():
     rep = verify_case(_known_case(x=0.0), TheoremId.T21)
     assert abs(rep.tightness - 1.0) <= 1e-9
     assert rep.holds
-
-
-def _template(q=1.0):
-    pair = DifferentiablePair.from_family(parse_function("monomial:2"),
-                                          DomainSpec(4.0))
-    return CaseTemplate(pair, parse_function("const:1"), UNIT, q,
-                        ConvexityParams(1.0, 1.0), 1.0)
-
-
-def test_sweep_x_full_grid():
-    reports = sweep_x(_template(), 21, TheoremId.T21)
-    assert len(reports) == 21
-    assert all(r.holds for r in reports)
-
-
-def test_sweep_x_skips_invalid_points():
-    # the midpoint-split form rejects every x except the midpoint itself
-    reports = sweep_x(_template(), 21, TheoremId.C21)
-    assert len(reports) == 1
-
-
-def test_sweep_x_needs_two_points():
-    with pytest.raises(InvalidCaseError):
-        sweep_x(_template(), 1, TheoremId.T21)
 
 
 @pytest.mark.parametrize("iv", [UNIT, Interval(2.0, 5.0)])

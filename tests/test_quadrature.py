@@ -21,8 +21,8 @@ from hhbound import (
     envelope_excess,
     integrate,
     kernel_K,
-    lhs_endpoint,
-    lhs_point,
+    lhs_endpoint_at,
+    lhs_point_at,
     parse_function,
     residual_endpoint_identity,
     residual_point_identity,
@@ -55,6 +55,17 @@ def test_integrate_exp():
 def test_integrate_sin():
     res = integrate(parse_function("sin"), UNIT)
     assert abs(res.value - (1.0 - math.cos(1.0))) <= 1e-12
+
+
+def test_integrate_steep_exponentials():
+    # the 3-point start overstates these integrals (50x at k = 300), which
+    # accepts panels too loosely; the oracle then reruns against its own
+    # value instead of raising QuadratureError, as it did from k = 31 on
+    for k in range(1, 301):
+        res = integrate(parse_function(f"exp:{k}"), UNIT)
+        exact = math.expm1(k) / k
+        assert abs(res.value - exact) <= 1e-10 * exact, k
+        assert res.error_estimate <= 1e-10 * abs(res.value), k
 
 
 @given(c=st.tuples(st.floats(-10, 10), st.floats(-10, 10),
@@ -302,25 +313,24 @@ def test_memo_caches_are_bounded():
         assert cache.cache_info().maxsize is not None
 
 
-def _case(fspec, gspec, x, g_sup=None):
-    f = parse_function(fspec)
-    g = gspec if isinstance(gspec, RealFunction) else parse_function(gspec)
-    pair = DifferentiablePair.from_family(f, DomainSpec(4.0))
-    if g_sup is None:
-        g_sup = sup_norm(g, UNIT) * (1.0 + 1e-6)
-    return BoundCase(pair, g, UNIT, x, 1.0, ConvexityParams(1.0, 1.0), g_sup)
-
-
 def test_lhs_known_values():
-    case = _case("monomial:2", "const:1", 0.5, g_sup=1.0)
-    assert abs(lhs_endpoint(case) - 1.0 / 6.0) <= 1e-9
-    assert abs(lhs_point(case) - 1.0 / 12.0) <= 1e-9
+    f, g = parse_function("monomial:2"), parse_function("const:1")
+    assert abs(lhs_endpoint_at(f, g, UNIT, 0.5)[0] - 1.0 / 6.0) <= 1e-9
+    assert abs(lhs_point_at(f, g, UNIT, 0.5)[0] - 1.0 / 12.0) <= 1e-9
 
 
 def test_lhs_endpoint_at_a():
     # at x = a the rule is f(b) * integral(g) against integral(fg)
-    case = _case("monomial:2", "const:1", 0.0, g_sup=1.0)
-    assert abs(lhs_endpoint(case) - 2.0 / 3.0) <= 1e-9
+    f, g = parse_function("monomial:2"), parse_function("const:1")
+    assert abs(lhs_endpoint_at(f, g, UNIT, 0.0)[0] - 2.0 / 3.0) <= 1e-9
+
+
+def _case(fspec, gspec, x):
+    f = parse_function(fspec)
+    g = gspec if isinstance(gspec, RealFunction) else parse_function(gspec)
+    pair = DifferentiablePair.from_family(f, DomainSpec(4.0))
+    g_sup = sup_norm(g, UNIT) * (1.0 + 1e-6)
+    return BoundCase(pair, g, UNIT, x, 1.0, ConvexityParams(1.0, 1.0), g_sup)
 
 
 @pytest.mark.parametrize("fspec", ["monomial:2", "monomial:3", "exp", "affine:1:0.5"])
