@@ -11,6 +11,7 @@ Run:  python3 demos/identity_residuals.py
 """
 
 from hhbound import (
+    SUP_SAFETY_FACTOR,
     BoundCase,
     ConvexityParams,
     DifferentiablePair,
@@ -30,7 +31,7 @@ def residual_row(fspec: str, gspec: str, x: float) -> tuple[float, float]:
     pair = DifferentiablePair.from_family(parse_function(fspec), DOM)
     g = parse_function(gspec)
     case = BoundCase(pair, g, IV, x, 1.0, ConvexityParams(1.0, 1.0),
-                     sup_norm(g, IV) * (1.0 + 1e-6))
+                     sup_norm(g, IV) * SUP_SAFETY_FACTOR)
     return residual_endpoint_identity(case), residual_point_identity(case)
 
 

@@ -31,6 +31,8 @@ from .core import (
     RealFunction,
     TheoremId,
     registry_eval,
+    validate_q,
+    validate_split_point,
 )
 from .quadrature import IntegralResult, integrate
 
@@ -77,19 +79,9 @@ def _require_alpha(alpha: float) -> None:
         raise InvalidParamsError(f"alpha must lie in (0, 1], got {alpha}")
 
 
-def _require_point(iv: Interval, x: float) -> None:
-    if not iv.a <= x <= iv.b:
-        raise InvalidCaseError(f"x={x} outside [{iv.a}, {iv.b}]")
-
-
-def _require_q(q: float) -> None:
-    if not q >= 1.0:
-        raise InvalidCaseError(f"q must be >= 1, got {q}")
-
-
 def absolute_moment(iv: Interval, x: float) -> float:
     """Integral of |t - x| over [a, b]: ((x-a)^2 + (b-x)^2) / 2."""
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     return 0.5 * ((x - iv.a) ** 2 + (iv.b - x) ** 2)
 
 
@@ -100,7 +92,7 @@ def trapezoid_moment(iv: Interval, x: float, alpha: float) -> float:
     x = a it collapses to (b-a)^2 / ((alpha+1)(alpha+2)), at x = b to
     (b-a)^2 / (alpha+2).
     """
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     a, b = iv.a, iv.b
     w = b - a
@@ -115,7 +107,7 @@ def midpoint_moment(iv: Interval, x: float, alpha: float) -> float:
     [x, b]) times ((b-t)/(b-a))**alpha. At x = b it collapses to
     (b-a)^2 / ((alpha+1)(alpha+2)), at x = a to (b-a)^2 / (alpha+2).
     """
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     a, b = iv.a, iv.b
     w = b - a
@@ -126,7 +118,7 @@ def midpoint_moment(iv: Interval, x: float, alpha: float) -> float:
 def component_integral(cid: ComponentIntegralId, iv: Interval, x: float,
                        alpha: float) -> float:
     """Closed form of one building-block integral (see ComponentIntegralId)."""
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     a, b = iv.a, iv.b
     w = b - a
@@ -189,14 +181,14 @@ _ORACLE_TOL = 1e-12
 
 def oracle_trapezoid_moment(iv: Interval, x: float, alpha: float) -> IntegralResult:
     """Adaptive-quadrature value of the endpoint-rule moment integral."""
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     return _split_at_kink("abs_weighted", iv, x, alpha)
 
 
 def oracle_midpoint_moment(iv: Interval, x: float, alpha: float) -> IntegralResult:
     """Adaptive-quadrature value of the point-rule moment integral."""
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     left = _piece_integral("left_weighted", iv, x, alpha, iv.a, x)
     right = _piece_integral("right_weighted", iv, x, alpha, x, iv.b)
@@ -227,7 +219,7 @@ def _split_at_kink(kind: str, iv: Interval, x: float,
 def oracle_component_integral(cid: ComponentIntegralId, iv: Interval, x: float,
                               alpha: float) -> IntegralResult:
     """Adaptive-quadrature twin of component_integral."""
-    _require_point(iv, x)
+    validate_split_point(iv, x)
     _require_alpha(alpha)
     if cid is ComponentIntegralId.T21_WEIGHTED_ALPHA:
         return oracle_trapezoid_moment(iv, x, alpha)
@@ -267,7 +259,7 @@ def trapezoid_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
 
     fp_a and fp_scaled are |f'(a)| and |f'(b/m)|.
     """
-    _require_q(q)
+    validate_q(q)
     if not 0.0 < m <= 1.0:
         raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
     total = absolute_moment(iv, x)
@@ -278,7 +270,7 @@ def trapezoid_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
 def midpoint_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
                  fp_a: float, fp_scaled: float, g_sup: float) -> float:
     """Point-rule bound for the (alpha, m) class at evaluation point x."""
-    _require_q(q)
+    validate_q(q)
     if not 0.0 < m <= 1.0:
         raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
     total = absolute_moment(iv, x)
@@ -293,7 +285,7 @@ def trapezoid_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
     Implemented from its own dyadic coefficients, not by delegating to
     trapezoid_rhs, so agreement at the midpoint is a checkable identity.
     """
-    _require_q(q)
+    validate_q(q)
     _require_alpha(alpha)
     if not 0.0 < m <= 1.0:
         raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
@@ -309,7 +301,7 @@ def trapezoid_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
 def midpoint_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
                           fp_a: float, fp_scaled: float, g_sup: float) -> float:
     """Point-rule bound specialized to midpoint evaluation, as displayed."""
-    _require_q(q)
+    validate_q(q)
     _require_alpha(alpha)
     if not 0.0 < m <= 1.0:
         raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
@@ -329,8 +321,8 @@ def trapezoid_rhs_convex(iv: Interval, x: float, q: float,
     Uses the cubic coefficient polynomials in (x - a) and (b - x); equals
     trapezoid_rhs at alpha = m = 1 identically.
     """
-    _require_q(q)
-    _require_point(iv, x)
+    validate_q(q)
+    validate_split_point(iv, x)
     a, b = iv.a, iv.b
     w = b - a
     c_a = ((x - a) ** 2 * (3.0 * b - x - 2.0 * a) + (b - x) ** 3) / (6.0 * w)
@@ -343,8 +335,8 @@ def trapezoid_rhs_convex(iv: Interval, x: float, q: float,
 def midpoint_rhs_convex(iv: Interval, x: float, q: float,
                         fp_a: float, fp_b: float, g_sup: float) -> float:
     """Point-rule bound under plain convexity of |f'|**q."""
-    _require_q(q)
-    _require_point(iv, x)
+    validate_q(q)
+    validate_split_point(iv, x)
     a, b = iv.a, iv.b
     w = b - a
     c_a = ((x - a) ** 2 * (3.0 * b - a - 2.0 * x) + 2.0 * (b - x) ** 3) / (6.0 * w)
@@ -357,7 +349,7 @@ def midpoint_rhs_convex(iv: Interval, x: float, q: float,
 def classical_symmetric_rhs(iv: Interval, q: float,
                             fp_a: float, fp_b: float, g_sup: float) -> float:
     """Shared midpoint-split bound of the two plain-convex corollaries."""
-    _require_q(q)
+    validate_q(q)
     w = iv.width
     return g_sup * w ** 2 / 4.0 * (0.5 * (fp_a ** q + fp_b ** q)) ** (1.0 / q)
 

@@ -31,6 +31,8 @@ from .core import (
     TheoremId,
     make_interval,
     parse_function,
+    sup_norm,
+    validate_split_point,
 )
 from .harness import (
     SUP_SAFETY_FACTOR,
@@ -43,7 +45,6 @@ from .quadrature import (
     envelope_excess,
     residual_endpoint_identity,
     residual_point_identity,
-    sup_norm,
 )
 
 _RESIDUAL_GATE = 1e-7
@@ -205,8 +206,7 @@ def _cmd_identities(args) -> int:
     f = parse_function(args.f)
     g = parse_function(args.g)
     iv = make_interval(args.a, args.b)
-    if not iv.a <= args.x <= iv.b:
-        raise HHBoundError(f"x={args.x} outside [{iv.a}, {iv.b}]")
+    validate_split_point(iv, args.x)
     pair = DifferentiablePair.from_family(f, DomainSpec(max(iv.b, 1.0)))
     pair.validate_finite_difference(iv)
     g_sup = sup_norm(g, iv) * SUP_SAFETY_FACTOR

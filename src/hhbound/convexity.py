@@ -43,6 +43,7 @@ from .core import (
     InvalidCaseError,
     Interval,
     RealFunction,
+    validate_q,
 )
 
 __all__ = [
@@ -245,8 +246,7 @@ def check_convex_direct(fn: RealFunction, domain: DomainSpec,
 
 def _require_gate_inputs(pair: DifferentiablePair, q: float,
                          iv: Interval) -> None:
-    if q < 1.0:
-        raise InvalidCaseError(f"q must be >= 1, got {q}")
+    validate_q(q)
     if not (0.0 <= iv.a and iv.b <= pair.domain.b_star):
         raise InvalidCaseError(
             f"[{iv.a}, {iv.b}] not contained in [0, {pair.domain.b_star}]"

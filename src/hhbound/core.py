@@ -36,8 +36,10 @@ __all__ = [
     "BoundCase",
     "BoundReport",
     "validate_split_point",
+    "validate_q",
     "validate_case_params",
     "validate_g_sup",
+    "sup_norm",
 ]
 
 
@@ -454,21 +456,23 @@ class TheoremId(str, Enum):
         return self in (TheoremId.C11, TheoremId.C21)
 
 
-_CASE_SUP_SAMPLES = 1001
-
-
 def validate_split_point(iv: Interval, x: float) -> None:
     """Raise InvalidCaseError unless a <= x <= b."""
     if not iv.a <= x <= iv.b:
         raise InvalidCaseError(f"x={x} outside [{iv.a}, {iv.b}]")
 
 
+def validate_q(q: float) -> None:
+    """Raise InvalidCaseError unless q >= 1 (NaN fails)."""
+    if not q >= 1.0:
+        raise InvalidCaseError(f"q must be >= 1, got {q}")
+
+
 def validate_case_params(iv: Interval, q: float, params: ConvexityParams,
                          b_star: float) -> None:
     """Raise InvalidCaseError unless q >= 1, [a, b] lies inside [0, b_star]
     and the scaled endpoint b/m is a point of [0, b_star]."""
-    if not q >= 1.0:
-        raise InvalidCaseError(f"q must be >= 1, got {q}")
+    validate_q(q)
     if not (0.0 <= iv.a and iv.b <= b_star):
         raise InvalidCaseError(f"[{iv.a}, {iv.b}] not contained in [0, {b_star}]")
     if params.m == 0.0:
@@ -479,15 +483,44 @@ def validate_case_params(iv: Interval, q: float, params: ConvexityParams,
         )
 
 
+# |c sin(w t)| and |c cos(w t)| crest at w t = phase + k pi, k an integer
+_WAVE_PHASES = {"sin": 0.5 * math.pi, "sinw": 0.5 * math.pi, "coswave": 0.0}
+
+
+def sup_norm(g: RealFunction, iv: Interval) -> float:
+    """Exact sup of |g| on ``iv``: the amplitude of a sine family when a
+    crest lies in [a, b], else the largest |g| at the endpoints, the
+    interior knots and the interior real parts of the roots of g' (``poly``).
+    Every other family is monotone, or has monotone |g|."""
+    a, b = iv.a, iv.b
+    ts = [a, b, *(k for k in g.knots if a < k < b)]
+    if g.family_id == "poly":
+        roots = np.polynomial.polynomial.polyroots(derivative(g).params)
+        ts += [float(r.real) for r in roots if a < r.real < b]
+    elif g.family_id in _WAVE_PHASES and g.params[-1] != 0.0:
+        # is the first crest at or after a inside [a, b]? |g| there is the
+        # amplitude, which |g| at the nearest float can miss when w t is large
+        w = abs(g.params[-1])
+        phase = _WAVE_PHASES[g.family_id]
+        if (phase + math.ceil((a * w - phase) / math.pi) * math.pi) / w <= b:
+            return 1.0 if g.family_id == "sin" else abs(g.params[0])
+    return float(np.max(np.abs(registry_eval(g, np.array(ts)))))
+
+
+# a g_sup up to 4 ulps below the exact sup still passes, so the rounding of
+# a root of g' or of g itself cannot refuse a caller who gives the true sup
+_SUP_MARGIN = 4.0 * math.ulp(1.0)
+
+
 def validate_g_sup(g: RealFunction, iv: Interval, g_sup: float) -> None:
-    """Raise InvalidCaseError unless g_sup is finite and at least the sup of
-    |g| sampled on a 1001-point grid of [a, b]."""
+    """Raise InvalidCaseError unless g_sup is finite and at least the exact
+    sup of |g| on [a, b] (sup_norm), less a margin of a few ulps."""
     if not math.isfinite(g_sup):
         raise InvalidCaseError(f"g_sup must be finite, got {g_sup}")
-    sampled = float(np.max(np.abs(registry_eval(g, iv.grid(_CASE_SUP_SAMPLES)))))
-    if g_sup < sampled:
+    exact = sup_norm(g, iv)
+    if g_sup < exact * (1.0 - _SUP_MARGIN):
         raise InvalidCaseError(
-            f"g_sup = {g_sup:.12g} below sampled sup {sampled:.12g}"
+            f"g_sup = {g_sup:.12g} below sup |g| = {exact:.12g}"
         )
 
 
@@ -497,7 +530,7 @@ class BoundCase:
 
     Construction enforces: a <= x <= b, q >= 1, [a, b] inside [0, b_star],
     b/m <= b_star (so the scaled derivative endpoint is evaluable), and a
-    finite g_sup at least the sampled sup of |g| on a 1001-point grid.
+    finite g_sup at least the exact sup of |g| on [a, b] (validate_g_sup).
     """
 
     pair: DifferentiablePair

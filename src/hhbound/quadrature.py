@@ -37,13 +37,13 @@ from .core import (
     Interval,
     RealFunction,
     registry_eval,
+    sup_norm,
 )
 
 __all__ = [
     "QuadratureError",
     "IntegralResult",
     "integrate",
-    "sup_norm",
     "kernel_K",
     "step_weight",
     "step_weight_profile",
@@ -254,34 +254,6 @@ def _integral_between(fn, lo: float, hi: float, abs_tol: float,
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
     return integrate(fn, Interval(lo, hi), abs_tol, rel_tol)
-
-
-# ---------------------------------------------------------------------------
-# sup norm
-
-
-def sup_norm(g, iv: Interval, n: int = 10001) -> float:
-    """Sampled sup of |g| on ``iv`` with local parabolic refinement.
-
-    Scans |g| on an n-point grid, then fits a parabola through the best
-    sample and its neighbours and evaluates |g| at the parabola's vertex.
-    The returned value is the larger of the scan maximum and the refined
-    candidate; it can still understate the true sup by O((b-a)/n)^2, which
-    is why rigorous uses multiply by a safety factor.
-    """
-    ts = np.linspace(iv.a, iv.b, n)
-    vals = np.abs(np.asarray(g(ts)))
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    if 0 < k < n - 1:
-        v0, v1, v2 = vals[k - 1], vals[k], vals[k + 1]
-        denom = v0 - 2.0 * v1 + v2
-        if denom < 0.0:
-            h = ts[1] - ts[0]
-            t_star = ts[k] + 0.5 * h * (v0 - v2) / denom
-            t_star = min(max(t_star, ts[k - 1]), ts[k + 1])
-            best = max(best, abs(float(g(t_star))))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +481,8 @@ def step_weight_profile(g: RealFunction, iv: Interval, x: float,
 def envelope_excess(g: RealFunction, iv: Interval, x: float, n: int = 1001) -> float:
     """Largest violation of |S_g(t)| <= sup|g| * S(t) over an n-point grid.
 
-    Nonpositive (up to interpolation noise) whenever the sup estimate is
-    honest; the identities command gates on this staying below 1e-10.
+    Nonpositive up to interpolation noise, since sup|g| is core.sup_norm's
+    exact sup; the identities command gates on this staying below 1e-10.
     """
     _, sg, s = step_weight_profile(g, iv, x, n)
     return float(np.max(np.abs(sg) - sup_norm(g, iv) * s))

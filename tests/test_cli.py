@@ -88,6 +88,37 @@ def test_verify_rejects_non_finite_case_in_one_line(f, m, q, message, tmp_path):
     assert lines[0].startswith("hhbound verify: error: " + message)
 
 
+SPIKE = ("pwlinear:0:0.001:0.5078025:0.001:0.5078125:100000:0.5078225:0.001"
+         ":1:0.001")
+
+
+def test_verify_spike_weight_holds(tmp_path, capsys):
+    # the weight peaks at 1e5 between the points of a 10,001-point scan; a
+    # sampled sup of 0.001 turned this case into a false violation
+    code = main(["verify", "--f", "monomial:2", "--g", SPIKE, "--a", "0",
+                 "--b", "1", "--x", "0.25", "--q", "1", "--alpha", "1",
+                 "--m", "1", "--theorem", "T21", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "holds=true" in out
+    assert "(1 rows, 0 violations, 0 hypothesis rejections)" in out
+
+
+@pytest.mark.parametrize("x, q, message", [
+    # alpha = 0.5 gates t**2 out, so x was never checked
+    ("5", "1", "x=5.0 outside [0.0, 1.0]"),
+    ("nan", "1", "x=nan outside [0.0, 1.0]"),
+    ("0.5", "nan", "q must be >= 1, got nan"),
+], ids=["x-outside", "x-nan", "q-nan"])
+def test_verify_rejects_bad_x_or_q_in_one_line(x, q, message, tmp_path):
+    proc = _run_cli(tmp_path, "verify", "--f", "monomial:2", "--g", "const:1",
+                    "--a", "0", "--b", "1", "--x", x, "--q", q,
+                    "--alpha", "0.5", "--m", "1", "--theorem", "T21",
+                    "--out", "reports")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["hhbound verify: error: " + message]
+
+
 def _run_cli(cwd, *args):
     """hhbound in a fresh interpreter, so warnings reach stderr as printed."""
     env = dict(os.environ,

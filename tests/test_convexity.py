@@ -1,5 +1,7 @@
 """Grid verification of the generalized convexity classes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,12 @@ def test_hypothesis_check_preconditions(square_pair):
         check_hypothesis(square_pair, 0.5, PLAIN, Interval(0.0, 1.0))
     with pytest.raises(InvalidCaseError):
         check_hypothesis(square_pair, 1.0, PLAIN, Interval(0.0, 5.0))
+
+
+def test_hypothesis_check_rejects_nan_q(square_pair):
+    # NaN fails every comparison, so only "not q >= 1" catches it
+    with pytest.raises(InvalidCaseError, match="q must be >= 1, got nan"):
+        check_hypothesis(square_pair, math.nan, PLAIN, Interval(0.0, 1.0))
 
 
 def test_hypothesis_gate_scans_working_domain():

@@ -25,7 +25,9 @@ from hhbound import (
     parse_function,
     registry_eval,
     registry_families,
+    sup_norm,
 )
+from hhbound.core import validate_g_sup
 
 # one representative instance per public family, reused by several tests
 SAMPLE_SPECS = (
@@ -216,7 +218,7 @@ def test_bound_case_scaled_endpoint(square_pair):
     dict(interval=Interval(-1.0, 1.0)),            # leaves [0, b_star]
     dict(params=ConvexityParams(1.0, 0.0)),        # no scaled endpoint
     dict(params=ConvexityParams(1.0, 0.2)),        # b/m beyond b_star
-    dict(g_sup=0.5),                               # below the sampled sup
+    dict(g_sup=0.5),                               # below the exact sup
     dict(g_sup=math.inf),                          # would certify every case
     dict(g_sup=math.nan),                          # would violate every case
 ])
@@ -238,3 +240,86 @@ def test_poly_derivative_matches_calculus(c0, c1, c2, t):
     d = derivative(fn)
     assert math.isclose(registry_eval(d, t), c1 + 2.0 * c2 * t,
                         rel_tol=1e-12, abs_tol=1e-12)
+
+
+# a weight that is 0.001 except for a spike to 1e5 that is 2e-5 wide, so it
+# falls between the points of any uniform scan coarser than that
+SPIKE = ("pwlinear:0:0.001:0.5078025:0.001:0.5078125:100000:0.5078225:0.001"
+         ":1:0.001")
+
+# (g, [a, b], smooth): the sup sits at an endpoint, an interior root of g',
+# a crest or a knot
+SUP_CASES = [
+    (parse_function("const:-2"), (0.0, 1.0), True),
+    (parse_function("affine:1:-3"), (0.0, 1.0), True),
+    (parse_function("poly:0:1:-1"), (0.0, 1.0), True),
+    (parse_function("poly:0:1:-1"), (0.6, 2.0), True),
+    (parse_function("poly:0.1:-3:0:1"), (-2.0, 1.7), True),
+    (parse_function("poly:0:0:0:1"), (-0.5, 0.25), True),
+    (parse_function("monomial:3"), (-1.0, 0.5), True),
+    (parse_function("negmonomial:2.5"), (0.2, 2.0), True),
+    (parse_function("exp:-2"), (-1.0, 1.0), True),
+    (parse_function("sin"), (0.0, 1.0), True),
+    (parse_function("sin"), (0.0, math.pi), True),
+    (parse_function("sin:-7"), (0.3, 2.0), True),
+    (RealFunction("sinw", (-2.0, 5.0)), (0.1, 0.5), True),
+    (RealFunction("coswave", (3.0, 4.0)), (0.1, 1.3), True),
+    (RealFunction("cmonomial", (-2.0, 2.0)), (-1.5, 1.0), True),
+    (RealFunction("cexp", (-1.5, 0.5)), (0.0, 2.0), True),
+    (parse_function("pwlinear:0:0:0.5:1:1:0"), (0.0, 1.0), False),
+    (parse_function(SPIKE), (0.0, 1.0), False),
+    (RealFunction("pwconst", (0.0, 0.3, 0.7, 1.0, 2.0, -3.5, 1.0)),
+     (0.1, 0.9), False),
+]
+
+
+@pytest.mark.parametrize("g, ends, smooth", SUP_CASES,
+                         ids=[f"{g.label}@{ends}" for g, ends, _ in SUP_CASES])
+def test_sup_norm_is_exact(g, ends, smooth):
+    iv = Interval(*ends)
+    exact = sup_norm(g, iv)
+    ts = np.linspace(*ends, 100001)
+    scan = float(np.max(np.abs(registry_eval(g, ts))))
+    assert exact >= scan
+    if smooth:
+        # a scan point lies within h/2 of the peak, where |g| is below the
+        # sup by at most max|g''| (h/2)**2 / 2
+        h = ts[1] - ts[0]
+        curvature = float(np.max(np.abs(registry_eval(
+            derivative(derivative(g)), ts))))
+        assert exact - scan <= curvature * h * h / 8.0 + 1e-12 * exact
+
+
+def test_sup_norm_wave_far_from_origin():
+    # neighbouring floats t near 1e9 are 0.12 rad of w t apart, so |g| at a
+    # float near a crest can fall short of the amplitude, which is the sup
+    g = parse_function("sin:1e6")
+    assert sup_norm(g, Interval(1e9, 1e9 + 1.0)) == 1.0
+    assert sup_norm(RealFunction("coswave", (-3.0, 1e6)),
+                    Interval(1e9, 1e9 + 1.0)) == 3.0
+
+
+def test_sup_norm_finds_the_spike_a_scan_misses():
+    g = parse_function(SPIKE)
+    assert sup_norm(g, Interval(0.0, 1.0)) == 1e5
+    assert float(np.max(np.abs(registry_eval(g, np.linspace(0, 1, 10001))))) == 0.001
+
+
+def test_bound_case_rejects_g_sup_below_the_spike(square_pair):
+    g = parse_function(SPIKE)
+    with pytest.raises(InvalidCaseError, match="below sup"):
+        _case(square_pair, g=g, g_sup=0.001)
+    _case(square_pair, g=g, g_sup=1e5)
+
+
+@pytest.mark.parametrize("gspec, ends", [("poly:0:1:-1", (0.0, 1.0)),
+                                         ("sin", (0.0, 2.0)),
+                                         ("poly:0.1:-3:0:1", (-2.0, 1.7))])
+def test_g_sup_margin_is_a_few_ulps(gspec, ends):
+    g = parse_function(gspec)
+    iv = Interval(*ends)
+    exact = sup_norm(g, iv)
+    eps = np.finfo(float).eps
+    validate_g_sup(g, iv, exact * (1.0 - 2.0 * eps))
+    with pytest.raises(InvalidCaseError):
+        validate_g_sup(g, iv, exact * (1.0 - 1e-9))

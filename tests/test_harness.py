@@ -82,6 +82,15 @@ def test_case_spec_rejects_non_finite_g_sup(g_sup):
                  x_sweep=5, g_sup=g_sup)
 
 
+@pytest.mark.parametrize("x", [5.0, -0.5, math.nan])
+def test_case_spec_rejects_split_point_outside_interval(x):
+    # checked where it enters, not only for combinations the gate admits
+    with pytest.raises(InvalidCaseError, match="outside"):
+        CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(1.0,),
+                 alpha_values=(0.5,), m_values=(1.0,), theorems=("T21",),
+                 x_values=(0.25, x))
+
+
 @pytest.mark.parametrize("b_star", [None, 4.0])
 def test_case_spec_rejects_zero_m(b_star):
     with pytest.raises(InvalidCaseError, match="m = 0"):
@@ -351,6 +360,15 @@ def test_random_split_points_are_seeded(tmp_path):
     r3 = run_suite(SuiteConfig(cases=(spec,), seed=1,
                                output_dir=str(tmp_path / "c")))
     assert xs1 != [r.x for r in r3.reports]
+
+
+def test_swept_split_points_are_python_floats(tmp_path):
+    spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
+                    q_values=(1.0,), alpha_values=(1.0,), m_values=(1.0,),
+                    theorems=("T21",), x_sweep=5, b_star=4.0)
+    result = run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
+    assert [r.x for r in result.reports] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(type(r.x) is float for r in result.reports)
 
 
 def test_default_suite_shape():

@@ -48,3 +48,11 @@ def test_convexity_does_not_depend_on_quadrature():
     assert not hasattr(convexity, "integrate")
     source = Path(convexity.__file__).read_text(encoding="utf-8")
     assert "from .quadrature" not in source
+
+
+def test_one_sup_norm():
+    import hhbound.core as core
+    import hhbound.quadrature as quadrature
+
+    assert quadrature.sup_norm is core.sup_norm is hhbound.sup_norm
+    assert "sup_norm" in core.__all__ and "sup_norm" not in quadrature.__all__
