@@ -34,7 +34,7 @@ from .core import (
     validate_q,
     validate_split_point,
 )
-from .quadrature import IntegralResult, integrate
+from .quadrature import IntegralResult, _integral_between
 
 __all__ = [
     "ComponentIntegralId",
@@ -183,34 +183,28 @@ def oracle_trapezoid_moment(iv: Interval, x: float, alpha: float) -> IntegralRes
     """Adaptive-quadrature value of the endpoint-rule moment integral."""
     validate_split_point(iv, x)
     _require_alpha(alpha)
-    return _split_at_kink("abs_weighted", iv, x, alpha)
+    return _split_at_x("abs_weighted", "abs_weighted", iv, x, alpha)
 
 
 def oracle_midpoint_moment(iv: Interval, x: float, alpha: float) -> IntegralResult:
     """Adaptive-quadrature value of the point-rule moment integral."""
     validate_split_point(iv, x)
     _require_alpha(alpha)
-    left = _piece_integral("left_weighted", iv, x, alpha, iv.a, x)
-    right = _piece_integral("right_weighted", iv, x, alpha, x, iv.b)
-    return IntegralResult(left.value + right.value,
-                          left.error_estimate + right.error_estimate,
-                          left.evaluations + right.evaluations)
+    return _split_at_x("left_weighted", "right_weighted", iv, x, alpha)
 
 
 def _piece_integral(kind: str, iv: Interval, x: float, alpha: float,
                     lo: float, hi: float) -> IntegralResult:
-    if lo == hi:
-        return IntegralResult(0.0, 0.0, 0)
-    fn = _MomentIntegrand(kind, iv.a, iv.b, x, alpha)
-    return integrate(fn, Interval(lo, hi), _ORACLE_TOL, _ORACLE_TOL)
+    return _integral_between(_MomentIntegrand(kind, iv.a, iv.b, x, alpha), lo,
+                             hi, _ORACLE_TOL, _ORACLE_TOL)
 
 
-def _split_at_kink(kind: str, iv: Interval, x: float,
-                   alpha: float) -> IntegralResult:
-    # the absolute-value and tent integrands kink at t = x; integrating the
-    # two smooth pieces separately keeps the adaptive rule honest
-    left = _piece_integral(kind, iv, x, alpha, iv.a, x)
-    right = _piece_integral(kind, iv, x, alpha, x, iv.b)
+def _split_at_x(left_kind: str, right_kind: str, iv: Interval, x: float,
+                alpha: float) -> IntegralResult:
+    # every moment integrand kinks or changes formula at t = x; integrating
+    # the two smooth pieces separately keeps the adaptive rule honest
+    left = _piece_integral(left_kind, iv, x, alpha, iv.a, x)
+    right = _piece_integral(right_kind, iv, x, alpha, x, iv.b)
     return IntegralResult(left.value + right.value,
                           left.error_estimate + right.error_estimate,
                           left.evaluations + right.evaluations)
@@ -224,9 +218,9 @@ def oracle_component_integral(cid: ComponentIntegralId, iv: Interval, x: float,
     if cid is ComponentIntegralId.T21_WEIGHTED_ALPHA:
         return oracle_trapezoid_moment(iv, x, alpha)
     if cid is ComponentIntegralId.T21_COMPLEMENT:
-        return _split_at_kink("abs_complement", iv, x, alpha)
+        return _split_at_x("abs_complement", "abs_complement", iv, x, alpha)
     if cid is ComponentIntegralId.S_TOTAL:
-        return _split_at_kink("tent", iv, x, alpha)
+        return _split_at_x("tent", "tent", iv, x, alpha)
     if cid is ComponentIntegralId.T22_LEFT_ALPHA:
         return _piece_integral("left_weighted", iv, x, alpha, iv.a, x)
     if cid is ComponentIntegralId.T22_RIGHT_ALPHA:
@@ -365,8 +359,12 @@ _SYMMETRY_TOL = 1e-10
 def is_symmetric_about_midpoint(g: RealFunction, iv: Interval,
                                 n: int = _SYMMETRY_SAMPLES,
                                 tol: float = _SYMMETRY_TOL) -> bool:
-    """Sampled check of g(a + s) == g(b - s)."""
-    s = np.linspace(0.0, iv.width, n)
+    """Check of g(a + s) == g(b - s) at n even offsets s and at k - a and
+    b - k for each knot k inside (a, b); exact for a pwlinear g, for which
+    g(a + s) - g(b - s) is linear between those offsets."""
+    inner = [k for k in g.knots if iv.a < k < iv.b]
+    s = np.concatenate((np.linspace(0.0, iv.width, n),
+                        [k - iv.a for k in inner], [iv.b - k for k in inner]))
     fwd = np.asarray(registry_eval(g, iv.a + s))
     bwd = np.asarray(registry_eval(g, iv.b - s))
     return bool(np.max(np.abs(fwd - bwd)) <= tol)

@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
         spec = CaseSpec(
             f=args.f, g=args.g, a=args.a, b=args.b,
             q_values=(args.q,), alpha_values=(args.alpha,), m_values=(args.m,),
-            theorems=(TheoremId(args.theorem).value,), x_values=(args.x,))
+            theorems=(args.theorem,), x_values=(args.x,))
         config = SuiteConfig(cases=(spec,))
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)

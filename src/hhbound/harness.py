@@ -14,20 +14,24 @@ on; each lhs is computed once per (rule, x) and each derivative magnitude
 once per spec and m. Every row equals what verify_case gives for the
 corresponding BoundCase.
 
-Reports are written as a CSV with 17-significant-digit reals plus a sibling
-JSON file echoing the configuration and the seed. The JSON is streamed row
-by row, byte-equal to json.dump(payload, indent=1); a row of finite floats
-is laid out in one formatting pass. Two runs of the same config produce
-byte-identical files; nothing time-dependent is serialized.
+CaseSpec normalizes a case where it enters, so every row holds Python
+floats, str text fields and a bool verdict. Reports are written as a CSV
+with 17-significant-digit reals plus a sibling JSON file echoing the
+configuration and the seed. The JSON is streamed row by row, each row laid
+out in one formatting pass, byte-equal to json.dump(payload, indent=1). Two
+runs of the same config produce byte-identical files; nothing
+time-dependent is serialized.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import time
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -106,12 +110,56 @@ def format_real(v: float) -> str:
 # configuration
 
 
+def _scalar(kind: type, convert, what: str):
+    def normalize(name: str, v):
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise InvalidCaseError(f"{name} must be {what}, got {v!r}")
+        return convert(v)
+    return normalize
+
+
+_family = _scalar(str, str, "a family spec string")
+_real = _scalar(numbers.Real, float, "a number")
+_count = _scalar(numbers.Integral, operator.index, "an integer")
+
+
+def _list_of(normalize):
+    def normalize_list(name: str, values) -> tuple:
+        if isinstance(values, str) or not isinstance(values, Iterable):
+            raise InvalidCaseError(f"{name} must be a list, got {values!r}")
+        items = tuple(normalize(name, v) for v in values)
+        if not items:
+            raise InvalidCaseError(f"{name} must not be empty")
+        return items
+    return normalize_list
+
+
+def _optional(normalize):
+    return lambda name, v: None if v is None else normalize(name, v)
+
+
+# how CaseSpec normalizes each field, called with the field name and value
+_CASE_FIELDS = {
+    "f": _family, "g": _family, "a": _real, "b": _real,
+    "q_values": _list_of(_real), "alpha_values": _list_of(_real),
+    "m_values": _list_of(_real),
+    "theorems": _list_of(lambda name, tid: TheoremId(tid)),
+    "x_sweep": _optional(_count), "x_values": _optional(_list_of(_real)),
+    "x_random": _optional(_count),
+    "b_star": _optional(_real), "g_sup": _optional(_real),
+}
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """One block of a suite: a function pair, a weight, and parameter grids.
 
     Exactly one of x_sweep (n equally spaced points), x_values (explicit) or
     x_random (n seeded uniform draws) selects the split points.
+
+    Construction normalizes every field: numbers become Python floats,
+    x_sweep and x_random Python ints, theorems TheoremIds. A wrong type or an
+    empty list raises InvalidCaseError, an unknown theorem id ValueError.
     """
 
     f: str
@@ -121,7 +169,7 @@ class CaseSpec:
     q_values: tuple[float, ...]
     alpha_values: tuple[float, ...]
     m_values: tuple[float, ...]
-    theorems: tuple[str, ...]
+    theorems: tuple[TheoremId, ...]
     x_sweep: int | None = None
     x_values: tuple[float, ...] | None = None
     x_random: int | None = None
@@ -129,13 +177,15 @@ class CaseSpec:
     g_sup: float | None = None
 
     def __post_init__(self) -> None:
+        for name, normalize in _CASE_FIELDS.items():
+            object.__setattr__(self, name, normalize(name, getattr(self, name)))
         chosen = sum(v is not None for v in (self.x_sweep, self.x_values, self.x_random))
         if chosen != 1:
             raise InvalidCaseError("exactly one of x_sweep, x_values, x_random is required")
         if self.x_sweep is not None and self.x_sweep < 2:
             raise InvalidCaseError("x sweep needs at least 2 points")
-        for tid in self.theorems:
-            TheoremId(tid)  # raises ValueError on unknown ids
+        if self.x_random is not None and self.x_random < 1:
+            raise InvalidCaseError("x random needs at least 1 point")
         for x in self.x_values or ():
             validate_split_point(Interval(self.a, self.b), x)
         if self.g_sup is not None and not math.isfinite(self.g_sup):
@@ -165,7 +215,7 @@ class CaseSpec:
             "q": list(self.q_values),
             "alpha": list(self.alpha_values),
             "m": list(self.m_values),
-            "theorems": list(self.theorems),
+            "theorems": [t.value for t in self.theorems],
             "b_star": self.b_star,
             "g_sup": self.g_sup,
         }
@@ -174,20 +224,11 @@ class CaseSpec:
     def from_dict(cls, d: dict) -> "CaseSpec":
         x = d.get("x", {})
         return cls(
-            f=d["f"],
-            g=d["g"],
-            a=float(d["a"]),
-            b=float(d["b"]),
-            q_values=tuple(float(v) for v in d["q"]),
-            alpha_values=tuple(float(v) for v in d["alpha"]),
-            m_values=tuple(float(v) for v in d["m"]),
-            theorems=tuple(d["theorems"]),
-            x_sweep=x.get("sweep"),
-            x_values=tuple(float(v) for v in x["values"]) if "values" in x else None,
-            x_random=x.get("random"),
-            b_star=None if d.get("b_star") is None else float(d["b_star"]),
-            g_sup=None if d.get("g_sup") is None else float(d["g_sup"]),
-        )
+            f=d["f"], g=d["g"], a=d["a"], b=d["b"], q_values=d["q"],
+            alpha_values=d["alpha"], m_values=d["m"], theorems=d["theorems"],
+            x_sweep=x.get("sweep"), x_values=x.get("values"),
+            x_random=x.get("random"), b_star=d.get("b_star"),
+            g_sup=d.get("g_sup"))
 
 
 @dataclass(frozen=True)
@@ -195,7 +236,8 @@ class SuiteConfig:
     """Suite-level settings; mirrors the JSON config format field for field.
 
     from_dict ignores keys it does not know, such as the "jobs" of older
-    config files.
+    config files, and raises InvalidCaseError on a config of the wrong shape:
+    a missing key, or a container where a mapping or list belongs.
     """
 
     cases: tuple[CaseSpec, ...]
@@ -217,14 +259,18 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SuiteConfig":
-        grid = d.get("grid", {})
-        return cls(
-            cases=tuple(CaseSpec.from_dict(c) for c in d["cases"]),
-            seed=int(d.get("seed", 20260815)),
-            output_dir=str(d.get("output_dir", "reports")),
-            grid=GridSpec(int(grid.get("nx", 51)), int(grid.get("ny", 51)),
-                          int(grid.get("nt", 51))),
-        )
+        try:
+            grid = d.get("grid", {})
+            return cls(
+                cases=tuple(CaseSpec.from_dict(c) for c in d["cases"]),
+                seed=int(d.get("seed", 20260815)),
+                output_dir=str(d.get("output_dir", "reports")),
+                grid=GridSpec(int(grid.get("nx", 51)), int(grid.get("ny", 51)),
+                              int(grid.get("nt", 51))),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidCaseError(
+                f"malformed suite config: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SuiteConfig":
@@ -266,22 +312,7 @@ class CaseReport:
             self.tightness, "true" if self.holds else "false")
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "family_f": self.family_f,
-            "family_g": self.family_g,
-            "a": self.a,
-            "b": self.b,
-            "x": self.x,
-            "q": self.q,
-            "alpha": self.alpha,
-            "m": self.m,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "tightness": self.tightness,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -392,7 +423,7 @@ def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
         return tuple(np.linspace(spec.a, spec.b, spec.x_sweep).tolist())
     if spec.x_values is not None:
         return spec.x_values
-    return tuple(sorted(float(v) for v in rng.uniform(spec.a, spec.b, spec.x_random)))
+    return tuple(sorted(rng.uniform(spec.a, spec.b, spec.x_random).tolist()))
 
 
 class _SpecRun:
@@ -430,8 +461,7 @@ class _SpecRun:
                                              _GateRequest]]:
         """(theorem, q, params, gate request) in report order."""
         spec = self.spec
-        for tid_str in spec.theorems:
-            tid = TheoremId(tid_str)
+        for tid in spec.theorems:
             for q in spec.q_values:
                 for alpha in spec.alpha_values:
                     for m in spec.m_values:
@@ -453,8 +483,8 @@ class _SpecRun:
             endpoint_rule = tid.uses_endpoint_rule
             for x in xs:
                 lhs, lhs_err = self._lhs_at(endpoint_rule, x)
-                rhs = float(_closed_form_rhs(tid, iv, x, q, params, fp_a, fp_b,
-                                             fp_scaled, g_sup))
+                rhs = _closed_form_rhs(tid, iv, x, q, params, fp_a, fp_b,
+                                       fp_scaled, g_sup)
                 out.append(CaseReport(
                     tid.value, spec.f, spec.g, iv.a, iv.b, x, q, params.alpha,
                     params.m, lhs, rhs, *_compare(lhs, lhs_err, rhs)))
@@ -556,79 +586,40 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
-
-def _json_scalar(v) -> str:
-    """json.dumps(v) for a scalar, including float.__repr__ of float
-    subclasses such as numpy floats and Infinity/NaN for non-finite ones."""
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _JSON_NONFINITE.get(text, text)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    return json.dumps(v)
-
-
-_ROW_KEYS = {name: "   " + encode_basestring_ascii(name) + ": "
-             for name in CaseReport.__dataclass_fields__}
-
-
-def _json_row(row: dict) -> str:
-    """One report row as json.dump(..., indent=1) lays it out in the list."""
-    return ("{\n" + ",\n".join([_ROW_KEYS[k] + _json_scalar(v)
-                                for k, v in row.items()])
-            + "\n  }")
-
-
-# one row as _json_row lays it out when every number is a finite float:
-# json.dumps renders those, numpy floats included, with float.__repr__
-_JSON_ROW_FORMAT = ("{\n" + ",\n".join([key + "%s" for key in _ROW_KEYS.values()])
+# one report row as json.dump(..., indent=1) lays it out in the list
+_JSON_ROW_FORMAT = ("{\n" + ",\n".join(["   " + encode_basestring_ascii(name) + ": %s"
+                                         for name in CaseReport.__dataclass_fields__])
                     + "\n  }")
 
 
-def _fast_json_row(r: CaseReport) -> str | None:
-    """_json_row(r.to_dict()) in one formatting pass, or None when a field
-    needs the general path: a number that is not a float, a text field that
-    is not a str, a holds that is not a bool, or a non-finite number. A
-    finite row whose sum overflows also takes the general path."""
-    # x last: x_values may hold numpy floats, so the sum runs on Python
-    # floats until the final term
-    nums = (r.a, r.b, r.q, r.alpha, r.m, r.lhs, r.rhs, r.slack, r.tightness,
-            r.x)
-    if type(r.holds) is not bool:
-        return None
-    try:
-        a, b, q, alpha, m, lhs, rhs, slack, tightness, x = map(float.__repr__,
-                                                               nums)
-        tid, family_f, family_g = map(encode_basestring_ascii, (
-            r.theorem_id, r.family_f, r.family_g))
-    except TypeError:
-        return None
+def _json_row(r: CaseReport) -> str:
+    """json.dumps renders a float with float.__repr__, and a non-finite one
+    as Infinity, -Infinity or NaN; only a row whose numbers do not sum to a
+    finite value can hold one."""
+    nums = (r.a, r.b, r.x, r.q, r.alpha, r.m, r.lhs, r.rhs, r.slack,
+            r.tightness)
+    texts = list(map(float.__repr__, nums))
     if not math.isfinite(sum(nums)):
-        return None
-    return _JSON_ROW_FORMAT % (tid, family_f, family_g, a, b, x, q, alpha, m,
-                               lhs, rhs, slack, tightness,
-                               "true" if r.holds else "false")
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return _JSON_ROW_FORMAT % (
+        encode_basestring_ascii(r.theorem_id), encode_basestring_ascii(r.family_f),
+        encode_basestring_ascii(r.family_g), *texts,
+        "true" if r.holds else "false")
 
 
 def _stream_json_report(fh, head: dict, reports: list[CaseReport]) -> None:
     """Write head plus a final "reports" list, as json.dump with indent=1
-    and a trailing newline would."""
+    and a trailing newline would. Every row is a run_suite row: Python
+    floats, str text fields and a bool holds."""
     text = json.dumps({**head, "reports": []}, indent=1)
     if not reports:
         fh.write(text + "\n")
         return
     fh.write(text[:-len("[]\n}")] + "[\n  ")
-    # numpy float sums that overflow would warn; the row falls back instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, r in enumerate(reports):
-            if k:
-                fh.write(",\n  ")
-            row = _fast_json_row(r)
-            fh.write(_json_row(r.to_dict()) if row is None else row)
+    for k, r in enumerate(reports):
+        if k:
+            fh.write(",\n  ")
+        fh.write(_json_row(r))
     fh.write("\n ]\n}\n")
 
 

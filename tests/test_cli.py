@@ -104,6 +104,24 @@ def test_verify_spike_weight_holds(tmp_path, capsys):
     assert "(1 rows, 0 violations, 0 hypothesis rejections)" in out
 
 
+@pytest.mark.parametrize("g, code", [
+    # a spike at 0.305 with none at 0.695 passed 101 sampled offsets
+    ("pwlinear:0:1:0.303:1:0.305:50:0.307:1:1:1", 1),
+    ("pwlinear:0:1:0.303:1:0.305:50:0.307:1:0.693:1:0.695:50:0.697:1:1:1", 0),
+], ids=["one-spike", "mirrored-spikes"])
+def test_verify_symmetric_weight_check_sees_knots(g, code, tmp_path, capsys):
+    assert main(["verify", "--f", "monomial:2", "--g", g, "--a", "0", "--b",
+                 "1", "--x", "0.5", "--q", "1", "--alpha", "1", "--m", "1",
+                 "--theorem", "C21", "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.splitlines() == [
+            "hhbound verify: error: C21 requires a weight symmetric about "
+            "the midpoint"]
+    else:
+        assert "holds=true" in out
+
+
 @pytest.mark.parametrize("x, q, message", [
     # alpha = 0.5 gates t**2 out, so x was never checked
     ("5", "1", "x=5.0 outside [0.0, 1.0]"),
@@ -184,6 +202,55 @@ def test_verify_from_config(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "4 rows" in out and "0 violations" in out
+
+
+def _malformed(edit):
+    case = {"f": "monomial:2", "g": "const:1", "a": 0.0, "b": 1.0,
+            "x": {"values": [0.5]}, "q": [1.0], "alpha": [1.0], "m": [1.0],
+            "theorems": ["T21"], "b_star": 4.0}
+    return edit(case) or {"cases": [case]}
+
+
+@pytest.mark.parametrize("config, message", [
+    (_malformed(lambda c: c.update(f=5)),
+     "f must be a family spec string, got 5"),
+    (_malformed(lambda c: c.update(x={"sweep": 2.5})),
+     "x_sweep must be an integer, got 2.5"),
+    (_malformed(lambda c: c.update(x={"random": 2.5})),
+     "x_random must be an integer, got 2.5"),
+    (_malformed(lambda c: c.update(x=5)), "malformed suite config: "),
+    (_malformed(lambda c: c.update(q=1)), "q_values must be a list, got 1"),
+    (_malformed(lambda c: c.pop("q") and None),
+     "malformed suite config: KeyError: 'q'"),
+    (_malformed(lambda c: [c]), "malformed suite config: "),
+    (_malformed(lambda c: c.update(q=[])), "q_values must not be empty"),
+    (_malformed(lambda c: c.update(alpha=[])), "alpha_values must not be empty"),
+    (_malformed(lambda c: c.update(m=[])), "m_values must not be empty"),
+    (_malformed(lambda c: c.update(theorems=[])), "theorems must not be empty"),
+    (_malformed(lambda c: c.update(theorems="T21")),
+     "theorems must be a list, got 'T21'"),
+    (_malformed(lambda c: c.update(x={"values": []})),
+     "x_values must not be empty"),
+    (_malformed(lambda c: c.update(x={"random": 0})),
+     "x random needs at least 1 point"),
+    (_malformed(lambda c: c.update(x={"random": -1})),
+     "x random needs at least 1 point"),
+], ids=["f-int", "sweep-float", "random-float", "x-int", "q-scalar",
+        "q-missing", "top-level-list", "q-empty", "alpha-empty", "m-empty",
+        "theorems-empty", "theorems-string", "values-empty", "random-zero",
+        "random-negative"])
+def test_verify_rejects_malformed_config_in_one_line(config, message, tmp_path,
+                                                     capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    # a traceback would propagate out of main; an empty run exits 0
+    code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("hhbound verify: error: " + message)
 
 
 def test_verify_missing_config_file(capsys):

@@ -196,9 +196,7 @@ def test_legacy_jobs_key_is_ignored(tmp_path):
     assert a.json_path.read_bytes() == b.json_path.read_bytes()
 
 
-def test_run_suite_json_equals_json_dump(tmp_path):
-    config = _small_config(tmp_path)
-    result = run_suite(config)
+def _json_dump_of(config, result):
     echo = config.to_dict()
     del echo["output_dir"]
     payload = {"config": echo, "seed": config.seed,
@@ -206,27 +204,58 @@ def test_run_suite_json_equals_json_dump(tmp_path):
                "hypothesis_rejections": result.hypothesis_rejections,
                "max_tightness": result.max_tightness,
                "reports": [r.to_dict() for r in result.reports]}
-    want = json.dumps(payload, indent=1) + "\n"
-    assert result.json_path.read_text(encoding="utf-8") == want
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def test_run_suite_json_equals_json_dump(tmp_path):
+    config = _small_config(tmp_path)
+    result = run_suite(config)
+    assert result.json_path.read_text(encoding="utf-8") == _json_dump_of(
+        config, result)
+
+
+def test_case_spec_normalizes_inputs_to_python_floats(tmp_path):
+    spec = CaseSpec(f="monomial:2", g="const:1", a=0, b=1, q_values=[1, 2],
+                    alpha_values=(np.float64(1.0),), m_values=np.array([1.0]),
+                    theorems=["T21", TheoremId.T22],
+                    x_values=(np.float64(0.25), np.float64(0.5)), b_star=4,
+                    g_sup=np.float32(1.0))
+    assert spec.theorems == (TheoremId.T21, TheoremId.T22)
+    assert all(type(t) is TheoremId for t in spec.theorems)
+    for v in (spec.a, spec.b, spec.b_star, spec.g_sup, *spec.q_values,
+              *spec.alpha_values, *spec.m_values, *spec.x_values):
+        assert type(v) is float
+    swept = dataclasses.replace(spec, x_values=None, x_sweep=np.int64(3))
+    assert type(swept.x_sweep) is int
+    config = SuiteConfig(cases=(spec,), output_dir=str(tmp_path))
+    result = run_suite(config)
+    assert len(result.reports) == 8
+    for r in result.reports:
+        assert type(r.theorem_id) is str and type(r.holds) is bool
+        for v in (r.a, r.b, r.x, r.q, r.alpha, r.m, r.lhs, r.rhs, r.slack,
+                  r.tightness):
+            assert type(v) is float
+    assert result.json_path.read_text(encoding="utf-8") == _json_dump_of(
+        config, result)
 
 
 def test_streamed_json_handles_nonfinite_and_numpy_floats():
+    # rows as run_suite builds them: Python floats, str fields, bool holds
     rows = [
-        CaseReport("T21", "monomial:2", "const:1", 0.0, 1.0, np.float64(0.1),
-                   1.0, 0.5, 0.25, 1.0 / 3.0, 0.0, -1.0 / 3.0, math.inf, False),
-        CaseReport("C22", "caf\u00e9", "sin", 0, 2.0, np.float64(1.0), 2.0,
-                   1.0, 1.0, math.nan, -math.inf, 1e-300, 5e-324, True),
-        # finite rows: an int a, then all floats (the one-pass layout)
-        CaseReport("T13", "caf\u00e9", "sin", 0, 1.0, np.float64(0.1), 1.5,
-                   1.0, 1.0, 0.25, 0.5, 0.25, 0.5, True),
-        CaseReport("T14", "caf\u00e9\"", "const:1", -0.0, 1.0,
-                   np.float64(0.7), 1.5, 0.75, 0.25, 1e-300, 5e-324, -1e-300,
-                   2.0 ** 1000, False),
+        CaseReport("T21", "monomial:2", "const:1", 0.0, 1.0, 0.1, 1.0, 0.5,
+                   0.25, 1.0 / 3.0, 0.0, -1.0 / 3.0, math.inf, False),
+        CaseReport("C22", "caf\u00e9", "sin", 0.0, 2.0, 1.0, 2.0, 1.0, 1.0,
+                   math.nan, -math.inf, 1e-300, 5e-324, True),
+        # finite rows
+        CaseReport("T13", "caf\u00e9", "sin", 0.0, 1.0, 0.1, 1.5, 1.0, 1.0,
+                   0.25, 0.5, 0.25, 0.5, True),
+        CaseReport("T14", "caf\u00e9\"", "const:1", -0.0, 1.0, 0.7, 1.5, 0.75,
+                   0.25, 1e-300, 5e-324, -1e-300, 2.0 ** 1000, False),
         # every field finite, but their sum overflows
-        CaseReport("T21", "exp", "const:1", 0.0, 1.0, np.float64(0.5), 1.0,
-                   1.0, 1.0, 1e308, 1e308, 0.0, 1.0, True),
-        CaseReport("T21", "exp", "const:1", 0.0, 1.0, np.float64(1e308), 1.0,
-                   1.0, 1.0, 1e308, 0.5, 0.0, 1.0, True),
+        CaseReport("T21", "exp", "const:1", 0.0, 1.0, 0.5, 1.0, 1.0, 1.0,
+                   1e308, 1e308, 0.0, 1.0, True),
+        CaseReport("T21", "exp", "const:1", 0.0, 1.0, 1e308, 1.0, 1.0, 1.0,
+                   1e308, 0.5, 0.0, 1.0, True),
     ]
     head = {"config": {"cases": [{"x": {"sweep": 3}, "g_sup": None}],
                        "grid": {"nx": 3}}, "seed": 1, "violations": 1,
