@@ -196,7 +196,7 @@ def oracle_midpoint_moment(iv: Interval, x: float, alpha: float) -> IntegralResu
 def _piece_integral(kind: str, iv: Interval, x: float, alpha: float,
                     lo: float, hi: float) -> IntegralResult:
     return _integral_between(_MomentIntegrand(kind, iv.a, iv.b, x, alpha), lo,
-                             hi, _ORACLE_TOL, _ORACLE_TOL)
+                             hi, _ORACLE_TOL)
 
 
 def _split_at_x(left_kind: str, right_kind: str, iv: Interval, x: float,
@@ -356,18 +356,16 @@ _SYMMETRY_SAMPLES = 101
 _SYMMETRY_TOL = 1e-10
 
 
-def is_symmetric_about_midpoint(g: RealFunction, iv: Interval,
-                                n: int = _SYMMETRY_SAMPLES,
-                                tol: float = _SYMMETRY_TOL) -> bool:
-    """Check of g(a + s) == g(b - s) at n even offsets s and at k - a and
-    b - k for each knot k inside (a, b); exact for a pwlinear g, for which
-    g(a + s) - g(b - s) is linear between those offsets."""
+def is_symmetric_about_midpoint(g: RealFunction, iv: Interval) -> bool:
+    """Check of |g(a + s) - g(b - s)| <= 1e-10 at 101 even offsets s and at
+    k - a and b - k for each knot k inside (a, b); exact for a pwlinear g,
+    for which g(a + s) - g(b - s) is linear between those offsets."""
     inner = [k for k in g.knots if iv.a < k < iv.b]
-    s = np.concatenate((np.linspace(0.0, iv.width, n),
+    s = np.concatenate((np.linspace(0.0, iv.width, _SYMMETRY_SAMPLES),
                         [k - iv.a for k in inner], [iv.b - k for k in inner]))
     fwd = np.asarray(registry_eval(g, iv.a + s))
     bwd = np.asarray(registry_eval(g, iv.b - s))
-    return bool(np.max(np.abs(fwd - bwd)) <= tol)
+    return bool(np.max(np.abs(fwd - bwd)) <= _SYMMETRY_TOL)
 
 
 def _check_midpoint(tid: TheoremId, iv: Interval, x: float) -> None:

@@ -358,17 +358,17 @@ class DifferentiablePair:
     def from_family(cls, f: RealFunction, domain: DomainSpec) -> "DifferentiablePair":
         return cls(f, derivative(f), domain)
 
-    def validate_finite_difference(self, iv: Interval, n: int = 1000) -> float:
+    def validate_finite_difference(self, iv: Interval) -> float:
         """Check f_prime against central differences of f on ``iv``.
 
-        Uses step h = 1e-6 * (b - a) on an n-point grid kept h away from the
+        Uses step h = 1e-6 * (b - a) on a 1000-point grid kept h away from the
         interval ends (so one-sided domain restrictions never bite). Returns
         the worst absolute deviation and raises InvalidCaseError when the
         deviation is not finite (f or f_prime overflowed or is undefined) or
         exceeds 1e-4 * (1 + |f_prime|) anywhere.
         """
         h = 1e-6 * iv.width
-        ts = np.linspace(iv.a + h, iv.b - h, n)
+        ts = np.linspace(iv.a + h, iv.b - h, 1000)
         with np.errstate(over="ignore", invalid="ignore"):
             fd = (registry_eval(self.f, ts + h)
                   - registry_eval(self.f, ts - h)) / (2.0 * h)

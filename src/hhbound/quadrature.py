@@ -120,7 +120,7 @@ def _halves(p: np.ndarray, split: np.ndarray) -> np.ndarray:
     return np.stack((p[0:3, split], p[2:5, split]), axis=2).reshape(3, -1)
 
 
-def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
+def _integrate_impl(fn, a: float, b: float, tol: float,
                     max_panels: int) -> IntegralResult:
     evals = 0
 
@@ -147,9 +147,9 @@ def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         fa, fm, fb = f3 = f(x3)
         x5, f5, ok = _sample(f, x3[:, None], f3[:, None])
     whole = float((b - a) * (fa + 4.0 * fm + fb) / 6.0)
-    eps = max(abs_tol, rel_tol * abs(whole))
+    eps = max(tol, tol * abs(whole))
     value, est = _levels(f, x5, f5, ok, depth, panels, eps, max_panels, a, b)
-    retry_eps = max(abs_tol, rel_tol * abs(value))
+    retry_eps = max(tol, tol * abs(value))
     if est > retry_eps and retry_eps < eps:
         # the 3-point estimate whole can overstate |value| many times over
         # (50x for exp(300 t) on [0, 1]), so the panels were accepted too
@@ -158,7 +158,7 @@ def _integrate_impl(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         # get here, so their results do not change.
         value, est = _levels(f, x5, f5, ok, depth, panels, retry_eps,
                              max_panels, a, b)
-    if est > max(abs_tol, rel_tol * abs(value)):
+    if est > max(tol, tol * abs(value)):
         raise QuadratureError(
             f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
         )
@@ -214,13 +214,11 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
 
 
 @lru_cache(maxsize=4096)  # above the misses of one 1,536-row fresh-x sweep
-def _integrate_cached(fn, a: float, b: float, abs_tol: float, rel_tol: float,
-                      max_panels: int) -> IntegralResult:
-    return _integrate_impl(fn, a, b, abs_tol, rel_tol, max_panels)
+def _integrate_cached(fn, a: float, b: float, tol: float) -> IntegralResult:
+    return _integrate_impl(fn, a, b, tol, DEFAULT_PANEL_BUDGET)
 
 
-def integrate(fn, iv: Interval, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
-              max_panels: int = DEFAULT_PANEL_BUDGET) -> IntegralResult:
+def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     """Integrate ``fn`` over ``iv`` adaptively.
 
     Parameters
@@ -231,38 +229,39 @@ def integrate(fn, iv: Interval, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
         broadcasts to it. Registry functions and their products qualify.
     iv : Interval
         Integration range.
-    abs_tol, rel_tol : float
-        The requested tolerance is max(abs_tol, rel_tol * |value|); on
-        successful return the accumulated error estimate is below it.
-    max_panels : int
-        Subdivision budget of each pass (a rerun against the computed value
-        is the second); exceeding it raises QuadratureError.
+    tol : float
+        The requested tolerance is max(tol, tol * |value|), absolute below
+        a unit-sized integral and relative above it; on successful return
+        the accumulated error estimate is below it.
 
+    Each pass (a rerun against the computed value is the second) may split
+    at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError.
     Results for hashable integrands are memoized, keyed by the integrand and
-    the exact (a, b, abs_tol, rel_tol, max_panels) tuple. An error raised by
-    the integrand propagates from the one run that raised it.
+    the exact (a, b, tol) triple. An error raised by the integrand propagates
+    from the one run that raised it.
     """
     try:
         hash(fn)
     except TypeError:
-        return _integrate_impl(fn, iv.a, iv.b, abs_tol, rel_tol, max_panels)
-    return _integrate_cached(fn, iv.a, iv.b, abs_tol, rel_tol, max_panels)
+        return _integrate_impl(fn, iv.a, iv.b, tol, DEFAULT_PANEL_BUDGET)
+    return _integrate_cached(fn, iv.a, iv.b, tol)
 
 
-def _integral_between(fn, lo: float, hi: float, abs_tol: float,
-                      rel_tol: float) -> IntegralResult:
+def _integral_between(fn, lo: float, hi: float, tol: float) -> IntegralResult:
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
-    return integrate(fn, Interval(lo, hi), abs_tol, rel_tol)
+    return integrate(fn, Interval(lo, hi), tol)
 
 
 # ---------------------------------------------------------------------------
 # kernel and step weight
 
+_KERNEL_TOL = 1e-12
 
-def kernel_K(g, iv: Interval, x: float, t: float,
-             abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> float:
-    """Signed integral of g from x to t, for x, t inside ``iv``.
+
+def kernel_K(g, iv: Interval, x: float, t: float) -> float:
+    """Signed integral of g from x to t, for x, t inside ``iv``, to the
+    oracle tolerance 1e-12.
 
     Antisymmetric in (x, t) by construction: the integral is always computed
     over the sorted pair and the sign attached afterwards.
@@ -273,24 +272,24 @@ def kernel_K(g, iv: Interval, x: float, t: float,
     if x == t:
         return 0.0
     lo, hi = (x, t) if x < t else (t, x)
-    val = integrate(g, Interval(lo, hi), abs_tol, rel_tol).value
+    val = integrate(g, Interval(lo, hi), _KERNEL_TOL).value
     return val if x < t else -val
 
 
-def step_weight(g, iv: Interval, x: float, t: float,
-                abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> tuple[float, float]:
+def step_weight(g, iv: Interval, x: float, t: float) -> tuple[float, float]:
     """Signed cumulative weight with a jump at x, and its kink envelope.
 
     For t < x returns (integral of g over [a, t], t - a); for t >= x returns
-    (minus the integral of g over [t, b], b - t). The envelope bound
-    |first| <= sup|g| * second holds for every t.
+    (minus the integral of g over [t, b], b - t), each integral taken to the
+    oracle tolerance 1e-12. The envelope bound |first| <= sup|g| * second
+    holds for every t.
     """
     if not iv.contains(t) or not iv.contains(x):
         raise HHBoundError(f"step-weight points ({x}, {t}) outside [{iv.a}, {iv.b}]")
     if t < x:
-        sg = _integral_between(g, iv.a, t, abs_tol, rel_tol).value
+        sg = _integral_between(g, iv.a, t, _KERNEL_TOL).value
         return sg, t - iv.a
-    sg = -_integral_between(g, t, iv.b, abs_tol, rel_tol).value
+    sg = -_integral_between(g, t, iv.b, _KERNEL_TOL).value
     return sg, iv.b - t
 
 
@@ -391,9 +390,9 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
 
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
                      x: float) -> tuple[float, float]:
-    i_left = _integral_between(g, iv.a, x, _LHS_TOL, _LHS_TOL)
-    i_right = _integral_between(g, x, iv.b, _LHS_TOL, _LHS_TOL)
-    i_fg = integrate(Product(f, g), iv, _LHS_TOL, _LHS_TOL)
+    i_left = _integral_between(g, iv.a, x, _LHS_TOL)
+    i_right = _integral_between(g, x, iv.b, _LHS_TOL)
+    i_fg = integrate(Product(f, g), iv, _LHS_TOL)
     fa, fb = f(iv.a), f(iv.b)
     val = fa * i_left.value + fb * i_right.value - i_fg.value
     err = (abs(fa) * i_left.error_estimate + abs(fb) * i_right.error_estimate
@@ -410,8 +409,8 @@ def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
                   x: float) -> tuple[float, float]:
-    i_g = integrate(g, iv, _LHS_TOL, _LHS_TOL)
-    i_fg = integrate(Product(f, g), iv, _LHS_TOL, _LHS_TOL)
+    i_g = integrate(g, iv, _LHS_TOL)
+    i_fg = integrate(Product(f, g), iv, _LHS_TOL)
     fx = f(x)
     val = fx * i_g.value - i_fg.value
     err = abs(fx) * i_g.error_estimate + i_fg.error_estimate
@@ -434,7 +433,7 @@ def residual_endpoint_identity(case: BoundCase) -> float:
     iv = case.interval
     sign_val, _ = _endpoint_signed(case.pair.f, case.g, iv, case.x)
     integrand = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, case.x)
-    rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL, _RESIDUAL_OUTER_TOL).value
+    rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL).value
     return abs(sign_val - rhs)
 
 
@@ -448,13 +447,8 @@ def residual_point_identity(case: BoundCase) -> float:
     sign_val, _ = _point_signed(case.pair.f, case.g, iv, case.x)
     left = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, True)
     right = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, False)
-    rhs = 0.0
-    if case.x > iv.a:
-        rhs += integrate(left, Interval(iv.a, case.x),
-                         _RESIDUAL_OUTER_TOL, _RESIDUAL_OUTER_TOL).value
-    if case.x < iv.b:
-        rhs += integrate(right, Interval(case.x, iv.b),
-                         _RESIDUAL_OUTER_TOL, _RESIDUAL_OUTER_TOL).value
+    rhs = (_integral_between(left, iv.a, case.x, _RESIDUAL_OUTER_TOL).value
+           + _integral_between(right, case.x, iv.b, _RESIDUAL_OUTER_TOL).value)
     return abs(sign_val - rhs)
 
 

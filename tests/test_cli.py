@@ -23,7 +23,8 @@ def test_constants_reports_tiny_deviation(capsys):
 def test_constants_rejects_bad_alpha(capsys):
     assert main(["constants", "--a", "0", "--b", "1", "--x", "0.5",
                  "--alpha", "0"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "hhbound constants: error: alpha must lie in (0, 1], got 0.0\n")
 
 
 def test_verify_inline_case(tmp_path, capsys):
@@ -235,10 +236,25 @@ def _malformed(edit):
      "x random needs at least 1 point"),
     (_malformed(lambda c: c.update(x={"random": -1})),
      "x random needs at least 1 point"),
+    (dict(_malformed(lambda c: None), seed=3.9),
+     "seed must be an integer, got 3.9"),
+    (dict(_malformed(lambda c: None), seed="5"),
+     "seed must be an integer, got '5'"),
+    (dict(_malformed(lambda c: None), seed=True),
+     "seed must be an integer, got True"),
+    (dict(_malformed(lambda c: None), seed=-1),
+     "seed must be non-negative, got -1"),
+    (dict(_malformed(lambda c: None), grid={"nx": 3.7}),
+     "grid.nx must be an integer, got 3.7"),
+    (dict(_malformed(lambda c: None), grid={"nx": "7"}),
+     "grid.nx must be an integer, got '7'"),
+    (dict(_malformed(lambda c: None), output_dir=5),
+     "output_dir must be a path string, got 5"),
 ], ids=["f-int", "sweep-float", "random-float", "x-int", "q-scalar",
         "q-missing", "top-level-list", "q-empty", "alpha-empty", "m-empty",
         "theorems-empty", "theorems-string", "values-empty", "random-zero",
-        "random-negative"])
+        "random-negative", "seed-float", "seed-string", "seed-bool",
+        "seed-negative", "grid-float", "grid-string", "output-dir-int"])
 def test_verify_rejects_malformed_config_in_one_line(config, message, tmp_path,
                                                      capsys):
     path = tmp_path / "cfg.json"
@@ -256,40 +272,6 @@ def test_verify_rejects_malformed_config_in_one_line(config, message, tmp_path,
 def test_verify_missing_config_file(capsys):
     assert main(["verify", "--config", "/no/such/file.json"]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_verify_seed_env_override(tmp_path, capsys, monkeypatch):
-    cfg = {
-        "cases": [{
-            "f": "monomial:2", "g": "const:1", "a": 0.0, "b": 1.0,
-            "x": {"random": 3},
-            "q": [1.0], "alpha": [1.0], "m": [1.0],
-            "theorems": ["T21"], "b_star": 4.0,
-        }],
-        "seed": 3,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-
-    assert main(["verify", "--config", str(path), "--out",
-                 str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("HHBOUND_SEED", "99")
-    assert main(["verify", "--config", str(path), "--out",
-                 str(tmp_path / "b")]) == 0
-    capsys.readouterr()
-    csv_a = (tmp_path / "a" / "report.csv").read_text(encoding="utf-8")
-    csv_b = (tmp_path / "b" / "report.csv").read_text(encoding="utf-8")
-    assert csv_a != csv_b  # different seeds draw different split points
-
-
-def test_verify_seed_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    cfg = {"cases": [{"f": "monomial:2", "g": "const:1", "a": 0.0, "b": 1.0,
-                      "x": {"values": [0.5]}, "q": [1.0], "alpha": [1.0],
-                      "m": [1.0], "theorems": ["T21"], "b_star": 4.0}]}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    monkeypatch.setenv("HHBOUND_SEED", "not-a-number")
-    assert main(["verify", "--config", str(path)]) == 1
 
 
 def test_classify_square_all_hold(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Public names: every ``__all__`` entry resolves, and removed paths stay gone.
 
 A stale ``__all__`` entry breaks ``from hhbound.x import *`` and is skipped
-without notice by tools that walk ``__all__``.
+without notice by tools that walk ``__all__``. Fixed tolerances, sample counts
+and seeds stay fixed: each settable value would be one more configuration to
+cover.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,29 @@ def test_one_sup_norm():
 
     assert quadrature.sup_norm is core.sup_norm is hhbound.sup_norm
     assert "sup_norm" in core.__all__ and "sup_norm" not in quadrature.__all__
+
+
+SIGNATURES = [
+    ("integrate", ["fn", "iv", "tol"]),
+    ("kernel_K", ["g", "iv", "x", "t"]),
+    ("step_weight", ["g", "iv", "x", "t"]),
+    ("is_symmetric_about_midpoint", ["g", "iv"]),
+    ("reduction_check", ["iv", "n_cases"]),
+]
+
+
+@pytest.mark.parametrize("name, params", SIGNATURES)
+def test_no_unused_settable_values(name, params):
+    assert list(inspect.signature(getattr(hhbound, name)).parameters) == params
+
+
+def test_finite_difference_check_has_fixed_size():
+    method = hhbound.DifferentiablePair.validate_finite_difference
+    assert list(inspect.signature(method).parameters) == ["self", "iv"]
+
+
+def test_cli_reads_no_environment():
+    import hhbound.cli as cli
+
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert "os.environ" not in source and "HHBOUND_SEED" not in source
