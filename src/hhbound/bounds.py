@@ -17,6 +17,7 @@ the defining integral; the two routes are never collapsed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -368,21 +369,25 @@ def is_symmetric_about_midpoint(g: RealFunction, iv: Interval) -> bool:
     return bool(np.max(np.abs(fwd - bwd)) <= _SYMMETRY_TOL)
 
 
-def _check_midpoint(tid: TheoremId, iv: Interval, x: float) -> None:
-    if abs(x - iv.midpoint) > _MIDPOINT_TOL * iv.width:
-        raise InvalidCaseError(f"{tid.value} requires x at the midpoint, got x={x}")
-
-
-def _check_symmetric_weight(tid: TheoremId, g: RealFunction, iv: Interval) -> None:
-    if not is_symmetric_about_midpoint(g, iv):
-        raise InvalidCaseError(f"{tid.value} requires a weight symmetric about the midpoint")
-
-
-def _check_class_params(tid: TheoremId, params: ConvexityParams) -> None:
-    if not params.bounds_admissible:
-        raise InvalidParamsError(
-            f"{tid.value} needs (alpha, m) in (0, 1]^2, got {(params.alpha, params.m)}"
-        )
+def _check_theorem(tid: TheoremId, g: RealFunction, iv: Interval,
+                   xs: Iterable[float], params: Iterable[ConvexityParams]) -> None:
+    """Raise unless the theorem applies at every x of xs and every (alpha, m)
+    of params: the midpoint-split forms need x at the midpoint, and their
+    endpoint-rule ones a weight symmetric about it; the class forms need
+    (alpha, m) in (0, 1]^2."""
+    if tid.requires_midpoint:
+        for x in xs:
+            if abs(x - iv.midpoint) > _MIDPOINT_TOL * iv.width:
+                raise InvalidCaseError(
+                    f"{tid.value} requires x at the midpoint, got x={x}")
+        if tid.requires_symmetric_weight and not is_symmetric_about_midpoint(g, iv):
+            raise InvalidCaseError(
+                f"{tid.value} requires a weight symmetric about the midpoint")
+    if tid.uses_class_params:
+        for p in params:
+            if not p.bounds_admissible:
+                raise InvalidParamsError(
+                    f"{tid.value} needs (alpha, m) in (0, 1]^2, got {(p.alpha, p.m)}")
 
 
 def _derivative_magnitude(fp: RealFunction, t: float) -> float:
@@ -420,16 +425,12 @@ def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
     """
     tid = TheoremId(theorem_id)
     iv = case.interval
+    _check_theorem(tid, case.g, iv, (case.x,), (case.params,))
     fp = case.pair.f_prime
     fp_a = _derivative_magnitude(fp, iv.a)
     fp_b = _derivative_magnitude(fp, iv.b)
-    if tid.requires_midpoint:
-        _check_midpoint(tid, iv, case.x)
-        if tid.requires_symmetric_weight:
-            _check_symmetric_weight(tid, case.g, iv)
     fp_scaled = None
     if tid.uses_class_params:
-        _check_class_params(tid, case.params)
         fp_scaled = _derivative_magnitude(fp, case.scaled_endpoint)
     return _closed_form_rhs(tid, iv, case.x, case.q, case.params, fp_a, fp_b,
                             fp_scaled, case.g_sup)

@@ -133,7 +133,6 @@ _PUBLIC_FAMILIES = (
     "sin",
     "pwlinear",
 )
-_INTERNAL_FAMILIES = ("cmonomial", "cexp", "sinw", "coswave", "pwconst")
 
 
 def _validate_params(family_id: str, params: tuple[float, ...]) -> None:

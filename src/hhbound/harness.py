@@ -2,16 +2,19 @@
 
 A suite is a list of case specs, each expanding into a cartesian product of
 theorems, exponents q, class parameters (alpha, m) and split points x. For
-every combination the |f'|**q hypothesis is checked first on a grid over the
-working domain [0, b_star]; rejected combinations are counted and skipped,
-never reported as violations. Admitted combinations are evaluated by an
-oracle left-hand side against the closed-form right-hand side.
+every combination the |f'|**q hypothesis is checked on a grid over the
+working domain [0, b_star] before evaluation; rejected combinations are
+counted and skipped, never reported as violations. Admitted combinations
+are evaluated by an oracle left-hand side against the closed-form
+right-hand side.
 
-run_suite plans a run before evaluating it. All gate verdicts come from one
-batched check_hypotheses call. Every check a BoundCase and evaluate_bound
-make runs once per spec, per (q, alpha, m) or per x, whichever it depends
-on; each lhs is computed once per (rule, x) and each derivative magnitude
-once per spec and m. Every row equals what verify_case gives for the
+run_suite plans a run before evaluating it. Every check a BoundCase and
+evaluate_bound make runs for every combination of every spec before the
+gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
+an invalid combination is an error even where the gate would reject it. All
+gate verdicts come from one batched check_hypotheses call. Each lhs is
+computed once per (rule, x), and each derivative magnitude once per spec
+and point, after the gate. Every row equals what verify_case gives for the
 corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
@@ -31,16 +34,14 @@ import numbers
 import operator
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (
-    _check_class_params,
-    _check_midpoint,
-    _check_symmetric_weight,
+    _check_theorem,
     _closed_form_rhs,
     _derivative_magnitude,
     classical_symmetric_rhs,
@@ -324,9 +325,6 @@ class CaseReport:
             self.x, self.q, self.alpha, self.m, self.lhs, self.rhs, self.slack,
             self.tightness, "true" if self.holds else "false")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -443,12 +441,12 @@ def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
 class _SpecRun:
     """One CaseSpec of a suite run, with its checks and hoisted values.
 
-    A check that does not depend on x runs once per admitted (q, alpha, m),
-    or once per spec when it does not depend on those either; a check on x
-    runs once per x. As with one BoundCase per row, case checks run only
-    for combinations the gate admits: the g_sup check at the first one, the
-    midpoint-split checks at the first one per theorem. CaseSpec checks
-    x_values; swept and seeded split points lie in [a, b] by construction.
+    Construction runs every check a BoundCase and evaluate_bound make, for
+    every combination of the spec, before the gate sees any of them: the
+    g_sup check once, the q, [a, b] and b/m checks once per (q, m), and the
+    theorem checks once per theorem. So an invalid combination is an error
+    whether or not the gate would admit it. CaseSpec checks x_values; swept
+    and seeded split points lie in [a, b] by construction.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
@@ -465,23 +463,29 @@ class _SpecRun:
             self.g_sup = spec.g_sup
         else:
             self.g_sup = sup_norm(self.g, self.iv) * SUP_SAFETY_FACTOR
+        validate_g_sup(self.g, self.iv, self.g_sup)
+        self.params = tuple(ConvexityParams(alpha, m) for alpha in spec.alpha_values
+                            for m in spec.m_values)
+        # validate_case_params reads m and not alpha
+        by_m = {p.m: p for p in self.params}.values()
+        for q in spec.q_values:
+            for params in by_m:
+                validate_case_params(self.iv, q, params, self.pair.domain.b_star)
+        for tid in spec.theorems:
+            _check_theorem(tid, self.g, self.iv, xs, self.params)
         # lhs values of this (f, g, [a, b]), shared with other specs of the run
         self._lhs = lhs_memo.setdefault((self.f, self.g, self.iv), {})
-        self._fp_ends: tuple[float, float] | None = None
-        self._fp_scaled: dict[float, float] = {}
-        self._midsplit_checked: set[TheoremId] = set()
+        # |f'| at a, b and each b/m, read once the gate has found it finite
+        self._fp: dict[float, float] = {}
 
     def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
                                              _GateRequest]]:
         """(theorem, q, params, gate request) in report order."""
-        spec = self.spec
-        for tid in spec.theorems:
-            for q in spec.q_values:
-                for alpha in spec.alpha_values:
-                    for m in spec.m_values:
-                        params = ConvexityParams(alpha, m)
-                        gate = params if tid.uses_class_params else _GATE_PLAIN
-                        yield tid, q, params, (self.pair, q, gate, self.iv)
+        for tid in self.spec.theorems:
+            for q in self.spec.q_values:
+                for params in self.params:
+                    gate = params if tid.uses_class_params else _GATE_PLAIN
+                    yield tid, q, params, (self.pair, q, gate, self.iv)
 
     def evaluate(self, verdicts: dict[_GateRequest, Verdict],
                  out: list[CaseReport]) -> int:
@@ -493,7 +497,8 @@ class _SpecRun:
             if not verdicts[gate].holds:
                 rejections += 1
                 continue
-            fp_a, fp_b, fp_scaled = self._check_template(tid, q, params)
+            fp_a, fp_b = self._fp_at(iv.a), self._fp_at(iv.b)
+            fp_scaled = self._fp_at(iv.b / params.m) if tid.uses_class_params else None
             endpoint_rule = tid.uses_endpoint_rule
             for x in xs:
                 lhs, lhs_err = self._lhs_at(endpoint_rule, x)
@@ -504,30 +509,11 @@ class _SpecRun:
                     params.m, lhs, rhs, *_compare(lhs, lhs_err, rhs)))
         return rejections
 
-    def _check_template(self, tid: TheoremId, q: float, params: ConvexityParams
-                        ) -> tuple[float, float, float | None]:
-        """The BoundCase and evaluate_bound checks of one admitted
-        combination; returns |f'(a)|, |f'(b)| and, for class forms, |f'(b/m)|."""
-        iv, fp = self.iv, self.pair.f_prime
-        validate_case_params(iv, q, params, self.pair.domain.b_star)
-        if self._fp_ends is None:  # the spec's first admitted combination
-            validate_g_sup(self.g, iv, self.g_sup)
-            self._fp_ends = (_derivative_magnitude(fp, iv.a),
-                             _derivative_magnitude(fp, iv.b))
-        if tid.requires_midpoint and tid not in self._midsplit_checked:
-            for x in self.xs:
-                _check_midpoint(tid, iv, x)
-            if tid.requires_symmetric_weight:
-                _check_symmetric_weight(tid, self.g, iv)
-            self._midsplit_checked.add(tid)
-        fp_scaled = None
-        if tid.uses_class_params:
-            _check_class_params(tid, params)
-            fp_scaled = self._fp_scaled.get(params.m)
-            if fp_scaled is None:
-                fp_scaled = _derivative_magnitude(fp, iv.b / params.m)
-                self._fp_scaled[params.m] = fp_scaled
-        return (*self._fp_ends, fp_scaled)
+    def _fp_at(self, t: float) -> float:
+        hit = self._fp.get(t)
+        if hit is None:
+            hit = self._fp[t] = _derivative_magnitude(self.pair.f_prime, t)
+        return hit
 
     def _lhs_at(self, endpoint_rule: bool, x: float) -> tuple[float, float]:
         hit = self._lhs.get((endpoint_rule, x))

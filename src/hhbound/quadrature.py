@@ -17,8 +17,9 @@ the integral, the oracle instead runs its levels once more against the
 value it computed.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
-and point rule), the kernel and step-weight primitives behind them, and the
-residuals of the two integral identities that generate the bounds. The
+and point rule), integrated piece by piece between the knots of f and g, the
+kernel and step-weight primitives behind them, and the residuals of the two
+integral identities that generate the bounds. The
 residuals and the step-weight profile read the antiderivative of the weight
 from one cubic Hermite table per (g, a, b), with nodes on the knots of a
 piecewise weight, so smooth and piecewise weights take the same path.
@@ -344,7 +345,11 @@ def _antiderivative_table(g: RealFunction, a: float, b: float) -> _Antiderivativ
 
 @dataclass(frozen=True)
 class _KernelTimesDeriv:
-    """Integrand (W(t) - W(x)) * f'(t) with W from the antiderivative table."""
+    """Integrand (W(t) - W(x)) * f'(t) with W from the antiderivative table.
+
+    Anchored at x = a it is the left branch S_g(t) f'(t) of the step weight,
+    since the table's W(a) is exactly 0.0; anchored at x = b, the right one.
+    """
 
     g: RealFunction
     f_prime: RealFunction
@@ -355,23 +360,6 @@ class _KernelTimesDeriv:
     def __call__(self, t):
         table = _antiderivative_table(self.g, self.a, self.b)
         return (table.values(t) - table.values(self.x)) * self.f_prime(t)
-
-
-@dataclass(frozen=True)
-class _StepTimesDeriv:
-    """Integrand S_g(t) * f'(t) on one side of the jump, table-backed."""
-
-    g: RealFunction
-    f_prime: RealFunction
-    a: float
-    b: float
-    left_branch: bool
-
-    def __call__(self, t):
-        table = _antiderivative_table(self.g, self.a, self.b)
-        if self.left_branch:
-            return table.values(t) * self.f_prime(t)
-        return (table.values(t) - table.values(self.b)) * self.f_prime(t)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +376,28 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
     return abs(val), err
 
 
+def _lhs_integral(fn, knots: list[float], lo: float, hi: float) -> IntegralResult:
+    """Integral of fn over [lo, hi] summed over the pieces between the knots
+    inside it, with their error estimates and evaluations, as QUADPACK's QAGP
+    does with breakpoints (Piessens et al., QUADPACK, 1983): a feature
+    between the oracle's samples can hide inside one panel, but not across a
+    piece boundary. Without an inner knot this is one oracle call."""
+    edges = [lo, *(k for k in knots if lo < k < hi), hi]
+    pieces = [_integral_between(fn, p, r, _LHS_TOL)
+              for p, r in zip(edges[:-1], edges[1:])]
+    if len(pieces) == 1:
+        return pieces[0]
+    return IntegralResult(sum(p.value for p in pieces),
+                          sum(p.error_estimate for p in pieces),
+                          sum(p.evaluations for p in pieces))
+
+
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
                      x: float) -> tuple[float, float]:
-    i_left = _integral_between(g, iv.a, x, _LHS_TOL)
-    i_right = _integral_between(g, x, iv.b, _LHS_TOL)
-    i_fg = integrate(Product(f, g), iv, _LHS_TOL)
+    knots = sorted({*f.knots, *g.knots})
+    i_left = _lhs_integral(g, knots, iv.a, x)
+    i_right = _lhs_integral(g, knots, x, iv.b)
+    i_fg = _lhs_integral(Product(f, g), knots, iv.a, iv.b)
     fa, fb = f(iv.a), f(iv.b)
     val = fa * i_left.value + fb * i_right.value - i_fg.value
     err = (abs(fa) * i_left.error_estimate + abs(fb) * i_right.error_estimate
@@ -409,8 +414,9 @@ def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
                   x: float) -> tuple[float, float]:
-    i_g = integrate(g, iv, _LHS_TOL)
-    i_fg = integrate(Product(f, g), iv, _LHS_TOL)
+    knots = sorted({*f.knots, *g.knots})
+    i_g = _lhs_integral(g, knots, iv.a, iv.b)
+    i_fg = _lhs_integral(Product(f, g), knots, iv.a, iv.b)
     fx = f(x)
     val = fx * i_g.value - i_fg.value
     err = abs(fx) * i_g.error_estimate + i_fg.error_estimate
@@ -441,12 +447,13 @@ def residual_point_identity(case: BoundCase) -> float:
     """Residual of the step-weight identity behind the point rule.
 
     The right-hand side integrates S_g(t) f'(t) over each branch separately,
-    with S_g read from the knot-aligned antiderivative table of g.
+    with S_g read from the knot-aligned antiderivative table of g: the
+    kernel anchored at a on [a, x] and the kernel anchored at b on [x, b].
     """
     iv = case.interval
     sign_val, _ = _point_signed(case.pair.f, case.g, iv, case.x)
-    left = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, True)
-    right = _StepTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, False)
+    left = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, iv.a)
+    right = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, iv.b)
     rhs = (_integral_between(left, iv.a, case.x, _RESIDUAL_OUTER_TOL).value
            + _integral_between(right, case.x, iv.b, _RESIDUAL_OUTER_TOL).value)
     return abs(sign_val - rhs)

@@ -123,16 +123,24 @@ def test_verify_symmetric_weight_check_sees_knots(g, code, tmp_path, capsys):
         assert "holds=true" in out
 
 
-@pytest.mark.parametrize("x, q, message", [
-    # alpha = 0.5 gates t**2 out, so x was never checked
-    ("5", "1", "x=5.0 outside [0.0, 1.0]"),
-    ("nan", "1", "x=nan outside [0.0, 1.0]"),
-    ("0.5", "nan", "q must be >= 1, got nan"),
-], ids=["x-outside", "x-nan", "q-nan"])
-def test_verify_rejects_bad_x_or_q_in_one_line(x, q, message, tmp_path):
-    proc = _run_cli(tmp_path, "verify", "--f", "monomial:2", "--g", "const:1",
+@pytest.mark.parametrize("theorem, g, x, q, alpha, message", [
+    # alpha = 0.5 and alpha = 0 gate t**2 out, so these were never checked
+    ("T21", "const:1", "5", "1", "0.5", "x=5.0 outside [0.0, 1.0]"),
+    ("T21", "const:1", "nan", "1", "0.5", "x=nan outside [0.0, 1.0]"),
+    ("T21", "const:1", "0.5", "nan", "0.5", "q must be >= 1, got nan"),
+    ("C21", "const:1", "0.25", "1", "0.5",
+     "C21 requires x at the midpoint, got x=0.25"),
+    ("C21", "sin", "0.5", "1", "0.5",
+     "C21 requires a weight symmetric about the midpoint"),
+    ("T21", "const:1", "0.5", "1", "0",
+     "T21 needs (alpha, m) in (0, 1]^2, got (0.0, 1.0)"),
+], ids=["x-outside", "x-nan", "q-nan", "off-midpoint", "asymmetric-weight",
+        "zero-alpha"])
+def test_verify_rejects_bad_x_or_q_in_one_line(theorem, g, x, q, alpha, message,
+                                               tmp_path):
+    proc = _run_cli(tmp_path, "verify", "--f", "monomial:2", "--g", g,
                     "--a", "0", "--b", "1", "--x", x, "--q", q,
-                    "--alpha", "0.5", "--m", "1", "--theorem", "T21",
+                    "--alpha", alpha, "--m", "1", "--theorem", theorem,
                     "--out", "reports")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["hhbound verify: error: " + message]

@@ -22,6 +22,7 @@ from hhbound import (
     GridSpec,
     Interval,
     InvalidCaseError,
+    InvalidParamsError,
     SuiteConfig,
     TheoremId,
     check_hypothesis,
@@ -203,7 +204,7 @@ def _json_dump_of(config, result):
                "violations": result.violations,
                "hypothesis_rejections": result.hypothesis_rejections,
                "max_tightness": result.max_tightness,
-               "reports": [r.to_dict() for r in result.reports]}
+               "reports": [dataclasses.asdict(r) for r in result.reports]}
     return json.dumps(payload, indent=1) + "\n"
 
 
@@ -264,8 +265,8 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
         got = io.StringIO()
         _stream_json_report(got, head, reports)
         want = io.StringIO()
-        json.dump({**head, "reports": [r.to_dict() for r in reports]}, want,
-                  indent=1)
+        json.dump({**head, "reports": [dataclasses.asdict(r) for r in reports]},
+                  want, indent=1)
         want.write("\n")
         assert got.getvalue() == want.getvalue()
 
@@ -332,22 +333,39 @@ def test_suite_rows_equal_verify_case(tmp_path):
     assert list(result.reports) == expected
 
 
-def test_run_suite_rejects_b_over_m_beyond_b_star(tmp_path):
-    # |2t| is in the (1, 1/2) class, so the gate admits the case and the
-    # template check must catch b/m = 2 > b_star = 1
-    spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
-                    q_values=(1.0,), alpha_values=(1.0,), m_values=(0.5,),
-                    theorems=("T21",), x_values=(0.5,), b_star=1.0)
-    with pytest.raises(InvalidCaseError, match="b/m"):
-        run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
+def _run_one(tmp_path, **overrides):
+    kw = dict(f="monomial:2", g="const:1", a=0.0, b=1.0, q_values=(1.0,),
+              alpha_values=(1.0,), m_values=(1.0,), theorems=("T21",),
+              x_values=(0.5,), b_star=4.0)
+    spec = CaseSpec(**{**kw, **overrides})
+    return run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
 
 
-def test_run_suite_rejects_off_midpoint_split(tmp_path):
-    spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
-                    q_values=(1.0,), alpha_values=(1.0,), m_values=(1.0,),
-                    theorems=("C21",), x_values=(0.5, 0.25), b_star=4.0)
-    with pytest.raises(InvalidCaseError, match="midpoint"):
-        run_suite(SuiteConfig(cases=(spec,), output_dir=str(tmp_path)))
+@pytest.mark.parametrize("overrides, message", [
+    # |2t| is in the (1, 1/2) class, so at alpha = 1 the gate admits b/m = 2
+    (dict(m_values=(0.5,), b_star=1.0), "b/m = 2 exceeds b_star = 1"),
+    (dict(theorems=("C21",), x_values=(0.5, 0.25)),
+     "C21 requires x at the midpoint, got x=0.25"),
+    (dict(theorems=("C21",), g="sin"),
+     "C21 requires a weight symmetric about the midpoint"),
+    (dict(g_sup=0.5), "g_sup = 0.5 below sup |g| = 1"),
+], ids=["b-over-m", "off-midpoint", "asymmetric-weight", "g-sup-below-sup"])
+def test_run_suite_rejects_invalid_combination_whatever_the_gate(
+        overrides, message, tmp_path):
+    # the gate admits t**2 at alpha = 1 and rejects it at alpha = 0.5; the
+    # same bad input must raise the same error either way
+    errors = []
+    for alpha in (1.0, 0.5):
+        with pytest.raises(InvalidCaseError) as exc:
+            _run_one(tmp_path, alpha_values=(alpha,), **overrides)
+        errors.append(str(exc.value))
+    assert errors == [message, message]
+
+
+def test_run_suite_rejects_zero_alpha_the_gate_rejects(tmp_path):
+    # the check of (alpha, m) in (0, 1]^2 ran only for admitted combinations
+    with pytest.raises(InvalidParamsError, match=r"T21 needs \(alpha, m\)"):
+        _run_one(tmp_path, alpha_values=(0.0,))
 
 
 def test_gate_on_working_domain_has_no_false_violations(tmp_path):

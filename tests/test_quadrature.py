@@ -38,7 +38,6 @@ from hhbound.quadrature import (
     _integrate_cached,
     _integrate_impl,
     _KernelTimesDeriv,
-    _StepTimesDeriv,
 )
 from recursive_simpson import integrate_recursive
 
@@ -200,8 +199,8 @@ def test_oracle_bit_identical_to_recursion_on_residual_integrands(gspec):
     g, fp = parse_function(gspec), RealFunction("cexp", (1.0, 1.0))
     tol = _RESIDUAL_OUTER_TOL
     _assert_same_as_recursive(_KernelTimesDeriv(g, fp, 0.0, 1.0, 0.4), 0.0, 1.0, tol)
-    _assert_same_as_recursive(_StepTimesDeriv(g, fp, 0.0, 1.0, True), 0.0, 0.4, tol)
-    _assert_same_as_recursive(_StepTimesDeriv(g, fp, 0.0, 1.0, False), 0.4, 1.0, tol)
+    _assert_same_as_recursive(_KernelTimesDeriv(g, fp, 0.0, 1.0, 0.0), 0.0, 0.4, tol)
+    _assert_same_as_recursive(_KernelTimesDeriv(g, fp, 0.0, 1.0, 1.0), 0.4, 1.0, tol)
 
 
 @pytest.mark.parametrize("ulps", [3, 40, 127, 128])
@@ -322,6 +321,46 @@ def test_lhs_endpoint_at_a():
     # at x = a the rule is f(b) * integral(g) against integral(fg)
     f, g = parse_function("monomial:2"), parse_function("const:1")
     assert abs(lhs_endpoint_at(f, g, UNIT, 0.0)[0] - 2.0 / 3.0) <= 1e-9
+
+
+# a spike of height 1e5 and width 1e-5 falls between the oracle's samples of
+# [0, 1]: unsplit, both integrals of g came back as 0.001 with estimate 0
+MOVED_SPIKE = ("pwlinear:0:0.001:0.50003:0.001:0.500035:100000:0.50004:0.001"
+               ":1:0.001")
+
+
+def _piecewise_exact(fn, knots, lo, hi):
+    # Gauss-Legendre with 3 nodes is exact for the cubic t**2 * g(t) on each
+    # piece between knots
+    gt, gw = np.polynomial.legendre.leggauss(3)
+    edges = [lo, *(k for k in knots if lo < k < hi), hi]
+    total = 0.0
+    for p, r in zip(edges[:-1], edges[1:]):
+        total += 0.5 * (r - p) * float(fn(0.5 * (p + r) + 0.5 * (r - p) * gt) @ gw)
+    return total
+
+
+def test_lhs_sees_a_spike_between_samples():
+    f, g = parse_function("monomial:2"), parse_function(MOVED_SPIKE)
+    x = 0.25
+    whole_g = _piecewise_exact(g, g.knots, 0.0, 1.0)
+    whole_fg = _piecewise_exact(Product(f, g), g.knots, 0.0, 1.0)
+    endpoint = abs(f(0.0) * _piecewise_exact(g, g.knots, 0.0, x)
+                   + f(1.0) * _piecewise_exact(g, g.knots, x, 1.0) - whole_fg)
+    point = abs(f(x) * whole_g - whole_fg)
+    assert abs(lhs_endpoint_at(f, g, UNIT, x)[0] - endpoint) <= 1e-9
+    assert abs(lhs_point_at(f, g, UNIT, x)[0] - point) <= 1e-9
+
+
+def test_lhs_pieces_sum_to_unsplit_value_on_smooth_integrand():
+    # g = 1 + t written with two inner knots at which nothing kinks
+    f = parse_function("exp")
+    g_knotted = parse_function("pwlinear:0:1:0.3:1.3:0.7:1.7:1:2")
+    g_smooth = parse_function("affine:1:1")
+    for x in (0.0, 0.3, 0.55, 1.0):
+        for lhs in (lhs_endpoint_at, lhs_point_at):
+            split = lhs(f, g_knotted, UNIT, x)[0]
+            assert abs(split - lhs(f, g_smooth, UNIT, x)[0]) <= 1e-12
 
 
 def _case(fspec, gspec, x):
