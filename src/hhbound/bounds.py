@@ -35,7 +35,7 @@ from .core import (
     validate_q,
     validate_split_point,
 )
-from .quadrature import IntegralResult, _integral_between
+from .quadrature import IntegralResult, _integral_between, _sum_results
 
 __all__ = [
     "ComponentIntegralId",
@@ -204,11 +204,8 @@ def _split_at_x(left_kind: str, right_kind: str, iv: Interval, x: float,
                 alpha: float) -> IntegralResult:
     # every moment integrand kinks or changes formula at t = x; integrating
     # the two smooth pieces separately keeps the adaptive rule honest
-    left = _piece_integral(left_kind, iv, x, alpha, iv.a, x)
-    right = _piece_integral(right_kind, iv, x, alpha, x, iv.b)
-    return IntegralResult(left.value + right.value,
-                          left.error_estimate + right.error_estimate,
-                          left.evaluations + right.evaluations)
+    return _sum_results([_piece_integral(left_kind, iv, x, alpha, iv.a, x),
+                         _piece_integral(right_kind, iv, x, alpha, x, iv.b)])
 
 
 def oracle_component_integral(cid: ComponentIntegralId, iv: Interval, x: float,

@@ -27,8 +27,8 @@ from .core import (
     DifferentiablePair,
     DomainSpec,
     HHBoundError,
+    Interval,
     TheoremId,
-    make_interval,
     parse_function,
     sup_norm,
     validate_split_point,
@@ -170,7 +170,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    iv = make_interval(args.a, args.b)
+    iv = Interval(args.a, args.b)
     m_closed = trapezoid_moment(iv, args.x, args.alpha)
     a_closed = midpoint_moment(iv, args.x, args.alpha)
     m_oracle = oracle_trapezoid_moment(iv, args.x, args.alpha)
@@ -187,7 +187,7 @@ def _cmd_constants(args) -> int:
 def _cmd_identities(args) -> int:
     f = parse_function(args.f)
     g = parse_function(args.g)
-    iv = make_interval(args.a, args.b)
+    iv = Interval(args.a, args.b)
     validate_split_point(iv, args.x)
     pair = DifferentiablePair.from_family(f, DomainSpec(max(iv.b, 1.0)))
     pair.validate_finite_difference(iv)

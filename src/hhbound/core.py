@@ -23,12 +23,10 @@ __all__ = [
     "EvalDomainError",
     "InvalidCaseError",
     "Interval",
-    "make_interval",
     "DomainSpec",
     "RealFunction",
     "parse_function",
     "registry_eval",
-    "registry_families",
     "derivative",
     "DifferentiablePair",
     "ConvexityParams",
@@ -73,7 +71,8 @@ class InvalidCaseError(HHBoundError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with finite endpoints and a < b."""
+    """Closed interval [a, b] with finite endpoints and a < b, stored as
+    floats."""
 
     a: float
     b: float
@@ -83,6 +82,8 @@ class Interval:
             raise InvalidIntervalError(f"endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise InvalidIntervalError(f"need a < b, got [{self.a}, {self.b}]")
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
 
     @property
     def width(self) -> float:
@@ -98,11 +99,6 @@ class Interval:
 
     def contains(self, t: float) -> bool:
         return self.a <= t <= self.b
-
-
-def make_interval(a: float, b: float) -> Interval:
-    """Construct a validated interval; raises InvalidIntervalError otherwise."""
-    return Interval(float(a), float(b))
 
 
 @dataclass(frozen=True)
@@ -272,11 +268,6 @@ def registry_eval(fn: RealFunction, t):
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def registry_families() -> tuple[str, ...]:
-    """Names of the families accepted by parse_function."""
-    return _PUBLIC_FAMILIES
 
 
 def parse_function(spec: str) -> RealFunction:
@@ -514,9 +505,13 @@ _SUP_MARGIN = 4.0 * math.ulp(1.0)
 def validate_g_sup(g: RealFunction, iv: Interval, g_sup: float) -> None:
     """Raise InvalidCaseError unless g_sup is finite and at least the exact
     sup of |g| on [a, b] (sup_norm), less a margin of a few ulps."""
+    _check_g_sup(g_sup, sup_norm(g, iv))
+
+
+def _check_g_sup(g_sup: float, exact: float) -> None:
+    """validate_g_sup against an exact sup the caller already has."""
     if not math.isfinite(g_sup):
         raise InvalidCaseError(f"g_sup must be finite, got {g_sup}")
-    exact = sup_norm(g, iv)
     if g_sup < exact * (1.0 - _SUP_MARGIN):
         raise InvalidCaseError(
             f"g_sup = {g_sup:.12g} below sup |g| = {exact:.12g}"

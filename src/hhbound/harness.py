@@ -55,6 +55,7 @@ from .bounds import (
 )
 from .convexity import GridSpec, Verdict, check_hypotheses
 from .core import (
+    _check_g_sup,
     BoundCase,
     BoundReport,
     ConvexityParams,
@@ -67,7 +68,6 @@ from .core import (
     parse_function,
     sup_norm,
     validate_case_params,
-    validate_g_sup,
     validate_split_point,
 )
 from .quadrature import lhs_endpoint_at, lhs_point_at
@@ -445,7 +445,9 @@ class _SpecRun:
     every combination of the spec, before the gate sees any of them: the
     g_sup check once, the q, [a, b] and b/m checks once per (q, m), and the
     theorem checks once per theorem. So an invalid combination is an error
-    whether or not the gate would admit it. CaseSpec checks x_values; swept
+    whether or not the gate would admit it. sup|g| is computed once per
+    spec: g_sup is the explicit one or that sup times SUP_SAFETY_FACTOR, and
+    the g_sup check reads the same sup. CaseSpec checks x_values; swept
     and seeded split points lie in [a, b] by construction.
     """
 
@@ -459,11 +461,10 @@ class _SpecRun:
         self.pair = DifferentiablePair.from_family(
             self.f, DomainSpec(spec.effective_b_star()))
         self.pair.validate_finite_difference(self.iv)
-        if spec.g_sup is not None:
-            self.g_sup = spec.g_sup
-        else:
-            self.g_sup = sup_norm(self.g, self.iv) * SUP_SAFETY_FACTOR
-        validate_g_sup(self.g, self.iv, self.g_sup)
+        exact_sup = sup_norm(self.g, self.iv)
+        self.g_sup = (exact_sup * SUP_SAFETY_FACTOR if spec.g_sup is None
+                      else spec.g_sup)
+        _check_g_sup(self.g_sup, exact_sup)
         self.params = tuple(ConvexityParams(alpha, m) for alpha in spec.alpha_values
                             for m in spec.m_values)
         # validate_case_params reads m and not alpha

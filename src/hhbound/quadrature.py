@@ -17,12 +17,14 @@ the integral, the oracle instead runs its levels once more against the
 value it computed.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
-and point rule), integrated piece by piece between the knots of f and g, the
-kernel and step-weight primitives behind them, and the residuals of the two
-integral identities that generate the bounds. The
-residuals and the step-weight profile read the antiderivative of the weight
-from one cubic Hermite table per (g, a, b), with nodes on the knots of a
-piecewise weight, so smooth and piecewise weights take the same path.
+and point rule), integrated piece by piece between the knots of f and g; the
+kernel and step-weight primitives behind them, which integrate g piece by
+piece between its knots; and the residuals of the two integral identities
+that generate the bounds. One routine, ``_integral_between``, splits every
+piecewise integral at its knots. The residuals and the step-weight profile
+read the antiderivative of the weight from one cubic Hermite table per
+(g, a, b), with nodes on the knots of a piecewise weight, so smooth and
+piecewise weights take the same path.
 """
 
 from __future__ import annotations
@@ -248,10 +250,28 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     return _integrate_cached(fn, iv.a, iv.b, tol)
 
 
-def _integral_between(fn, lo: float, hi: float, tol: float) -> IntegralResult:
+def _integral_between(fn, lo: float, hi: float, tol: float,
+                      knots=()) -> IntegralResult:
+    """Integral of fn over [lo, hi], summed over the pieces between the knots
+    strictly inside it, as QUADPACK's QAGP does with breakpoints (Piessens et
+    al., QUADPACK, 1983): a feature between the oracle's samples can hide
+    inside one panel, but not across a piece boundary. Without an inner knot
+    this is one oracle call; with lo == hi it is a zero result."""
     if lo == hi:
         return IntegralResult(0.0, 0.0, 0)
-    return integrate(fn, Interval(lo, hi), tol)
+    edges = [lo, *sorted({k for k in knots if lo < k < hi}), hi]
+    return _sum_results([integrate(fn, Interval(p, r), tol)
+                         for p, r in zip(edges[:-1], edges[1:])])
+
+
+def _sum_results(pieces: list[IntegralResult]) -> IntegralResult:
+    """Integral over adjacent pieces: values, error estimates and evaluations
+    summed; one piece is returned as it is."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return IntegralResult(sum(p.value for p in pieces),
+                          sum(p.error_estimate for p in pieces),
+                          sum(p.evaluations for p in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +280,10 @@ def _integral_between(fn, lo: float, hi: float, tol: float) -> IntegralResult:
 _KERNEL_TOL = 1e-12
 
 
-def kernel_K(g, iv: Interval, x: float, t: float) -> float:
+def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     """Signed integral of g from x to t, for x, t inside ``iv``, to the
-    oracle tolerance 1e-12.
+    oracle tolerance 1e-12, with g integrated piece by piece between its
+    knots.
 
     Antisymmetric in (x, t) by construction: the integral is always computed
     over the sorted pair and the sign attached afterwards.
@@ -270,27 +291,25 @@ def kernel_K(g, iv: Interval, x: float, t: float) -> float:
     for p in (x, t):
         if not iv.contains(p):
             raise HHBoundError(f"kernel point {p} outside [{iv.a}, {iv.b}]")
-    if x == t:
-        return 0.0
-    lo, hi = (x, t) if x < t else (t, x)
-    val = integrate(g, Interval(lo, hi), _KERNEL_TOL).value
-    return val if x < t else -val
+    val = _integral_between(g, min(x, t), max(x, t), _KERNEL_TOL, g.knots).value
+    return val if x <= t else -val
 
 
-def step_weight(g, iv: Interval, x: float, t: float) -> tuple[float, float]:
+def step_weight(g: RealFunction, iv: Interval, x: float,
+                t: float) -> tuple[float, float]:
     """Signed cumulative weight with a jump at x, and its kink envelope.
 
     For t < x returns (integral of g over [a, t], t - a); for t >= x returns
     (minus the integral of g over [t, b], b - t), each integral taken to the
-    oracle tolerance 1e-12. The envelope bound |first| <= sup|g| * second
-    holds for every t.
+    oracle tolerance 1e-12, piece by piece between the knots of g. The
+    envelope bound |first| <= sup|g| * second holds for every t.
     """
     if not iv.contains(t) or not iv.contains(x):
         raise HHBoundError(f"step-weight points ({x}, {t}) outside [{iv.a}, {iv.b}]")
     if t < x:
-        sg = _integral_between(g, iv.a, t, _KERNEL_TOL).value
+        sg = _integral_between(g, iv.a, t, _KERNEL_TOL, g.knots).value
         return sg, t - iv.a
-    sg = -_integral_between(g, t, iv.b, _KERNEL_TOL).value
+    sg = -_integral_between(g, t, iv.b, _KERNEL_TOL, g.knots).value
     return sg, iv.b - t
 
 
@@ -376,28 +395,12 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
     return abs(val), err
 
 
-def _lhs_integral(fn, knots: list[float], lo: float, hi: float) -> IntegralResult:
-    """Integral of fn over [lo, hi] summed over the pieces between the knots
-    inside it, with their error estimates and evaluations, as QUADPACK's QAGP
-    does with breakpoints (Piessens et al., QUADPACK, 1983): a feature
-    between the oracle's samples can hide inside one panel, but not across a
-    piece boundary. Without an inner knot this is one oracle call."""
-    edges = [lo, *(k for k in knots if lo < k < hi), hi]
-    pieces = [_integral_between(fn, p, r, _LHS_TOL)
-              for p, r in zip(edges[:-1], edges[1:])]
-    if len(pieces) == 1:
-        return pieces[0]
-    return IntegralResult(sum(p.value for p in pieces),
-                          sum(p.error_estimate for p in pieces),
-                          sum(p.evaluations for p in pieces))
-
-
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
                      x: float) -> tuple[float, float]:
-    knots = sorted({*f.knots, *g.knots})
-    i_left = _lhs_integral(g, knots, iv.a, x)
-    i_right = _lhs_integral(g, knots, x, iv.b)
-    i_fg = _lhs_integral(Product(f, g), knots, iv.a, iv.b)
+    knots = (*f.knots, *g.knots)
+    i_left = _integral_between(g, iv.a, x, _LHS_TOL, knots)
+    i_right = _integral_between(g, x, iv.b, _LHS_TOL, knots)
+    i_fg = _integral_between(Product(f, g), iv.a, iv.b, _LHS_TOL, knots)
     fa, fb = f(iv.a), f(iv.b)
     val = fa * i_left.value + fb * i_right.value - i_fg.value
     err = (abs(fa) * i_left.error_estimate + abs(fb) * i_right.error_estimate
@@ -414,9 +417,9 @@ def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
                   x: float) -> tuple[float, float]:
-    knots = sorted({*f.knots, *g.knots})
-    i_g = _lhs_integral(g, knots, iv.a, iv.b)
-    i_fg = _lhs_integral(Product(f, g), knots, iv.a, iv.b)
+    knots = (*f.knots, *g.knots)
+    i_g = _integral_between(g, iv.a, iv.b, _LHS_TOL, knots)
+    i_fg = _integral_between(Product(f, g), iv.a, iv.b, _LHS_TOL, knots)
     fx = f(x)
     val = fx * i_g.value - i_fg.value
     err = abs(fx) * i_g.error_estimate + i_fg.error_estimate

@@ -316,6 +316,17 @@ def test_identities_within_tolerance(capsys):
     assert "within tolerance" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("f, g", [("monomial:2", "affine:-1:0"),
+                                  ("exp", "sin:10")])
+def test_identities_hold_for_a_weight_of_either_sign(f, g, capsys):
+    # the bounds use g only through |W(t) - W(s)| <= sup|g| |t - s|, W an
+    # antiderivative of g, so a negative or sign-changing weight is valid
+    code = main(["identities", "--f", f, "--g", g,
+                 "--a", "0", "--b", "1", "--x", "0.3"])
+    assert code == 0
+    assert "within tolerance" in capsys.readouterr().out
+
+
 def test_identities_rejects_non_finite_f_in_one_line(tmp_path):
     # e**(800 t) overflows on [0, 1]: the derivative check rejects it before
     # the oracle runs into warnings and its panel budget

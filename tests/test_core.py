@@ -21,10 +21,8 @@ from hhbound import (
     TheoremId,
     UnknownFamilyError,
     derivative,
-    make_interval,
     parse_function,
     registry_eval,
-    registry_families,
     sup_norm,
 )
 from hhbound.core import validate_g_sup
@@ -60,9 +58,12 @@ def test_interval_rejects_bad_endpoints(a, b):
         Interval(a, b)
 
 
-def test_make_interval_casts():
-    iv = make_interval(0, 2)
-    assert isinstance(iv.a, float) and iv.b == 2.0
+def test_interval_casts_endpoints_to_float():
+    iv = Interval(0, 2)
+    assert type(iv.a) is float and type(iv.b) is float and iv.b == 2.0
+    assert iv == Interval(0.0, 2.0)
+    with pytest.raises(TypeError):
+        Interval("0", 2)
 
 
 def test_domain_spec_requires_positive():
@@ -73,9 +74,10 @@ def test_domain_spec_requires_positive():
         DomainSpec(-1.0)
 
 
-def test_registry_families_listed():
-    fams = registry_families()
-    assert "monomial" in fams and "pwlinear" in fams
+def test_unknown_family_error_lists_families():
+    with pytest.raises(UnknownFamilyError) as exc:
+        parse_function("bogus:1")
+    assert "monomial" in str(exc.value) and "pwlinear" in str(exc.value)
     # internal helper families are not parseable
     with pytest.raises(UnknownFamilyError):
         parse_function("cmonomial:1:1")

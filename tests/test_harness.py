@@ -362,6 +362,34 @@ def test_run_suite_rejects_invalid_combination_whatever_the_gate(
     assert errors == [message, message]
 
 
+def test_run_suite_computes_sup_once_per_spec(tmp_path, monkeypatch):
+    # validate_g_sup reads core's sup_norm, so both names are counted
+    import hhbound.core as core
+    import hhbound.harness as harness
+
+    calls = []
+
+    def counting_sup_norm(g, iv):
+        calls.append((g, iv))
+        return sup_norm(g, iv)
+
+    monkeypatch.setattr(harness, "sup_norm", counting_sup_norm)
+    monkeypatch.setattr(core, "sup_norm", counting_sup_norm)
+    assert len(_run_one(tmp_path).reports) == 1
+    assert len(calls) == 1
+    calls.clear()
+    assert len(_run_one(tmp_path, g_sup=1.0).reports) == 1
+    assert len(calls) == 1
+
+
+def test_run_suite_rejects_overflowing_computed_g_sup(tmp_path):
+    # the sup of e**(800 t) on [0, 1] overflows; unchecked, the oracle runs
+    # to its panel budget before failing
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidCaseError, match="g_sup must be finite, got inf"):
+        _run_one(tmp_path, g="exp:800")
+
+
 def test_run_suite_rejects_zero_alpha_the_gate_rejects(tmp_path):
     # the check of (alpha, m) in (0, 1]^2 ran only for admitted combinations
     with pytest.raises(InvalidParamsError, match=r"T21 needs \(alpha, m\)"):

@@ -264,7 +264,32 @@ def test_step_weight_branches():
     assert abs(sg + 1.0) <= 1e-12 and s == 0.5
 
 
-@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:0:0.5:1:1:0"])
+# a spike of height 1e5 and width 1e-5 falls between the oracle's samples of
+# [0, 1]: unsplit, the lhs integrals of g and the kernel primitives came back
+# as 0.001 with estimate 0
+MOVED_SPIKE = ("pwlinear:0:0.001:0.50003:0.001:0.500035:100000:0.50004:0.001"
+               ":1:0.001")
+
+
+def _piecewise_exact(fn, knots, lo, hi):
+    # Gauss-Legendre with 3 nodes is exact for a cubic such as t**2 * g(t) on
+    # each piece between the knots of a piecewise-linear g
+    gt, gw = np.polynomial.legendre.leggauss(3)
+    edges = [lo, *(k for k in knots if lo < k < hi), hi]
+    total = 0.0
+    for p, r in zip(edges[:-1], edges[1:]):
+        total += 0.5 * (r - p) * float(fn(0.5 * (p + r) + 0.5 * (r - p) * gt) @ gw)
+    return total
+
+
+def test_kernel_primitives_see_a_spike_between_samples():
+    g = parse_function(MOVED_SPIKE)
+    exact = _piecewise_exact(g, g.knots, 0.0, 1.0)
+    assert abs(kernel_K(g, UNIT, 0.0, 1.0) - exact) <= 1e-9
+    assert step_weight(g, UNIT, 0.0, 0.0)[0] == -kernel_K(g, UNIT, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:0:0.5:1:1:0", MOVED_SPIKE])
 def test_step_weight_profile_matches_pointwise(gspec):
     g = parse_function(gspec)
     ts, sg, s = step_weight_profile(g, UNIT, 0.3, 41)
@@ -321,23 +346,6 @@ def test_lhs_endpoint_at_a():
     # at x = a the rule is f(b) * integral(g) against integral(fg)
     f, g = parse_function("monomial:2"), parse_function("const:1")
     assert abs(lhs_endpoint_at(f, g, UNIT, 0.0)[0] - 2.0 / 3.0) <= 1e-9
-
-
-# a spike of height 1e5 and width 1e-5 falls between the oracle's samples of
-# [0, 1]: unsplit, both integrals of g came back as 0.001 with estimate 0
-MOVED_SPIKE = ("pwlinear:0:0.001:0.50003:0.001:0.500035:100000:0.50004:0.001"
-               ":1:0.001")
-
-
-def _piecewise_exact(fn, knots, lo, hi):
-    # Gauss-Legendre with 3 nodes is exact for the cubic t**2 * g(t) on each
-    # piece between knots
-    gt, gw = np.polynomial.legendre.leggauss(3)
-    edges = [lo, *(k for k in knots if lo < k < hi), hi]
-    total = 0.0
-    for p, r in zip(edges[:-1], edges[1:]):
-        total += 0.5 * (r - p) * float(fn(0.5 * (p + r) + 0.5 * (r - p) * gt) @ gw)
-    return total
 
 
 def test_lhs_sees_a_spike_between_samples():
