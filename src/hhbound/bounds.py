@@ -31,7 +31,6 @@ from .core import (
     Interval,
     RealFunction,
     TheoremId,
-    registry_eval,
     validate_q,
     validate_split_point,
 )
@@ -361,8 +360,8 @@ def is_symmetric_about_midpoint(g: RealFunction, iv: Interval) -> bool:
     inner = [k for k in g.knots if iv.a < k < iv.b]
     s = np.concatenate((np.linspace(0.0, iv.width, _SYMMETRY_SAMPLES),
                         [k - iv.a for k in inner], [iv.b - k for k in inner]))
-    fwd = np.asarray(registry_eval(g, iv.a + s))
-    bwd = np.asarray(registry_eval(g, iv.b - s))
+    fwd = np.asarray(g(iv.a + s))
+    bwd = np.asarray(g(iv.b - s))
     return bool(np.max(np.abs(fwd - bwd)) <= _SYMMETRY_TOL)
 
 
@@ -388,7 +387,7 @@ def _check_theorem(tid: TheoremId, g: RealFunction, iv: Interval,
 
 
 def _derivative_magnitude(fp: RealFunction, t: float) -> float:
-    return abs(float(registry_eval(fp, t)))
+    return abs(fp(t))
 
 
 def _closed_form_rhs(tid: TheoremId, iv: Interval, x: float, q: float,

@@ -107,11 +107,14 @@ class AbsPower:
 
 def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
                  m: float) -> np.ndarray:
-    """The combinations t*x + m*(1-t)*y over the (x, y, t) grid."""
+    """The combinations t*x + m*(1-t)*y over the (x, y, t) grid, clipped at
+    xs[-1] = b_star: rounding can carry one an ulp past it, outside the knot
+    range of a piecewise fn that ends at b_star."""
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
-    return T * X + m * (1.0 - T) * Y
+    points = T * X + m * (1.0 - T) * Y
+    return np.minimum(points, xs[-1], out=points)
 
 
 def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

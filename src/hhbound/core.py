@@ -10,7 +10,8 @@ cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "DomainSpec",
     "RealFunction",
     "parse_function",
-    "registry_eval",
     "derivative",
     "DifferentiablePair",
     "ConvexityParams",
@@ -119,99 +119,15 @@ class DomainSpec:
 # is again a registry function (possibly of an internal family), so analytic
 # derivatives never leave the registry.
 
-_PUBLIC_FAMILIES = (
-    "const",
-    "affine",
-    "poly",
-    "monomial",
-    "negmonomial",
-    "exp",
-    "sin",
-    "pwlinear",
-)
 
-
-def _validate_params(family_id: str, params: tuple[float, ...]) -> None:
-    n = len(params)
-    if family_id == "const":
-        ok = n == 1
-    elif family_id == "affine":
-        ok = n == 2
-    elif family_id == "poly":
-        ok = n >= 1
-    elif family_id in ("monomial", "negmonomial"):
-        ok = n == 1 and params[0] >= 1.0
-        if n == 1 and not ok:
-            raise InvalidParamsError(f"{family_id} exponent must be >= 1, got {params[0]}")
-    elif family_id == "cmonomial":
-        ok = n == 2 and params[1] >= 0.0
-    elif family_id == "exp":
-        ok = n == 1
-    elif family_id == "cexp":
-        ok = n == 2
-    elif family_id in ("sinw", "coswave"):
-        ok = n == 2
-    elif family_id == "sin":
-        ok = n == 1
-    elif family_id == "pwlinear":
-        ok = n >= 4 and n % 2 == 0 and np.all(np.diff(params[0::2]) > 0)
-    elif family_id == "pwconst":
-        ok = n >= 3 and n % 2 == 1 and np.all(np.diff(params[: (n + 1) // 2]) > 0)
-    else:
-        raise UnknownFamilyError(f"unknown family {family_id!r}")
-    if not ok:
-        raise InvalidParamsError(f"bad parameters for family {family_id!r}: {params}")
-    if not all(math.isfinite(p) for p in params):
-        raise InvalidParamsError(f"parameters must be finite: {params}")
-
-
-def _is_integer(p: float) -> bool:
-    return float(p) == int(p)
-
-
-def _eval_family(family_id: str, params: tuple[float, ...], t: np.ndarray) -> np.ndarray:
-    if family_id == "const":
-        return np.full_like(t, params[0], dtype=float)
-    if family_id == "affine":
-        return params[0] + params[1] * t
-    if family_id == "poly":
-        return np.polynomial.polynomial.polyval(t, np.asarray(params))
-    if family_id == "monomial":
-        return _powcheck(t, params[0])
-    if family_id == "negmonomial":
-        return -_powcheck(t, params[0])
-    if family_id == "cmonomial":
-        return params[0] * _powcheck(t, params[1])
-    if family_id == "exp":
-        return np.exp(params[0] * t)
-    if family_id == "cexp":
-        return params[0] * np.exp(params[1] * t)
-    if family_id == "sin":
-        return np.sin(params[0] * t)
-    if family_id == "sinw":
-        return params[0] * np.sin(params[1] * t)
-    if family_id == "coswave":
-        return params[0] * np.cos(params[1] * t)
-    if family_id == "pwlinear":
-        xs = np.asarray(params[0::2])
-        ys = np.asarray(params[1::2])
-        _knot_domain_check(t, xs)
-        return np.interp(t, xs, ys)
-    if family_id == "pwconst":
-        k = (len(params) + 1) // 2
-        xs = np.asarray(params[:k])
-        vs = np.asarray(params[k:])
-        _knot_domain_check(t, xs)
-        idx = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, k - 2)
-        return vs[idx]
-    raise UnknownFamilyError(f"unknown family {family_id!r}")
+_Params = tuple[float, ...]
 
 
 def _powcheck(t: np.ndarray, p: float) -> np.ndarray:
     # t**p for non-integer p is only defined for t >= 0
     if p == 0:
         return np.ones_like(t, dtype=float)
-    if not _is_integer(p) and np.any(t < 0):
+    if float(p) != int(p) and np.any(t < 0):
         raise EvalDomainError(f"t**{p} undefined for negative t")
     return np.power(t, p)
 
@@ -219,6 +135,108 @@ def _powcheck(t: np.ndarray, p: float) -> np.ndarray:
 def _knot_domain_check(t: np.ndarray, xs: np.ndarray) -> None:
     if np.any(t < xs[0]) or np.any(t > xs[-1]):
         raise EvalDomainError(f"evaluation outside knot range [{xs[0]}, {xs[-1]}]")
+
+
+def _arity(n: int) -> Callable[[_Params], bool]:
+    return lambda p: len(p) == n
+
+
+def _exponent_check(family_id: str) -> Callable[[_Params], bool]:
+    def check(p: _Params) -> bool:
+        if len(p) == 1 and not p[0] >= 1.0:
+            raise InvalidParamsError(f"{family_id} exponent must be >= 1, got {p[0]}")
+        return len(p) == 1
+    return check
+
+
+def _pwconst_knots(p: _Params) -> _Params:
+    return p[: (len(p) + 1) // 2]
+
+
+def _eval_pwlinear(p: _Params, t: np.ndarray) -> np.ndarray:
+    xs = np.asarray(p[0::2])
+    _knot_domain_check(t, xs)
+    return np.interp(t, xs, np.asarray(p[1::2]))
+
+
+def _eval_pwconst(p: _Params, t: np.ndarray) -> np.ndarray:
+    xs = np.asarray(_pwconst_knots(p))
+    _knot_domain_check(t, xs)
+    idx = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
+    return np.asarray(p[len(xs):])[idx]
+
+
+def _poly_derivative(p: _Params) -> tuple[str, _Params]:
+    if len(p) == 1:
+        return "const", (0.0,)
+    return "poly", tuple(p[i] * i for i in range(1, len(p)))
+
+
+def _cmonomial_derivative(p: _Params) -> tuple[str, _Params]:
+    c, q = p
+    if q == 0:
+        return "const", (0.0,)
+    if q < 1:
+        raise InvalidParamsError(f"derivative of t**{q} is singular at 0")
+    return "cmonomial", (c * q, q - 1.0)
+
+
+def _pwlinear_derivative(p: _Params) -> tuple[str, _Params]:
+    xs = np.asarray(p[0::2])
+    slopes = np.diff(np.asarray(p[1::2])) / np.diff(xs)
+    return "pwconst", tuple(xs) + tuple(slopes)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the library knows of one family, as functions of its params."""
+
+    check: Callable[[_Params], bool]  # admissible? (or raises its own message)
+    evaluate: Callable[[_Params, np.ndarray], np.ndarray]
+    derivative: Callable[[_Params], tuple[str, _Params]] | None  # (family, params)
+    public: bool = False  # parse_function accepts it
+    bare: _Params = ()  # the params of a spec that gives none
+    knots: Callable[[_Params], _Params] = lambda p: ()  # end knots included
+    # |c sin(w t)| and |c cos(w t)| crest at w t = crest_phase + k pi, k an integer
+    crest_phase: float | None = None
+
+
+_FAMILIES: dict[str, _Family] = {
+    "const": _Family(_arity(1), lambda p, t: np.full_like(t, p[0], dtype=float),
+                     lambda p: ("const", (0.0,)), public=True),
+    "affine": _Family(_arity(2), lambda p, t: p[0] + p[1] * t,
+                      lambda p: ("const", (p[1],)), public=True),
+    "poly": _Family(lambda p: len(p) >= 1,
+                    lambda p, t: np.polynomial.polynomial.polyval(t, np.asarray(p)),
+                    _poly_derivative, public=True),
+    "monomial": _Family(_exponent_check("monomial"), lambda p, t: _powcheck(t, p[0]),
+                        lambda p: ("cmonomial", (p[0], p[0] - 1.0)), public=True),
+    "negmonomial": _Family(_exponent_check("negmonomial"),
+                           lambda p, t: -_powcheck(t, p[0]),
+                           lambda p: ("cmonomial", (-p[0], p[0] - 1.0)), public=True),
+    "cmonomial": _Family(lambda p: len(p) == 2 and p[1] >= 0.0,
+                         lambda p, t: p[0] * _powcheck(t, p[1]), _cmonomial_derivative),
+    "exp": _Family(_arity(1), lambda p, t: np.exp(p[0] * t),
+                   lambda p: ("cexp", (p[0], p[0])), public=True, bare=(1.0,)),
+    "cexp": _Family(_arity(2), lambda p, t: p[0] * np.exp(p[1] * t),
+                    lambda p: ("cexp", (p[0] * p[1], p[1]))),
+    "sin": _Family(_arity(1), lambda p, t: np.sin(p[0] * t),
+                   lambda p: ("coswave", (p[0], p[0])), public=True, bare=(1.0,),
+                   crest_phase=0.5 * math.pi),
+    "sinw": _Family(_arity(2), lambda p, t: p[0] * np.sin(p[1] * t),
+                    lambda p: ("coswave", (p[0] * p[1], p[1])),
+                    crest_phase=0.5 * math.pi),
+    "coswave": _Family(_arity(2), lambda p, t: p[0] * np.cos(p[1] * t),
+                       lambda p: ("sinw", (-p[0] * p[1], p[1])), crest_phase=0.0),
+    "pwlinear": _Family(
+        lambda p: len(p) >= 4 and len(p) % 2 == 0 and np.all(np.diff(p[0::2]) > 0),
+        _eval_pwlinear, _pwlinear_derivative, public=True, knots=lambda p: p[0::2]),
+    "pwconst": _Family(
+        lambda p: len(p) >= 3 and len(p) % 2 == 1 and np.all(np.diff(_pwconst_knots(p)) > 0),
+        _eval_pwconst, None, knots=_pwconst_knots),
+}
+
+_PUBLIC_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.public)
 
 
 @dataclass(frozen=True)
@@ -234,10 +252,24 @@ class RealFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        _validate_params(self.family_id, self.params)
+        family = _FAMILIES.get(self.family_id)
+        if family is None:
+            raise UnknownFamilyError(f"unknown family {self.family_id!r}")
+        if not family.check(self.params):
+            raise InvalidParamsError(
+                f"bad parameters for family {self.family_id!r}: {self.params}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise InvalidParamsError(f"parameters must be finite: {self.params}")
 
     def __call__(self, t):
-        return registry_eval(self, t)
+        """fn at scalar or array t, a float for a scalar; EvalDomainError
+        outside the family's natural domain (negative t for a non-integer
+        power, t beyond the knots of a piecewise family)."""
+        arr = np.asarray(t, dtype=float)
+        out = _FAMILIES[self.family_id].evaluate(self.params, arr)
+        if np.isscalar(t) or arr.ndim == 0:
+            return float(out)
+        return out
 
     @property
     def label(self) -> str:
@@ -249,25 +281,7 @@ class RealFunction:
     def knots(self) -> tuple[float, ...]:
         """Breakpoints of a piecewise family, end knots included; empty for
         the smooth families, which have continuous derivatives of all orders."""
-        if self.family_id == "pwlinear":
-            return self.params[0::2]
-        if self.family_id == "pwconst":
-            return self.params[: (len(self.params) + 1) // 2]
-        return ()
-
-
-def registry_eval(fn: RealFunction, t):
-    """Evaluate ``fn`` at scalar or array ``t``.
-
-    Raises EvalDomainError outside the family's natural domain (negative
-    arguments for non-integer powers, points beyond piecewise knot ranges)
-    and UnknownFamilyError for an unregistered family.
-    """
-    arr = np.asarray(t, dtype=float)
-    out = _eval_family(fn.family_id, fn.params, arr)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
+        return _FAMILIES[self.family_id].knots(self.params)
 
 
 def parse_function(spec: str) -> RealFunction:
@@ -284,52 +298,15 @@ def parse_function(spec: str) -> RealFunction:
         params = tuple(float(p) for p in parts[1:])
     except ValueError as exc:
         raise InvalidParamsError(f"non-numeric parameter in {spec!r}") from exc
-    if name == "exp" and not params:
-        params = (1.0,)
-    if name == "sin" and not params:
-        params = (1.0,)
-    return RealFunction(name, params)
+    return RealFunction(name, params or _FAMILIES[name].bare)
 
 
 def derivative(fn: RealFunction) -> RealFunction:
     """Analytic derivative of a registry function, as a registry function."""
-    fam, p = fn.family_id, fn.params
-    if fam == "const":
-        return RealFunction("const", (0.0,))
-    if fam == "affine":
-        return RealFunction("const", (p[1],))
-    if fam == "poly":
-        if len(p) == 1:
-            return RealFunction("const", (0.0,))
-        dp = tuple(p[i] * i for i in range(1, len(p)))
-        return RealFunction("poly", dp)
-    if fam == "monomial":
-        return RealFunction("cmonomial", (p[0], p[0] - 1.0))
-    if fam == "negmonomial":
-        return RealFunction("cmonomial", (-p[0], p[0] - 1.0))
-    if fam == "cmonomial":
-        c, q = p
-        if q == 0:
-            return RealFunction("const", (0.0,))
-        if q < 1:
-            raise InvalidParamsError(f"derivative of t**{q} is singular at 0")
-        return RealFunction("cmonomial", (c * q, q - 1.0))
-    if fam == "exp":
-        return RealFunction("cexp", (p[0], p[0]))
-    if fam == "cexp":
-        return RealFunction("cexp", (p[0] * p[1], p[1]))
-    if fam == "sin":
-        return RealFunction("coswave", (p[0], p[0]))
-    if fam == "sinw":
-        return RealFunction("coswave", (p[0] * p[1], p[1]))
-    if fam == "coswave":
-        return RealFunction("sinw", (-p[0] * p[1], p[1]))
-    if fam == "pwlinear":
-        xs = np.asarray(p[0::2])
-        ys = np.asarray(p[1::2])
-        slopes = np.diff(ys) / np.diff(xs)
-        return RealFunction("pwconst", tuple(xs) + tuple(slopes))
-    raise InvalidParamsError(f"family {fam!r} has no registry derivative")
+    rule = _FAMILIES[fn.family_id].derivative
+    if rule is None:
+        raise InvalidParamsError(f"family {fn.family_id!r} has no registry derivative")
+    return RealFunction(*rule(fn.params))
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +329,19 @@ class DifferentiablePair:
         """Check f_prime against central differences of f on ``iv``.
 
         Uses step h = 1e-6 * (b - a) on a 1000-point grid kept h away from the
-        interval ends (so one-sided domain restrictions never bite). Returns
-        the worst absolute deviation and raises InvalidCaseError when the
-        deviation is not finite (f or f_prime overflowed or is undefined) or
-        exceeds 1e-4 * (1 + |f_prime|) anywhere.
+        interval ends (so one-sided domain restrictions never bite) and from
+        the knots of f, where f has no derivative. Returns the worst absolute
+        deviation and raises InvalidCaseError when the deviation is not
+        finite (f or f_prime overflowed or is undefined) or exceeds
+        1e-4 * (1 + |f_prime|) anywhere.
         """
         h = 1e-6 * iv.width
         ts = np.linspace(iv.a + h, iv.b - h, 1000)
+        for k in self.f.knots:
+            ts = ts[np.abs(ts - k) > h]
         with np.errstate(over="ignore", invalid="ignore"):
-            fd = (registry_eval(self.f, ts + h)
-                  - registry_eval(self.f, ts - h)) / (2.0 * h)
-            fp = registry_eval(self.f_prime, ts)
+            fd = (self.f(ts + h) - self.f(ts - h)) / (2.0 * h)
+            fp = self.f_prime(ts)
             err = np.abs(fd - fp)
             allowed = 1e-4 * (1.0 + np.abs(fp))
         finite = np.isfinite(err)
@@ -473,28 +452,26 @@ def validate_case_params(iv: Interval, q: float, params: ConvexityParams,
         )
 
 
-# |c sin(w t)| and |c cos(w t)| crest at w t = phase + k pi, k an integer
-_WAVE_PHASES = {"sin": 0.5 * math.pi, "sinw": 0.5 * math.pi, "coswave": 0.0}
-
-
 def sup_norm(g: RealFunction, iv: Interval) -> float:
     """Exact sup of |g| on ``iv``: the amplitude of a sine family when a
     crest lies in [a, b], else the largest |g| at the endpoints, the
     interior knots and the interior real parts of the roots of g' (``poly``).
-    Every other family is monotone, or has monotone |g|."""
+    Every other family is monotone, or has monotone |g|. A |g| that
+    overflows gives inf, which validate_g_sup rejects."""
     a, b = iv.a, iv.b
     ts = [a, b, *(k for k in g.knots if a < k < b)]
+    phase = _FAMILIES[g.family_id].crest_phase
     if g.family_id == "poly":
         roots = np.polynomial.polynomial.polyroots(derivative(g).params)
         ts += [float(r.real) for r in roots if a < r.real < b]
-    elif g.family_id in _WAVE_PHASES and g.params[-1] != 0.0:
+    elif phase is not None and g.params[-1] != 0.0:
         # is the first crest at or after a inside [a, b]? |g| there is the
         # amplitude, which |g| at the nearest float can miss when w t is large
         w = abs(g.params[-1])
-        phase = _WAVE_PHASES[g.family_id]
         if (phase + math.ceil((a * w - phase) / math.pi) * math.pi) / w <= b:
             return 1.0 if g.family_id == "sin" else abs(g.params[0])
-    return float(np.max(np.abs(registry_eval(g, np.array(ts)))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(g(np.array(ts)))))
 
 
 # a g_sup up to 4 ulps below the exact sup still passes, so the rounding of

@@ -39,7 +39,6 @@ from .core import (
     HHBoundError,
     Interval,
     RealFunction,
-    registry_eval,
     sup_norm,
 )
 
@@ -338,7 +337,7 @@ class _AntiderivativeTable:
         nodes = np.union1d(np.linspace(a, b, _TABLE_NODES), inner)
         lo, hi = nodes[:-1], nodes[1:]
         n = len(lo)
-        vals = np.asarray(registry_eval(g, np.concatenate(
+        vals = np.asarray(g(np.concatenate(
             (np.nextafter(lo, np.inf), 0.5 * (lo + hi), np.nextafter(hi, -np.inf)))))
         d0, mid, d1 = vals[:n], vals[n:2 * n], vals[2 * n:]
         h = hi - lo

@@ -70,16 +70,20 @@ def test_verify_rejects_zero_m(tmp_path, capsys):
         "hhbound verify: error: m = 0 leaves no evaluable scaled endpoint b/m"]
 
 
-@pytest.mark.parametrize("f, m, q, message", [
+@pytest.mark.parametrize("f, g, m, q, message", [
     # f = e**(800 t) overflows inside [0, 1], so the derivative check is NaN
-    ("exp:800", "1", "1", "derivative check for exp:800 is not finite"),
+    ("exp:800", "const:1", "1", "1", "derivative check for exp:800 is not finite"),
     # f' = 250 e**(250 t) overflows on the gate domain [0, b/m] = [0, 4]
-    ("exp:250", "0.25", "1", "|f'|**q is not finite on [0, 4] for f = exp:250"),
+    ("exp:250", "const:1", "0.25", "1",
+     "|f'|**q is not finite on [0, 4] for f = exp:250"),
     # f' is finite on [0, 1] but its square is not
-    ("exp:700", "1", "2", "|f'|**q is not finite on [0, 1] for f = exp:700"),
-], ids=["derivative-check", "gate-derivative", "gate-power"])
-def test_verify_rejects_non_finite_case_in_one_line(f, m, q, message, tmp_path):
-    proc = _run_cli(tmp_path, "verify", "--f", f, "--g", "const:1", "--a", "0",
+    ("exp:700", "const:1", "1", "2",
+     "|f'|**q is not finite on [0, 1] for f = exp:700"),
+    # sup |g| = e**800 overflows to inf, which the g_sup check rejects
+    ("monomial:2", "exp:800", "1", "1", "g_sup must be finite, got inf"),
+], ids=["derivative-check", "gate-derivative", "gate-power", "weight-sup"])
+def test_verify_rejects_non_finite_case_in_one_line(f, g, m, q, message, tmp_path):
+    proc = _run_cli(tmp_path, "verify", "--f", f, "--g", g, "--a", "0",
                     "--b", "1", "--x", "0.5", "--q", q, "--alpha", "1",
                     "--m", m, "--theorem", "T21", "--out", "reports")
     assert proc.returncode == 1
@@ -87,6 +91,16 @@ def test_verify_rejects_non_finite_case_in_one_line(f, m, q, message, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("hhbound verify: error: " + message)
+
+
+def test_verify_v_shaped_f(tmp_path, capsys):
+    # |t - 1| on [0, 3]: the derivative check straddled its kink at t = 1,
+    # and the gate evaluated it an ulp past its last knot at b_star = 3
+    assert main(["verify", "--f", "pwlinear:0:1:1:0:3:2", "--g", "const:1",
+                 "--a", "0", "--b", "3", "--x", "1.5", "--q", "1", "--alpha",
+                 "1", "--m", "1", "--theorem", "T13", "--out",
+                 str(tmp_path)]) == 0
+    assert "lhs=2 rhs=2.2500022499999996 holds=true" in capsys.readouterr().out
 
 
 SPIKE = ("pwlinear:0:0.001:0.5078025:0.001:0.5078125:100000:0.5078225:0.001"

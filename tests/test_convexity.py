@@ -171,6 +171,15 @@ def test_hypothesis_gate_scans_working_domain():
     assert v.witness.x < 0.2
 
 
+def test_gate_scan_points_stay_inside_the_domain():
+    # t x + m (1 - t) y rounds to 3.0000000000000004 on the 51-point grid,
+    # past the last knot of this |t - 1|, whose |f'| then failed to evaluate
+    pair = DifferentiablePair.from_family(
+        parse_function("pwlinear:0:1:1:0:3:2"), DomainSpec(3.0))
+    assert _scan_points(*_domain_axes(3.0, GridSpec()), 1.0).max() == 3.0
+    assert check_hypothesis(pair, 1.0, PLAIN, Interval(0.0, 3.0)).holds
+
+
 def _gate_requests():
     unit = Interval(0.0, 1.0)
     square = DifferentiablePair.from_family(parse_function("monomial:2"), DOM)

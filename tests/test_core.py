@@ -22,7 +22,6 @@ from hhbound import (
     UnknownFamilyError,
     derivative,
     parse_function,
-    registry_eval,
     sup_norm,
 )
 from hhbound.core import validate_g_sup
@@ -108,29 +107,29 @@ def test_parse_rejects_garbage():
 
 
 def test_eval_known_values():
-    assert registry_eval(parse_function("poly:1:0:2"), 3.0) == 19.0
-    assert registry_eval(parse_function("affine:1:2"), 2.0) == 5.0
-    assert registry_eval(parse_function("negmonomial:2"), 3.0) == -9.0
-    assert np.isclose(registry_eval(parse_function("exp"), 1.0), math.e)
-    assert registry_eval(parse_function("pwlinear:0:0:2:1:4:0"), 1.0) == 0.5
+    assert parse_function("poly:1:0:2")(3.0) == 19.0
+    assert parse_function("affine:1:2")(2.0) == 5.0
+    assert parse_function("negmonomial:2")(3.0) == -9.0
+    assert np.isclose(parse_function("exp")(1.0), math.e)
+    assert parse_function("pwlinear:0:0:2:1:4:0")(1.0) == 0.5
 
 
 def test_eval_scalar_vs_array():
     fn = parse_function("poly:0:1:-1")
     ts = np.linspace(0.0, 1.0, 7)
-    arr = registry_eval(fn, ts)
+    arr = fn(ts)
     assert isinstance(arr, np.ndarray)
     for t, v in zip(ts, arr):
-        out = registry_eval(fn, float(t))
+        out = fn(float(t))
         assert isinstance(out, float)
         assert out == v
 
 
 def test_eval_domain_errors():
     with pytest.raises(EvalDomainError):
-        registry_eval(RealFunction("monomial", (1.5,)), -0.5)
+        RealFunction("monomial", (1.5,))(-0.5)
     with pytest.raises(EvalDomainError):
-        registry_eval(parse_function("pwlinear:0:0:1:1"), 1.5)
+        parse_function("pwlinear:0:0:1:1")(1.5)
 
 
 def test_knots():
@@ -146,7 +145,7 @@ def test_derivative_stays_in_registry(spec):
     d = derivative(fn)
     assert isinstance(d, RealFunction)
     # evaluable on the interior of the working domain
-    val = registry_eval(d, 1.0)
+    val = d(1.0)
     assert math.isfinite(val)
 
 
@@ -172,6 +171,17 @@ def test_finite_difference_rejects_non_finite_values(domain4):
     pair = DifferentiablePair.from_family(parse_function("exp:800"), domain4)
     with pytest.raises(InvalidCaseError, match="exp:800 is not finite"):
         pair.validate_finite_difference(Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("spec, b", [
+    ("pwlinear:0:1:1:0:3:2", 3.0),
+    ("pwlinear:0:0:0.3333333333333333:1:1:0", 1.0),
+], ids=["v-on-0-3", "tent-on-0-1"])
+def test_finite_difference_skips_the_kinks_of_f(spec, b):
+    # a knot at a third of [a, b] lies within h of a point of the 1,000-point
+    # grid, where the central difference straddles the kink: 0.333 vs 1
+    pair = DifferentiablePair.from_family(parse_function(spec), DomainSpec(b))
+    assert pair.validate_finite_difference(Interval(0.0, b)) <= 1e-4
 
 
 def test_convexity_params_range():
@@ -240,7 +250,7 @@ def test_bound_case_interval_beyond_domain(square_pair):
 def test_poly_derivative_matches_calculus(c0, c1, c2, t):
     fn = RealFunction("poly", (c0, c1, c2))
     d = derivative(fn)
-    assert math.isclose(registry_eval(d, t), c1 + 2.0 * c2 * t,
+    assert math.isclose(d(t), c1 + 2.0 * c2 * t,
                         rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -281,14 +291,13 @@ def test_sup_norm_is_exact(g, ends, smooth):
     iv = Interval(*ends)
     exact = sup_norm(g, iv)
     ts = np.linspace(*ends, 100001)
-    scan = float(np.max(np.abs(registry_eval(g, ts))))
+    scan = float(np.max(np.abs(g(ts))))
     assert exact >= scan
     if smooth:
         # a scan point lies within h/2 of the peak, where |g| is below the
         # sup by at most max|g''| (h/2)**2 / 2
         h = ts[1] - ts[0]
-        curvature = float(np.max(np.abs(registry_eval(
-            derivative(derivative(g)), ts))))
+        curvature = float(np.max(np.abs(derivative(derivative(g))(ts))))
         assert exact - scan <= curvature * h * h / 8.0 + 1e-12 * exact
 
 
@@ -304,7 +313,7 @@ def test_sup_norm_wave_far_from_origin():
 def test_sup_norm_finds_the_spike_a_scan_misses():
     g = parse_function(SPIKE)
     assert sup_norm(g, Interval(0.0, 1.0)) == 1e5
-    assert float(np.max(np.abs(registry_eval(g, np.linspace(0, 1, 10001))))) == 0.001
+    assert float(np.max(np.abs(g(np.linspace(0, 1, 10001))))) == 0.001
 
 
 def test_bound_case_rejects_g_sup_below_the_spike(square_pair):

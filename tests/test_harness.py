@@ -384,9 +384,9 @@ def test_run_suite_computes_sup_once_per_spec(tmp_path, monkeypatch):
 
 def test_run_suite_rejects_overflowing_computed_g_sup(tmp_path):
     # the sup of e**(800 t) on [0, 1] overflows; unchecked, the oracle runs
-    # to its panel budget before failing
-    with np.errstate(over="ignore"), pytest.raises(
-            InvalidCaseError, match="g_sup must be finite, got inf"):
+    # to its panel budget before failing; sup_norm computes the inf without
+    # a RuntimeWarning, which this suite turns into an error
+    with pytest.raises(InvalidCaseError, match="g_sup must be finite, got inf"):
         _run_one(tmp_path, g="exp:800")
 
 

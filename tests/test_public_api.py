@@ -17,8 +17,9 @@ import hhbound
 MODULES = ["core", "quadrature", "convexity", "bounds", "harness"]
 
 # thin duplicates of paths that stay (lhs_*_at; run_suite over a one-spec x
-# sweep; Interval; parse_function's error, which lists the families) and the
-# Hermite-Hadamard chain check, which is not one of the rules
+# sweep; Interval; parse_function's error, which lists the families; calling
+# the function) and the Hermite-Hadamard chain check, which is not one of the
+# rules
 REMOVED = [
     "lhs_endpoint",
     "lhs_point",
@@ -29,6 +30,7 @@ REMOVED = [
     "check_hermite_hadamard",
     "make_interval",
     "registry_families",
+    "registry_eval",
 ]
 
 

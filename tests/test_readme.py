@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hhbound import SuiteConfig, run_suite
+from hhbound import SuiteConfig, parse_function, run_suite
 from hhbound.cli import main
+from hhbound.core import _FAMILIES
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -59,3 +60,12 @@ def test_readme_suite_config_runs(tmp_path):
     # 9 split points for every (theorem, q, alpha, m) the gate admits
     assert len(result.reports) == 9 * (16 - result.hypothesis_rejections)
     assert result.reports
+
+
+def test_readme_spec_list_names_the_public_families():
+    (specs,) = re.findall(r"^Function families are referenced.*?\n\n(.*?)\n\n",
+                          README, re.M | re.S)
+    named = set(re.findall(r"`([a-z]+)[:`]", specs))
+    assert named == {name for name, fam in _FAMILIES.items() if fam.public}
+    # the list reads affine:c0:c1 as c0 + c1 t
+    assert parse_function("affine:1:2")(1.0) == 3.0
