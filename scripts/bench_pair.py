@@ -1,0 +1,171 @@
+"""Measure a change against its parent commit and write a BENCH_<name>.json.
+
+Run from the root of the changed checkout, with a checkout of the parent
+commit elsewhere:
+
+    python3 scripts/bench_pair.py --parent PATH --name row_loop \
+        --workload suite_default --pairs 10
+
+For each workload it runs ``bench/run.py --trace 0`` in the two checkouts as
+alternating pairs: even pairs run the parent first, odd pairs the change.
+Every run uses the same seed and run length. It records each side's op_s,
+setup_s and peak_rss_mb per run with their median and quartiles, and how many
+pairs the change won on op_s.
+
+It also runs the bundled suite once per checkout, in a fresh interpreter
+that imports that checkout's hhbound, and records deterministic counters of
+that run with the sha256 of both reports:
+
+- moment evaluations: calls of absolute_moment, trapezoid_moment and
+  midpoint_moment;
+- float-to-text conversions made by the two report writers. The
+  row-at-a-time writers (CaseReport.to_csv_row and _json_row) render all ten
+  reals of a row in each format. The block writers render shared texts
+  through format_real and _json_real, and a row's rhs, slack and tightness
+  inline, three per row and format.
+
+The result goes to BENCH_<name>.json in the current directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+_REPORTS = ("report.csv", "report.json")
+
+
+def count(out_dir: str) -> dict:
+    """Counters and report digests of one bundled-suite run of the hhbound
+    on sys.path."""
+    import hhbound.bounds as bounds
+    import hhbound.harness as harness
+
+    counts: Counter = Counter()
+
+    def counted(key: str, fn, weight: int = 1):
+        def wrapper(*args, **kwargs):
+            counts[key] += weight
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def rebind(module, name: str, key: str, weight: int = 1) -> None:
+        # calls through `from .x import y` bindings are counted too
+        original = getattr(module, name)
+        wrapped = counted(key, original, weight)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "hhbound" or mod_name.startswith("hhbound."):
+                if getattr(mod, name, None) is original:
+                    setattr(mod, name, wrapped)
+
+    for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
+        rebind(bounds, name, "moment_evaluations")
+    row_writers = hasattr(harness, "_json_row")
+    if row_writers:
+        harness.CaseReport.to_csv_row = counted(
+            "text_conversions", harness.CaseReport.to_csv_row, 10)
+        rebind(harness, "_json_row", "text_conversions", 10)
+    else:
+        rebind(harness, "format_real", "text_conversions")
+        rebind(harness, "_json_real", "text_conversions")
+
+    result = harness.run_suite(harness.default_suite(out_dir))
+    rows = len(result.reports)
+    if not row_writers:
+        counts["text_conversions"] += 2 * 3 * rows
+    digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+               for name in _REPORTS}
+    return {"rows": rows, **counts, "sha256": digests}
+
+
+def _src_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _counters(root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(Path(__file__).resolve().parent)])}
+    with tempfile.TemporaryDirectory() as out_dir:
+        code = ("import json, bench_pair; "
+                f"print(json.dumps(bench_pair.count({out_dir!r})))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=out_dir, env=env,
+                              check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, check=True, capture_output=True, text=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not result["correct"]:
+        raise RuntimeError(f"{root}: {workload} failed its output checks")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, type=Path,
+                   help="root of a checkout of the parent commit")
+    p.add_argument("--name", required=True, help="the file is BENCH_<name>.json")
+    p.add_argument("--workload", required=True, nargs="+")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seconds", type=float, default=20.0)
+    args = p.parse_args()
+
+    sides = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    record = {
+        "name": args.name,
+        "command": (f"python3 bench/run.py --workload W --seed {args.seed} "
+                    f"--seconds {args.seconds:g} --trace 0"),
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "machine": platform.machine()},
+        "src_sha256": {side: _src_digest(root) for side, root in sides.items()},
+        "counters": {side: _counters(root) for side, root in sides.items()},
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs: dict = {side: [] for side in sides}
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_bench(sides[side], workload, args.seed,
+                                         args.seconds))
+                print(f"{workload} pair {k} {side}: op_s "
+                      f"{runs[side][-1]['op_s']:.4g}", file=sys.stderr)
+        won = sum(c["op_s"] < p["op_s"] for p, c in zip(runs["parent"], runs["change"]))
+        record["workloads"][workload] = {
+            "pairs": args.pairs,
+            "change_won_op_s": won,
+            **{side: {metric: _summary([r[metric] for r in rs])
+                      for metric in ("op_s", "setup_s", "peak_rss_mb")}
+               for side, rs in runs.items()},
+        }
+    out = Path(f"BENCH_{args.name}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

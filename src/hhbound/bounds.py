@@ -17,7 +17,7 @@ the defining integral; the two routes are never collapsed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -390,26 +390,42 @@ def _derivative_magnitude(fp: RealFunction, t: float) -> float:
     return abs(fp(t))
 
 
-def _closed_form_rhs(tid: TheoremId, iv: Interval, x: float, q: float,
-                     params: ConvexityParams, fp_a: float, fp_b: float,
-                     fp_scaled: float | None, g_sup: float) -> float:
-    """Dispatch to the theorem's closed form; fp_scaled = |f'(b/m)| is used
-    by the class forms only, fp_b = |f'(b)| by the plain-convex ones."""
-    if tid.uses_class_params:
-        alpha, m = params.alpha, params.m
-        if tid is TheoremId.T21:
-            return trapezoid_rhs(iv, x, q, alpha, m, fp_a, fp_scaled, g_sup)
-        if tid is TheoremId.T22:
-            return midpoint_rhs(iv, x, q, alpha, m, fp_a, fp_scaled, g_sup)
-        if tid is TheoremId.C21:
-            return trapezoid_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
-        return midpoint_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
+def _closed_form_rhs(tid: TheoremId, iv: Interval, xs: Sequence[float],
+                     q: float, params: ConvexityParams, fp_a: float,
+                     fp_b: float, fp_scaled: float | None, g_sup: float,
+                     moments: dict) -> list[float]:
+    """The theorem's right-hand side at each x of xs, with the closed form
+    picked once for all of them; fp_scaled = |f'(b/m)| is used by the class
+    forms only, fp_b = |f'(b)| by the plain-convex ones.
+
+    The general class forms are the power mean of the absolute moment and
+    the rule's moment, as trapezoid_rhs and midpoint_rhs compute it. Those
+    moments depend on x and alpha only, so moments memoizes their list over
+    xs by (rule, alpha): a caller that passes one dict for one xs computes
+    them once for every q and m."""
+    alpha, m = params.alpha, params.m
+    if tid is TheoremId.T21 or tid is TheoremId.T22:
+        key = (tid is TheoremId.T21, alpha)
+        pairs = moments.get(key)
+        if pairs is None:
+            moment = trapezoid_moment if key[0] else midpoint_moment
+            pairs = moments[key] = [(absolute_moment(iv, x), moment(iv, x, alpha))
+                                    for x in xs]
+        return [_power_mean(total, mu, q, m, fp_a, fp_scaled, g_sup)
+                for total, mu in pairs]
     if tid is TheoremId.T13:
-        return trapezoid_rhs_convex(iv, x, q, fp_a, fp_b, g_sup)
+        return [trapezoid_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
     if tid is TheoremId.T14:
-        return midpoint_rhs_convex(iv, x, q, fp_a, fp_b, g_sup)
-    # C11 and C12 share one right-hand side
-    return classical_symmetric_rhs(iv, q, fp_a, fp_b, g_sup)
+        return [midpoint_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
+    # the midpoint-split forms do not depend on x
+    if tid is TheoremId.C21:
+        rhs = trapezoid_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
+    elif tid is TheoremId.C22:
+        rhs = midpoint_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
+    else:
+        # C11 and C12 share one right-hand side
+        rhs = classical_symmetric_rhs(iv, q, fp_a, fp_b, g_sup)
+    return [rhs] * len(xs)
 
 
 def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
@@ -428,5 +444,5 @@ def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
     fp_scaled = None
     if tid.uses_class_params:
         fp_scaled = _derivative_magnitude(fp, case.scaled_endpoint)
-    return _closed_form_rhs(tid, iv, case.x, case.q, case.params, fp_a, fp_b,
-                            fp_scaled, case.g_sup)
+    return _closed_form_rhs(tid, iv, (case.x,), case.q, case.params, fp_a,
+                            fp_b, fp_scaled, case.g_sup, {})[0]

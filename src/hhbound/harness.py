@@ -13,16 +13,19 @@ evaluate_bound make runs for every combination of every spec before the
 gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
 gate verdicts come from one batched check_hypotheses call. Each lhs is
-computed once per (rule, x), and each derivative magnitude once per spec
-and point, after the gate. Every row equals what verify_case gives for the
+computed once per (rule, x), each derivative magnitude once per spec and
+point, and the moments of the general forms once per spec, rule, x and
+alpha, after the gate. Every row equals what verify_case gives for the
 corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are written as a CSV
 with 17-significant-digit reals plus a sibling JSON file echoing the
-configuration and the seed. The JSON is streamed row by row, each row laid
-out in one formatting pass, byte-equal to json.dump(payload, indent=1). Two
-runs of the same config produce byte-identical files; nothing
+configuration and the seed; the JSON is byte-equal to json.dump(payload,
+indent=1). Both are written block by block, one block per spec and
+theorem, and each text a block's rows share is rendered once, by its
+position in the block, so a row renders only its rhs, slack and tightness.
+Two runs of the same config produce byte-identical files; nothing
 time-dependent is serialized.
 """
 
@@ -33,10 +36,11 @@ import math
 import numbers
 import operator
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,12 +300,13 @@ class SuiteConfig:
 # reports
 
 
-_CSV_ROW_FORMAT = "%s,%s,%s," + ",".join([_REAL_FORMAT] * 10) + ",%s"
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CaseReport:
-    """One CSV row: the case coordinates plus the bound-check outcome."""
+    """One CSV row: the case coordinates plus the bound-check outcome.
+
+    A slotted record: fields can be reassigned, and instances compare by
+    value but are not hashable, so they cannot go in a set or key a dict.
+    """
 
     theorem_id: str
     family_f: str
@@ -317,13 +322,6 @@ class CaseReport:
     slack: float
     tightness: float
     holds: bool
-
-    def to_csv_row(self) -> str:
-        # one formatting pass; every real is rendered as format_real does
-        return _CSV_ROW_FORMAT % (
-            self.theorem_id, self.family_f, self.family_g, self.a, self.b,
-            self.x, self.q, self.alpha, self.m, self.lhs, self.rhs, self.slack,
-            self.tightness, "true" if self.holds else "false")
 
 
 @dataclass(frozen=True)
@@ -478,6 +476,8 @@ class _SpecRun:
         self._lhs = lhs_memo.setdefault((self.f, self.g, self.iv), {})
         # |f'| at a, b and each b/m, read once the gate has found it finite
         self._fp: dict[float, float] = {}
+        # the general forms' moments over xs, by (rule, alpha)
+        self._moments: dict = {}
 
     def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
                                              _GateRequest]]:
@@ -489,25 +489,30 @@ class _SpecRun:
                     yield tid, q, params, (self.pair, q, gate, self.iv)
 
     def evaluate(self, verdicts: dict[_GateRequest, Verdict],
-                 out: list[CaseReport]) -> int:
-        """Append the rows of every admitted combination; return the number
-        of gate rejections."""
+                 out: list[_Block]) -> int:
+        """Append a block of rows per theorem with an admitted combination;
+        return the number of gate rejections."""
         spec, iv, xs, g_sup = self.spec, self.iv, self.xs, self.g_sup
         rejections = 0
+        block = None
         for tid, q, params, gate in self.combinations():
             if not verdicts[gate].holds:
                 rejections += 1
                 continue
-            fp_a, fp_b = self._fp_at(iv.a), self._fp_at(iv.b)
+            if block is None or block.theorem_id != tid.value:
+                lhs_pairs = [self._lhs_at(tid.uses_endpoint_rule, x) for x in xs]
+                block = _Block(tid.value, spec.f, spec.g, iv.a, iv.b, xs,
+                               [lhs for lhs, _ in lhs_pairs], [])
+                out.append(block)
             fp_scaled = self._fp_at(iv.b / params.m) if tid.uses_class_params else None
-            endpoint_rule = tid.uses_endpoint_rule
-            for x in xs:
-                lhs, lhs_err = self._lhs_at(endpoint_rule, x)
-                rhs = _closed_form_rhs(tid, iv, x, q, params, fp_a, fp_b,
-                                       fp_scaled, g_sup)
-                out.append(CaseReport(
-                    tid.value, spec.f, spec.g, iv.a, iv.b, x, q, params.alpha,
-                    params.m, lhs, rhs, *_compare(lhs, lhs_err, rhs)))
+            rhs_values = _closed_form_rhs(
+                tid, iv, xs, q, params, self._fp_at(iv.a), self._fp_at(iv.b),
+                fp_scaled, g_sup, self._moments)
+            alpha, m = params.alpha, params.m
+            block.combos.append((q, alpha, m, [
+                CaseReport(block.theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
+                           alpha, m, lhs, rhs, *_compare(lhs, lhs_err, rhs))
+                for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)]))
         return rejections
 
     def _fp_at(self, t: float) -> float:
@@ -543,10 +548,11 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
                                   for *_, gate in run.combinations()))
     verdicts = dict(zip(requests, check_hypotheses(requests, config.grid)))
 
-    reports: list[CaseReport] = []
+    blocks: list[_Block] = []
     rejections = 0
     for run in runs:
-        rejections += run.evaluate(verdicts, reports)
+        rejections += run.evaluate(verdicts, blocks)
+    reports = [r for block in blocks for *_, rows in block.combos for r in rows]
 
     violations = sum(1 for r in reports if not r.holds)
     finite = [r.tightness for r in reports if math.isfinite(r.tightness)]
@@ -557,9 +563,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.to_csv_row() + "\n")
+        _write_csv(fh, blocks)
     # where the report went is not part of the result; dropping it keeps
     # report bytes run-independent
     config_echo = config.to_dict()
@@ -572,55 +576,125 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         "max_tightness": max_tightness,
     }
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        _stream_json_report(fh, head, reports)
+        _stream_json_report(fh, head, reports, blocks)
 
     return SuiteResult(tuple(reports), violations, rejections, max_tightness,
                        time.perf_counter() - start, csv_path, json_path)
 
 
 # ---------------------------------------------------------------------------
-# streamed JSON report
+# report writers
+#
+# A block holds the rows of one spec and theorem in report order: for each
+# admitted (q, alpha, m) one row per x of xs, the row at xs[k] with lhs
+# lhs[k]. The writers render the texts a block's rows share once, keyed by
+# their position in the block, never by float value: 0.0 and -0.0 are equal
+# but render as 0 and -0. The JSON writer also takes a list of rows with no
+# run structure, which it writes as one-row blocks.
 #
 # json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
 # only serves indent=None), and building the payload holds every row as a
-# dict at once. The writer below emits the same bytes one row at a time.
+# dict at once. The JSON writer emits the same bytes one block at a time.
+
+
+class _Block(NamedTuple):
+    theorem_id: str
+    family_f: str
+    family_g: str
+    a: float
+    b: float
+    xs: Sequence[float]
+    lhs: Sequence[float]
+    # (q, alpha, m, rows), one per admitted combination
+    combos: list[tuple[float, float, float, Sequence[CaseReport]]]
+
+
+def _row_block(r: CaseReport) -> _Block:
+    return _Block(r.theorem_id, r.family_f, r.family_g, r.a, r.b, (r.x,),
+                  (r.lhs,), [(r.q, r.alpha, r.m, (r,))])
+
+
+def _laid_out(blocks: Iterable[_Block], real, text, lead: str, middle: str):
+    """Yield (lead, x texts, middle, lhs texts, rows) per combination: lead
+    holds theorem_id, family_f, family_g, a and b, middle q, alpha and m,
+    row k of rows sits at x text k with lhs text k. real renders a float and
+    text a string."""
+    for block in blocks:
+        head = lead % (text(block.theorem_id), text(block.family_f),
+                       text(block.family_g), real(block.a), real(block.b))
+        xs = [real(x) for x in block.xs]
+        lhs = [real(v) for v in block.lhs]
+        for q, alpha, m, rows in block.combos:
+            yield head, xs, middle % (real(q), real(alpha), real(m)), lhs, rows
+
+
+# a CSV row is lead, x, middle, lhs, then rhs, slack, tightness and holds
+_CSV_LEAD = "%s,%s,%s,%s,%s,"
+_CSV_MIDDLE = ",%s,%s,%s,"
+_CSV_ROW = "%s%s%s%s," + ",".join([_REAL_FORMAT] * 3) + ",%s\n"
+
+
+def _write_csv(fh, blocks: Iterable[_Block]) -> None:
+    """Write CSV_HEADER and one line per row, every real as format_real
+    renders it."""
+    fh.write(CSV_HEADER + "\n")
+    for head, xs, middle, lhs, rows in _laid_out(
+            blocks, format_real, str, _CSV_LEAD, _CSV_MIDDLE):
+        fh.write("".join([
+            _CSV_ROW % (head, x, middle, v, r.rhs, r.slack, r.tightness,
+                        "true" if r.holds else "false")
+            for x, v, r in zip(xs, lhs, rows)]))
+
 
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
-# one report row as json.dump(..., indent=1) lays it out in the list
-_JSON_ROW_FORMAT = ("{\n" + ",\n".join(["   " + encode_basestring_ascii(name) + ": %s"
-                                         for name in CaseReport.__dataclass_fields__])
-                    + "\n  }")
 
-
-def _json_row(r: CaseReport) -> str:
+def _json_real(v: float) -> str:
     """json.dumps renders a float with float.__repr__, and a non-finite one
-    as Infinity, -Infinity or NaN; only a row whose numbers do not sum to a
-    finite value can hold one."""
-    nums = (r.a, r.b, r.x, r.q, r.alpha, r.m, r.lhs, r.rhs, r.slack,
-            r.tightness)
-    texts = list(map(float.__repr__, nums))
-    if not math.isfinite(sum(nums)):
-        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-    return _JSON_ROW_FORMAT % (
-        encode_basestring_ascii(r.theorem_id), encode_basestring_ascii(r.family_f),
-        encode_basestring_ascii(r.family_g), *texts,
-        "true" if r.holds else "false")
+    as Infinity, -Infinity or NaN."""
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
 
 
-def _stream_json_report(fh, head: dict, reports: list[CaseReport]) -> None:
+# one report row as json.dump(..., indent=1) lays it out in the list, cut
+# into the lead before x, the middle between x and lhs, and the rest
+_JSON_SLOTS = ("{\n" + ",\n".join(["   " + encode_basestring_ascii(name) + ": %s"
+                                   for name in CaseReport.__dataclass_fields__])
+               + "\n  }").split("%s")
+_JSON_LEAD = "%s".join(_JSON_SLOTS[:6])
+_JSON_MIDDLE = "%s".join(_JSON_SLOTS[6:10])
+_JSON_ROW = "%s%s%s%s" + "%s".join(_JSON_SLOTS[10:])
+
+
+def _stream_json_report(fh, head: dict, reports: Sequence[CaseReport],
+                        blocks: Iterable[_Block] | None = None) -> None:
     """Write head plus a final "reports" list, as json.dump with indent=1
     and a trailing newline would. Every row is a run_suite row: Python
-    floats, str text fields and a bool holds."""
+    floats, str text fields and a bool holds. blocks, if given, lays
+    reports out by the run's structure; without it every row is its own
+    block."""
     text = json.dumps({**head, "reports": []}, indent=1)
     if not reports:
         fh.write(text + "\n")
         return
     fh.write(text[:-len("[]\n}")] + "[\n  ")
-    for k, r in enumerate(reports):
-        if k:
-            fh.write(",\n  ")
-        fh.write(_json_row(r))
+    if blocks is None:
+        blocks = map(_row_block, reports)
+    sep = ""
+    for lead, xs, middle, lhs, rows in _laid_out(
+            blocks, _json_real, encode_basestring_ascii, _JSON_LEAD,
+            _JSON_MIDDLE):
+        texts = []
+        for x, v, r in zip(xs, lhs, rows):
+            rhs, slack, tightness = r.rhs, r.slack, r.tightness
+            # only a row whose numbers do not sum to a finite value can
+            # hold a non-finite one
+            real = float.__repr__ if math.isfinite(rhs + slack + tightness) else _json_real
+            texts.append(_JSON_ROW % (lead, x, middle, v, real(rhs), real(slack),
+                                      real(tightness),
+                                      "true" if r.holds else "false"))
+        fh.write(sep + ",\n  ".join(texts))
+        sep = ",\n  "
     fh.write("\n ]\n}\n")
 
 

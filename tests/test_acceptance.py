@@ -5,6 +5,7 @@ summary turns the outcomes into one PASS/FAIL line per criterion at the end
 of the pytest run.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -174,3 +175,15 @@ def test_criterion_7_reports_are_byte_identical(tmp_path):
     assert json1 == json2
     print(f"report.csv ({len(csv1)} bytes) and report.json ({len(json1)} "
           f"bytes) identical across runs")
+
+
+# a change that moves these bytes on purpose updates the pins and says why
+BUNDLED_CSV_SHA256 = "801c398d617ed2b494830eaaa7ed0e1a84fad6400f8bf381367f10ed602be582"
+BUNDLED_JSON_SHA256 = "bd0310f76dad20dcbcc38cfed588ade1395bd3e42f14aec732ef3fce6bc1d88c"
+
+
+def test_bundled_report_digests(tmp_path):
+    """The bundled suite's reports are the pinned bytes."""
+    result = run_suite(default_suite(str(tmp_path)))
+    assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256
+    assert hashlib.sha256(result.json_path.read_bytes()).hexdigest() == BUNDLED_JSON_SHA256

@@ -215,6 +215,37 @@ def test_run_suite_json_equals_json_dump(tmp_path):
         config, result)
 
 
+def test_reports_render_every_row_from_its_own_values(tmp_path):
+    # the writers render shared texts once per block; 0.0 and -0.0 are equal
+    # floats that must still render as 0 and -0 in the rows that hold them
+    shared = dict(f="monomial:2", g="const:1", b=1.0, q_values=(1.0, 2.0),
+                  alpha_values=(1.0,), m_values=(0.5, 1.0),
+                  theorems=("T21", "T13"), b_star=4.0)
+    specs = (
+        CaseSpec(a=-0.0, x_values=(-0.0, 0.5, 1.0), **shared),
+        CaseSpec(a=0.0, x_sweep=3, **shared),
+        CaseSpec(f="exp", g="sin", a=0.0, b=1.0, q_values=(2.0,),
+                 alpha_values=(1.0,), m_values=(1.0,), theorems=("T22",),
+                 x_values=(0.25,), b_star=4.0),
+    )
+    config = SuiteConfig(cases=specs, output_dir=str(tmp_path))
+    result = run_suite(config)
+    assert result.reports[-1].family_f == "exp"
+    # per spec: T21 and T13 each at 2 q x 2 (alpha, m) x 3 x
+    assert len(result.reports) == 2 * 24 + 1
+    rows = [",".join([r.theorem_id, r.family_f, r.family_g,
+                      *map(format_real, (r.a, r.b, r.x, r.q, r.alpha, r.m,
+                                         r.lhs, r.rhs, r.slack, r.tightness)),
+                      "true" if r.holds else "false"])
+            for r in result.reports]
+    assert "T21,monomial:2,const:1,-0,1,-0,1,1,0.5," in rows[0]
+    assert "T21,monomial:2,const:1,0,1,0,1,1,0.5," in rows[24]
+    csv = result.csv_path.read_text(encoding="utf-8")
+    assert csv == "".join(line + "\n" for line in [CSV_HEADER, *rows])
+    assert result.json_path.read_text(encoding="utf-8") == _json_dump_of(
+        config, result)
+
+
 def test_case_spec_normalizes_inputs_to_python_floats(tmp_path):
     spec = CaseSpec(f="monomial:2", g="const:1", a=0, b=1, q_values=[1, 2],
                     alpha_values=(np.float64(1.0),), m_values=np.array([1.0]),
