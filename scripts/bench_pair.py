@@ -18,11 +18,9 @@ that run with the sha256 of both reports:
 
 - moment evaluations: calls of absolute_moment, trapezoid_moment and
   midpoint_moment;
-- float-to-text conversions made by the two report writers. The
-  row-at-a-time writers (CaseReport.to_csv_row and _json_row) render all ten
-  reals of a row in each format. The block writers render shared texts
-  through format_real and _json_real, and a row's rhs, slack and tightness
-  inline, three per row and format.
+- float-to-text conversions made by the two report writers. They render
+  shared texts through format_real and _json_real, and a row's rhs, slack
+  and tightness inline, three per row and format.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -52,16 +50,14 @@ def count(out_dir: str) -> dict:
 
     counts: Counter = Counter()
 
-    def counted(key: str, fn, weight: int = 1):
-        def wrapper(*args, **kwargs):
-            counts[key] += weight
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def rebind(module, name: str, key: str, weight: int = 1) -> None:
+    def rebind(module, name: str, key: str) -> None:
         # calls through `from .x import y` bindings are counted too
         original = getattr(module, name)
-        wrapped = counted(key, original, weight)
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
         for mod_name, mod in list(sys.modules.items()):
             if mod_name == "hhbound" or mod_name.startswith("hhbound."):
                 if getattr(mod, name, None) is original:
@@ -69,19 +65,12 @@ def count(out_dir: str) -> dict:
 
     for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
         rebind(bounds, name, "moment_evaluations")
-    row_writers = hasattr(harness, "_json_row")
-    if row_writers:
-        harness.CaseReport.to_csv_row = counted(
-            "text_conversions", harness.CaseReport.to_csv_row, 10)
-        rebind(harness, "_json_row", "text_conversions", 10)
-    else:
-        rebind(harness, "format_real", "text_conversions")
-        rebind(harness, "_json_real", "text_conversions")
+    rebind(harness, "format_real", "text_conversions")
+    rebind(harness, "_json_real", "text_conversions")
 
     result = harness.run_suite(harness.default_suite(out_dir))
     rows = len(result.reports)
-    if not row_writers:
-        counts["text_conversions"] += 2 * 3 * rows
+    counts["text_conversions"] += 2 * 3 * rows
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
                for name in _REPORTS}
     return {"rows": rows, **counts, "sha256": digests}

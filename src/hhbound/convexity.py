@@ -41,7 +41,6 @@ from .core import (
     DifferentiablePair,
     DomainSpec,
     InvalidCaseError,
-    Interval,
     RealFunction,
     validate_q,
 )
@@ -247,33 +246,24 @@ def check_convex_direct(fn: RealFunction, domain: DomainSpec,
     return Verdict(False, Witness(float(xs[i]), float(ys[j]), float(ts[k]), gmax))
 
 
-def _require_gate_inputs(pair: DifferentiablePair, q: float,
-                         iv: Interval) -> None:
-    validate_q(q)
-    if not (0.0 <= iv.a and iv.b <= pair.domain.b_star):
-        raise InvalidCaseError(
-            f"[{iv.a}, {iv.b}] not contained in [0, {pair.domain.b_star}]"
-        )
-
-
 def check_hypothesis(pair: DifferentiablePair, q: float, params: ConvexityParams,
-                     iv: Interval, grid: GridSpec = GridSpec()) -> Verdict:
+                     grid: GridSpec = GridSpec()) -> Verdict:
     """Check that |f'|**q is in the (alpha, m) class on [0, b_star].
 
     This is the hypothesis of the bounds: their proof applies the class
     inequality at y = b/m, which leaves [a, b] when m < 1, so x and y range
     over the whole working domain [0, b_star] (and t over [0, 1]), exactly
-    as in check_alpha_m_convex. q < 1, an interval outside [0, b_star] or a
-    |f'|**q not finite somewhere on the grid is a precondition failure
-    (InvalidCaseError), not a negative verdict.
+    as in check_alpha_m_convex, whatever [a, b] is. A q that is not a finite
+    number >= 1 or a |f'|**q not finite somewhere on the grid is a
+    precondition failure (InvalidCaseError), not a negative verdict.
     """
-    return check_hypotheses([(pair, q, params, iv)], grid)[0]
+    return check_hypotheses([(pair, q, params)], grid)[0]
 
 
 def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
-                                              ConvexityParams, Interval]],
+                                              ConvexityParams]],
                      grid: GridSpec = GridSpec()) -> list[Verdict]:
-    """Batched check_hypothesis: one verdict per (pair, q, params, iv) request.
+    """Batched check_hypothesis: one verdict per (pair, q, params) request.
 
     Verdicts, witnesses included, equal those of one check_hypothesis call
     per request. Requests sharing a pair and m share one evaluation of |f'|
@@ -282,10 +272,9 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
     in memory at a time. A |f'|**q that is not finite somewhere on the grid
     raises InvalidCaseError naming f, q and b_star, instead of a verdict.
     """
-    for pair, q, _, iv in requests:
-        _require_gate_inputs(pair, q, iv)
     groups: dict[tuple[DifferentiablePair, float], dict] = {}
-    for pair, q, params, _ in requests:
+    for pair, q, params in requests:
+        validate_q(q)
         groups.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
     verdicts: dict[tuple, Verdict] = {}
     for (pair, m), alphas_by_q in groups.items():
@@ -297,7 +286,7 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
         for (q, alpha), verdict in found.items():
             verdicts[(pair, m, q, alpha)] = verdict
     return [verdicts[(pair, params.m, q, params.alpha)]
-            for pair, q, params, _ in requests]
+            for pair, q, params in requests]
 
 
 def classify_region(fn: RealFunction, domain: DomainSpec,

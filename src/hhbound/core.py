@@ -432,15 +432,15 @@ def validate_split_point(iv: Interval, x: float) -> None:
 
 
 def validate_q(q: float) -> None:
-    """Raise InvalidCaseError unless q >= 1 (NaN fails)."""
-    if not q >= 1.0:
-        raise InvalidCaseError(f"q must be >= 1, got {q}")
+    """Raise InvalidCaseError unless q is finite and >= 1 (NaN fails)."""
+    if not 1.0 <= q < math.inf:
+        raise InvalidCaseError(f"q must be finite and >= 1, got {q}")
 
 
 def validate_case_params(iv: Interval, q: float, params: ConvexityParams,
                          b_star: float) -> None:
-    """Raise InvalidCaseError unless q >= 1, [a, b] lies inside [0, b_star]
-    and the scaled endpoint b/m is a point of [0, b_star]."""
+    """Raise InvalidCaseError unless q is finite and >= 1, [a, b] lies
+    inside [0, b_star] and the scaled endpoint b/m is a point of [0, b_star]."""
     validate_q(q)
     if not (0.0 <= iv.a and iv.b <= b_star):
         raise InvalidCaseError(f"[{iv.a}, {iv.b}] not contained in [0, {b_star}]")
@@ -499,9 +499,10 @@ def _check_g_sup(g_sup: float, exact: float) -> None:
 class BoundCase:
     """Everything needed to evaluate one inequality instance.
 
-    Construction enforces: a <= x <= b, q >= 1, [a, b] inside [0, b_star],
-    b/m <= b_star (so the scaled derivative endpoint is evaluable), and a
-    finite g_sup at least the exact sup of |g| on [a, b] (validate_g_sup).
+    Construction enforces: a <= x <= b, a finite q >= 1, [a, b] inside
+    [0, b_star], b/m <= b_star (so the scaled derivative endpoint is
+    evaluable), and a finite g_sup at least the exact sup of |g| on [a, b]
+    (validate_g_sup).
     """
 
     pair: DifferentiablePair

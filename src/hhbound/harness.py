@@ -12,10 +12,11 @@ run_suite plans a run before evaluating it. Every check a BoundCase and
 evaluate_bound make runs for every combination of every spec before the
 gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
-gate verdicts come from one batched check_hypotheses call. Each lhs is
-computed once per (rule, x), each derivative magnitude once per spec and
-point, and the moments of the general forms once per spec, rule, x and
-alpha, after the gate. Every row equals what verify_case gives for the
+gate verdicts come from one batched check_hypotheses call, given one
+request per combination in plan order. Each lhs is computed once per
+(rule, x), each derivative magnitude once per spec and point, and the
+moments of the general forms once per spec, rule, x and alpha, after the
+gate. Every row equals what verify_case gives for the
 corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
@@ -424,8 +425,8 @@ def reduction_check(iv: Interval, n_cases: int) -> float:
 
 _GATE_PLAIN = ConvexityParams(1.0, 1.0)
 
-# one hypothesis gate request: check_hypothesis's (pair, q, params, iv)
-_GateRequest = tuple[DifferentiablePair, float, ConvexityParams, Interval]
+# one hypothesis gate request: check_hypothesis's (pair, q, params)
+_GateRequest = tuple[DifferentiablePair, float, ConvexityParams]
 
 
 def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
@@ -486,17 +487,17 @@ class _SpecRun:
             for q in self.spec.q_values:
                 for params in self.params:
                     gate = params if tid.uses_class_params else _GATE_PLAIN
-                    yield tid, q, params, (self.pair, q, gate, self.iv)
+                    yield tid, q, params, (self.pair, q, gate)
 
-    def evaluate(self, verdicts: dict[_GateRequest, Verdict],
-                 out: list[_Block]) -> int:
+    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block]) -> int:
         """Append a block of rows per theorem with an admitted combination;
-        return the number of gate rejections."""
+        return the number of gate rejections. verdicts yields the gate's
+        verdict on each combination, in combinations() order."""
         spec, iv, xs, g_sup = self.spec, self.iv, self.xs, self.g_sup
         rejections = 0
         block = None
-        for tid, q, params, gate in self.combinations():
-            if not verdicts[gate].holds:
+        for tid, q, params, _ in self.combinations():
+            if not next(verdicts).holds:
                 rejections += 1
                 continue
             if block is None or block.theorem_id != tid.value:
@@ -534,8 +535,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 
     Report order is the config order. Random split points are drawn up
     front from the config seed. The gate verdicts of the whole run come from
-    one check_hypotheses call; lhs values are shared between the specs of
-    a run and live only as long as the run.
+    one check_hypotheses call, given one request per combination in plan
+    order; lhs values are shared between the specs of a run and live only
+    as long as the run.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -544,9 +546,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     runs = [_SpecRun(spec, xs, lhs_memo)
             for spec, xs in zip(config.cases, resolved)]
 
-    requests = list(dict.fromkeys(gate for run in runs
-                                  for *_, gate in run.combinations()))
-    verdicts = dict(zip(requests, check_hypotheses(requests, config.grid)))
+    verdicts = iter(check_hypotheses(
+        [gate for run in runs for *_, gate in run.combinations()], config.grid))
 
     blocks: list[_Block] = []
     rejections = 0
@@ -576,7 +577,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         "max_tightness": max_tightness,
     }
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        _stream_json_report(fh, head, reports, blocks)
+        _stream_json_report(fh, head, blocks)
 
     return SuiteResult(tuple(reports), violations, rejections, max_tightness,
                        time.perf_counter() - start, csv_path, json_path)
@@ -589,8 +590,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 # admitted (q, alpha, m) one row per x of xs, the row at xs[k] with lhs
 # lhs[k]. The writers render the texts a block's rows share once, keyed by
 # their position in the block, never by float value: 0.0 and -0.0 are equal
-# but render as 0 and -0. The JSON writer also takes a list of rows with no
-# run structure, which it writes as one-row blocks.
+# but render as 0 and -0.
 #
 # json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
 # only serves indent=None), and building the payload holds every row as a
@@ -607,11 +607,6 @@ class _Block(NamedTuple):
     lhs: Sequence[float]
     # (q, alpha, m, rows), one per admitted combination
     combos: list[tuple[float, float, float, Sequence[CaseReport]]]
-
-
-def _row_block(r: CaseReport) -> _Block:
-    return _Block(r.theorem_id, r.family_f, r.family_g, r.a, r.b, (r.x,),
-                  (r.lhs,), [(r.q, r.alpha, r.m, (r,))])
 
 
 def _laid_out(blocks: Iterable[_Block], real, text, lead: str, middle: str):
@@ -666,20 +661,15 @@ _JSON_MIDDLE = "%s".join(_JSON_SLOTS[6:10])
 _JSON_ROW = "%s%s%s%s" + "%s".join(_JSON_SLOTS[10:])
 
 
-def _stream_json_report(fh, head: dict, reports: Sequence[CaseReport],
-                        blocks: Iterable[_Block] | None = None) -> None:
-    """Write head plus a final "reports" list, as json.dump with indent=1
-    and a trailing newline would. Every row is a run_suite row: Python
-    floats, str text fields and a bool holds. blocks, if given, lays
-    reports out by the run's structure; without it every row is its own
-    block."""
+def _stream_json_report(fh, head: dict, blocks: Sequence[_Block]) -> None:
+    """Write head plus a final "reports" list of the blocks' rows, as
+    json.dump with indent=1 and a trailing newline would. Every row is a
+    run_suite row: Python floats, str text fields and a bool holds."""
     text = json.dumps({**head, "reports": []}, indent=1)
-    if not reports:
+    if not blocks:
         fh.write(text + "\n")
         return
     fh.write(text[:-len("[]\n}")] + "[\n  ")
-    if blocks is None:
-        blocks = map(_row_block, reports)
     sep = ""
     for lead, xs, middle, lhs, rows in _laid_out(
             blocks, _json_real, encode_basestring_ascii, _JSON_LEAD,

@@ -122,6 +122,12 @@ def _halves(p: np.ndarray, split: np.ndarray) -> np.ndarray:
     return np.stack((p[0:3, split], p[2:5, split]), axis=2).reshape(3, -1)
 
 
+def _requested(tol: float, value: float) -> float:
+    """The tolerance requested of an integral near value: tol absolute below
+    a unit-sized integral and relative above it."""
+    return max(tol, tol * abs(value))
+
+
 def _integrate_impl(fn, a: float, b: float, tol: float,
                     max_panels: int) -> IntegralResult:
     evals = 0
@@ -149,9 +155,9 @@ def _integrate_impl(fn, a: float, b: float, tol: float,
         fa, fm, fb = f3 = f(x3)
         x5, f5, ok = _sample(f, x3[:, None], f3[:, None])
     whole = float((b - a) * (fa + 4.0 * fm + fb) / 6.0)
-    eps = max(tol, tol * abs(whole))
+    eps = _requested(tol, whole)
     value, est = _levels(f, x5, f5, ok, depth, panels, eps, max_panels, a, b)
-    retry_eps = max(tol, tol * abs(value))
+    retry_eps = _requested(tol, value)
     if est > retry_eps and retry_eps < eps:
         # the 3-point estimate whole can overstate |value| many times over
         # (50x for exp(300 t) on [0, 1]), so the panels were accepted too
@@ -160,7 +166,7 @@ def _integrate_impl(fn, a: float, b: float, tol: float,
         # get here, so their results do not change.
         value, est = _levels(f, x5, f5, ok, depth, panels, retry_eps,
                              max_panels, a, b)
-    if est > max(tol, tol * abs(value)):
+    if est > _requested(tol, value):
         raise QuadratureError(
             f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
         )

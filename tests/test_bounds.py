@@ -152,6 +152,11 @@ def test_rhs_param_validation():
         midpoint_rhs(UNIT, 0.5, 1.0, 1.2, 1.0, 1.0, 1.0, 1.0)  # alpha > 1
     with pytest.raises(InvalidCaseError):
         trapezoid_rhs_convex(UNIT, 0.5, 0.8, 1.0, 1.0, 1.0)  # q < 1
+    # |f'|**inf is 0 where |f'| < 1, and these forms would return nan
+    with pytest.raises(InvalidCaseError, match="q must be finite and >= 1, got inf"):
+        trapezoid_rhs(UNIT, 0.5, math.inf, 1.0, 1.0, 0.5, 0.5, 1.0)
+    with pytest.raises(InvalidCaseError, match="q must be finite and >= 1, got inf"):
+        trapezoid_rhs_convex(UNIT, 0.5, math.inf, 0.5, 0.5, 1.0)
 
 
 def test_general_forms_match_convex_forms_at_unit_params():

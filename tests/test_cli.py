@@ -141,15 +141,18 @@ def test_verify_symmetric_weight_check_sees_knots(g, code, tmp_path, capsys):
     # alpha = 0.5 and alpha = 0 gate t**2 out, so these were never checked
     ("T21", "const:1", "5", "1", "0.5", "x=5.0 outside [0.0, 1.0]"),
     ("T21", "const:1", "nan", "1", "0.5", "x=nan outside [0.0, 1.0]"),
-    ("T21", "const:1", "0.5", "nan", "0.5", "q must be >= 1, got nan"),
+    ("T21", "const:1", "0.5", "nan", "0.5",
+     "q must be finite and >= 1, got nan"),
+    # q = inf sends |f'|**q to 0 where |f'| < 1, and the rhs to nan
+    ("T21", "const:1", "0.5", "inf", "1", "q must be finite and >= 1, got inf"),
     ("C21", "const:1", "0.25", "1", "0.5",
      "C21 requires x at the midpoint, got x=0.25"),
     ("C21", "sin", "0.5", "1", "0.5",
      "C21 requires a weight symmetric about the midpoint"),
     ("T21", "const:1", "0.5", "1", "0",
      "T21 needs (alpha, m) in (0, 1]^2, got (0.0, 1.0)"),
-], ids=["x-outside", "x-nan", "q-nan", "off-midpoint", "asymmetric-weight",
-        "zero-alpha"])
+], ids=["x-outside", "x-nan", "q-nan", "q-inf", "off-midpoint",
+        "asymmetric-weight", "zero-alpha"])
 def test_verify_rejects_bad_x_or_q_in_one_line(theorem, g, x, q, alpha, message,
                                                tmp_path):
     proc = _run_cli(tmp_path, "verify", "--f", "monomial:2", "--g", g,

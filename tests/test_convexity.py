@@ -13,7 +13,6 @@ from hhbound import (
     DifferentiablePair,
     DomainSpec,
     GridSpec,
-    Interval,
     InvalidCaseError,
     RealFunction,
     Verdict,
@@ -142,22 +141,20 @@ def test_abs_power_object():
 
 
 def test_hypothesis_check_on_square(square_pair):
-    iv = Interval(0.0, 1.0)
     for q in (1.0, 2.0, 3.0):
-        assert check_hypothesis(square_pair, q, PLAIN, iv).holds
+        assert check_hypothesis(square_pair, q, PLAIN).holds
 
 
 def test_hypothesis_check_preconditions(square_pair):
     with pytest.raises(InvalidCaseError):
-        check_hypothesis(square_pair, 0.5, PLAIN, Interval(0.0, 1.0))
-    with pytest.raises(InvalidCaseError):
-        check_hypothesis(square_pair, 1.0, PLAIN, Interval(0.0, 5.0))
+        check_hypothesis(square_pair, 0.5, PLAIN)
 
 
 def test_hypothesis_check_rejects_nan_q(square_pair):
-    # NaN fails every comparison, so only "not q >= 1" catches it
-    with pytest.raises(InvalidCaseError, match="q must be >= 1, got nan"):
-        check_hypothesis(square_pair, math.nan, PLAIN, Interval(0.0, 1.0))
+    # NaN fails every comparison, so only a negated range test catches it
+    with pytest.raises(InvalidCaseError,
+                       match="q must be finite and >= 1, got nan"):
+        check_hypothesis(square_pair, math.nan, PLAIN)
 
 
 def test_hypothesis_gate_scans_working_domain():
@@ -165,8 +162,7 @@ def test_hypothesis_gate_scans_working_domain():
     # and the bounds apply the class inequality at y = b/m = 2.4
     pair = DifferentiablePair.from_family(parse_function("monomial:2"),
                                           DomainSpec(2.4))
-    v = check_hypothesis(pair, 1.0, ConvexityParams(0.25, 0.25),
-                         Interval(0.2, 0.6))
+    v = check_hypothesis(pair, 1.0, ConvexityParams(0.25, 0.25))
     assert not v.holds
     assert v.witness.x < 0.2
 
@@ -177,16 +173,15 @@ def test_gate_scan_points_stay_inside_the_domain():
     pair = DifferentiablePair.from_family(
         parse_function("pwlinear:0:1:1:0:3:2"), DomainSpec(3.0))
     assert _scan_points(*_domain_axes(3.0, GridSpec()), 1.0).max() == 3.0
-    assert check_hypothesis(pair, 1.0, PLAIN, Interval(0.0, 3.0)).holds
+    assert check_hypothesis(pair, 1.0, PLAIN).holds
 
 
 def _gate_requests():
-    unit = Interval(0.0, 1.0)
     square = DifferentiablePair.from_family(parse_function("monomial:2"), DOM)
     cube = DifferentiablePair.from_family(parse_function("monomial:3"),
                                           DomainSpec(2.0))
     exp = DifferentiablePair.from_family(parse_function("exp"), DOM)
-    return [(pair, q, ConvexityParams(alpha, m), unit)
+    return [(pair, q, ConvexityParams(alpha, m))
             for pair in (square, cube, exp)
             for q in (1.0, 1.5, 3.0)
             for alpha in (0.25, 1.0)
@@ -200,8 +195,8 @@ def test_batched_gate_matches_single_checks():
     assert len(batched) == len(requests) + 3
     assert batched[-3:] == batched[:3]
     assert any(v.holds for v in batched) and not all(v.holds for v in batched)
-    for (pair, q, params, iv), verdict in zip(requests, batched):
-        single = check_hypothesis(pair, q, params, iv, grid)
+    for (pair, q, params), verdict in zip(requests, batched):
+        single = check_hypothesis(pair, q, params, grid)
         # the class check of |f'|**q on [0, b_star] is the gate's definition
         direct = check_alpha_m_convex(AbsPower(pair.f_prime, q), pair.domain,
                                       params, grid)
@@ -209,11 +204,9 @@ def test_batched_gate_matches_single_checks():
 
 
 def test_batched_gate_preconditions(square_pair):
-    ok = (square_pair, 1.0, PLAIN, Interval(0.0, 1.0))
+    ok = (square_pair, 1.0, PLAIN)
     with pytest.raises(InvalidCaseError):
-        check_hypotheses([ok, (square_pair, 0.5, PLAIN, Interval(0.0, 1.0))])
-    with pytest.raises(InvalidCaseError):
-        check_hypotheses([ok, (square_pair, 1.0, PLAIN, Interval(0.0, 5.0))])
+        check_hypotheses([ok, (square_pair, 0.5, PLAIN)])
     assert check_hypotheses([]) == []
 
 
@@ -235,15 +228,15 @@ def test_gate_rejects_non_finite_derivative_power():
     # f' = 250 e**(250 t) overflows for t > ~2.82, inside [0, b_star] = [0, 4]
     wide = DifferentiablePair.from_family(parse_function("exp:250"), DOM)
     with pytest.raises(InvalidCaseError, match=r"\[0, 4\] for f = exp:250, q = 1"):
-        check_hypothesis(wide, 1.0, PLAIN, Interval(0.0, 1.0))
+        check_hypothesis(wide, 1.0, PLAIN)
     with pytest.raises(InvalidCaseError, match=r"\|cexp:250:250\|\*\*1 is not finite"):
         check_alpha_m_convex(AbsPower(wide.f_prime, 1.0), DOM, PLAIN)
     # f' = 700 e**(700 t) is finite on [0, 1]; its square is not
     narrow = DifferentiablePair.from_family(parse_function("exp:700"),
                                             DomainSpec(1.0))
-    assert check_hypothesis(narrow, 1.0, PLAIN, Interval(0.0, 1.0)).holds
+    assert check_hypothesis(narrow, 1.0, PLAIN).holds
     with pytest.raises(InvalidCaseError, match="q = 2"):
-        check_hypothesis(narrow, 2.0, PLAIN, Interval(0.0, 1.0))
+        check_hypothesis(narrow, 2.0, PLAIN)
     with pytest.raises(InvalidCaseError, match="is not finite on"):
         check_alpha_m_convex(AbsPower(narrow.f_prime, 2.0), DomainSpec(1.0),
                              PLAIN)
@@ -274,7 +267,7 @@ def _dense_gate_verdicts(requests, grid):
     """check_hypotheses's verdicts, each from fresh dense arrays."""
     powered = {}
     out = []
-    for pair, q, params, _ in requests:
+    for pair, q, params in requests:
         xs, ys, ts = _domain_axes(pair.domain.b_star, grid)
         key = (pair, params.m, q)
         if key not in powered:

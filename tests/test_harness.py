@@ -34,7 +34,7 @@ from hhbound import (
     sup_norm,
     verify_case,
 )
-from hhbound.harness import _stream_json_report
+from hhbound.harness import _Block, _stream_json_report
 
 UNIT = Interval(0.0, 1.0)
 
@@ -246,6 +246,23 @@ def test_reports_render_every_row_from_its_own_values(tmp_path):
         config, result)
 
 
+def test_reports_hold_a_non_finite_tightness_of_a_real_run(tmp_path):
+    # f' = 0 makes the rhs 0 while the oracle lhs is a rounding residue, so
+    # tightness is inf, which the JSON writer renders through _json_real
+    spec = CaseSpec(f="const:3", g="sin", a=0.0, b=1.0, q_values=(1.0,),
+                    alpha_values=(1.0,), m_values=(1.0,), theorems=("T21",),
+                    x_values=(0.3,), b_star=4.0)
+    config = SuiteConfig(cases=(spec,), output_dir=str(tmp_path))
+    result = run_suite(config)
+    (row,) = result.reports
+    assert row.rhs == 0.0 and row.lhs > 0.0 and row.tightness == math.inf
+    text = result.json_path.read_text(encoding="utf-8")
+    assert '"tightness": Infinity' in text
+    assert text == _json_dump_of(config, result)
+    csv = result.csv_path.read_text(encoding="utf-8").splitlines()
+    assert csv[1].split(",")[CSV_HEADER.split(",").index("tightness")] == "inf"
+
+
 def test_case_spec_normalizes_inputs_to_python_floats(tmp_path):
     spec = CaseSpec(f="monomial:2", g="const:1", a=0, b=1, q_values=[1, 2],
                     alpha_values=(np.float64(1.0),), m_values=np.array([1.0]),
@@ -294,7 +311,9 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
             "hypothesis_rejections": 0, "max_tightness": 0.5}
     for reports in (rows, rows[:1], []):
         got = io.StringIO()
-        _stream_json_report(got, head, reports)
+        _stream_json_report(got, head, [
+            _Block(r.theorem_id, r.family_f, r.family_g, r.a, r.b, (r.x,),
+                   (r.lhs,), [(r.q, r.alpha, r.m, (r,))]) for r in reports])
         want = io.StringIO()
         json.dump({**head, "reports": [dataclasses.asdict(r) for r in reports]},
                   want, indent=1)
@@ -348,7 +367,7 @@ def test_suite_rows_equal_verify_case(tmp_path):
                         params = ConvexityParams(alpha, m)
                         gate = (params if TheoremId(tid).uses_class_params
                                 else ConvexityParams(1.0, 1.0))
-                        if not check_hypothesis(pair, q, gate, iv, config.grid).holds:
+                        if not check_hypothesis(pair, q, gate, config.grid).holds:
                             rejected += 1
                             continue
                         for x in xs:
@@ -380,7 +399,11 @@ def _run_one(tmp_path, **overrides):
     (dict(theorems=("C21",), g="sin"),
      "C21 requires a weight symmetric about the midpoint"),
     (dict(g_sup=0.5), "g_sup = 0.5 below sup |g| = 1"),
-], ids=["b-over-m", "off-midpoint", "asymmetric-weight", "g-sup-below-sup"])
+    # the gate scans [0, b_star] whatever [a, b] is, so only the case
+    # checks see an interval that leaves it
+    (dict(a=-0.5), "[-0.5, 1.0] not contained in [0, 4.0]"),
+], ids=["b-over-m", "off-midpoint", "asymmetric-weight", "g-sup-below-sup",
+        "a-below-zero"])
 def test_run_suite_rejects_invalid_combination_whatever_the_gate(
         overrides, message, tmp_path):
     # the gate admits t**2 at alpha = 1 and rejects it at alpha = 0.5; the

@@ -72,6 +72,7 @@ SIGNATURES = [
     ("step_weight", ["g", "iv", "x", "t"]),
     ("is_symmetric_about_midpoint", ["g", "iv"]),
     ("reduction_check", ["iv", "n_cases"]),
+    ("check_hypothesis", ["pair", "q", "params", "grid"]),
 ]
 
 
