@@ -13,6 +13,10 @@ cross-checks rather than shared code.
 
 Every closed form here has an oracle twin computed by adaptive quadrature of
 the defining integral; the two routes are never collapsed.
+
+evaluate_bound and the suite runner take every right-hand side from a
+_BlockRhs, which alone decides which |f'| values a theorem reads, and
+reuses them and the general forms' moments across a block.
 """
 
 from __future__ import annotations
@@ -77,6 +81,11 @@ class ComponentIntegralId(Enum):
 def _require_alpha(alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise InvalidParamsError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def _require_m(m: float) -> None:
+    if not 0.0 < m <= 1.0:
+        raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
 
 
 def absolute_moment(iv: Interval, x: float) -> float:
@@ -251,8 +260,7 @@ def trapezoid_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
     fp_a and fp_scaled are |f'(a)| and |f'(b/m)|.
     """
     validate_q(q)
-    if not 0.0 < m <= 1.0:
-        raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
+    _require_m(m)
     total = absolute_moment(iv, x)
     return _power_mean(total, trapezoid_moment(iv, x, alpha), q, m,
                        fp_a, fp_scaled, g_sup)
@@ -262,8 +270,7 @@ def midpoint_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
                  fp_a: float, fp_scaled: float, g_sup: float) -> float:
     """Point-rule bound for the (alpha, m) class at evaluation point x."""
     validate_q(q)
-    if not 0.0 < m <= 1.0:
-        raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
+    _require_m(m)
     total = absolute_moment(iv, x)
     return _power_mean(total, midpoint_moment(iv, x, alpha), q, m,
                        fp_a, fp_scaled, g_sup)
@@ -278,8 +285,7 @@ def trapezoid_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
     """
     validate_q(q)
     _require_alpha(alpha)
-    if not 0.0 < m <= 1.0:
-        raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
+    _require_m(m)
     w = iv.width
     two_a = 2.0 ** alpha
     coeff_a = (alpha * two_a + 1.0) / (2.0 ** (alpha + 1.0))
@@ -294,8 +300,7 @@ def midpoint_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
     """Point-rule bound specialized to midpoint evaluation, as displayed."""
     validate_q(q)
     _require_alpha(alpha)
-    if not 0.0 < m <= 1.0:
-        raise InvalidParamsError(f"m must lie in (0, 1], got {m}")
+    _require_m(m)
     w = iv.width
     two_a = 2.0 ** alpha
     coeff_a = (2.0 ** (alpha + 1.0) - 1.0) / (2.0 ** (alpha + 1.0))
@@ -386,46 +391,59 @@ def _check_theorem(tid: TheoremId, g: RealFunction, iv: Interval,
                     f"{tid.value} needs (alpha, m) in (0, 1]^2, got {(p.alpha, p.m)}")
 
 
-def _derivative_magnitude(fp: RealFunction, t: float) -> float:
-    return abs(fp(t))
+class _BlockRhs:
+    """The right-hand sides of one block: f', [a, b], split points xs and
+    the weight bound g_sup.
 
+    at(tid, q, params) gives the theorem's rhs at each x of xs. It reads
+    |f'(a)|, then |f'(b/m)| for the class forms or |f'(b)| for the
+    plain-convex ones, each point once and at its first use. The general
+    class forms are the power mean of the absolute moment and the rule's
+    moment, as trapezoid_rhs and midpoint_rhs compute it; those moments
+    depend on x and alpha only, so they are computed once per (rule, alpha).
+    """
 
-def _closed_form_rhs(tid: TheoremId, iv: Interval, xs: Sequence[float],
-                     q: float, params: ConvexityParams, fp_a: float,
-                     fp_b: float, fp_scaled: float | None, g_sup: float,
-                     moments: dict) -> list[float]:
-    """The theorem's right-hand side at each x of xs, with the closed form
-    picked once for all of them; fp_scaled = |f'(b/m)| is used by the class
-    forms only, fp_b = |f'(b)| by the plain-convex ones.
+    def __init__(self, f_prime: RealFunction, iv: Interval, xs: Sequence[float],
+                 g_sup: float) -> None:
+        self.f_prime = f_prime
+        self.iv = iv
+        self.xs = xs
+        self.g_sup = g_sup
+        self._fp: dict[float, float] = {}
+        self._moments: dict[tuple[bool, float], list[tuple[float, float]]] = {}
 
-    The general class forms are the power mean of the absolute moment and
-    the rule's moment, as trapezoid_rhs and midpoint_rhs compute it. Those
-    moments depend on x and alpha only, so moments memoizes their list over
-    xs by (rule, alpha): a caller that passes one dict for one xs computes
-    them once for every q and m."""
-    alpha, m = params.alpha, params.m
-    if tid is TheoremId.T21 or tid is TheoremId.T22:
-        key = (tid is TheoremId.T21, alpha)
-        pairs = moments.get(key)
-        if pairs is None:
-            moment = trapezoid_moment if key[0] else midpoint_moment
-            pairs = moments[key] = [(absolute_moment(iv, x), moment(iv, x, alpha))
-                                    for x in xs]
-        return [_power_mean(total, mu, q, m, fp_a, fp_scaled, g_sup)
-                for total, mu in pairs]
-    if tid is TheoremId.T13:
-        return [trapezoid_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
-    if tid is TheoremId.T14:
-        return [midpoint_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
-    # the midpoint-split forms do not depend on x
-    if tid is TheoremId.C21:
-        rhs = trapezoid_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
-    elif tid is TheoremId.C22:
-        rhs = midpoint_rhs_midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)
-    else:
-        # C11 and C12 share one right-hand side
-        rhs = classical_symmetric_rhs(iv, q, fp_a, fp_b, g_sup)
-    return [rhs] * len(xs)
+    def _fp_at(self, t: float) -> float:
+        hit = self._fp.get(t)
+        if hit is None:
+            hit = self._fp[t] = abs(self.f_prime(t))
+        return hit
+
+    def at(self, tid: TheoremId, q: float, params: ConvexityParams) -> list[float]:
+        iv, xs, g_sup = self.iv, self.xs, self.g_sup
+        alpha, m = params.alpha, params.m
+        fp_a = self._fp_at(iv.a)
+        if not tid.uses_class_params:
+            fp_b = self._fp_at(iv.b)
+            if tid is TheoremId.T13:
+                return [trapezoid_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
+            if tid is TheoremId.T14:
+                return [midpoint_rhs_convex(iv, x, q, fp_a, fp_b, g_sup) for x in xs]
+            # C11 and C12 share one right-hand side, which does not depend on x
+            return [classical_symmetric_rhs(iv, q, fp_a, fp_b, g_sup)] * len(xs)
+        fp_scaled = self._fp_at(iv.b / m)
+        if tid is TheoremId.T21 or tid is TheoremId.T22:
+            key = (tid is TheoremId.T21, alpha)
+            pairs = self._moments.get(key)
+            if pairs is None:
+                moment = trapezoid_moment if key[0] else midpoint_moment
+                pairs = self._moments[key] = [
+                    (absolute_moment(iv, x), moment(iv, x, alpha)) for x in xs]
+            return [_power_mean(total, mu, q, m, fp_a, fp_scaled, g_sup)
+                    for total, mu in pairs]
+        # the midpoint-split forms do not depend on x
+        midsplit = (trapezoid_rhs_midsplit if tid is TheoremId.C21
+                    else midpoint_rhs_midsplit)
+        return [midsplit(iv, q, alpha, m, fp_a, fp_scaled, g_sup)] * len(xs)
 
 
 def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
@@ -436,13 +454,6 @@ def evaluate_bound(case: BoundCase, theorem_id: TheoremId | str) -> float:
     endpoint-rule ones a symmetric weight.
     """
     tid = TheoremId(theorem_id)
-    iv = case.interval
-    _check_theorem(tid, case.g, iv, (case.x,), (case.params,))
-    fp = case.pair.f_prime
-    fp_a = _derivative_magnitude(fp, iv.a)
-    fp_b = _derivative_magnitude(fp, iv.b)
-    fp_scaled = None
-    if tid.uses_class_params:
-        fp_scaled = _derivative_magnitude(fp, case.scaled_endpoint)
-    return _closed_form_rhs(tid, iv, (case.x,), case.q, case.params, fp_a,
-                            fp_b, fp_scaled, case.g_sup, {})[0]
+    _check_theorem(tid, case.g, case.interval, (case.x,), (case.params,))
+    rhs = _BlockRhs(case.pair.f_prime, case.interval, (case.x,), case.g_sup)
+    return rhs.at(tid, case.q, case.params)[0]

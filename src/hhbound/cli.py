@@ -22,29 +22,16 @@ from .bounds import (
 )
 from .convexity import GridSpec, classify_region
 from .core import (
-    BoundCase,
-    ConvexityParams,
     DifferentiablePair,
     DomainSpec,
     HHBoundError,
     Interval,
     TheoremId,
     parse_function,
-    sup_norm,
     validate_split_point,
 )
-from .harness import (
-    SUP_SAFETY_FACTOR,
-    CaseSpec,
-    SuiteConfig,
-    format_real,
-    run_suite,
-)
-from .quadrature import (
-    envelope_excess,
-    residual_endpoint_identity,
-    residual_point_identity,
-)
+from .harness import CaseSpec, SuiteConfig, format_real, run_suite
+from .quadrature import _endpoint_residual, _point_residual, envelope_excess
 
 _RESIDUAL_GATE = 1e-7
 _ENVELOPE_GATE = 1e-10
@@ -76,7 +63,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--alpha", type=float)
     v.add_argument("--m", type=float)
     v.add_argument("--theorem", help="one of " + ",".join(t.value for t in TheoremId))
-    v.add_argument("--out", help="report directory (default ./reports)")
+    v.add_argument("--out", help=f"report directory (default ./{SuiteConfig.output_dir})")
 
     c = sub.add_parser("classify", help="map a convexity-class region")
     c.add_argument("--f", required=True)
@@ -85,10 +72,9 @@ def _build_parser() -> _Parser:
                    help="comma-separated alpha values (default: 1)")
     c.add_argument("--m-grid", default="0,0.25,0.5,0.75,1",
                    help="comma-separated m values (default: 0,0.25,0.5,0.75,1)")
-    c.add_argument("--nx", type=int, default=51)
-    c.add_argument("--ny", type=int, default=51)
-    c.add_argument("--nt", type=int, default=51)
-    c.add_argument("--out", help="report directory (default ./reports)")
+    for axis in ("nx", "ny", "nt"):
+        c.add_argument(f"--{axis}", type=int, default=getattr(GridSpec, axis))
+    c.add_argument("--out", help=f"report directory (default ./{SuiteConfig.output_dir})")
 
     k = sub.add_parser("constants", help="closed-form moments vs oracle")
     k.add_argument("--a", type=float, required=True)
@@ -159,7 +145,7 @@ def _cmd_classify(args) -> int:
                          format_real(w.x), format_real(w.y), format_real(w.t),
                          format_real(w.gap)]
             lines.append(",".join(cells))
-    out_dir = Path(args.out) if args.out else Path("reports")
+    out_dir = Path(args.out or SuiteConfig.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "classify.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -189,12 +175,11 @@ def _cmd_identities(args) -> int:
     g = parse_function(args.g)
     iv = Interval(args.a, args.b)
     validate_split_point(iv, args.x)
+    # the residuals read f and f' on [a, b] only, never the domain
     pair = DifferentiablePair.from_family(f, DomainSpec(max(iv.b, 1.0)))
     pair.validate_finite_difference(iv)
-    g_sup = sup_norm(g, iv) * SUP_SAFETY_FACTOR
-    case = BoundCase(pair, g, iv, args.x, 1.0, ConvexityParams(1.0, 1.0), g_sup)
-    r_endpoint = residual_endpoint_identity(case)
-    r_point = residual_point_identity(case)
+    r_endpoint = _endpoint_residual(pair, g, iv, args.x)
+    r_point = _point_residual(pair, g, iv, args.x)
     excess = envelope_excess(g, iv, args.x, 1001)
     print(f"endpoint-identity residual: {r_endpoint:.6e}")
     print(f"point-identity residual:    {r_point:.6e}")

@@ -14,10 +14,10 @@ gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
 gate verdicts come from one batched check_hypotheses call, given one
 request per combination in plan order. Each lhs is computed once per
-(rule, x), each derivative magnitude once per spec and point, and the
-moments of the general forms once per spec, rule, x and alpha, after the
-gate. Every row equals what verify_case gives for the
-corresponding BoundCase.
+(rule, x). A spec's right-hand sides come from one bounds._BlockRhs, which
+reads each derivative magnitude once per point and the moments of the
+general forms once per rule, x and alpha, after the gate. Every row equals
+what verify_case gives for the corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are written as a CSV
@@ -46,9 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import (
+    _BlockRhs,
     _check_theorem,
-    _closed_form_rhs,
-    _derivative_magnitude,
     classical_symmetric_rhs,
     evaluate_bound,
     midpoint_rhs,
@@ -282,9 +281,9 @@ class SuiteConfig:
             grid = d.get("grid", {})
             return cls(
                 cases=tuple(CaseSpec.from_dict(c) for c in d["cases"]),
-                seed=d.get("seed", _DEFAULT_SEED),
-                output_dir=d.get("output_dir", "reports"),
-                grid=GridSpec(*(_count(f"grid.{n}", grid.get(n, 51))
+                seed=d.get("seed", cls.seed),
+                output_dir=d.get("output_dir", cls.output_dir),
+                grid=GridSpec(*(_count(f"grid.{n}", grid.get(n, getattr(GridSpec, n)))
                                 for n in ("nx", "ny", "nt"))),
             )
         except (KeyError, TypeError, AttributeError) as exc:
@@ -447,7 +446,9 @@ class _SpecRun:
     whether or not the gate would admit it. sup|g| is computed once per
     spec: g_sup is the explicit one or that sup times SUP_SAFETY_FACTOR, and
     the g_sup check reads the same sup. CaseSpec checks x_values; swept
-    and seeded split points lie in [a, b] by construction.
+    and seeded split points lie in [a, b] by construction. The right-hand
+    sides of every combination come from one bounds._BlockRhs over xs,
+    which owns the reuse of the |f'| values and the general forms' moments.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
@@ -475,10 +476,7 @@ class _SpecRun:
             _check_theorem(tid, self.g, self.iv, xs, self.params)
         # lhs values of this (f, g, [a, b]), shared with other specs of the run
         self._lhs = lhs_memo.setdefault((self.f, self.g, self.iv), {})
-        # |f'| at a, b and each b/m, read once the gate has found it finite
-        self._fp: dict[float, float] = {}
-        # the general forms' moments over xs, by (rule, alpha)
-        self._moments: dict = {}
+        self._rhs = _BlockRhs(self.pair.f_prime, self.iv, xs, self.g_sup)
 
     def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
                                              _GateRequest]]:
@@ -493,7 +491,7 @@ class _SpecRun:
         """Append a block of rows per theorem with an admitted combination;
         return the number of gate rejections. verdicts yields the gate's
         verdict on each combination, in combinations() order."""
-        spec, iv, xs, g_sup = self.spec, self.iv, self.xs, self.g_sup
+        spec, iv, xs = self.spec, self.iv, self.xs
         rejections = 0
         block = None
         for tid, q, params, _ in self.combinations():
@@ -505,22 +503,13 @@ class _SpecRun:
                 block = _Block(tid.value, spec.f, spec.g, iv.a, iv.b, xs,
                                [lhs for lhs, _ in lhs_pairs], [])
                 out.append(block)
-            fp_scaled = self._fp_at(iv.b / params.m) if tid.uses_class_params else None
-            rhs_values = _closed_form_rhs(
-                tid, iv, xs, q, params, self._fp_at(iv.a), self._fp_at(iv.b),
-                fp_scaled, g_sup, self._moments)
+            rhs_values = self._rhs.at(tid, q, params)
             alpha, m = params.alpha, params.m
             block.combos.append((q, alpha, m, [
                 CaseReport(block.theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
                            alpha, m, lhs, rhs, *_compare(lhs, lhs_err, rhs))
                 for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)]))
         return rejections
-
-    def _fp_at(self, t: float) -> float:
-        hit = self._fp.get(t)
-        if hit is None:
-            hit = self._fp[t] = _derivative_magnitude(self.pair.f_prime, t)
-        return hit
 
     def _lhs_at(self, endpoint_rule: bool, x: float) -> tuple[float, float]:
         hit = self._lhs.get((endpoint_rule, x))
@@ -692,7 +681,7 @@ def _stream_json_report(fh, head: dict, blocks: Sequence[_Block]) -> None:
 # bundled suite
 
 
-def default_suite(output_dir: str = "reports") -> SuiteConfig:
+def default_suite(output_dir: str = SuiteConfig.output_dir) -> SuiteConfig:
     """The bundled verification suite.
 
     Sweeps the two general-class forms over f in {t^2, t^3, e^t}, weights

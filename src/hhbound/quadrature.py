@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import (
     BoundCase,
+    DifferentiablePair,
     HHBoundError,
     Interval,
     RealFunction,
@@ -444,9 +445,13 @@ def residual_endpoint_identity(case: BoundCase) -> float:
     of kernel times derivative, with the kernel W(t) - W(x) read from the
     knot-aligned antiderivative table of g, smooth or piecewise.
     """
-    iv = case.interval
-    sign_val, _ = _endpoint_signed(case.pair.f, case.g, iv, case.x)
-    integrand = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, case.x)
+    return _endpoint_residual(case.pair, case.g, case.interval, case.x)
+
+
+def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
+                       x: float) -> float:
+    sign_val, _ = _endpoint_signed(pair.f, g, iv, x)
+    integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
     rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL).value
     return abs(sign_val - rhs)
 
@@ -458,12 +463,16 @@ def residual_point_identity(case: BoundCase) -> float:
     with S_g read from the knot-aligned antiderivative table of g: the
     kernel anchored at a on [a, x] and the kernel anchored at b on [x, b].
     """
-    iv = case.interval
-    sign_val, _ = _point_signed(case.pair.f, case.g, iv, case.x)
-    left = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, iv.a)
-    right = _KernelTimesDeriv(case.g, case.pair.f_prime, iv.a, iv.b, iv.b)
-    rhs = (_integral_between(left, iv.a, case.x, _RESIDUAL_OUTER_TOL).value
-           + _integral_between(right, case.x, iv.b, _RESIDUAL_OUTER_TOL).value)
+    return _point_residual(case.pair, case.g, case.interval, case.x)
+
+
+def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
+                    x: float) -> float:
+    sign_val, _ = _point_signed(pair.f, g, iv, x)
+    left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
+    right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
+    rhs = (_integral_between(left, iv.a, x, _RESIDUAL_OUTER_TOL).value
+           + _integral_between(right, x, iv.b, _RESIDUAL_OUTER_TOL).value)
     return abs(sign_val - rhs)
 
 

@@ -326,9 +326,15 @@ def test_classify_rejects_bad_grid(capsys):
                  "--m-grid", "a,b"]) == 1
 
 
-def test_identities_within_tolerance(capsys):
-    code = main(["identities", "--f", "monomial:2", "--g", "sin",
-                 "--a", "0", "--b", "1", "--x", "0.3"])
+@pytest.mark.parametrize("f, g, a, b, x", [
+    ("monomial:2", "sin", "0", "1", "0.3"),
+    # the residuals need no q, class parameters or b_star, so [a, b] may
+    # reach left of 0
+    ("exp", "sin", "-1", "0", "-0.5"),
+    ("monomial:2", "pwlinear:-1:0:0:1:1:0", "-1", "1", "0.25"),
+], ids=["unit", "left-of-zero", "across-zero"])
+def test_identities_within_tolerance(f, g, a, b, x, capsys):
+    code = main(["identities", "--f", f, "--g", g, "--a", a, "--b", b, "--x", x])
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
 

@@ -26,12 +26,20 @@ from hhbound import (
     SuiteConfig,
     TheoremId,
     check_hypothesis,
+    classical_symmetric_rhs,
     default_suite,
+    derivative,
     format_real,
+    midpoint_rhs,
+    midpoint_rhs_convex,
+    midpoint_rhs_midsplit,
     parse_function,
     reduction_check,
     run_suite,
     sup_norm,
+    trapezoid_rhs,
+    trapezoid_rhs_convex,
+    trapezoid_rhs_midsplit,
     verify_case,
 )
 from hhbound.harness import _Block, _stream_json_report
@@ -381,6 +389,46 @@ def test_suite_rows_equal_verify_case(tmp_path):
     assert result.hypothesis_rejections == rejected
     assert {r.theorem_id for r in expected} == {t.value for t in TheoremId}
     assert list(result.reports) == expected
+
+
+def test_suite_rhs_is_the_public_closed_form_bit_for_bit(tmp_path):
+    # reduction_check and the property tests cross-check the public forms;
+    # this pins that they are what the suite writes, to the last bit
+    common = dict(q_values=(1.0, 1.5, 3.0), alpha_values=(0.5, 1.0),
+                  m_values=(0.5, 0.75, 1.0))
+    specs = (
+        CaseSpec(f="exp", g="sin", a=0.0, b=1.0, theorems=("T21", "T22", "T13", "T14"),
+                 x_sweep=5, b_star=2.0, **common),
+        CaseSpec(f="monomial:2", g="monomial:1", a=0.5, b=1.5,
+                 theorems=("T21", "T22", "T13", "T14"), x_random=3, **common),
+        CaseSpec(f="monomial:3", g="poly:0:1:-1", a=0.0, b=1.0,
+                 theorems=("C21", "C22", "C11", "C12"), x_values=(0.5,),
+                 b_star=2.0, **common),
+    )
+    result = run_suite(SuiteConfig(cases=specs, output_dir=str(tmp_path),
+                                   grid=GridSpec(21, 21, 21)))
+    assert {r.theorem_id for r in result.reports} == {t.value for t in TheoremId}
+    differing = []
+    for r in result.reports:
+        iv = Interval(r.a, r.b)
+        fp = derivative(parse_function(r.family_f))
+        fp_a, fp_b, fp_scaled = abs(fp(r.a)), abs(fp(r.b)), abs(fp(r.b / r.m))
+        g_sup = sup_norm(parse_function(r.family_g), iv) * SUP_SAFETY_FACTOR
+        class_args = (r.q, r.alpha, r.m, fp_a, fp_scaled, g_sup)
+        expected = {
+            "T21": lambda: trapezoid_rhs(iv, r.x, *class_args),
+            "T22": lambda: midpoint_rhs(iv, r.x, *class_args),
+            "T13": lambda: trapezoid_rhs_convex(iv, r.x, r.q, fp_a, fp_b, g_sup),
+            "T14": lambda: midpoint_rhs_convex(iv, r.x, r.q, fp_a, fp_b, g_sup),
+            "C21": lambda: trapezoid_rhs_midsplit(iv, *class_args),
+            "C22": lambda: midpoint_rhs_midsplit(iv, *class_args),
+            "C11": lambda: classical_symmetric_rhs(iv, r.q, fp_a, fp_b, g_sup),
+            "C12": lambda: classical_symmetric_rhs(iv, r.q, fp_a, fp_b, g_sup),
+        }[r.theorem_id]()
+        if r.rhs != expected:
+            differing.append((r, expected))
+    assert len(result.reports) > 100
+    assert differing == []
 
 
 def _run_one(tmp_path, **overrides):

@@ -6,6 +6,7 @@ and seeds stay fixed: each settable value would be one more configuration to
 cover.
 """
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -91,3 +92,50 @@ def test_cli_reads_no_environment():
 
     source = Path(cli.__file__).read_text(encoding="utf-8")
     assert "os.environ" not in source and "HHBOUND_SEED" not in source
+
+
+
+def _dotted(node: ast.AST) -> list[str] | None:
+    """The names of an attribute chain a.b.c, or None if it does not start
+    at a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id, *reversed(parts)]
+
+
+def test_benchmark_reads_only_names_that_exist():
+    # the benchmark calls the library through module names; a rename in the
+    # library must not leave it reading a name that is gone
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # `import hhbound.core as core` binds core; `import hhbound.cli` binds hhbound
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "hhbound":
+                    importlib.import_module(a.name)
+                    modules[a.asname or "hhbound"] = a.name if a.asname else "hhbound"
+    # the outermost attribute of a chain is the name it reads
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    read = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            chain = _dotted(node)
+            if chain and chain[0] in modules:
+                read[".".join(chain)] = (modules[chain[0]], chain[1:])
+    assert {"hhbound.cli.main", "core.BoundCase", "harness.run_suite",
+            "quadrature.residual_point_identity"} <= read.keys()
+    unresolved = []
+    for name, (module, attrs) in sorted(read.items()):
+        target = importlib.import_module(module)
+        try:
+            for attr in attrs:
+                target = getattr(target, attr)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []
