@@ -44,9 +44,10 @@ def main() -> None:
             for x in (0.0, 0.3, 0.7, 1.0):
                 r1, r2 = residual_row(fspec, gspec, x)
                 print(f"{fspec:>12} {gspec:>24} {x:5.2f} {r1:15.3e} {r2:14.3e}")
-    print("\nEverything sits far below the 1e-7 gate; the piecewise weight")
-    print("loses a few digits where the adaptive integrals cross its kink")
-    print("but stays comfortable.")
+    print("\nEverything sits far below the gate of 1e-7 times the magnitude of")
+    print("each identity's terms, which are of order 1 here; the piecewise")
+    print("weight loses a few digits where the adaptive integrals cross its")
+    print("kink but stays comfortable.")
 
 
 if __name__ == "__main__":

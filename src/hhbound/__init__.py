@@ -1,81 +1,18 @@
 """Error bounds for weighted endpoint and point quadrature rules under
-generalized (alpha, m) convexity, verified against an adaptive oracle."""
+generalized (alpha, m) convexity, verified against an adaptive oracle.
 
-from .core import (
-    BoundCase,
-    BoundReport,
-    ConvexityParams,
-    DifferentiablePair,
-    DomainSpec,
-    EvalDomainError,
-    HHBoundError,
-    Interval,
-    InvalidCaseError,
-    InvalidIntervalError,
-    InvalidParamsError,
-    RealFunction,
-    TheoremId,
-    UnknownFamilyError,
-    derivative,
-    parse_function,
-    sup_norm,
-)
-from .quadrature import (
-    IntegralResult,
-    Product,
-    QuadratureError,
-    envelope_excess,
-    integrate,
-    kernel_K,
-    lhs_endpoint_at,
-    lhs_point_at,
-    residual_endpoint_identity,
-    residual_point_identity,
-    step_weight,
-    step_weight_profile,
-)
-from .convexity import (
-    AbsPower,
-    GridSpec,
-    Verdict,
-    Witness,
-    check_alpha_m_convex,
-    check_convex_direct,
-    check_hypotheses,
-    check_hypothesis,
-    classify_region,
-)
-from .bounds import (
-    ComponentIntegralId,
-    absolute_moment,
-    classical_symmetric_rhs,
-    component_integral,
-    evaluate_bound,
-    is_symmetric_about_midpoint,
-    midpoint_moment,
-    midpoint_rhs,
-    midpoint_rhs_convex,
-    midpoint_rhs_midsplit,
-    oracle_component_integral,
-    oracle_midpoint_moment,
-    oracle_trapezoid_moment,
-    trapezoid_moment,
-    trapezoid_rhs,
-    trapezoid_rhs_convex,
-    trapezoid_rhs_midsplit,
-)
-from .harness import (
-    CSV_HEADER,
-    SUP_SAFETY_FACTOR,
-    CaseReport,
-    CaseSpec,
-    SuiteConfig,
-    SuiteResult,
-    default_suite,
-    format_real,
-    reduction_check,
-    run_suite,
-    verify_case,
-)
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
+"""
+
+from .core import *
+from .quadrature import *
+from .convexity import *
+from .bounds import *
+from .harness import *
+
+# importing a submodule binds its name here, so core, quadrature, ... resolve
+__all__ = [*core.__all__, *quadrature.__all__, *convexity.__all__,
+           *bounds.__all__, *harness.__all__]
 
 __version__ = "0.1.0"

@@ -28,10 +28,16 @@ from .core import (
     Interval,
     TheoremId,
     parse_function,
+    sup_norm,
     validate_split_point,
 )
 from .harness import CaseSpec, SuiteConfig, format_real, run_suite
-from .quadrature import _endpoint_residual, _point_residual, envelope_excess
+from .quadrature import (
+    _endpoint_residual,
+    _identity_scales,
+    _point_residual,
+    envelope_excess,
+)
 
 _RESIDUAL_GATE = 1e-7
 _ENVELOPE_GATE = 1e-10
@@ -184,8 +190,12 @@ def _cmd_identities(args) -> int:
     print(f"endpoint-identity residual: {r_endpoint:.6e}")
     print(f"point-identity residual:    {r_point:.6e}")
     print(f"envelope excess (1001 samples): {excess:.6e}")
-    ok = (r_endpoint <= _RESIDUAL_GATE and r_point <= _RESIDUAL_GATE
-          and excess <= _ENVELOPE_GATE)
+    # each residual is judged against the magnitude of its identity's terms
+    # and the excess against that of S_g, so the verdict has no units
+    s_endpoint, s_point = _identity_scales(f, g, iv, args.x)
+    ok = (r_endpoint <= _RESIDUAL_GATE * s_endpoint
+          and r_point <= _RESIDUAL_GATE * s_point
+          and excess <= _ENVELOPE_GATE * sup_norm(g, iv) * (iv.b - iv.a))
     print("within tolerance" if ok else "TOLERANCE EXCEEDED")
     return 0 if ok else 2
 

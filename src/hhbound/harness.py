@@ -24,8 +24,9 @@ floats, str text fields and a bool verdict. Reports are written as a CSV
 with 17-significant-digit reals plus a sibling JSON file echoing the
 configuration and the seed; the JSON is byte-equal to json.dump(payload,
 indent=1). Both are written block by block, one block per spec and
-theorem, and each text a block's rows share is rendered once, by its
-position in the block, so a row renders only its rhs, slack and tightness.
+theorem holding a list of rows per admitted (q, alpha, m). Each text a
+block's rows share is rendered once, from the first row that holds it, so a
+row renders only its rhs, slack and tightness.
 Two runs of the same config produce byte-identical files; nothing
 time-dependent is serialized.
 """
@@ -41,7 +42,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +99,6 @@ SUP_SAFETY_FACTOR = 1.0 + 1e-6
 
 _HOLDS_ABS = 1e-9
 _HOLDS_REL = 1e-9
-
-CSV_HEADER = "theorem_id,family_f,family_g,a,b,x,q,alpha,m,lhs,rhs,slack,tightness,holds"
-
 
 _REAL_FORMAT = "%.17g"
 
@@ -324,6 +321,9 @@ class CaseReport:
     holds: bool
 
 
+CSV_HEADER = ",".join(CaseReport.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """Aggregated outcome of a suite run.
@@ -449,6 +449,8 @@ class _SpecRun:
     and seeded split points lie in [a, b] by construction. The right-hand
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
+    evaluate emits a theorem's rows as a block: a list of rows per admitted
+    (q, alpha, m), one row per x of xs, with each lhs computed once.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
@@ -493,22 +495,22 @@ class _SpecRun:
         verdict on each combination, in combinations() order."""
         spec, iv, xs = self.spec, self.iv, self.xs
         rejections = 0
-        block = None
+        block_tid = None
         for tid, q, params, _ in self.combinations():
             if not next(verdicts).holds:
                 rejections += 1
                 continue
-            if block is None or block.theorem_id != tid.value:
+            if tid is not block_tid:
+                block_tid, theorem_id = tid, tid.value
                 lhs_pairs = [self._lhs_at(tid.uses_endpoint_rule, x) for x in xs]
-                block = _Block(tid.value, spec.f, spec.g, iv.a, iv.b, xs,
-                               [lhs for lhs, _ in lhs_pairs], [])
+                block = []
                 out.append(block)
             rhs_values = self._rhs.at(tid, q, params)
             alpha, m = params.alpha, params.m
-            block.combos.append((q, alpha, m, [
-                CaseReport(block.theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
+            block.append([
+                CaseReport(theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
                            alpha, m, lhs, rhs, *_compare(lhs, lhs_err, rhs))
-                for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)]))
+                for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)])
         return rejections
 
     def _lhs_at(self, endpoint_rule: bool, x: float) -> tuple[float, float]:
@@ -542,7 +544,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     rejections = 0
     for run in runs:
         rejections += run.evaluate(verdicts, blocks)
-    reports = [r for block in blocks for *_, rows in block.combos for r in rows]
+    reports = [r for block in blocks for rows in block for r in rows]
 
     violations = sum(1 for r in reports if not r.holds)
     finite = [r.tightness for r in reports if math.isfinite(r.tightness)]
@@ -575,27 +577,19 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # report writers
 #
-# A block holds the rows of one spec and theorem in report order: for each
-# admitted (q, alpha, m) one row per x of xs, the row at xs[k] with lhs
-# lhs[k]. The writers render the texts a block's rows share once, keyed by
-# their position in the block, never by float value: 0.0 and -0.0 are equal
-# but render as 0 and -0.
+# A block holds the rows of one spec and theorem in report order: one list
+# per admitted (q, alpha, m), each with one row per split point in the same
+# order and with the same lhs. The writers render the texts a block's rows
+# share once, from the rows in the position that holds them: the lead from
+# the block's first row, the x and lhs texts from its first list, and q,
+# alpha and m from each list's first row. Texts are never keyed by float
+# value: 0.0 and -0.0 are equal but render as 0 and -0.
 #
 # json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
 # only serves indent=None), and building the payload holds every row as a
 # dict at once. The JSON writer emits the same bytes one block at a time.
 
-
-class _Block(NamedTuple):
-    theorem_id: str
-    family_f: str
-    family_g: str
-    a: float
-    b: float
-    xs: Sequence[float]
-    lhs: Sequence[float]
-    # (q, alpha, m, rows), one per admitted combination
-    combos: list[tuple[float, float, float, Sequence[CaseReport]]]
+_Block = list[list[CaseReport]]
 
 
 def _laid_out(blocks: Iterable[_Block], real, text, lead: str, middle: str):
@@ -604,12 +598,15 @@ def _laid_out(blocks: Iterable[_Block], real, text, lead: str, middle: str):
     row k of rows sits at x text k with lhs text k. real renders a float and
     text a string."""
     for block in blocks:
-        head = lead % (text(block.theorem_id), text(block.family_f),
-                       text(block.family_g), real(block.a), real(block.b))
-        xs = [real(x) for x in block.xs]
-        lhs = [real(v) for v in block.lhs]
-        for q, alpha, m, rows in block.combos:
-            yield head, xs, middle % (real(q), real(alpha), real(m)), lhs, rows
+        first = block[0]
+        r = first[0]
+        head = lead % (text(r.theorem_id), text(r.family_f),
+                       text(r.family_g), real(r.a), real(r.b))
+        xs = [real(row.x) for row in first]
+        lhs = [real(row.lhs) for row in first]
+        for rows in block:
+            r = rows[0]
+            yield head, xs, middle % (real(r.q), real(r.alpha), real(r.m)), lhs, rows
 
 
 # a CSV row is lead, x, middle, lhs, then rhs, slack, tightness and holds

@@ -363,7 +363,7 @@ class _AntiderivativeTable:
         return c0 + s * (c1 + s * (c2 + s * c3))
 
 
-@lru_cache(maxsize=16)  # each table holds about 1 MB
+@lru_cache(maxsize=16)  # each table holds about 0.2 MB
 def _antiderivative_table(g: RealFunction, a: float, b: float) -> _AntiderivativeTable:
     return _AntiderivativeTable(g, a, b)
 
@@ -476,6 +476,29 @@ def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     return abs(sign_val - rhs)
 
 
+@dataclass(frozen=True)
+class _Abs:
+    """|fn|; hashable for memoization."""
+
+    fn: RealFunction | Product
+
+    def __call__(self, t):
+        return np.abs(self.fn(t))
+
+
+def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
+                     x: float) -> tuple[float, float]:
+    """Magnitudes of the terms of the endpoint and point identities,
+    |f(a)| int_a^x |g| + |f(b)| int_x^b |g| + int |fg| and
+    |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
+    knots = (*f.knots, *g.knots)
+    g_left = _integral_between(_Abs(g), iv.a, x, _LHS_TOL, knots).value
+    g_right = _integral_between(_Abs(g), x, iv.b, _LHS_TOL, knots).value
+    fg = _integral_between(_Abs(Product(f, g)), iv.a, iv.b, _LHS_TOL, knots).value
+    return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
+            abs(f(x)) * (g_left + g_right) + fg)
+
+
 # ---------------------------------------------------------------------------
 # envelope diagnostics
 
@@ -500,7 +523,8 @@ def envelope_excess(g: RealFunction, iv: Interval, x: float, n: int = 1001) -> f
     """Largest violation of |S_g(t)| <= sup|g| * S(t) over an n-point grid.
 
     Nonpositive up to interpolation noise, since sup|g| is core.sup_norm's
-    exact sup; the identities command gates on this staying below 1e-10.
+    exact sup; the identities command gates on this staying below
+    1e-10 * sup|g| * (b - a), the scale of S_g.
     """
     _, sg, s = step_weight_profile(g, iv, x, n)
     return float(np.max(np.abs(sg) - sup_norm(g, iv) * s))

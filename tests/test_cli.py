@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hhbound
+import hhbound.quadrature as quadrature
 from hhbound.cli import main
 
 
@@ -332,11 +333,33 @@ def test_classify_rejects_bad_grid(capsys):
     # reach left of 0
     ("exp", "sin", "-1", "0", "-0.5"),
     ("monomial:2", "pwlinear:-1:0:0:1:1:0", "-1", "1", "0.25"),
-], ids=["unit", "left-of-zero", "across-zero"])
+    # terms of size 2.2e8 and 4.7e12: the residuals, 3.6e-3 and 309, are
+    # rounding at that scale and only an absolute gate rejects them
+    ("exp:20", "sin", "0", "1", "0.3"),
+    ("exp:30", "sin", "0", "1", "0.3"),
+], ids=["unit", "left-of-zero", "across-zero", "large-exp20", "large-exp30"])
 def test_identities_within_tolerance(f, g, a, b, x, capsys):
     code = main(["identities", "--f", f, "--g", g, "--a", a, "--b", b, "--x", x])
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
+
+
+def test_identities_flag_a_kernel_error_at_small_scale(monkeypatch, capsys):
+    # with f = 1e-9 t**2 every residual lies far below 1e-7 whatever its
+    # error, so only a gate relative to the identity's terms sees a kernel
+    # that is 1e-4 off
+    kernel = quadrature._KernelTimesDeriv.__call__
+    monkeypatch.setattr(quadrature._KernelTimesDeriv, "__call__",
+                        lambda self, t: kernel(self, t) * (1.0 + 1e-4))
+    # the oracle's memo keys on the integrand, not on what it computes
+    quadrature._integrate_cached.cache_clear()
+    try:
+        code = main(["identities", "--f", "poly:0:0:1e-9", "--g", "sin",
+                     "--a", "0", "--b", "1", "--x", "0.3"])
+    finally:
+        quadrature._integrate_cached.cache_clear()
+    assert code == 2
+    assert "TOLERANCE EXCEEDED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("f, g", [("monomial:2", "affine:-1:0"),

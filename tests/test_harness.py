@@ -42,7 +42,7 @@ from hhbound import (
     trapezoid_rhs_midsplit,
     verify_case,
 )
-from hhbound.harness import _Block, _stream_json_report
+from hhbound.harness import _stream_json_report
 
 UNIT = Interval(0.0, 1.0)
 
@@ -319,9 +319,7 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
             "hypothesis_rejections": 0, "max_tightness": 0.5}
     for reports in (rows, rows[:1], []):
         got = io.StringIO()
-        _stream_json_report(got, head, [
-            _Block(r.theorem_id, r.family_f, r.family_g, r.a, r.b, (r.x,),
-                   (r.lhs,), [(r.q, r.alpha, r.m, (r,))]) for r in reports])
+        _stream_json_report(got, head, [[[r]] for r in reports])
         want = io.StringIO()
         json.dump({**head, "reports": [dataclasses.asdict(r) for r in reports]},
                   want, indent=1)

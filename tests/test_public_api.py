@@ -42,6 +42,17 @@ def test_all_names_resolve(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_exports_exactly_its_modules_lists():
+    modules = [importlib.import_module(f"hhbound.{name}") for name in MODULES]
+    names = [n for module in modules for n in module.__all__]
+    assert hhbound.__all__ == names and len(names) == 70
+    # a later star import would shadow an earlier module's name silently
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for n in module.__all__:
+            assert getattr(hhbound, n) is getattr(module, n), n
+
+
 def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert not hasattr(hhbound, name), name
