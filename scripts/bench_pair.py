@@ -12,15 +12,19 @@ Every run uses the same seed and run length. It records each side's op_s,
 setup_s and peak_rss_mb per run with their median and quartiles, and how many
 pairs the change won on op_s.
 
-It also runs the bundled suite once per checkout, in a fresh interpreter
-that imports that checkout's hhbound, and records deterministic counters of
+It also runs two suites once per checkout, each in a fresh interpreter
+that imports that checkout's hhbound, so every memo starts cold: the bundled
+suite, and the suite of one sweep_fresh_x operation (rep 0 of the seed, from
+bench/workloads.sweep_specs). For each it records deterministic counters of
 that run with the sha256 of both reports:
 
 - moment evaluations: calls of absolute_moment, trapezoid_moment and
   midpoint_moment;
 - float-to-text conversions made by the two report writers. They render
   shared texts through format_real and _json_real, and a row's rhs, slack
-  and tightness inline, three per row and format.
+  and tightness inline, three per row and format;
+- integrand calls: calls of RealFunction.__call__, and the points they
+  evaluated (one for a scalar, the size of an array).
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -42,11 +46,21 @@ from pathlib import Path
 _REPORTS = ("report.csv", "report.json")
 
 
-def count(out_dir: str) -> dict:
-    """Counters and report digests of one bundled-suite run of the hhbound
-    on sys.path."""
+def count(out_dir: str, workload: str, seed: int) -> dict:
+    """Counters and report digests of one run_suite of the hhbound on
+    sys.path: the bundled suite for suite_default, else the suite of the
+    sweep_fresh_x operation of rep 0 of seed."""
     import hhbound.bounds as bounds
+    import hhbound.core as core
     import hhbound.harness as harness
+    import numpy as np
+
+    if workload == "suite_default":
+        config = harness.default_suite(out_dir)
+    else:
+        import workloads
+        config = harness.SuiteConfig(cases=workloads.sweep_specs(seed, 0),
+                                     output_dir=out_dir)
 
     counts: Counter = Counter()
 
@@ -67,8 +81,16 @@ def count(out_dir: str) -> dict:
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
     rebind(harness, "_json_real", "text_conversions")
+    evaluate = core.RealFunction.__call__
 
-    result = harness.run_suite(harness.default_suite(out_dir))
+    def counted(self, t):
+        counts["integrand_calls"] += 1
+        counts["points_evaluated"] += int(np.size(t))
+        return evaluate(self, t)
+
+    core.RealFunction.__call__ = counted
+
+    result = harness.run_suite(config)
     rows = len(result.reports)
     counts["text_conversions"] += 2 * 3 * rows
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
@@ -84,12 +106,12 @@ def _src_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def _counters(root: Path) -> dict:
+def _counters(root: Path, workload: str, seed: int) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), str(Path(__file__).resolve().parent)])}
+        [str(root / "src"), str(root / "bench"), str(Path(__file__).resolve().parent)])}
     with tempfile.TemporaryDirectory() as out_dir:
-        code = ("import json, bench_pair; "
-                f"print(json.dumps(bench_pair.count({out_dir!r})))")
+        code = ("import json, bench_pair; print(json.dumps("
+                f"bench_pair.count({out_dir!r}, {workload!r}, {seed})))")
         proc = subprocess.run([sys.executable, "-c", code], cwd=out_dir, env=env,
                               check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -130,7 +152,9 @@ def main() -> int:
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "src_sha256": {side: _src_digest(root) for side, root in sides.items()},
-        "counters": {side: _counters(root) for side, root in sides.items()},
+        "counters": {side: {workload: _counters(root, workload, args.seed)
+                            for workload in ("suite_default", "sweep_fresh_x")}
+                     for side, root in sides.items()},
         "workloads": {},
     }
     for workload in args.workload:

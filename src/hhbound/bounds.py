@@ -204,8 +204,8 @@ def oracle_midpoint_moment(iv: Interval, x: float, alpha: float) -> IntegralResu
 
 def _piece_integral(kind: str, iv: Interval, x: float, alpha: float,
                     lo: float, hi: float) -> IntegralResult:
-    return _integral_between(_MomentIntegrand(kind, iv.a, iv.b, x, alpha), lo,
-                             hi, _ORACLE_TOL)
+    return _integral_between(_MomentIntegrand(kind, iv.a, iv.b, x, alpha),
+                             [(lo, hi)], _ORACLE_TOL)[0]
 
 
 def _split_at_x(left_kind: str, right_kind: str, iv: Interval, x: float,

@@ -14,10 +14,13 @@ gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
 gate verdicts come from one batched check_hypotheses call, given one
 request per combination in plan order. Each lhs is computed once per
-(rule, x). A spec's right-hand sides come from one bounds._BlockRhs, which
-reads each derivative magnitude once per point and the moments of the
-general forms once per rule, x and alpha, after the gate. Every row equals
-what verify_case gives for the corresponding BoundCase.
+(rule, x): a block's missing lhs values come from one batched oracle call
+per rule, which integrates the weight over [a, x] and [x, b] at every x
+together and reads f(a) and f(b) once. A spec's right-hand sides come from
+one bounds._BlockRhs, which reads each derivative magnitude once per point
+and the moments of the general forms once per rule, x and alpha, after the
+gate. Every row equals what verify_case gives for the corresponding
+BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are written as a CSV
@@ -67,14 +70,13 @@ from .core import (
     DomainSpec,
     Interval,
     InvalidCaseError,
-    RealFunction,
     TheoremId,
     parse_function,
     sup_norm,
     validate_case_params,
     validate_split_point,
 )
-from .quadrature import lhs_endpoint_at, lhs_point_at
+from .quadrature import _lhs_block
 
 __all__ = [
     "SUP_SAFETY_FACTOR",
@@ -357,19 +359,10 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> BoundReport:
     check_hypotheses before evaluating a combination.
     """
     tid = TheoremId(theorem_id)
-    lhs, lhs_err = _lhs(tid.uses_endpoint_rule, case.pair.f, case.g,
-                        case.interval, case.x)
+    ((lhs, lhs_err),) = _lhs_block(tid.uses_endpoint_rule, case.pair.f, case.g,
+                                   case.interval, (case.x,))
     rhs = float(evaluate_bound(case, tid))
     return BoundReport(tid, lhs, rhs, *_compare(lhs, lhs_err, rhs))
-
-
-def _lhs(endpoint_rule: bool, f: RealFunction, g: RealFunction, iv: Interval,
-         x: float) -> tuple[float, float]:
-    if endpoint_rule:
-        lhs, lhs_err = lhs_endpoint_at(f, g, iv, x)
-    else:
-        lhs, lhs_err = lhs_point_at(f, g, iv, x)
-    return float(lhs), lhs_err
 
 
 def _compare(lhs: float, lhs_err: float, rhs: float) -> tuple[float, float, bool]:
@@ -428,7 +421,7 @@ _GATE_PLAIN = ConvexityParams(1.0, 1.0)
 _GateRequest = tuple[DifferentiablePair, float, ConvexityParams]
 
 
-def _resolve_xs(spec: CaseSpec, rng: np.random.Generator) -> tuple[float, ...]:
+def _resolve_xs(spec: CaseSpec, rng: np.random.Generator | None) -> tuple[float, ...]:
     if spec.x_sweep is not None:
         return tuple(np.linspace(spec.a, spec.b, spec.x_sweep).tolist())
     if spec.x_values is not None:
@@ -450,7 +443,8 @@ class _SpecRun:
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
     evaluate emits a theorem's rows as a block: a list of rows per admitted
-    (q, alpha, m), one row per x of xs, with each lhs computed once.
+    (q, alpha, m), one row per x of xs, with each lhs computed once and a
+    block's missing lhs values in one batched call.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
@@ -502,7 +496,7 @@ class _SpecRun:
                 continue
             if tid is not block_tid:
                 block_tid, theorem_id = tid, tid.value
-                lhs_pairs = [self._lhs_at(tid.uses_endpoint_rule, x) for x in xs]
+                lhs_pairs = self._block_lhs(tid.uses_endpoint_rule)
                 block = []
                 out.append(block)
             rhs_values = self._rhs.at(tid, q, params)
@@ -513,12 +507,15 @@ class _SpecRun:
                 for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)])
         return rejections
 
-    def _lhs_at(self, endpoint_rule: bool, x: float) -> tuple[float, float]:
-        hit = self._lhs.get((endpoint_rule, x))
-        if hit is None:
-            hit = _lhs(endpoint_rule, self.f, self.g, self.iv, x)
-            self._lhs[(endpoint_rule, x)] = hit
-        return hit
+    def _block_lhs(self, endpoint_rule: bool) -> list[tuple[float, float]]:
+        """(lhs, error estimate) of the rule at each x of xs; the values no
+        spec of the run has computed yet come from one block call."""
+        lhs = self._lhs
+        missing = [x for x in dict.fromkeys(self.xs) if (endpoint_rule, x) not in lhs]
+        if missing:
+            lhs.update(zip([(endpoint_rule, x) for x in missing],
+                           _lhs_block(endpoint_rule, self.f, self.g, self.iv, missing)))
+        return [lhs[(endpoint_rule, x)] for x in self.xs]
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
@@ -531,7 +528,10 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     as long as the run.
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
+    # numpy.random, with the secrets and hmac modules it imports, loads only
+    # for a run that draws
+    rng = (np.random.default_rng(config.seed)
+           if any(spec.x_random is not None for spec in config.cases) else None)
     resolved = [_resolve_xs(spec, rng) for spec in config.cases]
     lhs_memo: dict = {}
     runs = [_SpecRun(spec, xs, lhs_memo)

@@ -8,20 +8,26 @@ scheme has algebraic degree 3 per panel. The panels are processed breadth
 first, a level at a time (Shampine, "Vectorized adaptive quadrature in
 MATLAB", J. Comput. Appl. Math. 211, 2008): the integrand is called with a
 1-D float array holding the new sample points of every active panel, and
-returns an array of that shape or a scalar that broadcasts to it. Splits,
-tolerances and the order of summation are those of the depth-first
-recursion, so an integrand whose array and scalar evaluations agree gets
-the recursive result bit for bit. Where the recursion would stop with its
-summed estimate above the tolerance, because the 3-point start overstated
-the integral, the oracle instead runs its levels once more against the
-value it computed.
+returns an array of that shape or a scalar that broadcasts to it. One run
+integrates a batch of intervals of one integrand: each level holds the
+panels of every interval side by side and makes one integrand call, while
+the tolerance, the split budget, the rerun and the error estimate stay per
+interval. Splits, tolerances and the order of summation are those of the
+depth-first recursion on each interval, so an integrand whose array and
+scalar evaluations agree gets the recursive result bit for bit, in a batch
+or alone; ``integrate`` is a batch of one. Where the recursion would stop
+with its summed estimate above the tolerance, because the 3-point start
+overstated the integral, the oracle instead runs its levels once more
+against the value it computed.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
-and point rule), integrated piece by piece between the knots of f and g; the
-kernel and step-weight primitives behind them, which integrate g piece by
-piece between its knots; and the residuals of the two integral identities
-that generate the bounds. One routine, ``_integral_between``, splits every
-piecewise integral at its knots. The residuals and the step-weight profile
+and point rule) at a block of split points, integrated piece by piece
+between the knots of f and g, with the integrals of g over [a, x] and
+[x, b] at every x of the block in one batch; the kernel and step-weight
+primitives behind them, which integrate g piece by piece between its knots;
+and the residuals of the two integral identities that generate the bounds.
+One routine, ``_integral_between``, splits every piecewise integral at its
+knots. The residuals and the step-weight profile
 read the antiderivative of the weight from one cubic Hermite table per
 (g, a, b), with nodes on the knots of a piecewise weight, so smooth and
 piecewise weights take the same path.
@@ -29,8 +35,10 @@ piecewise weights take the same path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ from .core import (
     DifferentiablePair,
     HHBoundError,
     Interval,
+    InvalidIntervalError,
     RealFunction,
     sup_norm,
 )
@@ -92,12 +101,35 @@ _MIN_DEPTH = 5  # guards against coincidental early agreement across a kink
 _FORCED_SPLITS = 2 ** _MIN_DEPTH - 1
 
 
-def _refine(grid: np.ndarray) -> np.ndarray:
-    """Insert the float midpoint 0.5 * (lo + hi) between neighbouring points."""
-    out = np.empty(2 * grid.size - 1)
-    out[0::2] = grid
-    out[1::2] = 0.5 * (grid[:-1] + grid[1:])
-    return out
+def _nested_grids(ranges: list) -> np.ndarray:
+    """Row k holds the 2**(_MIN_DEPTH + 2) + 1 points of the nested grid of
+    the interval ranges[k], each the float midpoint 0.5 * (lo + hi) of its
+    neighbours lo and hi one level up.
+
+    The rows are refined as one 1-D array [lo_1, hi_1, 0, lo_2, hi_2, 0,
+    ..., lo_n, hi_n], a level per numpy call, in place; the zeros keep the
+    unused points between two intervals finite. The rows are a strided view
+    of that array.
+    """
+    width = 2 ** (_MIN_DEPTH + 2)
+    flat = np.empty((3 * len(ranges) - 2) * width + 1)
+    flat[0::width] = [v for lo, hi in ranges for v in (0.0, lo, hi)][1:]
+    step = width // 2
+    while step:
+        flat[step::2 * step] = 0.5 * (flat[:-step:2 * step] + flat[2 * step::2 * step])
+        step //= 2
+    return np.ndarray((len(ranges), width + 1), buffer=flat,
+                      strides=(3 * width * flat.itemsize, flat.itemsize))
+
+
+def _start_panels(grid: np.ndarray) -> np.ndarray:
+    """Rows (lo, lm, mid, rm, hi) of the panels four steps wide of each row
+    of grid, the panels of one row side by side in order."""
+    n, m = grid.shape
+    out = np.empty((5, n, m // 4))
+    out[:4] = grid[:, :-1].reshape(n, -1, 4).transpose(2, 0, 1)
+    out[4] = grid[:, 4::4]
+    return out.reshape(5, -1)
 
 
 def _sample(f, x3: np.ndarray, f3: np.ndarray):
@@ -129,8 +161,42 @@ def _requested(tol: float, value: float) -> float:
     return max(tol, tol * abs(value))
 
 
-def _integrate_impl(fn, a: float, b: float, tol: float,
-                    max_panels: int) -> IntegralResult:
+def _integrate_batch(fn, ranges: list, tol: float,
+                     max_panels: int) -> list[IntegralResult]:
+    """Integrate fn over each (lo, hi) of ranges, lo < hi, to tolerance tol
+    and with at most max_panels splits per interval and pass.
+
+    Every interval starts from the nested grid it would start from alone,
+    and all of them share one level loop and one integrand call per level,
+    so each result equals the interval's result alone. An interval whose
+    forced panels meet the float64 floor, or a budget below the forced
+    splits, starts at depth 0 instead; such intervals run as a second batch.
+    If intervals fail, the QuadratureError is that of one of them: the first
+    to exhaust its budget, else the first left above its tolerance.
+    """
+    grid = _nested_grids(ranges)
+    steps = grid[:, 1:] > grid[:, :-1]
+    if max_panels >= _FORCED_SPLITS and steps.all():
+        return _integrate_rows(fn, grid, ranges, True, tol, max_panels)
+    fast = steps.all(axis=1) & (max_panels >= _FORCED_SPLITS)
+    if not fast.any():
+        return _integrate_rows(fn, grid, ranges, False, tol, max_panels)
+    results = [None] * len(ranges)
+    for start_fast in (True, False):
+        rows = np.flatnonzero(fast == start_fast).tolist()
+        for i, r in zip(rows, _integrate_rows(
+                fn, grid[rows], [ranges[i] for i in rows], start_fast, tol,
+                max_panels)):
+            results[i] = r
+    return results
+
+
+def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
+                    tol: float, max_panels: int) -> list[IntegralResult]:
+    """The results of _integrate_batch over the intervals (lo, hi) of ranges,
+    whose nested grids are the rows of grid, starting at _MIN_DEPTH when
+    fast, else at depth 0."""
+    n, m = grid.shape
     evals = 0
 
     def f(ts: np.ndarray) -> np.ndarray:
@@ -138,52 +204,74 @@ def _integrate_impl(fn, a: float, b: float, tol: float,
         evals += ts.size
         return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
 
-    grid = np.array([a, b], dtype=float)
-    for _ in range(_MIN_DEPTH + 2):
-        grid = _refine(grid)
-    if max_panels >= _FORCED_SPLITS and np.all(grid[:-1] < grid[1:]):
+    if fast:
         # no forced panel meets the float64 floor: start at _MIN_DEPTH with
         # all the samples above it taken in one call
         depth, panels = _MIN_DEPTH, _FORCED_SPLITS
-        fgrid = f(grid)
-        x5 = np.vstack((grid[:-1].reshape(-1, 4).T, grid[4::4]))
-        f5 = np.vstack((fgrid[:-1].reshape(-1, 4).T, fgrid[4::4]))
+        fgrid = f(grid.ravel()).reshape(n, m)
+        x5, f5 = _start_panels(grid), _start_panels(fgrid)
         ok = np.ones(x5.shape[1], dtype=bool)
-        fa, fm, fb = fgrid[[0, grid.size // 2, -1]]
+        f3 = fgrid[:, [0, m // 2, -1]].tolist()
+        start_evals = [m] * n
     else:
         depth, panels = 0, 0
-        x3 = grid[[0, grid.size // 2, -1]]
-        fa, fm, fb = f3 = f(x3)
-        x5, f5, ok = _sample(f, x3[:, None], f3[:, None])
-    whole = float((b - a) * (fa + 4.0 * fm + fb) / 6.0)
-    eps = _requested(tol, whole)
-    value, est = _levels(f, x5, f5, ok, depth, panels, eps, max_panels, a, b)
-    retry_eps = _requested(tol, value)
-    if est > retry_eps and retry_eps < eps:
+        x3 = grid[:, [0, m // 2, -1]].T
+        f3 = f(x3.ravel()).reshape(3, n)
+        x5, f5, ok = _sample(f, x3, f3)
+        f3 = f3.T.tolist()
+        start_evals = (3 + 2 * ok).tolist()
+    eps = [_requested(tol, (b - a) * (fa + 4.0 * fm + fb) / 6.0)
+           for (a, b), (fa, fm, fb) in zip(ranges, f3)]
+    value, est, sampled = _levels(f, x5, f5, ok, depth, panels, eps, max_panels,
+                                  ranges, n == 1)
+    retry_eps = [_requested(tol, v) for v in value]
+    again = [i for i in range(n) if est[i] > retry_eps[i] and retry_eps[i] < eps[i]]
+    if again:
         # the 3-point estimate whole can overstate |value| many times over
         # (50x for exp(300 t) on [0, 1]), so the panels were accepted too
         # loosely; run the levels once more against the value just computed
         # (Gander and Gautschi, BIT 40, 2000). Converged integrals never
         # get here, so their results do not change.
-        value, est = _levels(f, x5, f5, ok, depth, panels, retry_eps,
-                             max_panels, a, b)
-    if est > _requested(tol, value):
-        raise QuadratureError(
-            f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
-        )
-    return IntegralResult(value, est, evals)
+        if len(again) < n:
+            per = x5.shape[1] // n  # starting panels per interval
+            cols = (np.array(again)[:, None] * per + np.arange(per)).ravel()
+            x5, f5, ok = x5[:, cols], f5[:, cols], ok[cols]
+        redo = _levels(f, x5, f5, ok, depth, panels,
+                       [retry_eps[i] for i in again], max_panels,
+                       [ranges[i] for i in again], n == 1)
+        for i, v, e, k in zip(again, *redo):
+            value[i], est[i] = v, e
+            sampled[i] += k
+    for (a, b), v, e in zip(ranges, value, est):
+        if e > _requested(tol, v):
+            raise QuadratureError(
+                f"error estimate {e:.3g} above requested tolerance on [{a}, {b}]"
+            )
+    counts = [evals] if n == 1 else [s + k for s, k in zip(start_evals, sampled)]
+    return [IntegralResult(v, e, c) for v, e, c in zip(value, est, counts)]
 
 
 def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
-            panels: int, eps: float, max_panels: int, a: float,
-            b: float) -> tuple[float, float]:
-    """Value and error estimate of adaptive Simpson against tolerance eps,
-    starting from the panels (x5, f5, ok) at ``depth`` after ``panels``
-    splits; the starting arrays are not modified."""
+            panels: int, eps: list[float], max_panels: int, ranges: list,
+            single: bool) -> tuple[list[float], list[float], list[int]]:
+    """Values and error estimates of adaptive Simpson against the tolerance
+    eps[k] of each interval ranges[k], starting from the panels (x5, f5, ok)
+    at ``depth`` after ``panels`` splits per interval, each interval's panels
+    contiguous and in order; the starting arrays are not modified.
+
+    single runs one interval with a scalar tolerance and no per-panel owner,
+    the work of a level being that of a batch of one, and reports 0 points
+    sampled; otherwise each level maps its panels to their intervals, and
+    the points each interval sampled are reported.
+    """
     start = depth
-    tol = eps
+    if single:
+        owner, tol, sampled = None, eps[0], 0
+    else:
+        owner = np.arange(len(ranges)).repeat(x5.shape[1] // len(ranges))
+        tol, sampled = np.array(eps), np.zeros(len(ranges), dtype=int)
     for _ in range(depth):
-        tol *= 0.5
+        tol = tol * 0.5
 
     levels = []
     while True:
@@ -196,22 +284,38 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
         delta = s_left + s_right - s
         est = np.abs(delta) / 15.0
         # a panel past the float64 floor is accepted with its own estimate
-        split = ok & ~(est <= tol) if depth >= _MIN_DEPTH else ok
+        if depth < _MIN_DEPTH:
+            split = ok
+        else:
+            split = ok & ~(est <= (tol if owner is None else tol[owner]))
         levels.append((np.where(ok, s_left + s_right + delta / 15.0, s),
                        np.where(ok, est, np.abs(s)), split))
-        n_split = int(np.count_nonzero(split))
-        if n_split == 0:
-            break
-        panels += n_split
-        if panels > max_panels:
+        if owner is None:
+            n_split = int(np.count_nonzero(split))
+            if n_split == 0:
+                break
+            panels += n_split
+            over = 0 if panels > max_panels else None
+        else:
+            split_owner = owner[split]
+            if split_owner.size == 0:
+                break
+            panels = panels + np.bincount(split_owner, minlength=len(ranges))
+            over = next(iter(np.flatnonzero(panels > max_panels).tolist()), None)
+            owner = np.repeat(split_owner, 2)
+        if over is not None:
+            a, b = ranges[over]
             raise QuadratureError(
                 f"no convergence on [{a}, {b}] after {max_panels} panel splits"
             )
         x5, f5, ok = _sample(f, _halves(x5, split), _halves(f5, split))
+        if owner is not None:
+            sampled += 2 * np.bincount(owner[ok], minlength=len(ranges))
         depth += 1
-        tol *= 0.5
+        tol = tol * 0.5
 
-    # fold bottom-up: a split panel is the sum of its halves, left + right
+    # fold bottom-up: a split panel is the sum of its halves, left + right;
+    # then each interval's starting panels pairwise
     value, err, _ = levels.pop()
     for leaf_value, leaf_err, split in reversed(levels):
         leaf_value[split] = value[0::2] + value[1::2]
@@ -219,12 +323,63 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
         value, err = leaf_value, leaf_err
     for _ in range(start):
         value, err = value[0::2] + value[1::2], err[0::2] + err[1::2]
-    return float(value[0]), float(err[0])
+    return value.tolist(), err.tolist(), [sampled] if single else sampled.tolist()
 
 
-@lru_cache(maxsize=4096)  # above the misses of one 1,536-row fresh-x sweep
-def _integrate_cached(fn, a: float, b: float, tol: float) -> IntegralResult:
-    return _integrate_impl(fn, a, b, tol, DEFAULT_PANEL_BUDGET)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _ResultMemo:
+    """Bounded memo of oracle results keyed (fn, a, b, tol), with
+    functools.lru_cache's cache_info() and cache_clear(). A batch fills it,
+    so it stores results rather than wrapping the function that computes
+    them. Past maxsize it drops its oldest entry."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._results: dict = {}
+        self._hits = self._misses = 0
+
+    def results(self, fn, pieces: list, tol: float) -> list[IntegralResult]:
+        """The oracle's result over each (lo, hi) of pieces, which are
+        distinct: the stored one, else from one batch over the pieces not
+        stored, which are then stored. An unhashable integrand is
+        integrated afresh, and nothing is stored."""
+        results = self._results
+        found, missing = [], []
+        try:
+            for lo, hi in pieces:
+                r = results.get((fn, lo, hi, tol))
+                if r is None:
+                    missing.append(len(found))
+                found.append(r)
+        except TypeError:
+            return _integrate_batch(fn, pieces, tol, DEFAULT_PANEL_BUDGET)
+        self._hits += len(found) - len(missing)
+        self._misses += len(missing)
+        if missing:
+            computed = _integrate_batch(fn, [pieces[i] for i in missing], tol,
+                                        DEFAULT_PANEL_BUDGET)
+            for i, r in zip(missing, computed):
+                found[i] = results[(fn, *pieces[i], tol)] = r
+            while len(results) > self.maxsize:
+                del results[next(iter(results))]
+        return found
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._results))
+
+    def cache_clear(self) -> None:
+        self._results.clear()
+        self._hits = self._misses = 0
+
+
+# above the misses of one 1,536-row fresh-x sweep
+_integrate_cached = _ResultMemo(maxsize=4096)
 
 
 def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
@@ -245,29 +400,37 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
 
     Each pass (a rerun against the computed value is the second) may split
     at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError.
-    Results for hashable integrands are memoized, keyed by the integrand and
-    the exact (a, b, tol) triple. An error raised by the integrand propagates
-    from the one run that raised it.
+    This is a batch of one, and an interval integrated in a batch beside
+    others gets the same result, raises the same error on its own, and is
+    memoized the same way: results for hashable integrands live in one
+    bounded memo (``_integrate_cached``, 4096 entries) keyed by the
+    integrand and the exact (a, b, tol) triple, which the batched integrals
+    of the left-hand sides fill too; an unhashable integrand is integrated
+    afresh on every call. An error raised by the integrand propagates from
+    the one run that raised it.
     """
-    try:
-        hash(fn)
-    except TypeError:
-        return _integrate_impl(fn, iv.a, iv.b, tol, DEFAULT_PANEL_BUDGET)
-    return _integrate_cached(fn, iv.a, iv.b, tol)
+    return _integrate_cached.results(fn, [(iv.a, iv.b)], tol)[0]
 
 
-def _integral_between(fn, lo: float, hi: float, tol: float,
-                      knots=()) -> IntegralResult:
-    """Integral of fn over [lo, hi], summed over the pieces between the knots
-    strictly inside it, as QUADPACK's QAGP does with breakpoints (Piessens et
-    al., QUADPACK, 1983): a feature between the oracle's samples can hide
-    inside one panel, but not across a piece boundary. Without an inner knot
-    this is one oracle call; with lo == hi it is a zero result."""
-    if lo == hi:
-        return IntegralResult(0.0, 0.0, 0)
-    edges = [lo, *sorted({k for k in knots if lo < k < hi}), hi]
-    return _sum_results([integrate(fn, Interval(p, r), tol)
-                         for p, r in zip(edges[:-1], edges[1:])])
+def _integral_between(fn, ranges, tol: float, knots=()) -> list[IntegralResult]:
+    """Integral of fn over each [lo, hi] of ranges, summed over the pieces
+    between the knots strictly inside it, as QUADPACK's QAGP does with
+    breakpoints (Piessens et al., QUADPACK, 1983): a feature between the
+    oracle's samples can hide inside one panel, but not across a piece
+    boundary. The distinct pieces the memo does not hold are integrated in
+    one batch; a range with lo == hi gives a zero result, and one that is
+    not finite with lo <= hi raises InvalidIntervalError."""
+    inner = sorted(set(knots))
+    cuts = []
+    for lo, hi in ranges:
+        if not (lo <= hi and math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidIntervalError(f"need finite lo <= hi, got [{lo}, {hi}]")
+        edges = [lo, *[k for k in inner if lo < k < hi], hi] if inner else [lo, hi]
+        cuts.append(list(zip(edges[:-1], edges[1:])) if lo != hi else [])
+    pieces = list(dict.fromkeys(p for cut in cuts for p in cut))
+    found = dict(zip(pieces, _integrate_cached.results(fn, pieces, tol)))
+    return [_sum_results([found[p] for p in cut]) if cut
+            else IntegralResult(0.0, 0.0, 0) for cut in cuts]
 
 
 def _sum_results(pieces: list[IntegralResult]) -> IntegralResult:
@@ -297,7 +460,7 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     for p in (x, t):
         if not iv.contains(p):
             raise HHBoundError(f"kernel point {p} outside [{iv.a}, {iv.b}]")
-    val = _integral_between(g, min(x, t), max(x, t), _KERNEL_TOL, g.knots).value
+    val = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0].value
     return val if x <= t else -val
 
 
@@ -313,9 +476,9 @@ def step_weight(g: RealFunction, iv: Interval, x: float,
     if not iv.contains(t) or not iv.contains(x):
         raise HHBoundError(f"step-weight points ({x}, {t}) outside [{iv.a}, {iv.b}]")
     if t < x:
-        sg = _integral_between(g, iv.a, t, _KERNEL_TOL, g.knots).value
+        sg = _integral_between(g, [(iv.a, t)], _KERNEL_TOL, g.knots)[0].value
         return sg, t - iv.a
-    sg = -_integral_between(g, t, iv.b, _KERNEL_TOL, g.knots).value
+    sg = -_integral_between(g, [(t, iv.b)], _KERNEL_TOL, g.knots)[0].value
     return sg, iv.b - t
 
 
@@ -397,39 +560,45 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
                     x: float) -> tuple[float, float]:
     """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
     error estimate propagated from the three oracle integrals."""
-    val, err = _endpoint_signed(f, g, iv, x)
-    return abs(val), err
-
-
-def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                     x: float) -> tuple[float, float]:
-    knots = (*f.knots, *g.knots)
-    i_left = _integral_between(g, iv.a, x, _LHS_TOL, knots)
-    i_right = _integral_between(g, x, iv.b, _LHS_TOL, knots)
-    i_fg = _integral_between(Product(f, g), iv.a, iv.b, _LHS_TOL, knots)
-    fa, fb = f(iv.a), f(iv.b)
-    val = fa * i_left.value + fb * i_right.value - i_fg.value
-    err = (abs(fa) * i_left.error_estimate + abs(fb) * i_right.error_estimate
-           + i_fg.error_estimate)
-    return val, err
+    return _lhs_block(True, f, g, iv, (x,))[0]
 
 
 def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
                  x: float) -> tuple[float, float]:
     """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
-    val, err = _point_signed(f, g, iv, x)
-    return abs(val), err
+    return _lhs_block(False, f, g, iv, (x,))[0]
+
+
+def _lhs_block(endpoint_rule: bool, f: RealFunction, g: RealFunction,
+               iv: Interval, xs) -> list[tuple[float, float]]:
+    """(lhs, error estimate) of the endpoint or the point rule at each x of
+    xs, each equal to lhs_endpoint_at or lhs_point_at at that x."""
+    signed = _endpoint_signed if endpoint_rule else _point_signed
+    return [(abs(v), e) for v, e in signed(f, g, iv, xs)]
+
+
+def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
+                     xs) -> list[tuple[float, float]]:
+    # the integrals of g over [a, x] and [x, b] at every x run as one batch
+    knots = (*f.knots, *g.knots)
+    i_g = _integral_between(g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)],
+                            _LHS_TOL, knots)
+    (i_fg,) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
+    fa, fb = f(iv.a), f(iv.b)
+    return [(fa * left.value + fb * right.value - i_fg.value,
+             abs(fa) * left.error_estimate + abs(fb) * right.error_estimate
+             + i_fg.error_estimate)
+            for left, right in zip(i_g[:len(xs)], i_g[len(xs):])]
 
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                  x: float) -> tuple[float, float]:
+                  xs) -> list[tuple[float, float]]:
     knots = (*f.knots, *g.knots)
-    i_g = _integral_between(g, iv.a, iv.b, _LHS_TOL, knots)
-    i_fg = _integral_between(Product(f, g), iv.a, iv.b, _LHS_TOL, knots)
-    fx = f(x)
-    val = fx * i_g.value - i_fg.value
-    err = abs(fx) * i_g.error_estimate + i_fg.error_estimate
-    return val, err
+    (i_g,) = _integral_between(g, [(iv.a, iv.b)], _LHS_TOL, knots)
+    (i_fg,) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
+    return [(fx * i_g.value - i_fg.value,
+             abs(fx) * i_g.error_estimate + i_fg.error_estimate)
+            for fx in f(np.asarray(xs, dtype=float)).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +619,7 @@ def residual_endpoint_identity(case: BoundCase) -> float:
 
 def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                        x: float) -> float:
-    sign_val, _ = _endpoint_signed(pair.f, g, iv, x)
+    ((sign_val, _),) = _endpoint_signed(pair.f, g, iv, (x,))
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
     rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL).value
     return abs(sign_val - rhs)
@@ -468,11 +637,11 @@ def residual_point_identity(case: BoundCase) -> float:
 
 def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                     x: float) -> float:
-    sign_val, _ = _point_signed(pair.f, g, iv, x)
+    ((sign_val, _),) = _point_signed(pair.f, g, iv, (x,))
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
-    rhs = (_integral_between(left, iv.a, x, _RESIDUAL_OUTER_TOL).value
-           + _integral_between(right, x, iv.b, _RESIDUAL_OUTER_TOL).value)
+    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL)[0].value
+           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL)[0].value)
     return abs(sign_val - rhs)
 
 
@@ -492,9 +661,9 @@ def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
     |f(a)| int_a^x |g| + |f(b)| int_x^b |g| + int |fg| and
     |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
     knots = (*f.knots, *g.knots)
-    g_left = _integral_between(_Abs(g), iv.a, x, _LHS_TOL, knots).value
-    g_right = _integral_between(_Abs(g), x, iv.b, _LHS_TOL, knots).value
-    fg = _integral_between(_Abs(Product(f, g)), iv.a, iv.b, _LHS_TOL, knots).value
+    g_left, g_right = (r.value for r in _integral_between(
+        _Abs(g), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots))
+    fg = _integral_between(_Abs(Product(f, g)), [(iv.a, iv.b)], _LHS_TOL, knots)[0].value
     return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
             abs(f(x)) * (g_left + g_right) + fg)
 

@@ -208,6 +208,16 @@ def test_no_scipy_import(args, tmp_path):
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
 
 
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # numpy.random, with secrets and hmac, loads only for seeded split points
+    modules = _imported_modules(
+        ["-m", "hhbound.cli", "verify", "--f", "monomial:2", "--g", "const:1",
+         "--a", "0", "--b", "1", "--x", "0.25", "--q", "2", "--alpha", "0.75",
+         "--m", "0.75", "--theorem", "T21", "--out", "reports"], tmp_path)
+    assert "hhbound.harness" in modules
+    assert "numpy.random" not in modules
+
+
 def test_verify_requires_full_inline_case(capsys):
     assert main(["verify", "--f", "monomial:2"]) == 1
     assert "required" in capsys.readouterr().err

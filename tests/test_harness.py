@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from hhbound import (
     default_suite,
     derivative,
     format_real,
+    lhs_endpoint_at,
+    lhs_point_at,
     midpoint_rhs,
     midpoint_rhs_convex,
     midpoint_rhs_midsplit,
@@ -43,6 +46,8 @@ from hhbound import (
     verify_case,
 )
 from hhbound.harness import _stream_json_report
+
+from exact_reference import coefficients, exact_lhs
 
 UNIT = Interval(0.0, 1.0)
 
@@ -537,6 +542,21 @@ def test_random_split_points_are_seeded(tmp_path):
     assert xs1 != [r.x for r in r3.reports]
 
 
+def test_random_split_points_are_pinned(tmp_path):
+    # numpy.random is built only for a run that draws; each x_random spec
+    # still draws from one generator seeded by the config, in spec order
+    kw = dict(f="monomial:2", g="const:1", q_values=(1.0,), alpha_values=(1.0,),
+              m_values=(1.0,), b_star=4.0)
+    specs = (CaseSpec(a=0.0, b=1.0, theorems=("T21",), x_random=4, **kw),
+             CaseSpec(a=0.0, b=1.0, theorems=("T21",), x_sweep=3, **kw),
+             CaseSpec(a=0.5, b=2.0, theorems=("T22",), x_random=3, **kw))
+    result = run_suite(SuiteConfig(cases=specs, seed=11, output_dir=str(tmp_path)))
+    assert [r.x for r in result.reports] == [
+        0.028689008371944547, 0.12857020276919962, 0.49927786244011496,
+        0.6014983576233575, 0.0, 0.5, 1.0, 0.6056308642312953,
+        0.7218891268661839, 1.8923165344405541]
+
+
 def test_swept_split_points_are_python_floats(tmp_path):
     spec = CaseSpec(f="monomial:2", g="const:1", a=0.0, b=1.0,
                     q_values=(1.0,), alpha_values=(1.0,), m_values=(1.0,),
@@ -556,3 +576,41 @@ def test_default_suite_shape():
     assert fams_g == {"const:1", "monomial:1", "poly:0:1:-1", "sin"}
     for c in cfg.cases:
         assert c.q_values == (1.0, 1.5, 2.0, 3.0)
+
+
+def _is_polynomial(spec: str) -> bool:
+    try:
+        coefficients(parse_function(spec))
+    except ValueError:
+        return False
+    return True
+
+
+def test_bundled_polynomial_lhs_within_its_error_of_the_exact_value(tmp_path):
+    # every theorem, polynomial (f, g) and q of the bundled suite, at the
+    # endpoints, the midpoint and one interior x; the 20 rows where the bound
+    # is attained (ROADMAP Baseline) are among them, at x = a or b
+    specs = []
+    for spec in default_suite().cases:
+        if _is_polynomial(spec.f) and _is_polynomial(spec.g):
+            if spec.x_sweep is not None:
+                a, b = spec.a, spec.b
+                spec = dataclasses.replace(
+                    spec, x_sweep=None,
+                    x_values=(a, a + 0.25 * (b - a), 0.5 * (a + b), b))
+            specs.append(spec)
+    result = run_suite(SuiteConfig(cases=tuple(specs), output_dir=str(tmp_path)))
+    assert {r.theorem_id for r in result.reports} == {t.value for t in TheoremId}
+    assert sum(r.tightness > 0.99999 for r in result.reports) == 20
+    seen = {}
+    for r in result.reports:
+        endpoint_rule = TheoremId(r.theorem_id).uses_endpoint_rule
+        key = (endpoint_rule, r.family_f, r.family_g, r.a, r.b, r.x)
+        if key not in seen:
+            f, g, iv = parse_function(r.family_f), parse_function(r.family_g), Interval(r.a, r.b)
+            lhs_at = lhs_endpoint_at if endpoint_rule else lhs_point_at
+            seen[key] = (lhs_at(f, g, iv, r.x), exact_lhs(endpoint_rule, f, g, iv, r.x))
+        (lhs, lhs_err), (exact, terms) = seen[key]
+        assert r.lhs == lhs
+        assert abs(Fraction(lhs) - exact) <= (Fraction(lhs_err)
+                                               + 4 * Fraction(math.ulp(float(terms))))

@@ -14,7 +14,9 @@ from hhbound import (
     DifferentiablePair,
     DomainSpec,
     HHBoundError,
+    IntegralResult,
     Interval,
+    InvalidIntervalError,
     Product,
     QuadratureError,
     RealFunction,
@@ -35,9 +37,10 @@ from hhbound.quadrature import (
     _RESIDUAL_OUTER_TOL,
     DEFAULT_PANEL_BUDGET,
     _antiderivative_table,
+    _integrate_batch,
     _integrate_cached,
-    _integrate_impl,
     _KernelTimesDeriv,
+    _lhs_block,
 )
 from recursive_simpson import integrate_recursive
 
@@ -111,7 +114,7 @@ def test_integrate_budget_exhaustion():
             return np.sin(1e4 * t) + np.sin(9931.0 * t)
 
     with pytest.raises(QuadratureError):
-        _integrate_impl(Noise(), 0.0, 1.0, 1e-14, 8)
+        _integrate_batch(Noise(), [(0.0, 1.0)], 1e-14, 8)
 
 
 def test_integrand_error_propagates_from_one_run():
@@ -168,10 +171,10 @@ def _assert_same_as_recursive(fn, a, b, tol, max_panels=DEFAULT_PANEL_BUDGET):
         want = integrate_recursive(fn, a, b, tol, tol, max_panels)
     except QuadratureError as exc:
         with pytest.raises(QuadratureError) as got:
-            _integrate_impl(fn, a, b, tol, max_panels)
+            _integrate_batch(fn, [(a, b)], tol, max_panels)
         assert str(got.value) == str(exc)
         return
-    assert _integrate_impl(fn, a, b, tol, max_panels) == want
+    assert _integrate_batch(fn, [(a, b)], tol, max_panels) == [want]
 
 
 _SWEEP_FS = ("monomial:2", "monomial:3", "exp")
@@ -215,6 +218,110 @@ def test_oracle_bit_identical_to_recursion_at_float_floor(ulps, max_panels):
 def test_oracle_bit_identical_to_recursion_on_small_budgets(max_panels):
     # 31 splits take every panel down to the first acceptance test
     _assert_same_as_recursive(parse_function("exp"), 0.0, 1.0, 1e-10, max_panels)
+
+
+def _floor_ranges(at):
+    # below ~128 ulps the nested grid repeats points and panels hit the floor
+    return [(at, float(at + k * np.spacing(at))) for k in (3, 40, 127, 128)]
+
+
+def _batches():
+    """(integrand, ranges): the sweep pairs' lhs integrals at 64 seeded x,
+    the kinked weight's pieces, and float-floor intervals beside them."""
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, 64).tolist()
+    for gspec in _SWEEP_GS:
+        yield parse_function(gspec), [*((0.0, x) for x in xs),
+                                      *((x, 1.0) for x in xs), (0.0, 1.0),
+                                      *_floor_ranges(1.0)]
+    for fspec in _SWEEP_FS:
+        for gspec in _SWEEP_GS:
+            yield (Product(parse_function(fspec), parse_function(gspec)),
+                   [(0.0, 1.0), *_floor_ranges(1.0)])
+    yield (parse_function("pwlinear:0:0:0.5:1:1:0"),
+           [(0.0, 1.0), (0.0, 0.3), (0.3, 1.0), (0.0, 0.5), (0.5, 1.0),
+            *_floor_ranges(0.5)])
+    # integrals of 0.001 to 13 in one batch: each has its own tolerance
+    yield (parse_function("exp:4"),
+           [(0.0, 0.001), (0.0, 1.0), (0.25, 1.0), (0.999, 1.0)])
+
+
+@pytest.mark.parametrize("max_panels", [8, 30, 31, DEFAULT_PANEL_BUDGET])
+def test_batch_gives_each_interval_its_result_alone(max_panels):
+    for fn, ranges in _batches():
+        alone = {}
+        for r in ranges:
+            # the recursion's result or error, and the batch of one's
+            try:
+                alone[r] = integrate_recursive(fn, *r, _LHS_TOL, _LHS_TOL, max_panels)
+                assert _integrate_batch(fn, [r], _LHS_TOL, max_panels) == [alone[r]]
+            except QuadratureError as exc:
+                alone[r] = str(exc)
+                with pytest.raises(QuadratureError) as got:
+                    _integrate_batch(fn, [r], _LHS_TOL, max_panels)
+                assert str(got.value) == alone[r]
+        converged = [r for r in ranges if isinstance(alone[r], IntegralResult)]
+        if converged:
+            got = _integrate_batch(fn, converged, _LHS_TOL, max_panels)
+            assert got == [alone[r] for r in converged]
+        failed = {alone[r] for r in ranges if isinstance(alone[r], str)}
+        if failed:
+            with pytest.raises(QuadratureError) as exc:
+                _integrate_batch(fn, ranges, _LHS_TOL, max_panels)
+            assert str(exc.value) in failed
+
+
+def test_batch_reruns_only_the_intervals_that_need_it():
+    # the 3-point start overstates exp(300 t) on [0, 1], [0.5, 1] and
+    # [0, 0.5], which rerun against their values; the other two do not
+    fn = parse_function("exp:300")
+    ranges = [(0.0, 0.01), (0.0, 1.0), (0.99, 1.0), (0.5, 1.0), (0.0, 0.5)]
+    alone = [_integrate_batch(fn, [r], 1e-10, DEFAULT_PANEL_BUDGET)[0]
+             for r in ranges]
+    assert _integrate_batch(fn, ranges, 1e-10, DEFAULT_PANEL_BUDGET) == alone
+
+
+def test_batch_error_names_the_interval_that_fails():
+    wave = RealFunction("sin", (1e4,))
+    with pytest.raises(QuadratureError,
+                       match=r"^no convergence on \[0.0, 1.0\] after 64 panel splits$"):
+        _integrate_batch(wave, [(0.0, 1e-5), (0.5, 0.50001), (0.0, 1.0)], 1e-10, 64)
+    # a float-floor panel is accepted with its whole value as its estimate,
+    # which is above the tolerance of an integral this large
+    big = 2.0 ** 40
+    top = float(big + 3 * np.spacing(big))
+    with pytest.raises(QuadratureError,
+                       match=rf"above requested tolerance on \[{big}, {top}\]$"):
+        _integrate_batch(parse_function("const:1"), [(0.0, 1.0), (big, top), (2.0, 3.0)],
+                         1e-10, DEFAULT_PANEL_BUDGET)
+
+
+def test_batch_calls_its_integrand_once_per_level():
+    g = Product(parse_function("exp"), parse_function("sin"))
+    xs = np.random.default_rng(6).uniform(0.0, 1.0, 64).tolist()
+    deepest = 0
+    for x in xs:
+        alone = _CountingCalls(g)
+        _integrate_batch(alone, [(0.0, x)], _LHS_TOL, DEFAULT_PANEL_BUDGET)
+        deepest = max(deepest, alone.calls)
+    batch = _CountingCalls(g)
+    _integrate_batch(batch, [(0.0, x) for x in xs], _LHS_TOL, DEFAULT_PANEL_BUDGET)
+    assert batch.calls <= deepest + 1
+
+
+@pytest.mark.parametrize("gspec", ["sin", "pwlinear:0:1:0.3:2:0.7:0.5:1:1"])
+def test_lhs_block_equals_lhs_at_each_x(gspec):
+    # the knots 0.3 and 0.7 split the ranges [a, x] and [x, b] of some x
+    f, g = parse_function("exp"), parse_function(gspec)
+    xs = [0.0, *np.random.default_rng(7).uniform(0.0, 1.0, 30).tolist(),
+          0.3, 0.7, 1.0]
+    for endpoint_rule, lhs_at in ((True, lhs_endpoint_at), (False, lhs_point_at)):
+        _integrate_cached.cache_clear()
+        block = _lhs_block(endpoint_rule, f, g, UNIT, xs)
+        want = []
+        for x in xs:
+            _integrate_cached.cache_clear()
+            want.append(lhs_at(f, g, UNIT, x))
+        assert block == want
 
 
 def test_product_wraps_pair():
@@ -358,6 +465,14 @@ def test_lhs_sees_a_spike_between_samples():
     point = abs(f(x) * whole_g - whole_fg)
     assert abs(lhs_endpoint_at(f, g, UNIT, x)[0] - endpoint) <= 1e-9
     assert abs(lhs_point_at(f, g, UNIT, x)[0] - point) <= 1e-9
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5, math.nan, math.inf])
+def test_endpoint_lhs_rejects_a_split_point_off_the_interval(x):
+    # [a, x] and [x, b] must be finite ranges, as an Interval would be
+    f, g = parse_function("monomial:2"), parse_function("const:1")
+    with pytest.raises(InvalidIntervalError):
+        lhs_endpoint_at(f, g, UNIT, x)
 
 
 def test_lhs_pieces_sum_to_unsplit_value_on_smooth_integrand():
