@@ -12,11 +12,12 @@ Every run uses the same seed and run length. It records each side's op_s,
 setup_s and peak_rss_mb per run with their median and quartiles, and how many
 pairs the change won on op_s.
 
-It also runs two suites once per checkout, each in a fresh interpreter
-that imports that checkout's hhbound, so every memo starts cold: the bundled
-suite, and the suite of one sweep_fresh_x operation (rep 0 of the seed, from
-bench/workloads.sweep_specs). For each it records deterministic counters of
-that run with the sha256 of both reports:
+It also runs four cold operations once per checkout, each in a fresh
+interpreter that imports that checkout's hhbound, so every memo starts cold:
+the bundled suite, the suite of one sweep_fresh_x operation (rep 0 of the
+seed, from bench/workloads.sweep_specs), and one pass of each identities
+workload. For each suite it records deterministic counters of that run with
+the sha256 of both reports:
 
 - moment evaluations: calls of absolute_moment, trapezoid_moment and
   midpoint_moment;
@@ -25,6 +26,9 @@ that run with the sha256 of both reports:
   and tightness inline, three per row and format;
 - integrand calls: calls of RealFunction.__call__, and the points they
   evaluated (one for a scalar, the size of an array).
+
+For each identities pass it records the integrand calls and points, the
+worst residual, and whether numpy.ma was loaded by the end of the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -44,25 +48,47 @@ from collections import Counter
 from pathlib import Path
 
 _REPORTS = ("report.csv", "report.json")
+_COUNTED = ("suite_default", "sweep_fresh_x", "identities_nonsmooth",
+            "identities_smooth")
 
 
 def count(out_dir: str, workload: str, seed: int) -> dict:
-    """Counters and report digests of one run_suite of the hhbound on
-    sys.path: the bundled suite for suite_default, else the suite of the
-    sweep_fresh_x operation of rep 0 of seed."""
+    """Deterministic counters of one cold operation of workload with the
+    hhbound on sys.path.
+
+    For suite_default and sweep_fresh_x, the counters and report digests of
+    one run_suite: the bundled suite, or the suite of the sweep_fresh_x
+    operation of rep 0 of seed. For an identities workload, the integrand
+    counters of one pass over its cases, its worst residual and whether
+    numpy.ma was loaded by the end of it.
+    """
     import hhbound.bounds as bounds
     import hhbound.core as core
     import hhbound.harness as harness
     import numpy as np
+    import workloads
+
+    counts: Counter = Counter()
+    evaluate = core.RealFunction.__call__
+
+    def counted(self, t):
+        counts["integrand_calls"] += 1
+        counts["points_evaluated"] += int(np.size(t))
+        return evaluate(self, t)
+
+    core.RealFunction.__call__ = counted
+
+    if workload.startswith("identities_"):
+        result = workloads.WORKLOADS[workload](seed).run(0, Path(out_dir), True)
+        return {"cases": result["units"], **counts,
+                "worst_residual": result["info"]["worst_residual"],
+                "numpy_ma_loaded": "numpy.ma" in sys.modules}
 
     if workload == "suite_default":
         config = harness.default_suite(out_dir)
     else:
-        import workloads
         config = harness.SuiteConfig(cases=workloads.sweep_specs(seed, 0),
                                      output_dir=out_dir)
-
-    counts: Counter = Counter()
 
     def rebind(module, name: str, key: str) -> None:
         # calls through `from .x import y` bindings are counted too
@@ -81,14 +107,6 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
     rebind(harness, "_json_real", "text_conversions")
-    evaluate = core.RealFunction.__call__
-
-    def counted(self, t):
-        counts["integrand_calls"] += 1
-        counts["points_evaluated"] += int(np.size(t))
-        return evaluate(self, t)
-
-    core.RealFunction.__call__ = counted
 
     result = harness.run_suite(config)
     rows = len(result.reports)
@@ -153,7 +171,7 @@ def main() -> int:
                  "machine": platform.machine()},
         "src_sha256": {side: _src_digest(root) for side, root in sides.items()},
         "counters": {side: {workload: _counters(root, workload, args.seed)
-                            for workload in ("suite_default", "sweep_fresh_x")}
+                            for workload in _COUNTED}
                      for side, root in sides.items()},
         "workloads": {},
     }

@@ -25,12 +25,12 @@ and point rule) at a block of split points, integrated piece by piece
 between the knots of f and g, with the integrals of g over [a, x] and
 [x, b] at every x of the block in one batch; the kernel and step-weight
 primitives behind them, which integrate g piece by piece between its knots;
-and the residuals of the two integral identities that generate the bounds.
-One routine, ``_integral_between``, splits every piecewise integral at its
-knots. The residuals and the step-weight profile
-read the antiderivative of the weight from one cubic Hermite table per
-(g, a, b), with nodes on the knots of a piecewise weight, so smooth and
-piecewise weights take the same path.
+and the residuals of the two integral identities that generate the bounds,
+whose outer integrals split at the knots of f and g too. One routine,
+``_integral_between``, splits every piecewise integral at its knots. The
+residuals and the step-weight profile read the antiderivative of the weight
+from one cubic Hermite table per (g, a, b), with nodes on the knots of a
+piecewise weight, so smooth and piecewise weights take the same path.
 """
 
 from __future__ import annotations
@@ -488,11 +488,25 @@ def step_weight(g: RealFunction, iv: Interval, x: float,
 _TABLE_NODES = 4097
 
 
-class _AntiderivativeTable:
-    """Cubic Hermite interpolant of W(t) = integral of g over [a, t].
+def _table_nodes(g: RealFunction, a: float, b: float) -> np.ndarray:
+    """The 4097-point uniform grid of [a, b] merged with the knots of g
+    inside (a, b), sorted and distinct.
 
-    The nodes are a 4097-point uniform grid of [a, b] plus the knots of a
-    piecewise g inside (a, b), so g is a polynomial on every segment. Each
+    These are np.union1d's nodes, built as np.unique builds them from a
+    NaN-free float array (sort, then keep each value that differs from the
+    one before it), without the numpy.ma import that np.unique makes.
+    """
+    nodes = np.concatenate((np.linspace(a, b, _TABLE_NODES),
+                            [k for k in g.knots if a < k < b]))
+    nodes.sort()
+    return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+
+
+class _AntiderivativeTable:
+    """Cubic Hermite interpolant of W(t) = integral of g over [nodes[0], t].
+
+    On ``_table_nodes``, a uniform grid of [a, b] plus the knots of a
+    piecewise g inside (a, b), g is a polynomial on every segment. Each
     segment adds its Simpson increment to W, and its Hermite end slopes are
     g one ulp inside the segment: the one-sided limits at a knot. W is then
     exact for piecewise-linear and piecewise-constant g, and O(h^4) accurate
@@ -502,9 +516,7 @@ class _AntiderivativeTable:
     a single lookup and an array lookup give the same float.
     """
 
-    def __init__(self, g: RealFunction, a: float, b: float) -> None:
-        inner = [k for k in g.knots if a < k < b]
-        nodes = np.union1d(np.linspace(a, b, _TABLE_NODES), inner)
+    def __init__(self, g: RealFunction, nodes: np.ndarray) -> None:
         lo, hi = nodes[:-1], nodes[1:]
         n = len(lo)
         vals = np.asarray(g(np.concatenate(
@@ -528,7 +540,7 @@ class _AntiderivativeTable:
 
 @lru_cache(maxsize=16)  # each table holds about 0.2 MB
 def _antiderivative_table(g: RealFunction, a: float, b: float) -> _AntiderivativeTable:
-    return _AntiderivativeTable(g, a, b)
+    return _AntiderivativeTable(g, _table_nodes(g, a, b))
 
 
 @dataclass(frozen=True)
@@ -612,7 +624,8 @@ def residual_endpoint_identity(case: BoundCase) -> float:
 
     Compares the signed endpoint-rule deviation against the double integral
     of kernel times derivative, with the kernel W(t) - W(x) read from the
-    knot-aligned antiderivative table of g, smooth or piecewise.
+    knot-aligned antiderivative table of g, smooth or piecewise. The outer
+    integral is split at the knots of f and g, where its integrand kinks.
     """
     return _endpoint_residual(case.pair, case.g, case.interval, case.x)
 
@@ -621,8 +634,9 @@ def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                        x: float) -> float:
     ((sign_val, _),) = _endpoint_signed(pair.f, g, iv, (x,))
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
-    rhs = integrate(integrand, iv, _RESIDUAL_OUTER_TOL).value
-    return abs(sign_val - rhs)
+    knots = (*pair.f.knots, *g.knots)
+    (rhs,) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)
+    return abs(sign_val - rhs.value)
 
 
 def residual_point_identity(case: BoundCase) -> float:
@@ -630,7 +644,8 @@ def residual_point_identity(case: BoundCase) -> float:
 
     The right-hand side integrates S_g(t) f'(t) over each branch separately,
     with S_g read from the knot-aligned antiderivative table of g: the
-    kernel anchored at a on [a, x] and the kernel anchored at b on [x, b].
+    kernel anchored at a on [a, x] and the kernel anchored at b on [x, b],
+    each integral split at the knots of f and g inside its branch.
     """
     return _point_residual(case.pair, case.g, case.interval, case.x)
 
@@ -640,8 +655,9 @@ def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     ((sign_val, _),) = _point_signed(pair.f, g, iv, (x,))
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
-    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL)[0].value
-           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL)[0].value)
+    knots = (*pair.f.knots, *g.knots)
+    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL, knots)[0].value
+           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0].value)
     return abs(sign_val - rhs)
 
 

@@ -218,6 +218,17 @@ def test_verify_does_not_import_numpy_random(tmp_path):
     assert "numpy.random" not in modules
 
 
+def test_identities_does_not_import_numpy_ma(tmp_path):
+    # np.union1d's np.unique imports numpy.ma; the antiderivative table
+    # merges its grid and knots without it
+    modules = _imported_modules(
+        ["-m", "hhbound.cli", "identities", "--f", "monomial:2",
+         "--g", "pwlinear:0:0:0.5:1:1:0", "--a", "0", "--b", "1",
+         "--x", "0.25"], tmp_path)
+    assert "hhbound.quadrature" in modules
+    assert "numpy.ma" not in modules
+
+
 def test_verify_requires_full_inline_case(capsys):
     assert main(["verify", "--f", "monomial:2"]) == 1
     assert "required" in capsys.readouterr().err
@@ -352,6 +363,17 @@ def test_identities_within_tolerance(f, g, a, b, x, capsys):
     code = main(["identities", "--f", f, "--g", g, "--a", a, "--b", b, "--x", x])
     assert code == 0
     assert "within tolerance" in capsys.readouterr().out
+
+
+def test_identities_split_outer_integrals_at_the_knots(capsys):
+    # the kink of g at 0 lies inside [a, x]: integrated whole, that branch
+    # left a point residual of 6.5e-11
+    code = main(["identities", "--f", "monomial:2", "--g", "pwlinear:-1:0:0:1:1:0",
+                 "--a", "-1", "--b", "1", "--x", "0.25"])
+    assert code == 0
+    printed = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                   if ":" in line)
+    assert float(printed["point-identity residual"]) < 1e-15
 
 
 def test_identities_flag_a_kernel_error_at_small_scale(monkeypatch, capsys):

@@ -35,7 +35,9 @@ from hhbound import (
 from hhbound.quadrature import (
     _LHS_TOL,
     _RESIDUAL_OUTER_TOL,
+    _TABLE_NODES,
     DEFAULT_PANEL_BUDGET,
+    _AntiderivativeTable,
     _antiderivative_table,
     _integrate_batch,
     _integrate_cached,
@@ -436,6 +438,25 @@ def test_antiderivative_table_single_lookup_matches_array(gspec):
     want = table.values(ts).tolist()
     assert [float(table.values(np.array([t]))[0]) for t in ts] == want
     assert [float(table.values(t)) for t in ts.tolist()] == want
+
+
+@pytest.mark.parametrize("gspec, a, b", [
+    ("pwlinear:0:0:0.5:1:1:0", 0.0, 1.0),   # knot 0.5 is a grid node
+    ("pwlinear:0:1:2:0:4:1", 0.5, 3.0),     # knot 2 falls between nodes
+    ("pwlinear:-1:0:0:1:1:0", -1.0, 1.0),   # across 0, knot 0 on the grid
+    ("pwlinear:-1:0:0:1:1:0", -0.7, 0.3),   # across 0, knot 0 off the grid
+    ("sin", 0.0, 1.0),
+    ("poly:0:1:-1", 0.0, 1.0),
+])
+def test_antiderivative_table_bit_identical_to_union1d_nodes(gspec, a, b):
+    g = parse_function(gspec)
+    nodes = np.union1d(np.linspace(a, b, _TABLE_NODES),
+                       [k for k in g.knots if a < k < b])
+    want = _AntiderivativeTable(g, nodes)
+    got = _antiderivative_table(g, a, b)
+    assert np.array_equal(got._lo, want._lo)
+    assert np.array_equal(got._h, want._h)
+    assert all(np.array_equal(c, w) for c, w in zip(got._coef, want._coef, strict=True))
 
 
 def test_memo_caches_are_bounded():
