@@ -25,10 +25,13 @@ the sha256 of both reports:
   shared texts through format_real and _json_real, and a row's rhs, slack
   and tightness inline, three per row and format;
 - integrand calls: calls of RealFunction.__call__, and the points they
-  evaluated (one for a scalar, the size of an array).
+  evaluated (one for a scalar, the size of an array);
+- oracle memo hits and misses: what quadrature._integrate_cached's
+  cache_info() gained over the run.
 
 For each identities pass it records the integrand calls and points, the
-worst residual, and whether numpy.ma was loaded by the end of the pass.
+oracle memo hits and misses, the worst residual, and whether numpy.ma was
+loaded by the end of the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -59,14 +62,23 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     For suite_default and sweep_fresh_x, the counters and report digests of
     one run_suite: the bundled suite, or the suite of the sweep_fresh_x
     operation of rep 0 of seed. For an identities workload, the integrand
-    counters of one pass over its cases, its worst residual and whether
-    numpy.ma was loaded by the end of it.
+    and oracle memo counters of one pass over its cases, its worst residual
+    and whether numpy.ma was loaded by the end of it.
     """
     import hhbound.bounds as bounds
     import hhbound.core as core
     import hhbound.harness as harness
+    import hhbound.quadrature as quadrature
     import numpy as np
     import workloads
+
+    memo = quadrature._integrate_cached
+    memo0 = memo.cache_info()
+
+    def memo_counts() -> dict:
+        info = memo.cache_info()
+        return {"oracle_hits": info.hits - memo0.hits,
+                "oracle_misses": info.misses - memo0.misses}
 
     counts: Counter = Counter()
     evaluate = core.RealFunction.__call__
@@ -80,7 +92,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
     if workload.startswith("identities_"):
         result = workloads.WORKLOADS[workload](seed).run(0, Path(out_dir), True)
-        return {"cases": result["units"], **counts,
+        return {"cases": result["units"], **counts, **memo_counts(),
                 "worst_residual": result["info"]["worst_residual"],
                 "numpy_ma_loaded": "numpy.ma" in sys.modules}
 
@@ -113,7 +125,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     counts["text_conversions"] += 2 * 3 * rows
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
                for name in _REPORTS}
-    return {"rows": rows, **counts, "sha256": digests}
+    return {"rows": rows, **counts, **memo_counts(), "sha256": digests}
 
 
 def _src_digest(root: Path) -> str:

@@ -13,14 +13,14 @@ evaluate_bound make runs for every combination of every spec before the
 gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
 gate verdicts come from one batched check_hypotheses call, given one
-request per combination in plan order. Each lhs is computed once per
-(rule, x): a block's missing lhs values come from one batched oracle call
-per rule, which integrates the weight over [a, x] and [x, b] at every x
-together and reads f(a) and f(b) once. A spec's right-hand sides come from
-one bounds._BlockRhs, which reads each derivative magnitude once per point
-and the moments of the general forms once per rule, x and alpha, after the
-gate. Every row equals what verify_case gives for the corresponding
-BoundCase.
+request per combination in plan order. A block's lhs values come from one
+batched oracle call, which integrates the weight over [a, x] and [x, b] at
+every x together and reads f(a) and f(b) once; a block that repeats an
+(f, g, [a, b]) of an earlier one finds its integrals in the oracle's memo.
+A spec's right-hand sides come from one bounds._BlockRhs, which reads each
+derivative magnitude once per point and the moments of the general forms
+once per rule, x and alpha, after the gate. Every row equals what
+verify_case gives for the corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are written as a CSV
@@ -99,8 +99,9 @@ __all__ = [
 # rhs sums the benchmark checks; the two must be re-recorded together.
 SUP_SAFETY_FACTOR = 1.0 + 1e-6
 
-_HOLDS_ABS = 1e-9
 _HOLDS_REL = 1e-9
+# the absolute slack is this many ulps of the magnitude of the lhs terms
+_HOLDS_ULPS = 4
 
 _REAL_FORMAT = "%.17g"
 
@@ -353,26 +354,31 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> BoundReport:
     The left-hand side comes from oracle quadrature (endpoint rule for
     T13/T21/C11/C21, point rule for T14/T22/C12/C22), the right-hand side
     from the closed forms. ``holds`` allows the oracle's own error estimate
-    plus max(1e-9, 1e-9 * |rhs|).
+    plus max(4 ulps of the magnitude of the lhs terms, 1e-9 * |rhs|): the
+    terms are |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| + |I_fg| for the endpoint
+    rule and |f(x)| |I_g| + |I_fg| for the point rule.
 
     The |f'|**q hypothesis is a precondition here; the suite runner gates on
     check_hypotheses before evaluating a combination.
     """
     tid = TheoremId(theorem_id)
-    ((lhs, lhs_err),) = _lhs_block(tid.uses_endpoint_rule, case.pair.f, case.g,
-                                   case.interval, (case.x,))
+    ((lhs, lhs_err, terms),) = _lhs_block(tid.uses_endpoint_rule, case.pair.f,
+                                          case.g, case.interval, (case.x,))
     rhs = float(evaluate_bound(case, tid))
-    return BoundReport(tid, lhs, rhs, *_compare(lhs, lhs_err, rhs))
+    return BoundReport(tid, lhs, rhs, *_compare(lhs, lhs_err, terms, rhs))
 
 
-def _compare(lhs: float, lhs_err: float, rhs: float) -> tuple[float, float, bool]:
-    """slack, tightness and the holds verdict of one lhs/rhs pair."""
+def _compare(lhs: float, lhs_err: float, terms: float,
+             rhs: float) -> tuple[float, float, bool]:
+    """slack, tightness and the holds verdict of one lhs/rhs pair, where
+    terms is the magnitude of the lhs terms."""
     slack = rhs - lhs
     if rhs != 0.0:
         tightness = lhs / rhs
     else:
         tightness = 0.0 if lhs == 0.0 else math.inf
-    holds = bool(lhs <= rhs + max(_HOLDS_ABS, _HOLDS_REL * abs(rhs)) + lhs_err)
+    slack_abs = _HOLDS_ULPS * math.ulp(terms)
+    holds = bool(lhs <= rhs + max(slack_abs, _HOLDS_REL * abs(rhs)) + lhs_err)
     return slack, tightness, holds
 
 
@@ -443,12 +449,12 @@ class _SpecRun:
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
     evaluate emits a theorem's rows as a block: a list of rows per admitted
-    (q, alpha, m), one row per x of xs, with each lhs computed once and a
-    block's missing lhs values in one batched call.
+    (q, alpha, m), one row per x of xs, with the block's lhs values from one
+    batched oracle call. A spec that repeats the (f, g, [a, b]) of another
+    gets its integrals back from the oracle's memo.
     """
 
-    def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
-                 lhs_memo: dict) -> None:
+    def __init__(self, spec: CaseSpec, xs: tuple[float, ...]) -> None:
         self.spec = spec
         self.xs = xs
         self.f = parse_function(spec.f)
@@ -470,8 +476,6 @@ class _SpecRun:
                 validate_case_params(self.iv, q, params, self.pair.domain.b_star)
         for tid in spec.theorems:
             _check_theorem(tid, self.g, self.iv, xs, self.params)
-        # lhs values of this (f, g, [a, b]), shared with other specs of the run
-        self._lhs = lhs_memo.setdefault((self.f, self.g, self.iv), {})
         self._rhs = _BlockRhs(self.pair.f_prime, self.iv, xs, self.g_sup)
 
     def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
@@ -487,7 +491,7 @@ class _SpecRun:
         """Append a block of rows per theorem with an admitted combination;
         return the number of gate rejections. verdicts yields the gate's
         verdict on each combination, in combinations() order."""
-        spec, iv, xs = self.spec, self.iv, self.xs
+        spec, f, g, iv, xs = self.spec, self.f, self.g, self.iv, self.xs
         rejections = 0
         block_tid = None
         for tid, q, params, _ in self.combinations():
@@ -496,26 +500,16 @@ class _SpecRun:
                 continue
             if tid is not block_tid:
                 block_tid, theorem_id = tid, tid.value
-                lhs_pairs = self._block_lhs(tid.uses_endpoint_rule)
+                lhs_values = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
                 block = []
                 out.append(block)
             rhs_values = self._rhs.at(tid, q, params)
             alpha, m = params.alpha, params.m
             block.append([
                 CaseReport(theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
-                           alpha, m, lhs, rhs, *_compare(lhs, lhs_err, rhs))
-                for x, (lhs, lhs_err), rhs in zip(xs, lhs_pairs, rhs_values)])
+                           alpha, m, lhs, rhs, *_compare(lhs, lhs_err, terms, rhs))
+                for x, (lhs, lhs_err, terms), rhs in zip(xs, lhs_values, rhs_values)])
         return rejections
-
-    def _block_lhs(self, endpoint_rule: bool) -> list[tuple[float, float]]:
-        """(lhs, error estimate) of the rule at each x of xs; the values no
-        spec of the run has computed yet come from one block call."""
-        lhs = self._lhs
-        missing = [x for x in dict.fromkeys(self.xs) if (endpoint_rule, x) not in lhs]
-        if missing:
-            lhs.update(zip([(endpoint_rule, x) for x in missing],
-                           _lhs_block(endpoint_rule, self.f, self.g, self.iv, missing)))
-        return [lhs[(endpoint_rule, x)] for x in self.xs]
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
@@ -524,8 +518,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     Report order is the config order. Random split points are drawn up
     front from the config seed. The gate verdicts of the whole run come from
     one check_hypotheses call, given one request per combination in plan
-    order; lhs values are shared between the specs of a run and live only
-    as long as the run.
+    order. Specs that share an (f, g, [a, b]) share the oracle integrals
+    behind their lhs values through the oracle's bounded memo.
     """
     start = time.perf_counter()
     # numpy.random, with the secrets and hmac modules it imports, loads only
@@ -533,9 +527,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     rng = (np.random.default_rng(config.seed)
            if any(spec.x_random is not None for spec in config.cases) else None)
     resolved = [_resolve_xs(spec, rng) for spec in config.cases]
-    lhs_memo: dict = {}
-    runs = [_SpecRun(spec, xs, lhs_memo)
-            for spec, xs in zip(config.cases, resolved)]
+    runs = [_SpecRun(spec, xs) for spec, xs in zip(config.cases, resolved)]
 
     verdicts = iter(check_hypotheses(
         [gate for run in runs for *_, gate in run.combinations()], config.grid))

@@ -48,8 +48,10 @@ from .core import (
     HHBoundError,
     Interval,
     InvalidIntervalError,
+    InvalidParamsError,
     RealFunction,
     sup_norm,
+    validate_split_point,
 )
 
 __all__ = [
@@ -176,6 +178,8 @@ def _integrate_batch(fn, ranges: list, tol: float,
     """
     grid = _nested_grids(ranges)
     steps = grid[:, 1:] > grid[:, :-1]
+    # kept for the batches of one: folding it into the loop below slowed
+    # identities_smooth 2.10 -> 2.23 ms (+6%, bench/run.py, 2-core host)
     if max_panels >= _FORCED_SPLITS and steps.all():
         return _integrate_rows(fn, grid, ranges, True, tol, max_panels)
     fast = steps.all(axis=1) & (max_panels >= _FORCED_SPLITS)
@@ -197,11 +201,8 @@ def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
     whose nested grids are the rows of grid, starting at _MIN_DEPTH when
     fast, else at depth 0."""
     n, m = grid.shape
-    evals = 0
 
     def f(ts: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += ts.size
         return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
 
     if fast:
@@ -247,8 +248,8 @@ def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
             raise QuadratureError(
                 f"error estimate {e:.3g} above requested tolerance on [{a}, {b}]"
             )
-    counts = [evals] if n == 1 else [s + k for s, k in zip(start_evals, sampled)]
-    return [IntegralResult(v, e, c) for v, e, c in zip(value, est, counts)]
+    return [IntegralResult(v, e, s + k)
+            for v, e, s, k in zip(value, est, start_evals, sampled)]
 
 
 def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
@@ -259,12 +260,14 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
     at ``depth`` after ``panels`` splits per interval, each interval's panels
     contiguous and in order; the starting arrays are not modified.
 
-    single runs one interval with a scalar tolerance and no per-panel owner,
-    the work of a level being that of a batch of one, and reports 0 points
-    sampled; otherwise each level maps its panels to their intervals, and
-    the points each interval sampled are reported.
+    Also returns the points each interval sampled. single runs one interval
+    with a scalar tolerance and no per-panel owner; otherwise each level maps
+    its panels to their intervals.
     """
     start = depth
+    # kept for the batches of one: dropping it slowed identities_smooth
+    # 2.09 -> 2.31 ms (+11%) and identities_nonsmooth 2.39 -> 2.56 ms (+7%)
+    # (bench/run.py, 2-core host)
     if single:
         owner, tol, sampled = None, eps[0], 0
     else:
@@ -309,7 +312,9 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
                 f"no convergence on [{a}, {b}] after {max_panels} panel splits"
             )
         x5, f5, ok = _sample(f, _halves(x5, split), _halves(f5, split))
-        if owner is not None:
+        if owner is None:
+            sampled += 2 * int(np.count_nonzero(ok))
+        else:
             sampled += 2 * np.bincount(owner[ok], minlength=len(ranges))
         depth += 1
         tol = tol * 0.5
@@ -396,7 +401,8 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     tol : float
         The requested tolerance is max(tol, tol * |value|), absolute below
         a unit-sized integral and relative above it; on successful return
-        the accumulated error estimate is below it.
+        the accumulated error estimate is below it. A tol that is not finite
+        and positive raises InvalidParamsError before fn is called.
 
     Each pass (a rerun against the computed value is the second) may split
     at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError.
@@ -409,6 +415,8 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     afresh on every call. An error raised by the integrand propagates from
     the one run that raised it.
     """
+    if not 0.0 < tol < math.inf:
+        raise InvalidParamsError(f"tol must be finite and positive, got {tol}")
     return _integrate_cached.results(fn, [(iv.a, iv.b)], tol)[0]
 
 
@@ -572,25 +580,29 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
                     x: float) -> tuple[float, float]:
     """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
     error estimate propagated from the three oracle integrals."""
-    return _lhs_block(True, f, g, iv, (x,))[0]
+    return _lhs_block(True, f, g, iv, (x,))[0][:2]
 
 
 def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
                  x: float) -> tuple[float, float]:
     """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
-    return _lhs_block(False, f, g, iv, (x,))[0]
+    return _lhs_block(False, f, g, iv, (x,))[0][:2]
 
 
 def _lhs_block(endpoint_rule: bool, f: RealFunction, g: RealFunction,
-               iv: Interval, xs) -> list[tuple[float, float]]:
-    """(lhs, error estimate) of the endpoint or the point rule at each x of
-    xs, each equal to lhs_endpoint_at or lhs_point_at at that x."""
+               iv: Interval, xs) -> list[tuple[float, float, float]]:
+    """(lhs, error estimate, magnitude of the lhs terms) of the endpoint or
+    the point rule at each x of xs, lhs and error estimate equal to
+    lhs_endpoint_at or lhs_point_at at that x."""
     signed = _endpoint_signed if endpoint_rule else _point_signed
-    return [(abs(v), e) for v, e in signed(f, g, iv, xs)]
+    return [(abs(v), e, terms) for v, e, terms in signed(f, g, iv, xs)]
 
 
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                     xs) -> list[tuple[float, float]]:
+                     xs) -> list[tuple[float, float, float]]:
+    """(signed deviation, error estimate, magnitude) of the endpoint rule at
+    each x of xs; the magnitude is |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| +
+    |I_fg|."""
     # the integrals of g over [a, x] and [x, b] at every x run as one batch
     knots = (*f.knots, *g.knots)
     i_g = _integral_between(g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)],
@@ -599,17 +611,21 @@ def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
     fa, fb = f(iv.a), f(iv.b)
     return [(fa * left.value + fb * right.value - i_fg.value,
              abs(fa) * left.error_estimate + abs(fb) * right.error_estimate
-             + i_fg.error_estimate)
+             + i_fg.error_estimate,
+             abs(fa) * abs(left.value) + abs(fb) * abs(right.value) + abs(i_fg.value))
             for left, right in zip(i_g[:len(xs)], i_g[len(xs):])]
 
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                  xs) -> list[tuple[float, float]]:
+                  xs) -> list[tuple[float, float, float]]:
+    """(signed deviation, error estimate, magnitude) of the point rule at
+    each x of xs; the magnitude is |f(x)| |I_g| + |I_fg|."""
     knots = (*f.knots, *g.knots)
     (i_g,) = _integral_between(g, [(iv.a, iv.b)], _LHS_TOL, knots)
     (i_fg,) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
     return [(fx * i_g.value - i_fg.value,
-             abs(fx) * i_g.error_estimate + i_fg.error_estimate)
+             abs(fx) * i_g.error_estimate + i_fg.error_estimate,
+             abs(fx) * abs(i_g.value) + abs(i_fg.value))
             for fx in f(np.asarray(xs, dtype=float)).tolist()]
 
 
@@ -632,7 +648,7 @@ def residual_endpoint_identity(case: BoundCase) -> float:
 
 def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                        x: float) -> float:
-    ((sign_val, _),) = _endpoint_signed(pair.f, g, iv, (x,))
+    ((sign_val, *_),) = _endpoint_signed(pair.f, g, iv, (x,))
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
     knots = (*pair.f.knots, *g.knots)
     (rhs,) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)
@@ -652,7 +668,7 @@ def residual_point_identity(case: BoundCase) -> float:
 
 def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                     x: float) -> float:
-    ((sign_val, _),) = _point_signed(pair.f, g, iv, (x,))
+    ((sign_val, *_),) = _point_signed(pair.f, g, iv, (x,))
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
     knots = (*pair.f.knots, *g.knots)
@@ -694,8 +710,12 @@ def step_weight_profile(g: RealFunction, iv: Interval, x: float,
 
     Reads S_g from the knot-aligned antiderivative table, which serves smooth
     and piecewise weights alike. Agrees with step_weight to interpolation
-    accuracy (about 1e-14 on unit-scale weights).
+    accuracy (about 1e-14 on unit-scale weights). An x off [a, b] or NaN
+    raises InvalidCaseError, an n below 2 InvalidParamsError.
     """
+    validate_split_point(iv, x)
+    if n < 2:
+        raise InvalidParamsError(f"a profile needs n >= 2 points, got {n}")
     ts = iv.grid(n)
     s = np.where(ts < x, ts - iv.a, iv.b - ts)
     table = _antiderivative_table(g, iv.a, iv.b)
@@ -709,7 +729,8 @@ def envelope_excess(g: RealFunction, iv: Interval, x: float, n: int = 1001) -> f
 
     Nonpositive up to interpolation noise, since sup|g| is core.sup_norm's
     exact sup; the identities command gates on this staying below
-    1e-10 * sup|g| * (b - a), the scale of S_g.
+    1e-10 * sup|g| * (b - a), the scale of S_g. Rejects x and n as
+    step_weight_profile does.
     """
     _, sg, s = step_weight_profile(g, iv, x, n)
     return float(np.max(np.abs(sg) - sup_norm(g, iv) * s))

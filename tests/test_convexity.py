@@ -258,7 +258,7 @@ def test_convex_direct_rejects_non_finite_function():
 
 def _suite_gate_requests(specs):
     """The distinct gate requests of a suite run over specs, in run order."""
-    runs = [_SpecRun(spec, (), {}) for spec in specs]
+    runs = [_SpecRun(spec, ()) for spec in specs]
     return list(dict.fromkeys(gate for run in runs
                               for *_, gate in run.combinations()))
 

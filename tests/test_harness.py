@@ -45,7 +45,8 @@ from hhbound import (
     trapezoid_rhs_midsplit,
     verify_case,
 )
-from hhbound.harness import _stream_json_report
+from hhbound.harness import _compare, _stream_json_report
+from hhbound.quadrature import _integrate_cached, _lhs_block
 
 from exact_reference import coefficients, exact_lhs
 
@@ -152,6 +153,44 @@ def test_verify_case_equality_point():
     rep = verify_case(_known_case(x=0.0), TheoremId.T21)
     assert abs(rep.tightness - 1.0) <= 1e-9
     assert rep.holds
+
+
+@pytest.mark.parametrize("endpoint_rule", [True, False])
+def test_holds_slack_is_ulps_of_the_lhs_terms(endpoint_rule):
+    # on [0, 1e-3] the lhs is about 1e-10, below the old absolute slack of
+    # 1e-9, so it held against a right-hand side of 0
+    f, g = parse_function("monomial:2"), parse_function("const:1")
+    iv, x = Interval(0.0, 1e-3), 5e-4
+    ((lhs, lhs_err, terms),) = _lhs_block(endpoint_rule, f, g, iv, (x,))
+    i_fg = 1e-9 / 3.0
+    want = f(iv.b) * (iv.b - x) + i_fg if endpoint_rule else f(x) * iv.b + i_fg
+    assert math.isclose(terms, want, rel_tol=1e-12)
+    assert 1e-11 < lhs < 1e-9
+    assert not _compare(lhs, lhs_err, terms, 0.0)[2]
+    assert _compare(lhs, lhs_err, terms, lhs)[2]
+
+
+def test_specs_sharing_an_integrand_share_oracle_integrals(tmp_path):
+    # the second spec repeats the first's (f, g, [a, b]) and split points,
+    # so every integral behind its lhs values is an oracle memo hit
+    common = dict(f="exp", g="sin", a=0.0, b=1.0, q_values=(1.0, 2.0),
+                  x_sweep=5, b_star=4.0)
+    specs = (CaseSpec(alpha_values=(0.5, 1.0), m_values=(0.5, 1.0),
+                      theorems=("T21", "T22"), **common),
+             CaseSpec(alpha_values=(1.0,), m_values=(1.0,),
+                      theorems=("T13", "T14"), **common))
+
+    def run(cases):
+        _integrate_cached.cache_clear()
+        result = run_suite(SuiteConfig(cases=cases, output_dir=str(tmp_path)))
+        return result.reports, _integrate_cached.cache_info().misses
+
+    first, first_misses = run(specs[:1])
+    second, _ = run(specs[1:])
+    both, both_misses = run(specs)
+    assert both_misses <= first_misses
+    assert both == first + second
+    assert second and second[-1].theorem_id == "T14"
 
 
 @pytest.mark.parametrize("iv", [UNIT, Interval(2.0, 5.0)])

@@ -16,7 +16,9 @@ from hhbound import (
     HHBoundError,
     IntegralResult,
     Interval,
+    InvalidCaseError,
     InvalidIntervalError,
+    InvalidParamsError,
     Product,
     QuadratureError,
     RealFunction,
@@ -133,6 +135,17 @@ def test_integrand_error_propagates_from_one_run():
     with pytest.raises(TypeError, match="integrand failure"):
         integrate(fn, UNIT, 1e-12)
     assert fn.calls == 3
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, -math.inf])
+def test_integrate_rejects_tolerance_before_sampling(tol):
+    # a NaN or negative tol used to run out the split budget (about 1 s and
+    # 300 MB on exp over [0, 1]) and an infinite one returned unchecked
+    def untouched(t):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(InvalidParamsError, match="tol must be finite and positive"):
+        integrate(untouched, UNIT, tol)
 
 
 def test_integrate_unhashable_integrand_is_not_memoized():
@@ -323,7 +336,7 @@ def test_lhs_block_equals_lhs_at_each_x(gspec):
         for x in xs:
             _integrate_cached.cache_clear()
             want.append(lhs_at(f, g, UNIT, x))
-        assert block == want
+        assert [(lhs, err) for lhs, err, _ in block] == want
 
 
 def test_product_wraps_pair():
@@ -411,6 +424,25 @@ def test_step_weight_profile_matches_pointwise(gspec):
                                    "pwlinear:0:0:0.5:1:1:0"])
 def test_envelope_never_exceeded(gspec):
     assert envelope_excess(parse_function(gspec), UNIT, 0.3) <= 1e-10
+
+
+@pytest.mark.parametrize("x", [-0.5, 5.0, math.nan, math.inf])
+def test_step_weight_profile_rejects_split_point_off_interval(x):
+    # envelope_excess(const:1, [0, 1], 5.0) and x = nan returned 0.0
+    g = parse_function("const:1")
+    with pytest.raises(InvalidCaseError, match="outside"):
+        step_weight_profile(g, UNIT, x)
+    with pytest.raises(InvalidCaseError, match="outside"):
+        envelope_excess(g, UNIT, x)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_step_weight_profile_rejects_fewer_than_two_points(n):
+    g = parse_function("const:1")
+    with pytest.raises(InvalidParamsError, match="n >= 2"):
+        step_weight_profile(g, UNIT, 0.5, n)
+    with pytest.raises(InvalidParamsError, match="n >= 2"):
+        envelope_excess(g, UNIT, 0.5, n)
 
 
 def _pwlinear_dip_integral(a, t):
