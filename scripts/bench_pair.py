@@ -27,11 +27,13 @@ the sha256 of both reports:
 - integrand calls: calls of RealFunction.__call__, and the points they
   evaluated (one for a scalar, the size of an array);
 - oracle memo hits and misses: what quadrature._integrate_cached's
-  cache_info() gained over the run.
+  cache_info() gained over the run;
+- minor page faults: what resource.getrusage's ru_minflt gained over the
+  run, the cost of touching freshly allocated memory.
 
 For each identities pass it records the integrand calls and points, the
-oracle memo hits and misses, the worst residual, and whether numpy.ma was
-loaded by the end of the pass.
+oracle memo hits and misses, the minor page faults, the worst residual, and
+whether numpy.ma was loaded by the end of the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -43,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -63,7 +66,8 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     one run_suite: the bundled suite, or the suite of the sweep_fresh_x
     operation of rep 0 of seed. For an identities workload, the integrand
     and oracle memo counters of one pass over its cases, its worst residual
-    and whether numpy.ma was loaded by the end of it.
+    and whether numpy.ma was loaded by the end of it. Both record the minor
+    page faults of the counted run.
     """
     import hhbound.bounds as bounds
     import hhbound.core as core
@@ -90,8 +94,13 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
     core.RealFunction.__call__ = counted
 
+    def minor_faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     if workload.startswith("identities_"):
+        faults0 = minor_faults()
         result = workloads.WORKLOADS[workload](seed).run(0, Path(out_dir), True)
+        counts["minor_page_faults"] = minor_faults() - faults0
         return {"cases": result["units"], **counts, **memo_counts(),
                 "worst_residual": result["info"]["worst_residual"],
                 "numpy_ma_loaded": "numpy.ma" in sys.modules}
@@ -120,7 +129,9 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     rebind(harness, "format_real", "text_conversions")
     rebind(harness, "_json_real", "text_conversions")
 
+    faults0 = minor_faults()
     result = harness.run_suite(config)
+    counts["minor_page_faults"] = minor_faults() - faults0
     rows = len(result.reports)
     counts["text_conversions"] += 2 * 3 * rows
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()

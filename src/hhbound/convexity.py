@@ -11,18 +11,22 @@ witness is the lexicographically smallest (x, y, t) among the maximal-gap
 triples, independent of evaluation order.
 
 A gap violates when it exceeds 1e-12 * (1 + |rhs|). That threshold never
-rounds below 1e-12, so each comparison first screens for a gap above 1e-12
-and returns "holds" when there is none. Otherwise, if the first maximal gap
+rounds below 1e-12, so each comparison first finds the first maximal gap
+and returns "holds" when it is not above 1e-12. Otherwise, if that gap
 violates, it is the witness; only if it does not is the threshold built
 for the whole grid.
 
 One scan routine serves the class checks and the hypothesis gate. It
 evaluates the map once per m (the gate's |f'| once per (pair, m) group),
 raises it to each q (q = 1 for the class checks of fn itself, which leaves
-the values bit for bit) and compares once per alpha. The right side, the
-gaps and the violation mask are written into three scratch arrays allocated
-once per scan with the same float expressions as a fresh-array scan, so
-verdicts and witnesses are bit for bit those of the unscreened test. A map
+the values bit for bit) and compares once per alpha. Each check_hypotheses
+or classify_region call allocates one scratch set over the (x, y, t) grid,
+lhs, rhs, gap and the violation mask, and every group writes into it: the
+scan points go into rhs before the map is evaluated there, |f'| is taken in
+place, each q's power is written into lhs, and the comparisons fill rhs,
+gap and the mask. Every value comes from the same float expressions as a
+fresh-array scan, so verdicts and witnesses are bit for bit those of the
+unscreened test. A map
 that is not finite somewhere on the grid (an overflowed |f'|**q, say) is
 rejected with InvalidCaseError: a NaN gap compares false and would
 otherwise pass. check_convex_direct stays a separate literal scan, with its
@@ -31,6 +35,7 @@ own finiteness check, as an independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -69,6 +74,13 @@ class GridSpec:
     nt: int = 51
 
     def __post_init__(self) -> None:
+        for axis in ("nx", "ny", "nt"):
+            count = getattr(self, axis)
+            try:
+                object.__setattr__(self, axis, operator.index(count))
+            except TypeError:
+                raise InvalidCaseError(
+                    f"grid {axis} must be an integer, got {count!r}") from None
         if min(self.nx, self.ny, self.nt) < 2:
             raise InvalidCaseError("grid needs at least 2 points per axis")
 
@@ -104,21 +116,26 @@ class AbsPower:
         return np.abs(self.fn(t)) ** self.q
 
 
-def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
-                 m: float) -> np.ndarray:
+def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray, m: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The combinations t*x + m*(1-t)*y over the (x, y, t) grid, clipped at
     xs[-1] = b_star: rounding can carry one an ulp past it, outside the knot
-    range of a piecewise fn that ends at b_star."""
+    range of a piecewise fn that ends at b_star. Written into out when given,
+    else into a new array."""
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
-    points = T * X + m * (1.0 - T) * Y
+    points = np.add(T * X, m * (1.0 - T) * Y, out=out)
     return np.minimum(points, xs[-1], out=points)
 
 
-def _buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch arrays for _verdict's rhs, gap and violation mask."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+def _scratch(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+    """One scratch set over the (x, y, t) grid for _scan: lhs, rhs, gap and
+    the violation mask. Every group of a call writes into the same set."""
+    shape = (grid.nx, grid.ny, grid.nt)
+    return (np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=bool))
 
 
 def _verdict(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray, xs: np.ndarray,
@@ -126,22 +143,22 @@ def _verdict(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray, xs: np.ndarray,
              buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Verdict:
     """Compare fn at the scan points against the class weights of fn(x), fn(y).
 
-    buffers come from _buffers for the (x, y, t) grid and are overwritten;
+    buffers are the rhs, gap and mask of a _scratch set and are overwritten;
     nothing carries from one call to the next.
     """
     rhs, gap, viol = buffers
     ta = ts[None, None, :] ** alpha
     np.add(ta * fx[:, None, None], m * (1.0 - ta) * fy[None, :, None], out=rhs)
     np.subtract(lhs, rhs, out=gap)
-    # the threshold tol * (1 + |rhs|) never rounds below tol and NaN fails
-    # every comparison, so without a gap above tol nothing can violate
-    if not np.greater(gap, _GAP_TOL, out=viol).any():
-        return Verdict(True)
     # argmax returns the first maximum in C order, so the witness is the
     # lexicographically smallest (x, y, t) index triple among the maximal
-    # violations; grids are increasing, so index order is value order. When
-    # the first maximal gap overall violates, it is that witness.
+    # violations; grids are increasing, so index order is value order. The
+    # threshold tol * (1 + |rhs|) never rounds below tol, and _scan's
+    # finiteness check leaves no NaN gap, so without a maximum above tol
+    # nothing can violate; when the first maximum violates, it is the witness.
     top = np.argmax(gap)
+    if not gap.flat[top] > _GAP_TOL:
+        return Verdict(True)
     if not gap.flat[top] > _GAP_TOL * (1.0 + abs(rhs.flat[top])):
         threshold = np.abs(rhs, out=rhs)
         np.add(1.0, threshold, out=threshold)
@@ -156,41 +173,46 @@ def _verdict(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray, xs: np.ndarray,
 
 
 def _all_finite(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray,
-                scratch: np.ndarray) -> bool:
+                mask: np.ndarray) -> bool:
     # a NaN gap never counts as a violation, so an overflowed or undefined
     # map would otherwise pass the scan
-    return bool(np.isfinite(lhs, out=scratch).all() and np.isfinite(fx).all()
+    return bool(np.isfinite(lhs, out=mask).all() and np.isfinite(fx).all()
                 and np.isfinite(fy).all())
 
 
 def _scan(fn, b_star: float, m: float,
           alphas_by_q: dict[float, Iterable[float]], grid: GridSpec,
           not_finite: Callable[[float], str],
+          scratch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
           absolute: bool = False) -> dict[tuple[float, float], Verdict]:
     """Verdicts of h**q in the (alpha, m) class on [0, b_star], keyed
     (q, alpha), where h is fn, or |fn| when absolute (the gate's |f'|).
 
-    h is evaluated once at the scan points and raised to each q once; all
-    comparisons share one set of scratch buffers, and the arrays die with
-    this frame. An h**q that is not finite somewhere on the grid raises
-    InvalidCaseError with the message not_finite(q).
+    h is evaluated once at the scan points and raised to each q once. The
+    scan points, the powers and the comparisons are written into scratch, a
+    _scratch set of grid, which this scan overwrites. An h**q that is not
+    finite somewhere on the grid raises InvalidCaseError with the message
+    not_finite(q).
     """
+    lhs, rhs, gap, viol = scratch
     xs, ys, ts = _domain_axes(b_star, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        base = (np.asarray(fn(_scan_points(xs, ys, ts, m))),
-                np.asarray(fn(xs)), np.asarray(fn(ys)))
+        # the scan points live in rhs until the first comparison
+        base, fx, fy = (np.asarray(fn(_scan_points(xs, ys, ts, m, out=rhs))),
+                        np.asarray(fn(xs)), np.asarray(fn(ys)))
         if absolute:
-            # only after the scan points are freed, which bounds peak memory
-            base = tuple(np.abs(v) for v in base)
-    buffers = _buffers((xs.size, ys.size, ts.size))
+            # the gate's fn is a RealFunction, which returns new float arrays
+            base, fx, fy = (np.abs(v, out=v) for v in (base, fx, fy))
     out = {}
     for q, alphas in alphas_by_q.items():
         with np.errstate(over="ignore", invalid="ignore"):
-            lhs, fx, fy = (v ** q for v in base)
-        if not _all_finite(lhs, fx, fy, buffers[2]):
+            np.power(base, q, out=lhs)
+            fxq, fyq = fx ** q, fy ** q
+        if not _all_finite(lhs, fxq, fyq, viol):
             raise InvalidCaseError(not_finite(q))
         for alpha in sorted(alphas):
-            out[(q, alpha)] = _verdict(lhs, fx, fy, xs, ys, ts, alpha, m, buffers)
+            out[(q, alpha)] = _verdict(lhs, fxq, fyq, xs, ys, ts, alpha, m,
+                                       (rhs, gap, viol))
     return out
 
 
@@ -267,22 +289,24 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
 
     Verdicts, witnesses included, equal those of one check_hypothesis call
     per request. Requests sharing a pair and m share one evaluation of |f'|
-    at the scan points, raised to each distinct q once, and one set of
-    scratch buffers for all their comparisons; only one such group is held
-    in memory at a time. A |f'|**q that is not finite somewhere on the grid
-    raises InvalidCaseError naming f, q and b_star, instead of a verdict.
+    at the scan points, raised to each distinct q once. The groups are
+    scanned one after another in request order, all in one _scratch set
+    allocated for the call. A |f'|**q that is not finite somewhere on the
+    grid raises InvalidCaseError naming f, q and b_star, instead of a
+    verdict.
     """
     groups: dict[tuple[DifferentiablePair, float], dict] = {}
     for pair, q, params in requests:
         validate_q(q)
         groups.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
+    scratch = _scratch(grid)
     verdicts: dict[tuple, Verdict] = {}
     for (pair, m), alphas_by_q in groups.items():
         b_star = pair.domain.b_star
         found = _scan(
             pair.f_prime, b_star, m, alphas_by_q, grid,
             lambda q: (f"|f'|**q is not finite on [0, {b_star:g}] for "
-                       f"f = {pair.f.label}, q = {q:g}"), absolute=True)
+                       f"f = {pair.f.label}, q = {q:g}"), scratch, absolute=True)
         for (q, alpha), verdict in found.items():
             verdicts[(pair, m, q, alpha)] = verdict
     return [verdicts[(pair, params.m, q, params.alpha)]
@@ -295,15 +319,18 @@ def classify_region(fn: RealFunction, domain: DomainSpec,
     """Verdict matrix over a grid of class parameters (rows alpha, cols m).
 
     Each cell is the check_alpha_m_convex verdict of its (alpha, m); fn is
-    evaluated once per m, and q = 1 leaves its values bit for bit.
+    evaluated once per m, and q = 1 leaves its values bit for bit. All m
+    share one _scratch set allocated for the call.
     """
     alpha_grid, m_grid = tuple(alpha_grid), tuple(m_grid)
     for alpha in alpha_grid:
         for m in m_grid:
             ConvexityParams(alpha, m)  # raises on parameters outside [0, 1]^2
     b_star = domain.b_star
+    scratch = _scratch(grid)
     by_m = {m: _scan(fn, b_star, m, {1.0: set(alpha_grid)}, grid,
-                     lambda q: f"{_label(fn)} is not finite on [0, {b_star:g}]")
+                     lambda q: f"{_label(fn)} is not finite on [0, {b_star:g}]",
+                     scratch)
             for m in m_grid}
     return [[by_m[m][(1.0, alpha)] for m in m_grid] for alpha in alpha_grid]
 

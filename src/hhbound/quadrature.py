@@ -579,13 +579,19 @@ _LHS_TOL = 1e-10
 def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
                     x: float) -> tuple[float, float]:
     """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
-    error estimate propagated from the three oracle integrals."""
+    error estimate propagated from the three oracle integrals.
+
+    An x off [a, b] or NaN raises InvalidIntervalError: [a, x] or [x, b] is
+    not an interval."""
     return _lhs_block(True, f, g, iv, (x,))[0][:2]
 
 
 def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
                  x: float) -> tuple[float, float]:
-    """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate."""
+    """Point-rule deviation |f(x) I_g - I_fg| with a propagated error estimate.
+
+    An x off [a, b] or NaN raises InvalidCaseError."""
+    validate_split_point(iv, x)
     return _lhs_block(False, f, g, iv, (x,))[0][:2]
 
 

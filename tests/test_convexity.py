@@ -25,6 +25,7 @@ from hhbound import (
     default_suite,
     parse_function,
 )
+from hhbound import convexity
 from hhbound.convexity import _domain_axes, _scan_points
 from hhbound.harness import _SpecRun
 
@@ -50,6 +51,23 @@ def test_grid_spec_validation_and_refinement():
     assert set(np.linspace(0, 1, g.nt)) <= set(np.linspace(0, 1, r.nt))
     with pytest.raises(InvalidCaseError):
         GridSpec(1, 11, 11)
+
+
+@pytest.mark.parametrize("counts, axis", [
+    ((2.5, 3, 3), "nx"), ((3, 3.0, 3), "ny"), ((3, 3, "5"), "nt"),
+    ((3, None, 3), "ny"),
+])
+def test_grid_spec_rejects_counts_that_are_not_integers(counts, axis):
+    # the counts size the scan's scratch arrays; a float count used to reach
+    # numpy and fail there with a raw TypeError
+    with pytest.raises(InvalidCaseError, match=f"grid {axis} must be an integer"):
+        GridSpec(*counts)
+
+
+def test_grid_spec_normalizes_integer_counts():
+    grid = GridSpec(np.int64(5), 3, 4)
+    assert grid == GridSpec(5, 3, 4)
+    assert type(grid.nx) is int
 
 
 def test_square_is_convex():
@@ -201,6 +219,45 @@ def test_batched_gate_matches_single_checks():
         direct = check_alpha_m_convex(AbsPower(pair.f_prime, q), pair.domain,
                                       params, grid)
         assert verdict == single == direct, (pair.f, q, params)
+
+
+def _counted_scratch(monkeypatch):
+    """Shapes of the scratch sets that convexity allocates from here on."""
+    shapes = []
+    allocate = convexity._scratch
+
+    def counted(grid):
+        scratch = allocate(grid)
+        shapes.append(scratch[0].shape)
+        return scratch
+
+    monkeypatch.setattr(convexity, "_scratch", counted)
+    return shapes
+
+
+def test_gate_allocates_one_scratch_set_per_call(monkeypatch):
+    pairs = [DifferentiablePair.from_family(parse_function(spec), DomainSpec(2.0))
+             for spec in ("monomial:2", "monomial:3", "exp")]
+    requests = [(pair, q, ConvexityParams(alpha, m))
+                for pair in pairs
+                for m in (0.25, 0.5, 0.75, 1.0)
+                for q in (1.0, 2.0)
+                for alpha in (0.5, 1.0)]
+    assert len({(pair, params.m) for pair, _, params in requests}) == 12
+    shapes = _counted_scratch(monkeypatch)
+    verdicts = check_hypotheses(requests)
+    assert shapes == [(51, 51, 51)]
+    # sharing the scratch set changes no verdict
+    assert verdicts[0] == check_hypothesis(*requests[0])
+    assert verdicts[-1] == check_hypothesis(*requests[-1])
+
+
+def test_classify_region_allocates_one_scratch_set_per_call(monkeypatch):
+    shapes = _counted_scratch(monkeypatch)
+    matrix = classify_region(parse_function("exp"), DOM, (0.5, 1.0),
+                             (0.25, 0.5, 0.75, 1.0))
+    assert shapes == [(51, 51, 51)]
+    assert len(matrix) == 2 and all(len(row) == 4 for row in matrix)
 
 
 def test_batched_gate_preconditions(square_pair):

@@ -528,6 +528,15 @@ def test_endpoint_lhs_rejects_a_split_point_off_the_interval(x):
         lhs_endpoint_at(f, g, UNIT, x)
 
 
+@pytest.mark.parametrize("x", [-0.5, 1.5, 5.0, math.nan, math.inf])
+def test_point_lhs_rejects_a_split_point_off_the_interval(x):
+    # the point rule never cuts [a, b] at x, so nothing else would catch it:
+    # x = 5 read f(5) against the integrals over [0, 1]
+    f, g = parse_function("exp"), parse_function("const:1")
+    with pytest.raises(InvalidCaseError, match="outside"):
+        lhs_point_at(f, g, UNIT, x)
+
+
 def test_lhs_pieces_sum_to_unsplit_value_on_smooth_integrand():
     # g = 1 + t written with two inner knots at which nothing kinks
     f = parse_function("exp")
