@@ -23,10 +23,12 @@ once per rule, x and alpha, after the gate. Every row equals what
 verify_case gives for the corresponding BoundCase.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
-floats, str text fields and a bool verdict. Reports are written as a CSV
-with 17-significant-digit reals plus a sibling JSON file echoing the
-configuration and the seed; the JSON is byte-equal to json.dump(payload,
-indent=1). Both are written block by block, one block per spec and
+floats, str text fields and a bool verdict. Reports are a CSV plus a
+sibling JSON file echoing the configuration and the seed; the JSON is
+byte-equal to json.dump(payload, indent=1). Each real is its shortest
+round-trip text, format_real, and a row's CSV line and JSON object share
+it; only the JSON spells a non-finite one Infinity, -Infinity or NaN. Both
+files are written in one walk over the blocks, one block per spec and
 theorem holding a list of rows per admitted (q, alpha, m). Each text a
 block's rows share is rendered once, from the first row that holds it, so a
 row renders only its rhs, slack and tightness.
@@ -103,12 +105,12 @@ _HOLDS_REL = 1e-9
 # the absolute slack is this many ulps of the magnitude of the lhs terms
 _HOLDS_ULPS = 4
 
-_REAL_FORMAT = "%.17g"
-
 
 def format_real(v: float) -> str:
-    """Render a float with 17 significant digits (round-trip safe)."""
-    return _REAL_FORMAT % v
+    """Render a real as float.__repr__ does: the shortest text that reads
+    back as the same float, with inf, -inf and nan for the non-finite ones.
+    Every real of the reports and of the CLI's value lines is this text."""
+    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +548,6 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, blocks)
     # where the report went is not part of the result; dropping it keeps
     # report bytes run-independent
     config_echo = config.to_dict()
@@ -559,8 +559,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         "hypothesis_rejections": rejections,
         "max_tightness": max_tightness,
     }
-    with open(json_path, "w", encoding="utf-8", newline="") as fh:
-        _stream_json_report(fh, head, blocks)
+    with (open(csv_path, "w", encoding="utf-8", newline="") as csv_fh,
+          open(json_path, "w", encoding="utf-8", newline="") as json_fh):
+        _write_reports(csv_fh, json_fh, head, blocks)
 
     return SuiteResult(tuple(reports), violations, rejections, max_tightness,
                        time.perf_counter() - start, csv_path, json_path)
@@ -571,61 +572,26 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 #
 # A block holds the rows of one spec and theorem in report order: one list
 # per admitted (q, alpha, m), each with one row per split point in the same
-# order and with the same lhs. The writers render the texts a block's rows
-# share once, from the rows in the position that holds them: the lead from
-# the block's first row, the x and lhs texts from its first list, and q,
-# alpha and m from each list's first row. Texts are never keyed by float
-# value: 0.0 and -0.0 are equal but render as 0 and -0.
+# order and with the same lhs. _write_reports renders each real once, with
+# format_real, and writes a row's CSV line and JSON object from the same
+# texts; only JSON spells a non-finite one Infinity, -Infinity or NaN. The
+# texts a block's rows share are rendered once, from the rows in the
+# position that holds them: a and b from the block's first row, the x and
+# lhs texts from its first list, and q, alpha and m from each list's first
+# row. Texts are never keyed by float value: 0.0 and -0.0 are equal but
+# render as 0.0 and -0.0.
 #
 # json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
 # only serves indent=None), and building the payload holds every row as a
-# dict at once. The JSON writer emits the same bytes one block at a time.
+# dict at once. The writer emits the same bytes one list of rows at a time.
 
 _Block = list[list[CaseReport]]
-
-
-def _laid_out(blocks: Iterable[_Block], real, text, lead: str, middle: str):
-    """Yield (lead, x texts, middle, lhs texts, rows) per combination: lead
-    holds theorem_id, family_f, family_g, a and b, middle q, alpha and m,
-    row k of rows sits at x text k with lhs text k. real renders a float and
-    text a string."""
-    for block in blocks:
-        first = block[0]
-        r = first[0]
-        head = lead % (text(r.theorem_id), text(r.family_f),
-                       text(r.family_g), real(r.a), real(r.b))
-        xs = [real(row.x) for row in first]
-        lhs = [real(row.lhs) for row in first]
-        for rows in block:
-            r = rows[0]
-            yield head, xs, middle % (real(r.q), real(r.alpha), real(r.m)), lhs, rows
-
-
-# a CSV row is lead, x, middle, lhs, then rhs, slack, tightness and holds
-_CSV_LEAD = "%s,%s,%s,%s,%s,"
-_CSV_MIDDLE = ",%s,%s,%s,"
-_CSV_ROW = "%s%s%s%s," + ",".join([_REAL_FORMAT] * 3) + ",%s\n"
-
-
-def _write_csv(fh, blocks: Iterable[_Block]) -> None:
-    """Write CSV_HEADER and one line per row, every real as format_real
-    renders it."""
-    fh.write(CSV_HEADER + "\n")
-    for head, xs, middle, lhs, rows in _laid_out(
-            blocks, format_real, str, _CSV_LEAD, _CSV_MIDDLE):
-        fh.write("".join([
-            _CSV_ROW % (head, x, middle, v, r.rhs, r.slack, r.tightness,
-                        "true" if r.holds else "false")
-            for x, v, r in zip(xs, lhs, rows)]))
-
 
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_real(v: float) -> str:
-    """json.dumps renders a float with float.__repr__, and a non-finite one
-    as Infinity, -Infinity or NaN."""
-    text = float.__repr__(v)
+def _json_text(text: str) -> str:
+    """The JSON spelling of a format_real text."""
     return _JSON_NONFINITE.get(text, text)
 
 
@@ -639,31 +605,51 @@ _JSON_MIDDLE = "%s".join(_JSON_SLOTS[6:10])
 _JSON_ROW = "%s%s%s%s" + "%s".join(_JSON_SLOTS[10:])
 
 
-def _stream_json_report(fh, head: dict, blocks: Sequence[_Block]) -> None:
-    """Write head plus a final "reports" list of the blocks' rows, as
-    json.dump with indent=1 and a trailing newline would. Every row is a
-    run_suite row: Python floats, str text fields and a bool holds."""
+def _write_reports(csv_fh, json_fh, head: dict, blocks: Sequence[_Block]) -> None:
+    """Write CSV_HEADER and one line per row to csv_fh, and head plus a
+    final "reports" list of the rows to json_fh, as json.dump with indent=1
+    and a trailing newline would. Every row is a run_suite row: Python
+    floats, str text fields and a bool holds."""
+    csv_fh.write(CSV_HEADER + "\n")
     text = json.dumps({**head, "reports": []}, indent=1)
     if not blocks:
-        fh.write(text + "\n")
+        json_fh.write(text + "\n")
         return
-    fh.write(text[:-len("[]\n}")] + "[\n  ")
+    json_fh.write(text[:-len("[]\n}")] + "[\n  ")
+    real = format_real
     sep = ""
-    for lead, xs, middle, lhs, rows in _laid_out(
-            blocks, _json_real, encode_basestring_ascii, _JSON_LEAD,
-            _JSON_MIDDLE):
-        texts = []
-        for x, v, r in zip(xs, lhs, rows):
-            rhs, slack, tightness = r.rhs, r.slack, r.tightness
-            # only a row whose numbers do not sum to a finite value can
-            # hold a non-finite one
-            real = float.__repr__ if math.isfinite(rhs + slack + tightness) else _json_real
-            texts.append(_JSON_ROW % (lead, x, middle, v, real(rhs), real(slack),
-                                      real(tightness),
-                                      "true" if r.holds else "false"))
-        fh.write(sep + ",\n  ".join(texts))
-        sep = ",\n  "
-    fh.write("\n ]\n}\n")
+    for block in blocks:
+        first = block[0]
+        r = first[0]
+        names = (r.theorem_id, r.family_f, r.family_g)
+        ends = (real(r.a), real(r.b))
+        csv_lead = ",".join((*names, *ends))
+        json_lead = _JSON_LEAD % (*map(encode_basestring_ascii, names),
+                                  *map(_json_text, ends))
+        xs = [real(row.x) for row in first]
+        lhs = [real(row.lhs) for row in first]
+        shared = list(zip(xs, map(_json_text, xs), lhs, map(_json_text, lhs)))
+        for rows in block:
+            r = rows[0]
+            middle = (real(r.q), real(r.alpha), real(r.m))
+            csv_middle = ",".join(middle)
+            json_middle = _JSON_MIDDLE % tuple(map(_json_text, middle))
+            lines, objects = [], []
+            for (x, json_x, v, json_v), r in zip(shared, rows):
+                rhs, slack, tightness = real(r.rhs), real(r.slack), real(r.tightness)
+                holds = "true" if r.holds else "false"
+                lines.append(f"{csv_lead},{x},{csv_middle},{v},{rhs},{slack},"
+                             f"{tightness},{holds}\n")
+                # only a row whose numbers do not sum to a finite value can
+                # hold a non-finite one
+                if not math.isfinite(r.rhs + r.slack + r.tightness):
+                    rhs, slack, tightness = map(_json_text, (rhs, slack, tightness))
+                objects.append(_JSON_ROW % (json_lead, json_x, json_middle, json_v,
+                                            rhs, slack, tightness, holds))
+            csv_fh.write("".join(lines))
+            json_fh.write(sep + ",\n  ".join(objects))
+            sep = ",\n  "
+    json_fh.write("\n ]\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -463,11 +463,11 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     knots.
 
     Antisymmetric in (x, t) by construction: the integral is always computed
-    over the sorted pair and the sign attached afterwards.
+    over the sorted pair and the sign attached afterwards. An x or t off
+    [a, b] or NaN raises InvalidCaseError.
     """
     for p in (x, t):
-        if not iv.contains(p):
-            raise HHBoundError(f"kernel point {p} outside [{iv.a}, {iv.b}]")
+        validate_split_point(iv, p)
     val = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0].value
     return val if x <= t else -val
 
@@ -479,10 +479,11 @@ def step_weight(g: RealFunction, iv: Interval, x: float,
     For t < x returns (integral of g over [a, t], t - a); for t >= x returns
     (minus the integral of g over [t, b], b - t), each integral taken to the
     oracle tolerance 1e-12, piece by piece between the knots of g. The
-    envelope bound |first| <= sup|g| * second holds for every t.
+    envelope bound |first| <= sup|g| * second holds for every t. An x or t
+    off [a, b] or NaN raises InvalidCaseError.
     """
-    if not iv.contains(t) or not iv.contains(x):
-        raise HHBoundError(f"step-weight points ({x}, {t}) outside [{iv.a}, {iv.b}]")
+    for p in (x, t):
+        validate_split_point(iv, p)
     if t < x:
         sg = _integral_between(g, [(iv.a, t)], _KERNEL_TOL, g.knots)[0].value
         return sg, t - iv.a
@@ -581,8 +582,8 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
     """Endpoint-rule deviation |f(a) I_g[a,x] + f(b) I_g[x,b] - I_fg| with an
     error estimate propagated from the three oracle integrals.
 
-    An x off [a, b] or NaN raises InvalidIntervalError: [a, x] or [x, b] is
-    not an interval."""
+    An x off [a, b] or NaN raises InvalidCaseError."""
+    validate_split_point(iv, x)
     return _lhs_block(True, f, g, iv, (x,))[0][:2]
 
 

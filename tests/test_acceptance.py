@@ -6,6 +6,7 @@ of the pytest run.
 """
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_criterion_7_reports_are_byte_identical(tmp_path):
 
 
 # a change that moves these bytes on purpose updates the pins and says why
-BUNDLED_CSV_SHA256 = "801c398d617ed2b494830eaaa7ed0e1a84fad6400f8bf381367f10ed602be582"
+BUNDLED_CSV_SHA256 = "42b71dd8633ba05bdd98581b2ecbfdfe346856a113a4c6ae7e20768724d500ba"
 BUNDLED_JSON_SHA256 = "bd0310f76dad20dcbcc38cfed588ade1395bd3e42f14aec732ef3fce6bc1d88c"
 
 
@@ -187,3 +188,21 @@ def test_bundled_report_digests(tmp_path):
     result = run_suite(default_suite(str(tmp_path)))
     assert hashlib.sha256(result.csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256
     assert hashlib.sha256(result.json_path.read_bytes()).hexdigest() == BUNDLED_JSON_SHA256
+
+
+def test_bundled_csv_reals_are_the_json_reals(tmp_path):
+    """Every field of report.csv reads back as its report.json value, each
+    real bit for bit (float.hex tells -0.0 from 0.0), so a move of the CSV
+    pin is a change of text and not of value."""
+    result = run_suite(default_suite(str(tmp_path)))
+    header, *lines = result.csv_path.read_text(encoding="utf-8").splitlines()
+    rows = json.loads(result.json_path.read_text(encoding="utf-8"))["reports"]
+    assert len(lines) == len(rows) == len(result.reports)
+    names = header.split(",")
+    for line, row in zip(lines, rows):
+        for name, text in zip(names, line.split(",")):
+            value = row[name]
+            if isinstance(value, float):
+                assert float(text).hex() == value.hex(), (name, text, value)
+            else:
+                assert text == (str(value).lower() if name == "holds" else value)

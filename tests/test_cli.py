@@ -101,7 +101,7 @@ def test_verify_v_shaped_f(tmp_path, capsys):
                  "--a", "0", "--b", "3", "--x", "1.5", "--q", "1", "--alpha",
                  "1", "--m", "1", "--theorem", "T13", "--out",
                  str(tmp_path)]) == 0
-    assert "lhs=2 rhs=2.2500022499999996 holds=true" in capsys.readouterr().out
+    assert "lhs=2.0 rhs=2.2500022499999996 holds=true" in capsys.readouterr().out
 
 
 SPIKE = ("pwlinear:0:0.001:0.5078025:0.001:0.5078125:100000:0.5078225:0.001"
@@ -337,7 +337,7 @@ def test_classify_negated_square_has_witness(tmp_path, capsys):
                  "--alpha-grid", "1", "--m-grid", "1", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    row = [l for l in out.splitlines() if l.startswith("1,1,")][0]
+    row = [l for l in out.splitlines() if l.startswith("1.0,1.0,")][0]
     cells = row.split(",")
     assert cells[2] == "false"
     assert all(c != "" for c in cells[3:])  # witness coordinates present

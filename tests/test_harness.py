@@ -45,7 +45,7 @@ from hhbound import (
     trapezoid_rhs_midsplit,
     verify_case,
 )
-from hhbound.harness import _compare, _stream_json_report
+from hhbound.harness import _compare, _write_reports
 from hhbound.quadrature import _integrate_cached, _lhs_block
 
 from exact_reference import coefficients, exact_lhs
@@ -170,6 +170,28 @@ def test_holds_slack_is_ulps_of_the_lhs_terms(endpoint_rule):
     assert _compare(lhs, lhs_err, terms, lhs)[2]
 
 
+ULP1 = math.ulp(1.0)
+
+
+@pytest.mark.parametrize("lhs, lhs_err, terms, rhs, holds", [
+    # the oracle's error estimate decides: lhs is past rhs plus the 1e-9
+    # relative slack, and within or past that plus lhs_err
+    (1.0 + 2e-9, 2e-9, 1.0, 1.0, True),
+    (1.0 + 3.5e-9, 2e-9, 1.0, 1.0, False),
+    # the floor of 4 ulps of the terms decides: rhs = 0 leaves no relative
+    # slack, and a lhs exactly on the floor holds
+    (3.5 * ULP1, 0.0, 1.0, 0.0, True),
+    (4.0 * ULP1, 0.0, 1.0, 0.0, True),
+    (4.5 * ULP1, 0.0, 1.0, 0.0, False),
+    # the relative term decides: 1e-9 * 1e3 is far above 4 ulps of 1e3
+    (1e3 + 0.5e-6, 0.0, 1e3, 1e3, True),
+    (1e3 + 1.5e-6, 0.0, 1e3, 1e3, False),
+])
+def test_each_term_of_the_holds_slack_decides_a_verdict(lhs, lhs_err, terms,
+                                                         rhs, holds):
+    assert _compare(lhs, lhs_err, terms, rhs)[2] is holds
+
+
 def test_specs_sharing_an_integrand_share_oracle_integrals(tmp_path):
     # the second spec repeats the first's (f, g, [a, b]) and split points,
     # so every integral behind its lhs values is an oracle memo hit
@@ -268,8 +290,8 @@ def test_run_suite_json_equals_json_dump(tmp_path):
 
 
 def test_reports_render_every_row_from_its_own_values(tmp_path):
-    # the writers render shared texts once per block; 0.0 and -0.0 are equal
-    # floats that must still render as 0 and -0 in the rows that hold them
+    # the writer renders shared texts once per block; 0.0 and -0.0 are equal
+    # floats that must still render as 0.0 and -0.0 in the rows that hold them
     shared = dict(f="monomial:2", g="const:1", b=1.0, q_values=(1.0, 2.0),
                   alpha_values=(1.0,), m_values=(0.5, 1.0),
                   theorems=("T21", "T13"), b_star=4.0)
@@ -290,8 +312,8 @@ def test_reports_render_every_row_from_its_own_values(tmp_path):
                                          r.lhs, r.rhs, r.slack, r.tightness)),
                       "true" if r.holds else "false"])
             for r in result.reports]
-    assert "T21,monomial:2,const:1,-0,1,-0,1,1,0.5," in rows[0]
-    assert "T21,monomial:2,const:1,0,1,0,1,1,0.5," in rows[24]
+    assert "T21,monomial:2,const:1,-0.0,1.0,-0.0,1.0,1.0,0.5," in rows[0]
+    assert "T21,monomial:2,const:1,0.0,1.0,0.0,1.0,1.0,0.5," in rows[24]
     csv = result.csv_path.read_text(encoding="utf-8")
     assert csv == "".join(line + "\n" for line in [CSV_HEADER, *rows])
     assert result.json_path.read_text(encoding="utf-8") == _json_dump_of(
@@ -300,7 +322,7 @@ def test_reports_render_every_row_from_its_own_values(tmp_path):
 
 def test_reports_hold_a_non_finite_tightness_of_a_real_run(tmp_path):
     # f' = 0 makes the rhs 0 while the oracle lhs is a rounding residue, so
-    # tightness is inf, which the JSON writer renders through _json_real
+    # tightness is inf, which the JSON report spells Infinity
     spec = CaseSpec(f="const:3", g="sin", a=0.0, b=1.0, q_values=(1.0,),
                     alpha_values=(1.0,), m_values=(1.0,), theorems=("T21",),
                     x_values=(0.3,), b_star=4.0)
@@ -362,13 +384,30 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
                        "grid": {"nx": 3}}, "seed": 1, "violations": 1,
             "hypothesis_rejections": 0, "max_tightness": 0.5}
     for reports in (rows, rows[:1], []):
-        got = io.StringIO()
-        _stream_json_report(got, head, [[[r]] for r in reports])
+        csv, got = io.StringIO(), io.StringIO()
+        _write_reports(csv, got, head, [[[r]] for r in reports])
         want = io.StringIO()
         json.dump({**head, "reports": [dataclasses.asdict(r) for r in reports]},
                   want, indent=1)
         want.write("\n")
         assert got.getvalue() == want.getvalue()
+        # each CSV field reads back as its JSON field; nan and NaN read as
+        # the same value, and copysign tells -0.0 from 0.0
+        header, *lines = csv.getvalue().splitlines()
+        assert header == CSV_HEADER
+        parsed = json.loads(got.getvalue())["reports"]
+        assert len(lines) == len(parsed) == len(reports)
+        for line, row in zip(lines, parsed):
+            for name, text in zip(CSV_HEADER.split(","), line.split(",")):
+                value = row[name]
+                if isinstance(value, float):
+                    u = float(text)
+                    assert (math.isnan(u) and math.isnan(value)) or (
+                        u == value
+                        and math.copysign(1.0, u) == math.copysign(1.0, value)), (
+                        name, text, value)
+                else:
+                    assert text == (str(value).lower() if name == "holds" else value)
 
 
 def _equivalence_specs():

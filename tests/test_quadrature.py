@@ -17,7 +17,6 @@ from hhbound import (
     IntegralResult,
     Interval,
     InvalidCaseError,
-    InvalidIntervalError,
     InvalidParamsError,
     Product,
     QuadratureError,
@@ -375,6 +374,15 @@ def test_kernel_rejects_outside_points():
         kernel_K(parse_function("const:1"), UNIT, -0.1, 0.5)
 
 
+@pytest.mark.parametrize("x, t", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5),
+                                  (0.5, math.nan), (5.0, 5.0)])
+@pytest.mark.parametrize("fn", [kernel_K, step_weight])
+def test_kernel_and_step_weight_reject_points_off_the_interval(fn, x, t):
+    # the error of every other public function given a point off [a, b]
+    with pytest.raises(InvalidCaseError, match="outside"):
+        fn(parse_function("const:1"), UNIT, x, t)
+
+
 def test_step_weight_branches():
     g = parse_function("const:2")
     sg, s = step_weight(g, UNIT, 0.5, 0.25)
@@ -522,9 +530,10 @@ def test_lhs_sees_a_spike_between_samples():
 
 @pytest.mark.parametrize("x", [-0.5, 1.5, math.nan, math.inf])
 def test_endpoint_lhs_rejects_a_split_point_off_the_interval(x):
-    # [a, x] and [x, b] must be finite ranges, as an Interval would be
+    # the error lhs_point_at, kernel_K and step_weight give, not the one of
+    # cutting [a, b] at x
     f, g = parse_function("monomial:2"), parse_function("const:1")
-    with pytest.raises(InvalidIntervalError):
+    with pytest.raises(InvalidCaseError, match="outside"):
         lhs_endpoint_at(f, g, UNIT, x)
 
 
