@@ -22,10 +22,7 @@ the sha256 of both reports:
 - moment evaluations: calls of absolute_moment, trapezoid_moment and
   midpoint_moment;
 - float-to-text conversions made writing the reports: the calls of
-  format_real, which renders each real once for both reports. A parent
-  that still renders the JSON apart also counts its _json_real calls and
-  the rhs, slack and tightness it renders inline, three per row and report,
-  so both sides count every render;
+  format_real, which renders each real once for both reports;
 - integrand calls: calls of RealFunction.__call__, and the points they
   evaluated (one for a scalar, the size of an array);
 - oracle memo hits and misses: what quadrature._integrate_cached's
@@ -129,19 +126,13 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
-    inline_per_row = 0
-    if hasattr(harness, "_json_real"):
-        rebind(harness, "_json_real", "text_conversions")
-        inline_per_row = 2 * 3
 
     faults0 = minor_faults()
     result = harness.run_suite(config)
     counts["minor_page_faults"] = minor_faults() - faults0
-    rows = len(result.reports)
-    counts["text_conversions"] += inline_per_row * rows
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
                for name in _REPORTS}
-    return {"rows": rows, **counts, **memo_counts(), "sha256": digests}
+    return {"rows": len(result.reports), **counts, **memo_counts(), "sha256": digests}
 
 
 def _src_digest(root: Path) -> str:

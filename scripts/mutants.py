@@ -1,0 +1,181 @@
+"""Operator-mutation sweep of named hhbound functions against a named test subset.
+
+Run from the root of the checkout:
+
+    python3 scripts/mutants.py --tests tests/test_bounds.py tests/test_quadrature.py \
+        -- bounds._MomentIntegrand.__call__ bounds._oracle quadrature.kernel_K \
+        quadrature.step_weight
+
+Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
+changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,
+``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap. For each mutant
+the script writes a copy of ``src/`` with that one change to a temporary
+directory and runs ``python -m pytest -x -q`` on the named tests against it,
+one subprocess at a time. A mutated module is written back from its syntax
+tree by ``ast.unparse``, so a first run, which must pass, tests the copy with
+each named module unparsed and unchanged. A mutant that no test kills
+survives. The survivors are printed, with the reason beside those in
+KNOWN_EQUIVALENT, which lists mutants that change no result the tests can
+observe; the exit status is 1 if any other mutant survives. The sweep is
+slow, one test run per mutant, and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+_SWAPS = {
+    ast.Add: ast.Sub, ast.Sub: ast.Add,
+    ast.Mult: ast.Div, ast.Div: ast.Mult,
+    ast.Pow: ast.Mult,
+    ast.Lt: ast.LtE, ast.LtE: ast.Lt,
+    ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+}
+_SYMBOLS = {
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
+    ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+}
+
+# a tolerance exit: not strictly equivalent, but it changes a result only
+# where an error estimate equals its tolerance exactly
+_BOUNDARY = "boundary only: no test has an error estimate exactly on its tolerance"
+
+# (function, source of the mutated expression, mutation) -> why no test tells
+# the mutant from the original
+KNOWN_EQUIVALENT = {
+    ("convexity._verdict", "gap.flat[top] > _GAP_TOL", "> -> >="):
+        "the screen is an early exit: at equality the full test finds no gap "
+        "above tol * (1 + |rhs|) >= tol >= the largest gap, and returns the "
+        "same holds verdict",
+    ("quadrature._integrate_rows", "retry_eps[i] < eps[i]", "< -> <="):
+        "at equality the rerun repeats the first run against the same "
+        "tolerance, and the final check raises the same error",
+    ("quadrature._integrate_rows", "len(again) < n", "< -> <="):
+        "at equality the column subset is every column in order",
+    ("quadrature._integrate_rows", "est[i] > retry_eps[i]", "> -> >="): _BOUNDARY,
+    ("quadrature._integrate_rows", "e > _requested(tol, v)", "> -> >="): _BOUNDARY,
+    ("quadrature._levels", "est <= (tol if owner is None else tol[owner])",
+     "<= -> <"): _BOUNDARY,
+}
+
+
+class Mutant(NamedTuple):
+    function: str
+    expression: str
+    mutation: str
+    source: str
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return self.function, self.expression, self.mutation
+
+
+def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    scope = tree.body
+    *outer, name = qualname.split(".")
+    for part in outer:
+        scope = next(n.body for n in scope
+                     if isinstance(n, ast.ClassDef) and n.name == part)
+    return next(n for n in scope
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _sites(func: ast.FunctionDef) -> list[tuple[ast.AST, int | None]]:
+    # (node, None) for a binary operator, (node, k) for the k-th comparison
+    # of a chain, in source order
+    sites: list[tuple[ast.AST, int | None]] = []
+    for node in ast.walk(func):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
+            sites.append((node, None))
+        elif isinstance(node, ast.Compare):
+            sites.extend((node, k) for k, op in enumerate(node.ops) if type(op) in _SWAPS)
+    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+
+
+def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
+    """Every one-operator mutant of function qualname in a module's source,
+    in source order, each with the module's whole mutated source."""
+    count = len(_sites(_find(ast.parse(source), qualname)))
+    found = []
+    for i in range(count):
+        tree = ast.parse(source)  # a fresh tree per mutant, changed in place
+        node, k = _sites(_find(tree, qualname))[i]
+        expression = " ".join(ast.get_source_segment(source, node).split())
+        old = node.op if k is None else node.ops[k]
+        new = _SWAPS[type(old)]()
+        if k is None:
+            node.op = new
+        else:
+            node.ops[k] = new
+        found.append(Mutant(f"{module}.{qualname}", expression,
+                            f"{_SYMBOLS[type(old)]} -> {_SYMBOLS[type(new)]}",
+                            ast.unparse(tree) + "\n"))
+    return found
+
+
+def _passes(src: Path, tests: list[str], root: Path) -> bool:
+    # the copy takes the place of the checkout's src on pytest's pythonpath
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *tests],
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("functions", nargs="+", help="module.qualname within src/hhbound")
+    p.add_argument("--tests", nargs="+", required=True, help="pytest paths to run")
+    args = p.parse_args()
+    root = Path.cwd()
+    package = root / "src" / "hhbound"
+
+    todo, unparsed = [], {}
+    for name in args.functions:
+        module, qualname = name.split(".", 1)
+        source = (package / f"{module}.py").read_text(encoding="utf-8")
+        unparsed[module] = ast.unparse(ast.parse(source)) + "\n"
+        todo.extend((module, m) for m in mutants(source, module, qualname))
+
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        # no bytecode is copied: a stale .pyc could stand in for a mutant
+        shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for module, text in unparsed.items():
+            (src / "hhbound" / f"{module}.py").write_text(text, encoding="utf-8")
+        if not _passes(src, args.tests, root):
+            print("the tests fail on the unparsed, unchanged source", file=sys.stderr)
+            return 2
+        for i, (module, mutant) in enumerate(todo, 1):
+            target = src / "hhbound" / f"{module}.py"
+            target.write_text(mutant.source, encoding="utf-8")
+            killed = not _passes(src, args.tests, root)
+            target.write_text(unparsed[module], encoding="utf-8")
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"[{i}/{len(todo)}] {verdict}: {mutant.function} "
+                  f"`{mutant.expression}` {mutant.mutation}", file=sys.stderr)
+            if not killed:
+                survivors.append(mutant)
+
+    unexplained = 0
+    print(f"{len(todo)} mutants, {len(survivors)} survived")
+    for m in survivors:
+        reason = KNOWN_EQUIVALENT.get(m.key)
+        unexplained += reason is None
+        print(f"{m.function} `{m.expression}` {m.mutation}: "
+              f"{reason or 'not known to be equivalent'}")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

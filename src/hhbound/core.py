@@ -97,9 +97,6 @@ class Interval:
         """n equally spaced points from a to b inclusive."""
         return np.linspace(self.a, self.b, n)
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
 
 @dataclass(frozen=True)
 class DomainSpec:

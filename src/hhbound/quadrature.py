@@ -476,19 +476,15 @@ def step_weight(g: RealFunction, iv: Interval, x: float,
                 t: float) -> tuple[float, float]:
     """Signed cumulative weight with a jump at x, and its kink envelope.
 
-    For t < x returns (integral of g over [a, t], t - a); for t >= x returns
-    (minus the integral of g over [t, b], b - t), each integral taken to the
-    oracle tolerance 1e-12, piece by piece between the knots of g. The
+    kernel_K anchored at an endpoint: (kernel_K(g, iv, a, t), t - a) for
+    t < x, else (-kernel_K(g, iv, t, b), b - t), which is -0.0 at t = b. The
     envelope bound |first| <= sup|g| * second holds for every t. An x or t
     off [a, b] or NaN raises InvalidCaseError.
     """
-    for p in (x, t):
-        validate_split_point(iv, p)
+    validate_split_point(iv, x)
     if t < x:
-        sg = _integral_between(g, [(iv.a, t)], _KERNEL_TOL, g.knots)[0].value
-        return sg, t - iv.a
-    sg = -_integral_between(g, [(t, iv.b)], _KERNEL_TOL, g.knots)[0].value
-    return sg, iv.b - t
+        return kernel_K(g, iv, iv.a, t), t - iv.a
+    return -kernel_K(g, iv, t, iv.b), iv.b - t
 
 
 # ---------------------------------------------------------------------------

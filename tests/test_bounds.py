@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhbound import bounds
 from hhbound import (
     BoundCase,
     ComponentIntegralId,
@@ -34,6 +35,7 @@ from hhbound import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
+from hhbound.quadrature import _integral_between, _sum_results
 
 UNIT = Interval(0.0, 1.0)
 SHIFTED = Interval(2.0, 5.0)
@@ -119,6 +121,69 @@ def test_component_integrals_against_oracle(cid):
             closed = component_integral(cid, UNIT, x, alpha)
             orc = oracle_component_integral(cid, UNIT, x, alpha)
             assert abs(closed - orc.value) <= 1e-9 * (1.0 + abs(orc.value))
+
+
+@pytest.mark.parametrize("cid", ["S_TOTAL", None, 3])
+@pytest.mark.parametrize("fn", [component_integral, oracle_component_integral])
+def test_component_integrals_reject_a_non_member(fn, cid):
+    with pytest.raises(InvalidParamsError, match="unknown component integral"):
+        fn(cid, UNIT, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("iv", [UNIT, Interval(-1.0, 2.5)])
+def test_component_twins_converge_for_small_alpha(iv):
+    # the weight's cusp at t = b drives the panels next to b to the float64
+    # floor, where each counts its whole value as error; at a 1e-12 request
+    # their sum alone failed the T21_COMPLEMENT twin at x = 0.3 on [0, 1]
+    for alpha in (0.1, 0.25):
+        for x in np.linspace(iv.a, iv.b, 11):
+            x = float(x)
+            for cid in ComponentIntegralId:
+                closed = component_integral(cid, iv, x, alpha)
+                orc = oracle_component_integral(cid, iv, x, alpha)
+                assert abs(closed - orc.value) <= 1e-9 * (1.0 + abs(orc.value))
+
+
+def _side_integrands(cid, iv, x, alpha):
+    """What the twin of cid integrates on [a, x] and on [x, b], None where
+    it has no part, spelled out apart from the twin's own table."""
+    a, b = iv.a, iv.b
+
+    def w(t):
+        return ((b - t) / (b - a)) ** alpha
+
+    sides = {
+        ComponentIntegralId.T21_WEIGHTED_ALPHA: (
+            lambda t: np.abs(t - x) * w(t), lambda t: np.abs(t - x) * w(t)),
+        ComponentIntegralId.T21_COMPLEMENT: (
+            lambda t: np.abs(t - x) * (1.0 - w(t)),
+            lambda t: np.abs(t - x) * (1.0 - w(t))),
+        ComponentIntegralId.S_TOTAL: (lambda t: t - a, lambda t: b - t),
+        ComponentIntegralId.T22_LEFT_ALPHA: (lambda t: (t - a) * w(t), None),
+        ComponentIntegralId.T22_RIGHT_ALPHA: (None, lambda t: (b - t) * w(t)),
+        ComponentIntegralId.T22_RIGHT_COMPLEMENT: (
+            None, lambda t: (b - t) * (1.0 - w(t))),
+        ComponentIntegralId.T22_LEFT_COMPLEMENT: (
+            lambda t: (t - a) * (1.0 - w(t)), None),
+    }
+    return sides[cid]
+
+
+def _sides_alone(left, right, iv, x):
+    return _sum_results([
+        _integral_between(fn, [(lo, hi)], bounds._ORACLE_TOL)[0]
+        for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if fn is not None])
+
+
+@pytest.mark.parametrize("cid", list(ComponentIntegralId))
+def test_component_twin_is_the_sum_of_its_sides(cid):
+    # bit for bit: value, error estimate and evaluations; the S_TOTAL twin
+    # once sampled the tent's right branch at the end of its left side
+    for iv in (UNIT, Interval(-1.0, 2.5)):
+        for x in (iv.a, 0.3 * iv.a + 0.7 * iv.b, iv.b):
+            for alpha in (0.25, 1.0):
+                expect = _sides_alone(*_side_integrands(cid, iv, x, alpha), iv, x)
+                assert oracle_component_integral(cid, iv, x, alpha) == expect
 
 
 def test_q_one_is_plain_weighted_sum():

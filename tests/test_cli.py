@@ -21,6 +21,15 @@ def test_constants_reports_tiny_deviation(capsys):
     assert "rel_dev" in out
 
 
+def test_constants_converges_for_small_alpha(capsys):
+    # the twins once stopped with an error estimate of 1.03e-12 on
+    # [0.925, 2.5], the cusp of the weight at b pushing it past 1e-12
+    assert main(["constants", "--a", "-1", "--b", "2.5", "--x", "0.925",
+                 "--alpha", "0.1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("rel_dev") == 2
+
+
 def test_constants_rejects_bad_alpha(capsys):
     assert main(["constants", "--a", "0", "--b", "1", "--x", "0.5",
                  "--alpha", "0"]) == 1

@@ -353,6 +353,25 @@ def test_screened_gate_equals_dense_verdicts(suite, grid, tmp_path):
     assert check_hypotheses(requests[::-1], grid) == want[::-1]
 
 
+def test_a_largest_gap_on_its_threshold_leaves_the_witness_to_the_full_test():
+    # rhs is fy where t = 0: the largest gap equals tol * (1 + |rhs|) there,
+    # so it does not violate, and the smaller gap beside it, where rhs = 0,
+    # does; the screen must not take the largest gap as the witness
+    tol = convexity._GAP_TOL
+    r = 1e-12
+    on_threshold = tol * (1.0 + r)
+    lhs_top = r + on_threshold
+    assert lhs_top - r == on_threshold
+    below = float(np.nextafter(tol, 1.0))
+    lhs = np.array([lhs_top, below]).reshape(1, 2, 1)
+    xs, ys, ts = np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0])
+    fx, fy = np.array([0.0]), np.array([r, 0.0])
+    want = Verdict(False, Witness(0.0, 1.0, 0.0, below))
+    assert dense_verdict(lhs, fx, fy, xs, ys, ts, 1.0, 1.0) == want
+    buffers = (np.empty(lhs.shape), np.empty(lhs.shape), np.empty(lhs.shape, dtype=bool))
+    assert convexity._verdict(lhs, fx, fy, xs, ys, ts, 1.0, 1.0, buffers) == want
+
+
 @pytest.mark.parametrize("spec, b_star, unit_cell", [
     ("monomial:2", 4.0, None),
     ("exp", 4.0, None),

@@ -1,0 +1,55 @@
+"""The mutant generator of scripts/mutants.py on a toy function; the sweep
+itself, one test run per mutant, is not run here."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).resolve().parents[1] / "scripts" / "mutants.py")
+mutants = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutants)
+
+TOY = '''
+def untouched(a, b):
+    return a + b
+
+
+class Box:
+    def toy(self, a, b):
+        if 0 < a <= b:
+            return a + b * 2
+        total = a ** 2
+        total -= b / 4
+        return total if a > b else -total
+'''
+
+
+def test_each_operator_of_the_named_function_gives_one_mutant():
+    found = mutants.mutants(TOY, "toy", "Box.toy")
+    assert [(m.function, m.expression, m.mutation) for m in found] == [
+        ("toy.Box.toy", "0 < a <= b", "< -> <="),
+        ("toy.Box.toy", "0 < a <= b", "<= -> <"),
+        ("toy.Box.toy", "a + b * 2", "+ -> -"),
+        ("toy.Box.toy", "b * 2", "* -> /"),
+        ("toy.Box.toy", "a ** 2", "** -> *"),
+        ("toy.Box.toy", "total -= b / 4", "- -> +"),
+        ("toy.Box.toy", "b / 4", "/ -> *"),
+        ("toy.Box.toy", "a > b", "> -> >="),
+    ]
+
+
+def test_a_mutant_changes_only_its_own_operator():
+    original, ns = {}, {}
+    exec(TOY, original)
+    for m in mutants.mutants(TOY, "toy", "Box.toy"):
+        exec(m.source, ns)
+        assert ns["untouched"](3, 4) == 7
+    # a + b * 2 -> a - b * 2 on the branch 0 < a <= b
+    plus = mutants.mutants(TOY, "toy", "Box.toy")[2]
+    exec(plus.source, ns)
+    assert original["Box"]().toy(1, 3) == 7 and ns["Box"]().toy(1, 3) == -5
+    # a > b -> a >= b flips the sign of the result only at a == b
+    gt = mutants.mutants(TOY, "toy", "Box.toy")[-1]
+    exec(gt.source, ns)
+    assert original["Box"]().toy(-2, -2) == -ns["Box"]().toy(-2, -2)
+    assert original["Box"]().toy(-1, -2) == ns["Box"]().toy(-1, -2)

@@ -394,6 +394,22 @@ def test_step_weight_branches():
     assert abs(sg + 1.0) <= 1e-12 and s == 0.5
 
 
+@pytest.mark.parametrize("iv", [UNIT, Interval(-1.0, 2.5)])
+@pytest.mark.parametrize("gspec", ["const:2", "poly:0:1:-1", "pwlinear:-1:0:0.5:1:2.5:0"])
+def test_step_weight_is_the_kernel_anchored_at_an_endpoint(gspec, iv):
+    g = parse_function(gspec)
+    a, b = iv.a, iv.b
+    for x in (a, 0.7 * a + 0.3 * b, b):
+        for t in (a, 0.8 * a + 0.2 * b, 0.7 * a + 0.3 * b, iv.midpoint, b):
+            sg, s = step_weight(g, iv, x, t)
+            k, e = ((kernel_K(g, iv, a, t), t - a) if t < x
+                    else (-kernel_K(g, iv, t, b), b - t))
+            assert (sg, s) == (k, e)
+            assert math.copysign(1.0, sg) == math.copysign(1.0, k)
+    # the right branch at t = b is minus an empty integral
+    assert math.copysign(1.0, step_weight(g, iv, iv.midpoint, b)[0]) == -1.0
+
+
 # a spike of height 1e5 and width 1e-5 falls between the oracle's samples of
 # [0, 1]: unsplit, the lhs integrals of g and the kernel primitives came back
 # as 0.001 with estimate 0
