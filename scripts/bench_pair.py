@@ -10,7 +10,7 @@ For each workload it runs ``bench/run.py --trace 0`` in the two checkouts as
 alternating pairs: even pairs run the parent first, odd pairs the change.
 Every run uses the same seed and run length. It records each side's op_s,
 setup_s and peak_rss_mb per run with their median and quartiles, and how many
-pairs the change won on op_s.
+pairs the change won on op_s and on peak_rss_mb.
 
 It also runs four cold operations once per checkout, each in a fresh
 interpreter that imports that checkout's hhbound, so every memo starts cold:
@@ -28,11 +28,13 @@ the sha256 of both reports:
 - oracle memo hits and misses: what quadrature._integrate_cached's
   cache_info() gained over the run;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
-  run, the cost of touching freshly allocated memory.
+  run, the cost of touching freshly allocated memory;
+- peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
+  high-water mark of the fresh interpreter, import included.
 
 For each identities pass it records the integrand calls and points, the
-oracle memo hits and misses, the minor page faults, the worst residual, and
-whether numpy.ma was loaded by the end of the pass.
+oracle memo hits and misses, the minor page faults, the peak RSS, the worst
+residual, and whether numpy.ma was loaded by the end of the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -66,7 +68,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     operation of rep 0 of seed. For an identities workload, the integrand
     and oracle memo counters of one pass over its cases, its worst residual
     and whether numpy.ma was loaded by the end of it. Both record the minor
-    page faults of the counted run.
+    page faults of the counted run and the interpreter's peak RSS after it.
     """
     import hhbound.bounds as bounds
     import hhbound.core as core
@@ -96,10 +98,14 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     def minor_faults() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
+    def peak_rss_kb() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
     if workload.startswith("identities_"):
         faults0 = minor_faults()
         result = workloads.WORKLOADS[workload](seed).run(0, Path(out_dir), True)
         counts["minor_page_faults"] = minor_faults() - faults0
+        counts["peak_rss_kb"] = peak_rss_kb()
         return {"cases": result["units"], **counts, **memo_counts(),
                 "worst_residual": result["info"]["worst_residual"],
                 "numpy_ma_loaded": "numpy.ma" in sys.modules}
@@ -130,6 +136,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     faults0 = minor_faults()
     result = harness.run_suite(config)
     counts["minor_page_faults"] = minor_faults() - faults0
+    counts["peak_rss_kb"] = peak_rss_kb()
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
                for name in _REPORTS}
     return {"rows": len(result.reports), **counts, **memo_counts(), "sha256": digests}
@@ -203,10 +210,12 @@ def main() -> int:
                                          args.seconds))
                 print(f"{workload} pair {k} {side}: op_s "
                       f"{runs[side][-1]['op_s']:.4g}", file=sys.stderr)
-        won = sum(c["op_s"] < p["op_s"] for p, c in zip(runs["parent"], runs["change"]))
+        won = {f"change_won_{metric}": sum(
+                   c[metric] < p[metric] for p, c in zip(runs["parent"], runs["change"]))
+               for metric in ("op_s", "peak_rss_mb")}
         record["workloads"][workload] = {
             "pairs": args.pairs,
-            "change_won_op_s": won,
+            **won,
             **{side: {metric: _summary([r[metric] for r in rs])
                       for metric in ("op_s", "setup_s", "peak_rss_mb")}
                for side, rs in runs.items()},

@@ -6,6 +6,12 @@ Run from the root of the checkout:
         -- bounds._MomentIntegrand.__call__ bounds._oracle quadrature.kernel_K \
         quadrature.step_weight
 
+or, for the hypothesis gate and its slab loop,
+
+    python3 scripts/mutants.py --tests tests/test_convexity.py -- \
+        convexity._scan_points convexity._scratch convexity._slab_violation \
+        convexity._scan convexity.check_hypotheses convexity.classify_region
+
 Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
 changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,
 ``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap. For each mutant
@@ -51,10 +57,10 @@ _BOUNDARY = "boundary only: no test has an error estimate exactly on its toleran
 # (function, source of the mutated expression, mutation) -> why no test tells
 # the mutant from the original
 KNOWN_EQUIVALENT = {
-    ("convexity._verdict", "gap.flat[top] > _GAP_TOL", "> -> >="):
+    ("convexity._slab_violation", "gap.flat[top] > _GAP_TOL", "> -> >="):
         "the screen is an early exit: at equality the full test finds no gap "
-        "above tol * (1 + |rhs|) >= tol >= the largest gap, and returns the "
-        "same holds verdict",
+        "of the slab above tol * (1 + |rhs|) >= tol >= its largest gap, and "
+        "returns the same None",
     ("quadrature._integrate_rows", "retry_eps[i] < eps[i]", "< -> <="):
         "at equality the rerun repeats the first run against the same "
         "tolerance, and the final check raises the same error",

@@ -11,26 +11,32 @@ witness is the lexicographically smallest (x, y, t) among the maximal-gap
 triples, independent of evaluation order.
 
 A gap violates when it exceeds 1e-12 * (1 + |rhs|). That threshold never
-rounds below 1e-12, so each comparison first finds the first maximal gap
-and returns "holds" when it is not above 1e-12. Otherwise, if that gap
-violates, it is the witness; only if it does not is the threshold built
-for the whole grid.
+rounds below 1e-12, so each comparison first finds the first maximal gap of
+a slab (below) and finds no violation there when it is not above 1e-12.
+Otherwise, if that gap violates, it is the slab's first largest violation;
+only if it does not is the threshold built for the slab.
 
 One scan routine serves the class checks and the hypothesis gate. It
 evaluates the map once per m (the gate's |f'| once per (pair, m) group),
 raises it to each q (q = 1 for the class checks of fn itself, which leaves
-the values bit for bit) and compares once per alpha. Each check_hypotheses
-or classify_region call allocates one scratch set over the (x, y, t) grid,
-lhs, rhs, gap and the violation mask, and every group writes into it: the
-scan points go into rhs before the map is evaluated there, |f'| is taken in
-place, each q's power is written into lhs, and the comparisons fill rhs,
-gap and the mask. Every value comes from the same float expressions as a
-fresh-array scan, so verdicts and witnesses are bit for bit those of the
-unscreened test. A map
-that is not finite somewhere on the grid (an overflowed |f'|**q, say) is
-rejected with InvalidCaseError: a NaN gap compares false and would
-otherwise pass. check_convex_direct stays a separate literal scan, with its
-own finiteness check, as an independent cross-check.
+the values bit for bit) and compares once per alpha. It walks the grid in
+x-slabs: runs of whole (y, t) planes, six of the default 51 x 51 grid, about
+128 KB per array (loop blocking; Lam, Rothberg and Wolf, ASPLOS 1991). Each
+check_hypotheses or classify_region call allocates one slab-sized scratch
+set, lhs, rhs, gap and the violation mask, and every group writes into it.
+In each slab the scan points go into rhs, the map is evaluated there, each
+q's power is written into lhs and checked finite, and each (q, alpha) fills
+rhs and gap and takes the slab's first largest violation. A later slab's
+violation replaces the kept one only when strictly greater, so ties go to
+the earlier slab and the kept one is the first largest violation in C order
+of the whole grid, the witness. Every value comes from the same float
+expressions as a fresh-array scan of the whole grid, so verdicts and
+witnesses are bit for bit those of the unscreened test, and no array the
+size of the grid is allocated. A map that is not finite somewhere on the grid (an overflowed
+|f'|**q, say) is rejected with InvalidCaseError: a NaN gap compares false
+and would otherwise pass. check_convex_direct stays a separate literal
+full-grid scan, with its own finiteness check, as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-12
+# bytes of one slab array of the scan: six (y, t) planes of the default
+# 51 x 51 grid, and still one plane of a 101 x 101 one
+_SLAB_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -119,65 +128,51 @@ class AbsPower:
 def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray, m: float,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The combinations t*x + m*(1-t)*y over the (x, y, t) grid, clipped at
-    xs[-1] = b_star: rounding can carry one an ulp past it, outside the knot
-    range of a piecewise fn that ends at b_star. Written into out when given,
-    else into a new array."""
+    ys[-1] = b_star: rounding can carry one an ulp past it, outside the knot
+    range of a piecewise fn that ends at b_star. xs may be an x-slab of the
+    axis. Written into out when given, else into a new array."""
     X = xs[:, None, None]
     Y = ys[None, :, None]
     T = ts[None, None, :]
     points = np.add(T * X, m * (1.0 - T) * Y, out=out)
-    return np.minimum(points, xs[-1], out=points)
+    return np.minimum(points, ys[-1], out=points)
 
 
 def _scratch(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray]:
-    """One scratch set over the (x, y, t) grid for _scan: lhs, rhs, gap and
-    the violation mask. Every group of a call writes into the same set."""
-    shape = (grid.nx, grid.ny, grid.nt)
+    """One scratch set over an x-slab of the grid for _scan: lhs, rhs, gap and
+    the violation mask. A slab is as many (y, t) planes as fit in
+    _SLAB_BYTES, at least one and at most nx. Every group of a call writes
+    into the same set."""
+    planes = max(1, _SLAB_BYTES // (8 * grid.ny * grid.nt))
+    shape = (min(planes, grid.nx), grid.ny, grid.nt)
     return (np.empty(shape), np.empty(shape), np.empty(shape),
             np.empty(shape, dtype=bool))
 
 
-def _verdict(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray, xs: np.ndarray,
-             ys: np.ndarray, ts: np.ndarray, alpha: float, m: float,
-             buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Verdict:
-    """Compare fn at the scan points against the class weights of fn(x), fn(y).
-
-    buffers are the rhs, gap and mask of a _scratch set and are overwritten;
-    nothing carries from one call to the next.
+def _slab_violation(rhs: np.ndarray, gap: np.ndarray,
+                    mask: np.ndarray) -> tuple[float, int] | None:
+    """(gap, flat index in the slab) of the first largest gap of an x-slab
+    above its own threshold tol * (1 + |rhs|), or None when no gap there
+    violates. rhs and gap are the slab's, and mask is a slab-sized buffer;
+    all three may be overwritten.
     """
-    rhs, gap, viol = buffers
-    ta = ts[None, None, :] ** alpha
-    np.add(ta * fx[:, None, None], m * (1.0 - ta) * fy[None, :, None], out=rhs)
-    np.subtract(lhs, rhs, out=gap)
-    # argmax returns the first maximum in C order, so the witness is the
-    # lexicographically smallest (x, y, t) index triple among the maximal
-    # violations; grids are increasing, so index order is value order. The
-    # threshold tol * (1 + |rhs|) never rounds below tol, and _scan's
-    # finiteness check leaves no NaN gap, so without a maximum above tol
-    # nothing can violate; when the first maximum violates, it is the witness.
+    # argmax returns the first maximum in C order. The threshold never rounds
+    # below tol, and _scan's finiteness check leaves no NaN gap, so without a
+    # maximum above tol nothing can violate; when the first maximum violates,
+    # it is the first largest violation
     top = np.argmax(gap)
     if not gap.flat[top] > _GAP_TOL:
-        return Verdict(True)
+        return None
     if not gap.flat[top] > _GAP_TOL * (1.0 + abs(rhs.flat[top])):
         threshold = np.abs(rhs, out=rhs)
         np.add(1.0, threshold, out=threshold)
         np.multiply(_GAP_TOL, threshold, out=threshold)
-        if not np.greater(gap, threshold, out=viol).any():
-            return Verdict(True)
-        np.copyto(gap, -np.inf, where=np.logical_not(viol, out=viol))
+        if not np.greater(gap, threshold, out=mask).any():
+            return None
+        np.copyto(gap, -np.inf, where=np.logical_not(mask, out=mask))
         top = np.argmax(gap)
-    i, j, k = np.unravel_index(top, gap.shape)
-    gmax = float(gap[i, j, k])
-    return Verdict(False, Witness(float(xs[i]), float(ys[j]), float(ts[k]), gmax))
-
-
-def _all_finite(lhs: np.ndarray, fx: np.ndarray, fy: np.ndarray,
-                mask: np.ndarray) -> bool:
-    # a NaN gap never counts as a violation, so an overflowed or undefined
-    # map would otherwise pass the scan
-    return bool(np.isfinite(lhs, out=mask).all() and np.isfinite(fx).all()
-                and np.isfinite(fy).all())
+    return gap.flat[top], top
 
 
 def _scan(fn, b_star: float, m: float,
@@ -188,31 +183,81 @@ def _scan(fn, b_star: float, m: float,
     """Verdicts of h**q in the (alpha, m) class on [0, b_star], keyed
     (q, alpha), where h is fn, or |fn| when absolute (the gate's |f'|).
 
-    h is evaluated once at the scan points and raised to each q once. The
-    scan points, the powers and the comparisons are written into scratch, a
-    _scratch set of grid, which this scan overwrites. An h**q that is not
-    finite somewhere on the grid raises InvalidCaseError with the message
-    not_finite(q).
+    The grid is scanned in x-slabs as long as scratch, a _scratch set of
+    grid, which this scan overwrites. In each slab, h is evaluated once at
+    the scan points, raised to each q once into lhs and checked finite, and
+    each (q, alpha) fills rhs and gap and takes the slab's first largest
+    violating gap (_slab_violation). Slabs run in x order and a later
+    slab's violation replaces the kept one only when strictly greater, so
+    the kept one is the first largest violation of the whole grid in C
+    order: the lexicographically smallest (x, y, t) index triple among the
+    maximal violations, and grids are increasing, so index order is value
+    order. A (q, alpha) with no violation holds.
+
+    After the last slab, an h**q that was not finite somewhere on the grid
+    raises InvalidCaseError with the message not_finite(q), for the first
+    such q in alphas_by_q's order: a NaN gap compares false and would
+    otherwise pass.
     """
     lhs, rhs, gap, viol = scratch
     xs, ys, ts = _domain_axes(b_star, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the scan points live in rhs until the first comparison
-        base, fx, fy = (np.asarray(fn(_scan_points(xs, ys, ts, m, out=rhs))),
-                        np.asarray(fn(xs)), np.asarray(fn(ys)))
+        fx, fy = np.asarray(fn(xs)), np.asarray(fn(ys))
         if absolute:
             # the gate's fn is a RealFunction, which returns new float arrays
-            base, fx, fy = (np.abs(v, out=v) for v in (base, fx, fy))
-    out = {}
+            fx, fy = np.abs(fx, out=fx), np.abs(fy, out=fy)
+        powers = {q: (fx ** q, fy ** q) for q in alphas_by_q}
+    finite = {q: bool(np.isfinite(fxq).all() and np.isfinite(fyq).all())
+              for q, (fxq, fyq) in powers.items()}
+    # per finite q, per alpha: the rhs terms t**alpha h(x)**q over (x, t)
+    # and m (1 - t**alpha) h(y)**q over (y, t)
+    terms: dict[float, dict] = {}
     for q, alphas in alphas_by_q.items():
+        fxq, fyq = powers[q]
+        for alpha in sorted(alphas) if finite[q] else ():
+            ta = ts[None, None, :] ** alpha
+            terms.setdefault(q, {})[alpha] = (ta * fxq[:, None, None],
+                                              m * (1.0 - ta) * fyq[None, :, None])
+    # (q, alpha) -> (largest violation so far, its flat grid index)
+    found = {(q, alpha): (-np.inf, 0)
+             for q, by_alpha in terms.items() for alpha in by_alpha}
+    planes = len(rhs)
+    for i0 in range(0, grid.nx, planes):
+        x_slab = xs[i0:i0 + planes]
+        n = len(x_slab)
+        r, g, mask = rhs[:n], gap[:n], viol[:n]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.power(base, q, out=lhs)
-            fxq, fyq = fx ** q, fy ** q
-        if not _all_finite(lhs, fxq, fyq, viol):
+            # the scan points live in rhs until h is evaluated there; fn
+            # returns a new array
+            h = np.asarray(fn(_scan_points(x_slab, ys, ts, m, out=r)))
+            if absolute:
+                np.abs(h, out=h)
+        for q, by_alpha in terms.items():
+            if not finite[q]:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhs_q = np.power(h, q, out=lhs[:n])
+            if not np.isfinite(lhs_q, out=mask).all():
+                finite[q] = False
+                continue
+            for alpha, (x_term, y_term) in by_alpha.items():
+                np.add(x_term[i0:i0 + n], y_term, out=r)
+                np.subtract(lhs_q, r, out=g)
+                violation = _slab_violation(r, g, mask)
+                if violation is not None and violation[0] > found[(q, alpha)][0]:
+                    found[(q, alpha)] = (violation[0],
+                                         i0 * g[0].size + violation[1])
+    for q in alphas_by_q:
+        if not finite[q]:
             raise InvalidCaseError(not_finite(q))
-        for alpha in sorted(alphas):
-            out[(q, alpha)] = _verdict(lhs, fxq, fyq, xs, ys, ts, alpha, m,
-                                       (rhs, gap, viol))
+    out = {}
+    for key, (top, index) in found.items():
+        if top > -np.inf:
+            i, j, k = np.unravel_index(index, (len(xs), len(ys), len(ts)))
+            out[key] = Verdict(False, Witness(float(xs[i]), float(ys[j]),
+                                              float(ts[k]), float(top)))
+        else:
+            out[key] = Verdict(True)
     return out
 
 
@@ -290,10 +335,10 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
     Verdicts, witnesses included, equal those of one check_hypothesis call
     per request. Requests sharing a pair and m share one evaluation of |f'|
     at the scan points, raised to each distinct q once. The groups are
-    scanned one after another in request order, all in one _scratch set
-    allocated for the call. A |f'|**q that is not finite somewhere on the
-    grid raises InvalidCaseError naming f, q and b_star, instead of a
-    verdict.
+    scanned one after another in request order, each slab by slab in x, all
+    in one slab-sized _scratch set allocated for the call. A |f'|**q that is
+    not finite somewhere on the grid raises InvalidCaseError naming f, q and
+    b_star, instead of a verdict.
     """
     groups: dict[tuple[DifferentiablePair, float], dict] = {}
     for pair, q, params in requests:
@@ -319,8 +364,8 @@ def classify_region(fn: RealFunction, domain: DomainSpec,
     """Verdict matrix over a grid of class parameters (rows alpha, cols m).
 
     Each cell is the check_alpha_m_convex verdict of its (alpha, m); fn is
-    evaluated once per m, and q = 1 leaves its values bit for bit. All m
-    share one _scratch set allocated for the call.
+    evaluated once per m, slab by slab in x, and q = 1 leaves its values bit
+    for bit. All m share one slab-sized _scratch set allocated for the call.
     """
     alpha_grid, m_grid = tuple(alpha_grid), tuple(m_grid)
     for alpha in alpha_grid:

@@ -422,10 +422,11 @@ class TheoremId(str, Enum):
         return self in (TheoremId.C11, TheoremId.C21)
 
 
-def validate_split_point(iv: Interval, x: float) -> None:
-    """Raise InvalidCaseError unless a <= x <= b."""
+def validate_split_point(iv: Interval, x: float, name: str = "x") -> None:
+    """Raise InvalidCaseError unless a <= x <= b; the message calls the
+    point name."""
     if not iv.a <= x <= iv.b:
-        raise InvalidCaseError(f"x={x} outside [{iv.a}, {iv.b}]")
+        raise InvalidCaseError(f"{name}={x} outside [{iv.a}, {iv.b}]")
 
 
 def validate_q(q: float) -> None:

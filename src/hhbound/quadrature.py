@@ -466,8 +466,8 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     over the sorted pair and the sign attached afterwards. An x or t off
     [a, b] or NaN raises InvalidCaseError.
     """
-    for p in (x, t):
-        validate_split_point(iv, p)
+    validate_split_point(iv, x)
+    validate_split_point(iv, t, "t")
     val = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0].value
     return val if x <= t else -val
 
@@ -482,6 +482,7 @@ def step_weight(g: RealFunction, iv: Interval, x: float,
     off [a, b] or NaN raises InvalidCaseError.
     """
     validate_split_point(iv, x)
+    validate_split_point(iv, t, "t")
     if t < x:
         return kernel_K(g, iv, iv.a, t), t - iv.a
     return -kernel_K(g, iv, t, iv.b), iv.b - t

@@ -1,9 +1,10 @@
 """Dense grid verdict with fresh arrays: the test reference.
 
-This is the unscreened form of ``hhbound.convexity._verdict``, kept only so
-tests can require the screened verdict, which writes into reused scratch
-buffers, to return the same ``Verdict``, witness included. It builds rhs,
-gap and the violation mask as new arrays and runs the full threshold test on
+This is the unscreened, whole-grid form of the comparisons in
+``hhbound.convexity._scan``, kept only so tests can require the screened
+verdict, which runs slab by slab in reused scratch buffers, to return the
+same ``Verdict``, witness included. It builds rhs, gap and the violation
+mask over the whole grid as new arrays and runs the full threshold test on
 every call.
 """
 

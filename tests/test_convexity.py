@@ -1,6 +1,7 @@
 """Grid verification of the generalized convexity classes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_gate_allocates_one_scratch_set_per_call(monkeypatch):
     assert len({(pair, params.m) for pair, _, params in requests}) == 12
     shapes = _counted_scratch(monkeypatch)
     verdicts = check_hypotheses(requests)
-    assert shapes == [(51, 51, 51)]
+    # one x-slab of six (y, t) planes, not the 51 x 51 x 51 grid
+    assert shapes == [(6, 51, 51)]
     # sharing the scratch set changes no verdict
     assert verdicts[0] == check_hypothesis(*requests[0])
     assert verdicts[-1] == check_hypothesis(*requests[-1])
@@ -256,7 +258,7 @@ def test_classify_region_allocates_one_scratch_set_per_call(monkeypatch):
     shapes = _counted_scratch(monkeypatch)
     matrix = classify_region(parse_function("exp"), DOM, (0.5, 1.0),
                              (0.25, 0.5, 0.75, 1.0))
-    assert shapes == [(51, 51, 51)]
+    assert shapes == [(6, 51, 51)]
     assert len(matrix) == 2 and all(len(row) == 4 for row in matrix)
 
 
@@ -353,23 +355,126 @@ def test_screened_gate_equals_dense_verdicts(suite, grid, tmp_path):
     assert check_hypotheses(requests[::-1], grid) == want[::-1]
 
 
+def _half_integer_map(b_star, values):
+    """A map on [0, b_star] that is values[p] at the half-integers p it names
+    and 0 at every other half-integer, read exactly from a table. On a grid
+    of integer x and y and t in {0, 0.5, 1}, every scan point at m = 1 is a
+    half-integer."""
+    table = np.zeros(2 * int(b_star) + 1)
+    for p, v in values.items():
+        table[int(2 * p)] = v
+
+    def fn(t):
+        return table[(2 * np.asarray(t)).astype(int)]
+
+    return fn
+
+
+def _unit_verdicts(fn, b_star):
+    """check_alpha_m_convex at (1, 1) on the integer grid of [0, b_star] with
+    t in {0, 0.5, 1}, and the dense verdict of the same grid."""
+    grid = GridSpec(int(b_star) + 1, int(b_star) + 1, 3)
+    xs, ys, ts = _domain_axes(b_star, grid)
+    dense = dense_verdict(fn(_scan_points(xs, ys, ts, 1.0)), fn(xs), fn(ys),
+                          xs, ys, ts, 1.0, 1.0)
+    return check_alpha_m_convex(fn, DomainSpec(b_star), PLAIN, grid), dense
+
+
 def test_a_largest_gap_on_its_threshold_leaves_the_witness_to_the_full_test():
-    # rhs is fy where t = 0: the largest gap equals tol * (1 + |rhs|) there,
-    # so it does not violate, and the smaller gap beside it, where rhs = 0,
-    # does; the screen must not take the largest gap as the witness
+    # rhs is r between x = 1 and y = 2: the largest gap, at their midpoint,
+    # equals tol * (1 + |rhs|) there, so it does not violate, and the smaller
+    # gap at the midpoint of 0 and 1, where rhs = 0, does; the screen must not
+    # take the largest gap as the witness
     tol = convexity._GAP_TOL
     r = 1e-12
     on_threshold = tol * (1.0 + r)
     lhs_top = r + on_threshold
     assert lhs_top - r == on_threshold
     below = float(np.nextafter(tol, 1.0))
-    lhs = np.array([lhs_top, below]).reshape(1, 2, 1)
-    xs, ys, ts = np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0])
-    fx, fy = np.array([0.0]), np.array([r, 0.0])
-    want = Verdict(False, Witness(0.0, 1.0, 0.0, below))
-    assert dense_verdict(lhs, fx, fy, xs, ys, ts, 1.0, 1.0) == want
-    buffers = (np.empty(lhs.shape), np.empty(lhs.shape), np.empty(lhs.shape, dtype=bool))
-    assert convexity._verdict(lhs, fx, fy, xs, ys, ts, 1.0, 1.0, buffers) == want
+    fn = _half_integer_map(2.0, {0.5: below, 1.5: lhs_top, 2.0: 2.0 * r})
+    want = Verdict(False, Witness(0.0, 1.0, 0.5, below))
+    assert _unit_verdicts(fn, 2.0) == (want, want)
+
+
+# five (y, t) planes per x-slab of a 23 x 23 x 3 grid: slabs start at
+# x = 0, 5, 10, 15 and 20, and the last has three planes
+_FIVE_PLANES = 5 * 8 * 23 * 3
+
+
+def test_a_witness_in_the_last_partial_slab(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # 21.5 is a midpoint only of x + y = 43, first at x = 21
+    want = Verdict(False, Witness(21.0, 22.0, 0.5, 1.0))
+    assert _unit_verdicts(_half_integer_map(22.0, {21.5: 1.0}), 22.0) == (want, want)
+
+
+def test_equal_maxima_in_two_slabs_leave_the_witness_to_the_first(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # 4.5 is the midpoint of x + y = 9 for x = 0..9, in the first two slabs
+    want = Verdict(False, Witness(0.0, 9.0, 0.5, 1.0))
+    assert _unit_verdicts(_half_integer_map(22.0, {4.5: 1.0}), 22.0) == (want, want)
+
+
+def test_a_threshold_witness_in_a_later_slab_than_the_largest_gap(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # the largest gap, ~2e-10 at the midpoint of 0 and 1 where rhs = 500, is
+    # below its threshold; the 5e-12 gaps at 16.5, the midpoint of x + y = 33,
+    # violate in the slabs from x = 10 on, and the first of them is the witness
+    fn = _half_integer_map(22.0, {0.0: 1000.0, 0.5: 500.0000000002,
+                                  16.5: 5e-12})
+    want = Verdict(False, Witness(11.0, 22.0, 0.5, 5e-12))
+    assert _unit_verdicts(fn, 22.0) == (want, want)
+
+
+def test_a_power_not_finite_only_in_the_last_slab_names_its_q(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # 21.5 is a scan point only of the last slab, and 1e200**2 overflows
+    fn = _half_integer_map(22.0, {21.5: 1e200})
+    grid = GridSpec(23, 23, 3)
+
+    def scan(alphas_by_q):
+        return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
+                               lambda q: f"not finite for q = {q:g}",
+                               convexity._scratch(grid), absolute=True)
+
+    assert not scan({1.0: {1.0}})[(1.0, 1.0)].holds
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({1.0: {1.0}, 2.0: {1.0}})
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({2.0: {1.0}, 1.0: {1.0}})
+
+
+def test_slabs_that_do_not_divide_the_grid_keep_the_dense_verdicts(monkeypatch):
+    # 23 x-planes in slabs of 5 and of 7, the last slab partial either way
+    grid = GridSpec(23, 17, 19)
+    requests = _gate_requests()
+    want = _dense_gate_verdicts(requests, grid)
+    assert any(v.holds for v in want) and not all(v.holds for v in want)
+    fn = parse_function("exp")
+    alphas, ms = (0.25, 1.0), (0.5, 1.0)
+    xs, ys, ts = _domain_axes(4.0, grid)
+    dense_region = [[dense_verdict(fn(_scan_points(xs, ys, ts, m)), fn(xs),
+                                   fn(ys), xs, ys, ts, alpha, m) for m in ms]
+                    for alpha in alphas]
+    for planes in (5, 7):
+        monkeypatch.setattr(convexity, "_SLAB_BYTES", planes * 8 * 17 * 19)
+        assert convexity._scratch(grid)[0].shape == (planes, 17, 19)
+        assert check_hypotheses(requests, grid) == want
+        assert classify_region(fn, DOM, alphas, ms, grid) == dense_region
+
+
+@pytest.mark.parametrize("spec", ["monomial:2", "exp"])
+def test_gate_allocates_no_full_grid_array(spec):
+    # tracemalloc sees numpy's array buffers
+    pair = DifferentiablePair.from_family(parse_function(spec), DOM)
+    request = [(pair, 2.0, ConvexityParams(0.5, 0.75))]
+    tracemalloc.start()
+    try:
+        check_hypotheses(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 51 ** 3
 
 
 @pytest.mark.parametrize("spec, b_star, unit_cell", [

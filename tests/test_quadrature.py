@@ -165,10 +165,20 @@ class _CountingCalls:
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.points = 0
 
     def __call__(self, t):
         self.calls += 1
+        self.points += np.size(t)
         return self.fn(t)
+
+
+def test_a_rerun_integral_counts_every_point_it_evaluated():
+    # exp(300 t) on [0, 1] runs its levels twice (test_integrate_steep_exponentials);
+    # the points of the rerun add to those of the first run
+    fn = _CountingCalls(parse_function("exp:300"))
+    res = integrate(fn, UNIT)
+    assert res.evaluations == fn.points
 
 
 @pytest.mark.parametrize("spec", ["exp", "sin", "pwlinear:0:0:0.5:1:1:0"])
@@ -383,6 +393,15 @@ def test_kernel_and_step_weight_reject_points_off_the_interval(fn, x, t):
         fn(parse_function("const:1"), UNIT, x, t)
 
 
+@pytest.mark.parametrize("fn", [kernel_K, step_weight])
+def test_a_rejected_t_is_named_t(fn):
+    # x = 0.5 is fine; the message names the point that is not
+    with pytest.raises(InvalidCaseError, match=r"^t=1.5 outside \[0.0, 1.0\]$"):
+        fn(parse_function("const:1"), UNIT, 0.5, 1.5)
+    with pytest.raises(InvalidCaseError, match=r"^x=-0.5 outside \[0.0, 1.0\]$"):
+        fn(parse_function("const:1"), UNIT, -0.5, 0.5)
+
+
 def test_step_weight_branches():
     g = parse_function("const:2")
     sg, s = step_weight(g, UNIT, 0.5, 0.25)
@@ -542,6 +561,23 @@ def test_lhs_sees_a_spike_between_samples():
     point = abs(f(x) * whole_g - whole_fg)
     assert abs(lhs_endpoint_at(f, g, UNIT, x)[0] - endpoint) <= 1e-9
     assert abs(lhs_point_at(f, g, UNIT, x)[0] - point) <= 1e-9
+
+
+def test_endpoint_lhs_error_and_magnitude_sum_the_weighted_integrals():
+    # error |f(a)| err I_g[a, x] + |f(b)| err I_g[x, b] + err I_fg, and
+    # magnitude |f(a)| |I_g[a, x]| + |f(b)| |I_g[x, b]| + |I_fg|, each integral
+    # alone through integrate; every estimate is nonzero here
+    f, g = parse_function("exp"), parse_function("sin")
+    x = 0.3
+    left, right, whole = (integrate(fn, iv, _LHS_TOL)
+                          for fn, iv in ((g, Interval(0.0, x)), (g, Interval(x, 1.0)),
+                                         (Product(f, g), UNIT)))
+    assert min(r.error_estimate for r in (left, right, whole)) > 0.0
+    fa, fb = abs(f(0.0)), abs(f(1.0))
+    err = fa * left.error_estimate + fb * right.error_estimate + whole.error_estimate
+    size = fa * abs(left.value) + fb * abs(right.value) + abs(whole.value)
+    assert lhs_endpoint_at(f, g, UNIT, x)[1] == err
+    assert _lhs_block(True, f, g, UNIT, (x,))[0][1:] == (err, size)
 
 
 @pytest.mark.parametrize("x", [-0.5, 1.5, math.nan, math.inf])
