@@ -27,14 +27,18 @@ the sha256 of both reports:
   evaluated (one for a scalar, the size of an array);
 - oracle memo hits and misses: what quadrature._integrate_cached's
   cache_info() gained over the run;
+- oracle batches: the calls of quadrature._integrate_batch, the intervals
+  they integrated, and how many of them started every interval at depth 0,
+  seen as a first integrand call of 3 points per interval;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
   high-water mark of the fresh interpreter, import included.
 
 For each identities pass it records the integrand calls and points, the
-oracle memo hits and misses, the minor page faults, the peak RSS, the worst
-residual, and whether numpy.ma was loaded by the end of the pass.
+oracle memo hits and misses, the oracle batches, the minor page faults, the
+peak RSS, the worst residual, and whether numpy.ma was loaded by the end of
+the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -65,10 +69,11 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
     For suite_default and sweep_fresh_x, the counters and report digests of
     one run_suite: the bundled suite, or the suite of the sweep_fresh_x
-    operation of rep 0 of seed. For an identities workload, the integrand
-    and oracle memo counters of one pass over its cases, its worst residual
-    and whether numpy.ma was loaded by the end of it. Both record the minor
-    page faults of the counted run and the interpreter's peak RSS after it.
+    operation of rep 0 of seed. For an identities workload, the integrand,
+    oracle memo and oracle batch counters of one pass over its cases, its
+    worst residual and whether numpy.ma was loaded by the end of it. Both
+    record the minor page faults of the counted run and the interpreter's
+    peak RSS after it.
     """
     import hhbound.bounds as bounds
     import hhbound.core as core
@@ -94,6 +99,26 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
         return evaluate(self, t)
 
     core.RealFunction.__call__ = counted
+
+    # _ResultMemo.results calls _integrate_batch through the module global; a
+    # batch starts at depth 0 when its first integrand call takes 3 points
+    # per interval rather than whole nested grids
+    batch = quadrature._integrate_batch
+
+    def counted_batch(fn, ranges, tol, max_panels):
+        sizes = []
+
+        def observed(t):
+            sizes.append(int(np.size(t)))
+            return fn(t)
+
+        counts["oracle_batches"] += 1
+        counts["oracle_intervals"] += len(ranges)
+        results = batch(observed, ranges, tol, max_panels)
+        counts["oracle_depth0_batches"] += sizes[:1] == [3 * len(ranges)]
+        return results
+
+    quadrature._integrate_batch = counted_batch
 
     def minor_faults() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -61,13 +61,11 @@ KNOWN_EQUIVALENT = {
         "the screen is an early exit: at equality the full test finds no gap "
         "of the slab above tol * (1 + |rhs|) >= tol >= its largest gap, and "
         "returns the same None",
-    ("quadrature._integrate_rows", "retry_eps[i] < eps[i]", "< -> <="):
+    ("quadrature._integrate_batch", "retry_eps[i] < eps[i]", "< -> <="):
         "at equality the rerun repeats the first run against the same "
         "tolerance, and the final check raises the same error",
-    ("quadrature._integrate_rows", "len(again) < n", "< -> <="):
-        "at equality the column subset is every column in order",
-    ("quadrature._integrate_rows", "est[i] > retry_eps[i]", "> -> >="): _BOUNDARY,
-    ("quadrature._integrate_rows", "e > _requested(tol, v)", "> -> >="): _BOUNDARY,
+    ("quadrature._integrate_batch", "est[i] > retry_eps[i]", "> -> >="): _BOUNDARY,
+    ("quadrature._integrate_batch", "e > _requested(tol, v)", "> -> >="): _BOUNDARY,
     ("quadrature._levels", "est <= (tol if owner is None else tol[owner])",
      "<= -> <"): _BOUNDARY,
 }

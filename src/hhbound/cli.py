@@ -4,13 +4,15 @@ Four subcommands: ``verify`` runs a suite (from a JSON config or a single
 inline case), ``classify`` maps a convexity-class region, ``constants``
 compares the closed-form moments against the oracle, and ``identities``
 evaluates the integral-identity residuals. Exit codes: 0 on success, 1 on
-usage or configuration errors, 2 when a verification fails.
+usage or configuration errors and on inputs beyond float or memory range,
+2 when a verification fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -167,8 +169,16 @@ def _cmd_constants(args) -> int:
     a_closed = midpoint_moment(iv, args.x, args.alpha)
     m_oracle = oracle_trapezoid_moment(iv, args.x, args.alpha)
     a_oracle = oracle_midpoint_moment(iv, args.x, args.alpha)
-    m_dev = abs(m_closed - m_oracle.value) / abs(m_oracle.value)
-    a_dev = abs(a_closed - a_oracle.value) / abs(a_oracle.value)
+
+    def rel_dev(closed: float, oracle: float) -> float:
+        # moments that both underflow to 0.0 agree; a closed form off a zero
+        # oracle is infinitely far from it
+        if closed == oracle:
+            return 0.0
+        return abs(closed - oracle) / abs(oracle) if oracle else math.inf
+
+    m_dev = rel_dev(m_closed, m_oracle.value)
+    a_dev = rel_dev(a_closed, a_oracle.value)
     print(f"endpoint-rule moment: closed={format_real(m_closed)} "
           f"oracle={format_real(m_oracle.value)} rel_dev={m_dev:.3e}")
     print(f"point-rule moment:    closed={format_real(a_closed)} "
@@ -213,6 +223,12 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except (HHBoundError, ValueError, OSError) as exc:
         print(f"hhbound {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except (ArithmeticError, MemoryError) as exc:
+        # a float overflow or an array past memory: the input is out of
+        # range, so one error line as for any other bad input
+        print(f"hhbound {args.command}: error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -168,46 +168,24 @@ def _integrate_batch(fn, ranges: list, tol: float,
     """Integrate fn over each (lo, hi) of ranges, lo < hi, to tolerance tol
     and with at most max_panels splits per interval and pass.
 
-    Every interval starts from the nested grid it would start from alone,
-    and all of them share one level loop and one integrand call per level,
-    so each result equals the interval's result alone. An interval whose
-    forced panels meet the float64 floor, or a budget below the forced
-    splits, starts at depth 0 instead; such intervals run as a second batch.
-    If intervals fail, the QuadratureError is that of one of them: the first
-    to exhaust its budget, else the first left above its tolerance.
+    All intervals share one level loop and one integrand call per level, and
+    the batch starts at one depth: at _MIN_DEPTH, with every nested grid
+    sampled in one call, when the budget covers the forced splits and no
+    forced panel of any interval meets the float64 floor; otherwise every
+    interval starts at depth 0, which makes the same forced splits and
+    samples the same points a level at a time. So each result equals the
+    interval's alone, except that a rerun in a batch started at depth 0
+    samples the interval's forced levels again and counts them. If intervals
+    fail, the QuadratureError is that of one of them: the first to exhaust
+    its budget, else the first left above its tolerance.
     """
     grid = _nested_grids(ranges)
-    steps = grid[:, 1:] > grid[:, :-1]
-    # kept for the batches of one: folding it into the loop below slowed
-    # identities_smooth 2.10 -> 2.23 ms (+6%, bench/run.py, 2-core host)
-    if max_panels >= _FORCED_SPLITS and steps.all():
-        return _integrate_rows(fn, grid, ranges, True, tol, max_panels)
-    fast = steps.all(axis=1) & (max_panels >= _FORCED_SPLITS)
-    if not fast.any():
-        return _integrate_rows(fn, grid, ranges, False, tol, max_panels)
-    results = [None] * len(ranges)
-    for start_fast in (True, False):
-        rows = np.flatnonzero(fast == start_fast).tolist()
-        for i, r in zip(rows, _integrate_rows(
-                fn, grid[rows], [ranges[i] for i in rows], start_fast, tol,
-                max_panels)):
-            results[i] = r
-    return results
-
-
-def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
-                    tol: float, max_panels: int) -> list[IntegralResult]:
-    """The results of _integrate_batch over the intervals (lo, hi) of ranges,
-    whose nested grids are the rows of grid, starting at _MIN_DEPTH when
-    fast, else at depth 0."""
     n, m = grid.shape
 
     def f(ts: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
 
-    if fast:
-        # no forced panel meets the float64 floor: start at _MIN_DEPTH with
-        # all the samples above it taken in one call
+    if max_panels >= _FORCED_SPLITS and (grid[:, 1:] > grid[:, :-1]).all():
         depth, panels = _MIN_DEPTH, _FORCED_SPLITS
         fgrid = f(grid.ravel()).reshape(n, m)
         x5, f5 = _start_panels(grid), _start_panels(fgrid)
@@ -224,7 +202,7 @@ def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
     eps = [_requested(tol, (b - a) * (fa + 4.0 * fm + fb) / 6.0)
            for (a, b), (fa, fm, fb) in zip(ranges, f3)]
     value, est, sampled = _levels(f, x5, f5, ok, depth, panels, eps, max_panels,
-                                  ranges, n == 1)
+                                  ranges)
     retry_eps = [_requested(tol, v) for v in value]
     again = [i for i in range(n) if est[i] > retry_eps[i] and retry_eps[i] < eps[i]]
     if again:
@@ -233,13 +211,12 @@ def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
         # loosely; run the levels once more against the value just computed
         # (Gander and Gautschi, BIT 40, 2000). Converged integrals never
         # get here, so their results do not change.
-        if len(again) < n:
-            per = x5.shape[1] // n  # starting panels per interval
-            cols = (np.array(again)[:, None] * per + np.arange(per)).ravel()
-            x5, f5, ok = x5[:, cols], f5[:, cols], ok[cols]
-        redo = _levels(f, x5, f5, ok, depth, panels,
+        per = x5.shape[1] // n  # starting panels per interval
+        redo = _levels(f, x5.reshape(5, n, per)[:, again].reshape(5, -1),
+                       f5.reshape(5, n, per)[:, again].reshape(5, -1),
+                       ok.reshape(n, per)[again].ravel(), depth, panels,
                        [retry_eps[i] for i in again], max_panels,
-                       [ranges[i] for i in again], n == 1)
+                       [ranges[i] for i in again])
         for i, v, e, k in zip(again, *redo):
             value[i], est[i] = v, e
             sampled[i] += k
@@ -253,21 +230,22 @@ def _integrate_rows(fn, grid: np.ndarray, ranges: list, fast: bool,
 
 
 def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
-            panels: int, eps: list[float], max_panels: int, ranges: list,
-            single: bool) -> tuple[list[float], list[float], list[int]]:
+            panels: int, eps: list[float], max_panels: int,
+            ranges: list) -> tuple[list[float], list[float], list[int]]:
     """Values and error estimates of adaptive Simpson against the tolerance
     eps[k] of each interval ranges[k], starting from the panels (x5, f5, ok)
     at ``depth`` after ``panels`` splits per interval, each interval's panels
     contiguous and in order; the starting arrays are not modified.
 
-    Also returns the points each interval sampled. single runs one interval
-    with a scalar tolerance and no per-panel owner; otherwise each level maps
-    its panels to their intervals.
+    Also returns the points each interval sampled. A batch of one runs with
+    a scalar tolerance and no per-panel owner; otherwise each level maps its
+    panels to their intervals.
     """
     start = depth
     # kept for the batches of one: dropping it slowed identities_smooth
     # 2.09 -> 2.31 ms (+11%) and identities_nonsmooth 2.39 -> 2.56 ms (+7%)
     # (bench/run.py, 2-core host)
+    single = len(ranges) == 1
     if single:
         owner, tol, sampled = None, eps[0], 0
     else:
@@ -407,7 +385,9 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     Each pass (a rerun against the computed value is the second) may split
     at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError.
     This is a batch of one, and an interval integrated in a batch beside
-    others gets the same result, raises the same error on its own, and is
+    others gets the same value and error estimate (and evaluation count,
+    unless it reruns in a batch that starts at depth 0, whose rerun samples
+    its forced levels again), raises the same error on its own, and is
     memoized the same way: results for hashable integrands live in one
     bounded memo (``_integrate_cached``, 4096 entries) keyed by the
     integrand and the exact (a, b, tol) triple, which the batched integrals

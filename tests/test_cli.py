@@ -37,6 +37,26 @@ def test_constants_rejects_bad_alpha(capsys):
         "hhbound constants: error: alpha must lie in (0, 1], got 0.0\n")
 
 
+def test_constants_moments_that_underflow_agree(tmp_path):
+    # on [0, 1e-200] both moments and both oracle twins are 0.0; rel_dev once
+    # divided by the oracle's 0.0
+    proc = _run_cli(tmp_path, "constants", "--a", "0", "--b", "1e-200",
+                    "--x", "0", "--alpha", "1")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("oracle=0.0 rel_dev=0.000e+00") == 2
+
+
+def test_constants_overflow_is_one_error_line(tmp_path):
+    # the closed form's w ** (alpha + 1) overflows a float at this scale
+    proc = _run_cli(tmp_path, "constants", "--a", "1e300", "--b", "1.5e300",
+                    "--x", "1.2e300", "--alpha", "0.5")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "hhbound constants: error: OverflowError: "
+        "(34, 'Numerical result out of range')"]
+
+
 def test_verify_inline_case(tmp_path, capsys):
     code = main(["verify", "--f", "monomial:2", "--g", "const:1",
                  "--a", "0", "--b", "1", "--x", "0.5", "--q", "1",
@@ -355,6 +375,20 @@ def test_classify_negated_square_has_witness(tmp_path, capsys):
 def test_classify_rejects_bad_grid(capsys):
     assert main(["classify", "--f", "monomial:2", "--bstar", "2",
                  "--m-grid", "a,b"]) == 1
+
+
+def test_classify_grid_past_memory_is_one_error_line(tmp_path):
+    # a 10**7 x 10**7 slab asks for 728 TiB, which numpy refuses at once
+    # without touching memory
+    proc = _run_cli(tmp_path, "classify", "--f", "monomial:2", "--bstar", "2",
+                    "--ny", "10000000", "--nt", "10000000",
+                    "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(
+        "hhbound classify: error: MemoryError: Unable to allocate 728. TiB")
 
 
 @pytest.mark.parametrize("f, g, a, b, x", [

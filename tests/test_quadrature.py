@@ -304,6 +304,57 @@ def test_batch_reruns_only_the_intervals_that_need_it():
     assert _integrate_batch(fn, ranges, 1e-10, DEFAULT_PANEL_BUDGET) == alone
 
 
+def test_a_batch_beside_float_floor_intervals_starts_every_interval_at_depth_0():
+    # the batch has one start depth: beside float-floor intervals, the
+    # ordinary ones start from their 3 points too, not their nested grids
+    exp = parse_function("exp")
+    ranges = [(0.0, 1.0), (0.25, 0.5), *_floor_ranges(1.0), (2.0, 3.0)]
+    calls = []
+
+    def fn(t):
+        calls.append(np.array(t))
+        return exp(t)
+
+    got = _integrate_batch(fn, ranges, _LHS_TOL, DEFAULT_PANEL_BUDGET)
+    assert sorted(calls[0].tolist()) == sorted(
+        v for lo, hi in ranges for v in (lo, 0.5 * (lo + hi), hi))
+    assert got == [_integrate_batch(exp, [r], _LHS_TOL, DEFAULT_PANEL_BUDGET)[0]
+                   for r in ranges]
+
+
+@pytest.mark.parametrize("max_panels", [30, 31])
+def test_a_budget_of_the_forced_splits_starts_at_min_depth(max_panels):
+    # 31 splits reach the first acceptance test, so the batch's first call
+    # takes both nested grids; a budget one split short starts at depth 0
+    sizes = []
+
+    def fn(t):
+        sizes.append(np.size(t))
+        return np.exp(t)
+
+    try:
+        _integrate_batch(fn, [(0.0, 1.0), (2.0, 3.0)], 1e-10, max_panels)
+    except QuadratureError:
+        pass
+    assert sizes[0] == (2 * 129 if max_panels == 31 else 2 * 3)
+
+
+def test_a_rerun_in_a_depth_0_batch_counts_its_forced_levels_again():
+    # exp(300 t) on [0, 1] reruns; beside a float-floor interval the rerun
+    # starts at depth 0 and samples the 124 points below its 5 start points
+    # again: value and estimate are those alone, the count is every point
+    fn = _CountingCalls(parse_function("exp:300"))
+    ranges = [(0.0, 1.0), _floor_ranges(0.001)[1]]
+    got = _integrate_batch(fn, ranges, 1e-10, DEFAULT_PANEL_BUDGET)
+    alone = [_integrate_batch(fn.fn, [r], 1e-10, DEFAULT_PANEL_BUDGET)[0]
+             for r in ranges]
+    assert [(r.value, r.error_estimate) for r in got] == [
+        (r.value, r.error_estimate) for r in alone]
+    assert got[0].evaluations == alone[0].evaluations + 124
+    assert got[1] == alone[1]
+    assert sum(r.evaluations for r in got) == fn.points
+
+
 def test_batch_error_names_the_interval_that_fails():
     wave = RealFunction("sin", (1e4,))
     with pytest.raises(QuadratureError,
