@@ -28,8 +28,9 @@ the sha256 of both reports:
 - oracle memo hits and misses: what quadrature._integrate_cached's
   cache_info() gained over the run;
 - oracle batches: the calls of quadrature._integrate_batch, the intervals
-  they integrated, and how many of them started every interval at depth 0,
-  seen as a first integrand call of 3 points per interval;
+  they integrated, and the deep batches among them: those of more than one
+  interval that called their integrand more than once, so that their panels
+  went through the multi-interval levels past the nested grids;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
@@ -100,22 +101,22 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
     core.RealFunction.__call__ = counted
 
-    # _ResultMemo.results calls _integrate_batch through the module global; a
-    # batch starts at depth 0 when its first integrand call takes 3 points
-    # per interval rather than whole nested grids
+    # _ResultMemo.results calls _integrate_batch through the module global;
+    # *rest passes on the split budget of a checkout that still takes one
     batch = quadrature._integrate_batch
 
-    def counted_batch(fn, ranges, tol, max_panels):
-        sizes = []
+    def counted_batch(fn, ranges, tol, *rest):
+        calls = 0
 
         def observed(t):
-            sizes.append(int(np.size(t)))
+            nonlocal calls
+            calls += 1
             return fn(t)
 
         counts["oracle_batches"] += 1
         counts["oracle_intervals"] += len(ranges)
-        results = batch(observed, ranges, tol, max_panels)
-        counts["oracle_depth0_batches"] += sizes[:1] == [3 * len(ranges)]
+        results = batch(observed, ranges, tol, *rest)
+        counts["oracle_deep_batches"] += len(ranges) > 1 and calls > 1
         return results
 
     quadrature._integrate_batch = counted_batch

@@ -15,10 +15,14 @@ the tolerance, the split budget, the rerun and the error estimate stay per
 interval. Splits, tolerances and the order of summation are those of the
 depth-first recursion on each interval, so an integrand whose array and
 scalar evaluations agree gets the recursive result bit for bit, in a batch
-or alone; ``integrate`` is a batch of one. Where the recursion would stop
-with its summed estimate above the tolerance, because the 3-point start
-overstated the integral, the oracle instead runs its levels once more
-against the value it computed.
+or alone; ``integrate`` is a batch of one. Every interval starts at the
+forced depth _MIN_DEPTH from its 129-point nested grid, sampled in one call,
+and a panel whose five points are not strictly increasing (the float64
+floor) is accepted with its Simpson estimate s as value and |s| as error.
+Where the recursion would stop with its summed estimate above the tolerance,
+because the 3-point start overstated the integral, the oracle instead runs
+its levels once more against the value it computed. An integrand value that
+is not finite stops the run with QuadratureError.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule) at a block of split points, integrated piece by piece
@@ -73,7 +77,7 @@ DEFAULT_PANEL_BUDGET = 1 << 20
 
 
 class QuadratureError(HHBoundError):
-    """Adaptive integration failed to converge within its panel budget."""
+    """No convergence within budget or tolerance, or a non-finite integrand value."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,8 @@ class Product:
 
 
 _MIN_DEPTH = 5  # guards against coincidental early agreement across a kink
-# every panel shallower than _MIN_DEPTH splits, so unless the panel budget or
-# the float64 floor intervenes the oracle samples the whole nested grid of
-# 2**(_MIN_DEPTH + 2) + 1 points before its first acceptance test
+# every panel shallower than _MIN_DEPTH splits: every interval starts from
+# its nested grid of 2**(_MIN_DEPTH + 2) + 1 points after these splits
 _FORCED_SPLITS = 2 ** _MIN_DEPTH - 1
 
 
@@ -134,21 +137,16 @@ def _start_panels(grid: np.ndarray) -> np.ndarray:
     return out.reshape(5, -1)
 
 
-def _sample(f, x3: np.ndarray, f3: np.ndarray):
-    """Quarter points of the panels with rows (lo, mid, hi) of ``x3``.
-
-    Returns the rows (lo, lm, mid, rm, hi) of the panels, their integrand
-    values, and the mask of panels whose five points are strictly increasing;
-    only those are evaluated, in one call, and the rest keep NaN at lm, rm.
-    """
+def _sample(f, x3: np.ndarray, f3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (lo, lm, mid, rm, hi) of the panels with rows (lo, mid, hi) of
+    ``x3``, and their integrand values: the quarter points of every panel
+    are evaluated in one call, whether or not they repeat a neighbour."""
     lo, mid, hi = x3
     x5 = np.stack((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))
-    ok = np.all(x5[:-1] < x5[1:], axis=0)
-    f5 = np.full(x5.shape, np.nan)
+    f5 = np.empty(x5.shape)
     f5[0::2] = f3
-    if ok.any():
-        f5[1::2, ok] = f(x5[1::2, ok].ravel()).reshape(2, -1)
-    return x5, f5, ok
+    f5[1::2] = f(x5[1::2].ravel()).reshape(2, -1)
+    return x5, f5
 
 
 def _halves(p: np.ndarray, split: np.ndarray) -> np.ndarray:
@@ -163,46 +161,38 @@ def _requested(tol: float, value: float) -> float:
     return max(tol, tol * abs(value))
 
 
-def _integrate_batch(fn, ranges: list, tol: float,
-                     max_panels: int) -> list[IntegralResult]:
+def _integrate_batch(fn, ranges: list, tol: float) -> list[IntegralResult]:
     """Integrate fn over each (lo, hi) of ranges, lo < hi, to tolerance tol
-    and with at most max_panels splits per interval and pass.
+    and with at most DEFAULT_PANEL_BUDGET splits per interval and pass.
 
-    All intervals share one level loop and one integrand call per level, and
-    the batch starts at one depth: at _MIN_DEPTH, with every nested grid
-    sampled in one call, when the budget covers the forced splits and no
-    forced panel of any interval meets the float64 floor; otherwise every
-    interval starts at depth 0, which makes the same forced splits and
-    samples the same points a level at a time. So each result equals the
-    interval's alone, except that a rerun in a batch started at depth 0
-    samples the interval's forced levels again and counts them. If intervals
-    fail, the QuadratureError is that of one of them: the first to exhaust
-    its budget, else the first left above its tolerance.
+    The first integrand call takes every interval's nested grid, however
+    narrow; from there all intervals share one level loop and one integrand
+    call per level, so each result, evaluation count included, equals the
+    interval's alone. A value of fn that is not finite raises QuadratureError
+    at once. If intervals fail, the QuadratureError is that of one of them:
+    the first to exhaust its budget, else the first left above its tolerance.
     """
     grid = _nested_grids(ranges)
     n, m = grid.shape
 
     def f(ts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.asarray(fn(ts), dtype=float)
+        if vals.shape != ts.shape:  # np.broadcast_to alone costs ~4 us a call
+            vals = np.broadcast_to(vals, ts.shape)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise QuadratureError(
+                f"integrand is not finite at t={float(ts[finite.argmin()])}")
+        return vals
 
-    if max_panels >= _FORCED_SPLITS and (grid[:, 1:] > grid[:, :-1]).all():
-        depth, panels = _MIN_DEPTH, _FORCED_SPLITS
-        fgrid = f(grid.ravel()).reshape(n, m)
-        x5, f5 = _start_panels(grid), _start_panels(fgrid)
-        ok = np.ones(x5.shape[1], dtype=bool)
-        f3 = fgrid[:, [0, m // 2, -1]].tolist()
-        start_evals = [m] * n
-    else:
-        depth, panels = 0, 0
-        x3 = grid[:, [0, m // 2, -1]].T
-        f3 = f(x3.ravel()).reshape(3, n)
-        x5, f5, ok = _sample(f, x3, f3)
-        f3 = f3.T.tolist()
-        start_evals = (3 + 2 * ok).tolist()
+    fgrid = f(grid.ravel()).reshape(n, m)
+    x5, f5 = _start_panels(grid), _start_panels(fgrid)
     eps = [_requested(tol, (b - a) * (fa + 4.0 * fm + fb) / 6.0)
-           for (a, b), (fa, fm, fb) in zip(ranges, f3)]
-    value, est, sampled = _levels(f, x5, f5, ok, depth, panels, eps, max_panels,
-                                  ranges)
+           for (a, b), (fa, fm, fb) in zip(ranges, fgrid[:, [0, m // 2, -1]].tolist())]
+    value, est, splits = _levels(f, x5, f5, eps, ranges)
+    # past the forced ones, each split samples the quarter points of its halves
+    evals = [m + 4 * (k - _FORCED_SPLITS) for k in splits]
     retry_eps = [_requested(tol, v) for v in value]
     again = [i for i in range(n) if est[i] > retry_eps[i] and retry_eps[i] < eps[i]]
     if again:
@@ -214,44 +204,42 @@ def _integrate_batch(fn, ranges: list, tol: float,
         per = x5.shape[1] // n  # starting panels per interval
         redo = _levels(f, x5.reshape(5, n, per)[:, again].reshape(5, -1),
                        f5.reshape(5, n, per)[:, again].reshape(5, -1),
-                       ok.reshape(n, per)[again].ravel(), depth, panels,
-                       [retry_eps[i] for i in again], max_panels,
-                       [ranges[i] for i in again])
+                       [retry_eps[i] for i in again], [ranges[i] for i in again])
         for i, v, e, k in zip(again, *redo):
             value[i], est[i] = v, e
-            sampled[i] += k
+            evals[i] += 4 * (k - _FORCED_SPLITS)
     for (a, b), v, e in zip(ranges, value, est):
         if e > _requested(tol, v):
             raise QuadratureError(
                 f"error estimate {e:.3g} above requested tolerance on [{a}, {b}]"
             )
-    return [IntegralResult(v, e, s + k)
-            for v, e, s, k in zip(value, est, start_evals, sampled)]
+    return [IntegralResult(*r) for r in zip(value, est, evals)]
 
 
-def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
-            panels: int, eps: list[float], max_panels: int,
+def _levels(f, x5: np.ndarray, f5: np.ndarray, eps: list[float],
             ranges: list) -> tuple[list[float], list[float], list[int]]:
     """Values and error estimates of adaptive Simpson against the tolerance
-    eps[k] of each interval ranges[k], starting from the panels (x5, f5, ok)
-    at ``depth`` after ``panels`` splits per interval, each interval's panels
-    contiguous and in order; the starting arrays are not modified.
+    eps[k] of each interval ranges[k], starting from the panels (x5, f5) at
+    _MIN_DEPTH after the forced splits, each interval's panels contiguous
+    and in order; the starting arrays are not modified.
 
-    Also returns the points each interval sampled. A batch of one runs with
-    a scalar tolerance and no per-panel owner; otherwise each level maps its
-    panels to their intervals.
+    A panel whose five points are not strictly increasing has met the
+    float64 floor and is accepted with its own estimate s and error |s|.
+    Also returns the splits each interval made, the forced ones included.
+    A batch of one runs with a scalar tolerance and no per-panel owner;
+    otherwise each level maps its panels to their intervals.
     """
-    start = depth
+    budget = DEFAULT_PANEL_BUDGET
     # kept for the batches of one: dropping it slowed identities_smooth
     # 2.09 -> 2.31 ms (+11%) and identities_nonsmooth 2.39 -> 2.56 ms (+7%)
     # (bench/run.py, 2-core host)
     single = len(ranges) == 1
     if single:
-        owner, tol, sampled = None, eps[0], 0
+        owner, tol, panels = None, eps[0], _FORCED_SPLITS
     else:
         owner = np.arange(len(ranges)).repeat(x5.shape[1] // len(ranges))
-        tol, sampled = np.array(eps), np.zeros(len(ranges), dtype=int)
-    for _ in range(depth):
+        tol, panels = np.array(eps), np.full(len(ranges), _FORCED_SPLITS)
+    for _ in range(_MIN_DEPTH):
         tol = tol * 0.5
 
     levels = []
@@ -264,11 +252,8 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
         s_right = (hi - mid) * (fmid + 4.0 * frm + fhi) / 6.0
         delta = s_left + s_right - s
         est = np.abs(delta) / 15.0
-        # a panel past the float64 floor is accepted with its own estimate
-        if depth < _MIN_DEPTH:
-            split = ok
-        else:
-            split = ok & ~(est <= (tol if owner is None else tol[owner]))
+        ok = (x5[1:] > x5[:-1]).all(axis=0)
+        split = ok & ~(est <= (tol if owner is None else tol[owner]))
         levels.append((np.where(ok, s_left + s_right + delta / 15.0, s),
                        np.where(ok, est, np.abs(s)), split))
         if owner is None:
@@ -276,25 +261,20 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
             if n_split == 0:
                 break
             panels += n_split
-            over = 0 if panels > max_panels else None
+            over = 0 if panels > budget else None
         else:
             split_owner = owner[split]
             if split_owner.size == 0:
                 break
             panels = panels + np.bincount(split_owner, minlength=len(ranges))
-            over = next(iter(np.flatnonzero(panels > max_panels).tolist()), None)
+            over = next(iter(np.flatnonzero(panels > budget).tolist()), None)
             owner = np.repeat(split_owner, 2)
         if over is not None:
             a, b = ranges[over]
             raise QuadratureError(
-                f"no convergence on [{a}, {b}] after {max_panels} panel splits"
+                f"no convergence on [{a}, {b}] after {budget} panel splits"
             )
-        x5, f5, ok = _sample(f, _halves(x5, split), _halves(f5, split))
-        if owner is None:
-            sampled += 2 * int(np.count_nonzero(ok))
-        else:
-            sampled += 2 * np.bincount(owner[ok], minlength=len(ranges))
-        depth += 1
+        x5, f5 = _sample(f, _halves(x5, split), _halves(f5, split))
         tol = tol * 0.5
 
     # fold bottom-up: a split panel is the sum of its halves, left + right;
@@ -304,9 +284,9 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, ok: np.ndarray, depth: int,
         leaf_value[split] = value[0::2] + value[1::2]
         leaf_err[split] = err[0::2] + err[1::2]
         value, err = leaf_value, leaf_err
-    for _ in range(start):
+    for _ in range(_MIN_DEPTH):
         value, err = value[0::2] + value[1::2], err[0::2] + err[1::2]
-    return value.tolist(), err.tolist(), [sampled] if single else sampled.tolist()
+    return value.tolist(), err.tolist(), [panels] if single else panels.tolist()
 
 
 class _CacheInfo(NamedTuple):
@@ -341,12 +321,11 @@ class _ResultMemo:
                     missing.append(len(found))
                 found.append(r)
         except TypeError:
-            return _integrate_batch(fn, pieces, tol, DEFAULT_PANEL_BUDGET)
+            return _integrate_batch(fn, pieces, tol)
         self._hits += len(found) - len(missing)
         self._misses += len(missing)
         if missing:
-            computed = _integrate_batch(fn, [pieces[i] for i in missing], tol,
-                                        DEFAULT_PANEL_BUDGET)
+            computed = _integrate_batch(fn, [pieces[i] for i in missing], tol)
             for i, r in zip(missing, computed):
                 found[i] = results[(fn, *pieces[i], tol)] = r
             while len(results) > self.maxsize:
@@ -383,17 +362,18 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
         and positive raises InvalidParamsError before fn is called.
 
     Each pass (a rerun against the computed value is the second) may split
-    at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError.
+    at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError,
+    as does an integrand value that is not finite. The first integrand call
+    takes the 129 points of the nested grid down to the first acceptance
+    test, and a panel at the float64 floor takes its whole estimate as error.
     This is a batch of one, and an interval integrated in a batch beside
-    others gets the same value and error estimate (and evaluation count,
-    unless it reruns in a batch that starts at depth 0, whose rerun samples
-    its forced levels again), raises the same error on its own, and is
-    memoized the same way: results for hashable integrands live in one
-    bounded memo (``_integrate_cached``, 4096 entries) keyed by the
-    integrand and the exact (a, b, tol) triple, which the batched integrals
-    of the left-hand sides fill too; an unhashable integrand is integrated
-    afresh on every call. An error raised by the integrand propagates from
-    the one run that raised it.
+    others gets the same result, evaluation count included, raises the same
+    error on its own, and is memoized the same way: results for hashable
+    integrands live in one bounded memo (``_integrate_cached``, 4096
+    entries) keyed by the integrand and the exact (a, b, tol) triple, which
+    the batched integrals of the left-hand sides fill too; an unhashable
+    integrand is integrated afresh on every call. An error raised by the
+    integrand propagates from the one run that raised it.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidParamsError(f"tol must be finite and positive, got {tol}")

@@ -3,7 +3,10 @@
 This is the recursive form of ``hhbound.quadrature``'s oracle, kept only so
 tests can require the breadth-first, array-evaluating oracle to return the
 same ``IntegralResult`` bit for bit. It calls the integrand with one Python
-float per sample and sums each split panel as ``left + right``.
+float per sample and sums each split panel as ``left + right``. Every panel
+shallower than ``_MIN_DEPTH`` splits; from that depth on, a panel whose five
+points are not strictly increasing has met the float64 floor and returns its
+own estimate s with error |s|, its quarter points evaluated all the same.
 """
 
 from hhbound.quadrature import _MIN_DEPTH, IntegralResult, QuadratureError
@@ -30,9 +33,9 @@ def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         mid = 0.5 * (lo + hi)
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
-        if not (lo < lm < mid < rm < hi):
-            return s, abs(s)
         flm, frm = f(lm), f(rm)
+        if depth >= _MIN_DEPTH and not (lo < lm < mid < rm < hi):
+            return s, abs(s)
         s_left = (mid - lo) * (flo + 4.0 * flm + fmid) / 6.0
         s_right = (hi - mid) * (fmid + 4.0 * frm + fhi) / 6.0
         delta = s_left + s_right - s

@@ -123,6 +123,20 @@ def test_verify_rejects_non_finite_case_in_one_line(f, g, m, q, message, tmp_pat
     assert lines[0].startswith("hhbound verify: error: " + message)
 
 
+def test_verify_non_finite_oracle_integrand_is_one_error_line(tmp_path):
+    # f and g are finite on [0, 1], but f * g = e**(800 t) overflows near
+    # t = 1: the oracle ran out its split budget and reported no convergence
+    proc = _run_cli(tmp_path, "verify", "--f", "exp:400", "--g", "exp:400",
+                    "--a", "0", "--b", "1", "--x", "0.5", "--q", "1",
+                    "--alpha", "1", "--m", "1", "--theorem", "T13",
+                    "--out", "reports")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("hhbound verify: error: integrand is not finite at t=")
+
+
 def test_verify_v_shaped_f(tmp_path, capsys):
     # |t - 1| on [0, 3]: the derivative check straddled its kink at t = 1,
     # and the gate evaluated it an ulp past its last knot at b_star = 3

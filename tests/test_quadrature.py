@@ -2,6 +2,8 @@
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from hhbound import (
     step_weight_profile,
     sup_norm,
 )
+from hhbound import quadrature
 from hhbound.quadrature import (
     _LHS_TOL,
     _RESIDUAL_OUTER_TOL,
@@ -109,15 +112,26 @@ def test_integrate_memoizes_registry_functions():
     assert first is second
 
 
-def test_integrate_budget_exhaustion():
+def test_integrate_budget_exhaustion(monkeypatch):
     class Noise:
         """Deterministic high-frequency wiggle that never settles."""
 
         def __call__(self, t):
             return np.sin(1e4 * t) + np.sin(9931.0 * t)
 
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 64)
     with pytest.raises(QuadratureError):
-        _integrate_batch(Noise(), [(0.0, 1.0)], 1e-14, 8)
+        _integrate_batch(Noise(), [(0.0, 1.0)], 1e-14)
+
+
+def test_a_non_finite_integrand_fails_at_its_first_call():
+    # exp overflows from t = 709.78 on: the oracle used to run out its whole
+    # split budget (0.66 s, 280 MB) and report no convergence
+    fn = _CountingCalls(parse_function("exp"))
+    with pytest.raises(QuadratureError,
+                       match=r"^integrand is not finite at t=710\.15625$"):
+        integrate(fn, Interval(700.0, 800.0))
+    assert fn.calls == 1
 
 
 def test_integrand_error_propagates_from_one_run():
@@ -190,15 +204,16 @@ def test_oracle_samples_forced_depths_in_one_call(spec):
     assert fn.calls <= 2
 
 
-def _assert_same_as_recursive(fn, a, b, tol, max_panels=DEFAULT_PANEL_BUDGET):
+def _assert_same_as_recursive(fn, a, b, tol):
+    budget = quadrature.DEFAULT_PANEL_BUDGET
     try:
-        want = integrate_recursive(fn, a, b, tol, tol, max_panels)
+        want = integrate_recursive(fn, a, b, tol, tol, budget)
     except QuadratureError as exc:
         with pytest.raises(QuadratureError) as got:
-            _integrate_batch(fn, [(a, b)], tol, max_panels)
+            _integrate_batch(fn, [(a, b)], tol)
         assert str(got.value) == str(exc)
         return
-    assert _integrate_batch(fn, [(a, b)], tol, max_panels) == [want]
+    assert _integrate_batch(fn, [(a, b)], tol) == [want]
 
 
 _SWEEP_FS = ("monomial:2", "monomial:3", "exp")
@@ -231,17 +246,74 @@ def test_oracle_bit_identical_to_recursion_on_residual_integrands(gspec):
 
 
 @pytest.mark.parametrize("ulps", [3, 40, 127, 128])
-@pytest.mark.parametrize("max_panels", [8, DEFAULT_PANEL_BUDGET])
+@pytest.mark.parametrize("max_panels", [DEFAULT_PANEL_BUDGET])
 def test_oracle_bit_identical_to_recursion_at_float_floor(ulps, max_panels):
     # below ~128 ulps the nested grid repeats points and panels hit the floor
     b = 1.0 + ulps * np.spacing(1.0)
-    _assert_same_as_recursive(parse_function("exp"), 1.0, float(b), 1e-10, max_panels)
+    _assert_same_as_recursive(parse_function("exp"), 1.0, float(b), 1e-10)
 
 
-@pytest.mark.parametrize("max_panels", [8, 30, 31])
-def test_oracle_bit_identical_to_recursion_on_small_budgets(max_panels):
+@pytest.mark.parametrize("max_panels", [31])
+def test_oracle_bit_identical_to_recursion_on_small_budgets(max_panels, monkeypatch):
     # 31 splits take every panel down to the first acceptance test
-    _assert_same_as_recursive(parse_function("exp"), 0.0, 1.0, 1e-10, max_panels)
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", max_panels)
+    _assert_same_as_recursive(parse_function("exp"), 0.0, 1.0, 1e-10)
+
+
+def test_a_budget_of_exactly_the_splits_an_integral_makes_suffices(monkeypatch):
+    # exp(8 t) on [0, 1] makes 161 splits, the 31 forced ones included, and
+    # 4 evaluations for each split past those
+    fn = parse_function("exp:8")
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 161)
+    (res,) = _integrate_batch(fn, [(0.0, 1.0)], _LHS_TOL)
+    assert res.evaluations == 129 + 4 * (161 - 31)
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 160)
+    with pytest.raises(QuadratureError, match=r"^no convergence on \[0.0, 1.0\] after 160 "):
+        _integrate_batch(fn, [(0.0, 1.0)], _LHS_TOL)
+
+
+def _exact_integral(spec, lo, hi):
+    """The integral of exp, sin, const:1 or pwlinear:0:0:0.5:1:1:0 over
+    [lo, hi], a piece of [0, 1] that does not cross 0.5, to well under an
+    ulp."""
+    if spec in ("const:1", "pwlinear:0:0:0.5:1:1:0"):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if spec == "const:1":
+            return float(hi - lo)
+        return float((hi - lo) * (lo + hi if hi <= 0.5 else 2 - lo - hi))
+    with localcontext(Context(prec=40)):
+        lo, hi = Decimal(lo), Decimal(hi)
+        if spec == "exp":
+            return float(hi.exp() - lo.exp())
+
+        def sin(x):
+            term, total, k = x, x, 1
+            while abs(term) > Decimal("1e-45"):
+                term *= -x * x / ((2 * k) * (2 * k + 1))
+                total += term
+                k += 1
+            return total
+
+        # cos(lo) - cos(hi) = 2 sin((lo + hi) / 2) sin((hi - lo) / 2)
+        return float(2 * sin((lo + hi) / 2) * sin((hi - lo) / 2))
+
+
+@pytest.mark.parametrize("spec", ["exp", "sin", "const:1", "pwlinear:0:0:0.5:1:1:0"])
+def test_oracle_error_estimate_covers_the_error_at_float_floor(spec):
+    # panels at the floor are accepted with their Simpson estimate s and
+    # error |s|; the summed estimate, plus the rounding of a few ulps, must
+    # still cover the distance to the exact integral
+    fn = parse_function(spec)
+    for at in (0.001, 0.3, 0.5):
+        for ulps in (1, 2, 3, 17, 40, 127, 128, 129, 300):
+            hi = float(at + ulps * np.spacing(at))
+            try:
+                (res,) = _integrate_batch(fn, [(at, hi)], _LHS_TOL)
+            except QuadratureError:
+                continue
+            exact = _exact_integral(spec, at, hi)
+            assert abs(res.value - exact) <= res.error_estimate + 4 * np.spacing(exact), (
+                at, ulps)
 
 
 def _floor_ranges(at):
@@ -269,28 +341,29 @@ def _batches():
            [(0.0, 0.001), (0.0, 1.0), (0.25, 1.0), (0.999, 1.0)])
 
 
-@pytest.mark.parametrize("max_panels", [8, 30, 31, DEFAULT_PANEL_BUDGET])
-def test_batch_gives_each_interval_its_result_alone(max_panels):
+@pytest.mark.parametrize("max_panels", [31, DEFAULT_PANEL_BUDGET])
+def test_batch_gives_each_interval_its_result_alone(max_panels, monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", max_panels)
     for fn, ranges in _batches():
         alone = {}
         for r in ranges:
             # the recursion's result or error, and the batch of one's
             try:
                 alone[r] = integrate_recursive(fn, *r, _LHS_TOL, _LHS_TOL, max_panels)
-                assert _integrate_batch(fn, [r], _LHS_TOL, max_panels) == [alone[r]]
+                assert _integrate_batch(fn, [r], _LHS_TOL) == [alone[r]]
             except QuadratureError as exc:
                 alone[r] = str(exc)
                 with pytest.raises(QuadratureError) as got:
-                    _integrate_batch(fn, [r], _LHS_TOL, max_panels)
+                    _integrate_batch(fn, [r], _LHS_TOL)
                 assert str(got.value) == alone[r]
         converged = [r for r in ranges if isinstance(alone[r], IntegralResult)]
         if converged:
-            got = _integrate_batch(fn, converged, _LHS_TOL, max_panels)
+            got = _integrate_batch(fn, converged, _LHS_TOL)
             assert got == [alone[r] for r in converged]
         failed = {alone[r] for r in ranges if isinstance(alone[r], str)}
         if failed:
             with pytest.raises(QuadratureError) as exc:
-                _integrate_batch(fn, ranges, _LHS_TOL, max_panels)
+                _integrate_batch(fn, ranges, _LHS_TOL)
             assert str(exc.value) in failed
 
 
@@ -299,14 +372,13 @@ def test_batch_reruns_only_the_intervals_that_need_it():
     # [0, 0.5], which rerun against their values; the other two do not
     fn = parse_function("exp:300")
     ranges = [(0.0, 0.01), (0.0, 1.0), (0.99, 1.0), (0.5, 1.0), (0.0, 0.5)]
-    alone = [_integrate_batch(fn, [r], 1e-10, DEFAULT_PANEL_BUDGET)[0]
-             for r in ranges]
-    assert _integrate_batch(fn, ranges, 1e-10, DEFAULT_PANEL_BUDGET) == alone
+    alone = [_integrate_batch(fn, [r], 1e-10)[0] for r in ranges]
+    assert _integrate_batch(fn, ranges, 1e-10) == alone
 
 
-def test_a_batch_beside_float_floor_intervals_starts_every_interval_at_depth_0():
-    # the batch has one start depth: beside float-floor intervals, the
-    # ordinary ones start from their 3 points too, not their nested grids
+def test_a_batch_beside_float_floor_intervals_starts_every_interval_at_min_depth():
+    # however narrow an interval is, the batch's first call takes its whole
+    # nested grid, and each result, evaluation count included, is its own
     exp = parse_function("exp")
     ranges = [(0.0, 1.0), (0.25, 0.5), *_floor_ranges(1.0), (2.0, 3.0)]
     calls = []
@@ -315,51 +387,27 @@ def test_a_batch_beside_float_floor_intervals_starts_every_interval_at_depth_0()
         calls.append(np.array(t))
         return exp(t)
 
-    got = _integrate_batch(fn, ranges, _LHS_TOL, DEFAULT_PANEL_BUDGET)
-    assert sorted(calls[0].tolist()) == sorted(
-        v for lo, hi in ranges for v in (lo, 0.5 * (lo + hi), hi))
-    assert got == [_integrate_batch(exp, [r], _LHS_TOL, DEFAULT_PANEL_BUDGET)[0]
-                   for r in ranges]
+    got = _integrate_batch(fn, ranges, _LHS_TOL)
+    assert len(calls[0]) == 129 * len(ranges)
+    assert got == [_integrate_batch(exp, [r], _LHS_TOL)[0] for r in ranges]
 
 
-@pytest.mark.parametrize("max_panels", [30, 31])
-def test_a_budget_of_the_forced_splits_starts_at_min_depth(max_panels):
-    # 31 splits reach the first acceptance test, so the batch's first call
-    # takes both nested grids; a budget one split short starts at depth 0
-    sizes = []
-
-    def fn(t):
-        sizes.append(np.size(t))
-        return np.exp(t)
-
-    try:
-        _integrate_batch(fn, [(0.0, 1.0), (2.0, 3.0)], 1e-10, max_panels)
-    except QuadratureError:
-        pass
-    assert sizes[0] == (2 * 129 if max_panels == 31 else 2 * 3)
-
-
-def test_a_rerun_in_a_depth_0_batch_counts_its_forced_levels_again():
-    # exp(300 t) on [0, 1] reruns; beside a float-floor interval the rerun
-    # starts at depth 0 and samples the 124 points below its 5 start points
-    # again: value and estimate are those alone, the count is every point
+def test_a_rerun_beside_a_float_floor_interval_counts_only_its_own_points():
+    # exp(300 t) on [0, 1] reruns from its starting panels: beside a
+    # float-floor interval too, its result and count are those alone
     fn = _CountingCalls(parse_function("exp:300"))
     ranges = [(0.0, 1.0), _floor_ranges(0.001)[1]]
-    got = _integrate_batch(fn, ranges, 1e-10, DEFAULT_PANEL_BUDGET)
-    alone = [_integrate_batch(fn.fn, [r], 1e-10, DEFAULT_PANEL_BUDGET)[0]
-             for r in ranges]
-    assert [(r.value, r.error_estimate) for r in got] == [
-        (r.value, r.error_estimate) for r in alone]
-    assert got[0].evaluations == alone[0].evaluations + 124
-    assert got[1] == alone[1]
+    got = _integrate_batch(fn, ranges, 1e-10)
+    assert got == [_integrate_batch(fn.fn, [r], 1e-10)[0] for r in ranges]
     assert sum(r.evaluations for r in got) == fn.points
 
 
-def test_batch_error_names_the_interval_that_fails():
+def test_batch_error_names_the_interval_that_fails(monkeypatch):
     wave = RealFunction("sin", (1e4,))
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 64)
     with pytest.raises(QuadratureError,
                        match=r"^no convergence on \[0.0, 1.0\] after 64 panel splits$"):
-        _integrate_batch(wave, [(0.0, 1e-5), (0.5, 0.50001), (0.0, 1.0)], 1e-10, 64)
+        _integrate_batch(wave, [(0.0, 1e-5), (0.5, 0.50001), (0.0, 1.0)], 1e-10)
     # a float-floor panel is accepted with its whole value as its estimate,
     # which is above the tolerance of an integral this large
     big = 2.0 ** 40
@@ -367,7 +415,7 @@ def test_batch_error_names_the_interval_that_fails():
     with pytest.raises(QuadratureError,
                        match=rf"above requested tolerance on \[{big}, {top}\]$"):
         _integrate_batch(parse_function("const:1"), [(0.0, 1.0), (big, top), (2.0, 3.0)],
-                         1e-10, DEFAULT_PANEL_BUDGET)
+                         1e-10)
 
 
 def test_batch_calls_its_integrand_once_per_level():
@@ -376,10 +424,10 @@ def test_batch_calls_its_integrand_once_per_level():
     deepest = 0
     for x in xs:
         alone = _CountingCalls(g)
-        _integrate_batch(alone, [(0.0, x)], _LHS_TOL, DEFAULT_PANEL_BUDGET)
+        _integrate_batch(alone, [(0.0, x)], _LHS_TOL)
         deepest = max(deepest, alone.calls)
     batch = _CountingCalls(g)
-    _integrate_batch(batch, [(0.0, x) for x in xs], _LHS_TOL, DEFAULT_PANEL_BUDGET)
+    _integrate_batch(batch, [(0.0, x) for x in xs], _LHS_TOL)
     assert batch.calls <= deepest + 1
 
 
