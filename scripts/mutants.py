@@ -6,6 +6,12 @@ Run from the root of the checkout:
         -- bounds._MomentIntegrand.__call__ bounds._oracle quadrature.kernel_K \
         quadrature.step_weight
 
+or, for the oracle's level loop and the suite's verdicts,
+
+    python3 scripts/mutants.py --tests tests/test_quadrature.py tests/test_harness.py \
+        -- quadrature._nested_grids quadrature._integrate_batch quadrature._levels \
+        harness._verdicts
+
 or, for the hypothesis gate and its slab loop,
 
     python3 scripts/mutants.py --tests tests/test_convexity.py -- \
@@ -64,10 +70,14 @@ KNOWN_EQUIVALENT = {
     ("quadrature._integrate_batch", "retry_eps[i] < eps[i]", "< -> <="):
         "at equality the rerun repeats the first run against the same "
         "tolerance, and the final check raises the same error",
-    ("quadrature._integrate_batch", "est[i] > retry_eps[i]", "> -> >="): _BOUNDARY,
-    ("quadrature._integrate_batch", "e > _requested(tol, v)", "> -> >="): _BOUNDARY,
+    ("quadrature._integrate_batch", "est[i] <= retry_eps[i]", "<= -> <"): _BOUNDARY,
+    ("quadrature._integrate_batch", "est[i] <= _requested(tol, value[i])", "<= -> <"):
+        _BOUNDARY,
     ("quadrature._levels", "est <= (tol if owner is None else tol[owner])",
      "<= -> <"): _BOUNDARY,
+    ("harness._verdicts", "rel > floor", "> -> >="):
+        "where rel equals floor both branches of np.where give the same "
+        "float, and floor, 4 ulps of the terms, is never a zero of either sign",
 }
 
 

@@ -252,10 +252,12 @@ def oracle_component_integral(cid: ComponentIntegralId, iv: Interval, x: float,
 
 
 def _power_mean(total: float, moment: float, q: float, m: float,
-                fp_a: float, fp_scaled: float, g_sup: float) -> float:
+                fpq_a: float, fpq_scaled: float, g_sup: float) -> float:
+    """The general class forms' bound from the absolute moment total, the
+    rule's moment, and fpq_a = |f'(a)|**q and fpq_scaled = |f'(b/m)|**q."""
     # (q-1)/q = 0 at q = 1, with r**0 = 1 for every r >= 0; the brace term
     # is nonnegative in exact arithmetic, so floor rounding noise at 0
-    braces = moment * fp_a ** q + m * (total - moment) * fp_scaled ** q
+    braces = moment * fpq_a + m * (total - moment) * fpq_scaled
     return g_sup * total ** ((q - 1.0) / q) * max(braces, 0.0) ** (1.0 / q)
 
 
@@ -269,7 +271,7 @@ def trapezoid_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
     _require_m(m)
     total = absolute_moment(iv, x)
     return _power_mean(total, trapezoid_moment(iv, x, alpha), q, m,
-                       fp_a, fp_scaled, g_sup)
+                       fp_a ** q, fp_scaled ** q, g_sup)
 
 
 def midpoint_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
@@ -279,7 +281,7 @@ def midpoint_rhs(iv: Interval, x: float, q: float, alpha: float, m: float,
     _require_m(m)
     total = absolute_moment(iv, x)
     return _power_mean(total, midpoint_moment(iv, x, alpha), q, m,
-                       fp_a, fp_scaled, g_sup)
+                       fp_a ** q, fp_scaled ** q, g_sup)
 
 
 def trapezoid_rhs_midsplit(iv: Interval, q: float, alpha: float, m: float,
@@ -444,7 +446,8 @@ class _BlockRhs:
                 moment = trapezoid_moment if key[0] else midpoint_moment
                 pairs = self._moments[key] = [
                     (absolute_moment(iv, x), moment(iv, x, alpha)) for x in xs]
-            return [_power_mean(total, mu, q, m, fp_a, fp_scaled, g_sup)
+            fpq_a, fpq_scaled = fp_a ** q, fp_scaled ** q
+            return [_power_mean(total, mu, q, m, fpq_a, fpq_scaled, g_sup)
                     for total, mu in pairs]
         # the midpoint-split forms do not depend on x
         midsplit = (trapezoid_rhs_midsplit if tid is TheoremId.C21

@@ -19,8 +19,14 @@ every x together and reads f(a) and f(b) once; a block that repeats an
 (f, g, [a, b]) of an earlier one finds its integrals in the oracle's memo.
 A spec's right-hand sides come from one bounds._BlockRhs, which reads each
 derivative magnitude once per point and the moments of the general forms
-once per rule, x and alpha, after the gate. Every row equals what
-verify_case gives for the corresponding BoundCase.
+once per rule, x and alpha, after the gate. The block's lhs, error estimate
+and terms magnitude arrive as float64 columns, and one call of the verdict
+function, _verdicts, turns them and the block's right-hand sides, a row per
+admitted (q, alpha, m), into slack, tightness and holds for every row of
+the block; verify_case calls the same function for its one row, so every
+row equals what verify_case gives for the corresponding BoundCase.
+run_suite counts violations and takes the largest finite tightness from
+those arrays.
 
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are a CSV plus a
@@ -358,29 +364,49 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> BoundReport:
     from the closed forms. ``holds`` allows the oracle's own error estimate
     plus max(4 ulps of the magnitude of the lhs terms, 1e-9 * |rhs|): the
     terms are |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| + |I_fg| for the endpoint
-    rule and |f(x)| |I_g| + |I_fg| for the point rule.
+    rule and |f(x)| |I_g| + |I_fg| for the point rule. The verdict is
+    _verdicts', as for every row of a suite.
 
     The |f'|**q hypothesis is a precondition here; the suite runner gates on
     check_hypotheses before evaluating a combination.
     """
     tid = TheoremId(theorem_id)
-    ((lhs, lhs_err, terms),) = _lhs_block(tid.uses_endpoint_rule, case.pair.f,
-                                          case.g, case.interval, (case.x,))
+    lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, case.pair.f, case.g,
+                                     case.interval, (case.x,))
     rhs = float(evaluate_bound(case, tid))
-    return BoundReport(tid, lhs, rhs, *_compare(lhs, lhs_err, terms, rhs))
+    slack, tightness, holds = _verdicts(lhs, lhs_err, terms, np.array([rhs]))
+    return BoundReport(tid, float(lhs[0]), rhs, float(slack[0]),
+                       float(tightness[0]), bool(holds[0]))
 
 
-def _compare(lhs: float, lhs_err: float, terms: float,
-             rhs: float) -> tuple[float, float, bool]:
-    """slack, tightness and the holds verdict of one lhs/rhs pair, where
-    terms is the magnitude of the lhs terms."""
-    slack = rhs - lhs
-    if rhs != 0.0:
-        tightness = lhs / rhs
-    else:
-        tightness = 0.0 if lhs == 0.0 else math.inf
-    slack_abs = _HOLDS_ULPS * math.ulp(terms)
-    holds = bool(lhs <= rhs + max(slack_abs, _HOLDS_REL * abs(rhs)) + lhs_err)
+# np.spacing is math.ulp below the top binade, whose spacing math.ulp gives
+# up to the largest float
+_TOP_BINADE = 2.0 ** 1023
+
+
+def _verdicts(lhs: np.ndarray, lhs_err: np.ndarray, terms: np.ndarray,
+              rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """slack, tightness and holds of each lhs against its rhs, where lhs_err
+    is the oracle's error estimate and terms the magnitude of the lhs terms.
+    The one statement of the holds rule. lhs, lhs_err and terms are columns
+    over the split points; rhs is a column like them, or a 2-D array with a
+    row of them per list of rows, and the results take its shape.
+
+    slack is rhs - lhs; tightness is lhs / rhs, or where rhs is 0, 0.0 for
+    lhs 0 and inf otherwise; holds is lhs <= rhs + max(4 ulps of terms,
+    1e-9 |rhs|) + lhs_err. Each element is what the same expression gives
+    on Python floats: no warning, math.ulp's ulp (inf at inf), and max's
+    first argument unless the second is larger.
+    """
+    with np.errstate(all="ignore"):
+        slack = rhs - lhs
+        tightness = np.where(rhs != 0.0, lhs / rhs,
+                             np.where(lhs == 0.0, 0.0, math.inf))
+        ulp = np.where(terms == math.inf, math.inf,
+                       np.spacing(np.minimum(terms, _TOP_BINADE)))
+        floor = _HOLDS_ULPS * ulp
+        rel = _HOLDS_REL * np.abs(rhs)
+        holds = lhs <= rhs + np.where(rel > floor, rel, floor) + lhs_err
     return slack, tightness, holds
 
 
@@ -489,28 +515,33 @@ class _SpecRun:
                     gate = params if tid.uses_class_params else _GATE_PLAIN
                     yield tid, q, params, (self.pair, q, gate)
 
-    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block]) -> int:
-        """Append a block of rows per theorem with an admitted combination;
-        return the number of gate rejections. verdicts yields the gate's
-        verdict on each combination, in combinations() order."""
+    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block],
+                 columns: list[tuple[np.ndarray, np.ndarray]]) -> int:
+        """Append a block of rows per theorem with an admitted combination,
+        and the block's (tightness, holds) columns, one row of each per
+        admitted (q, alpha, m), to columns; return the number of gate
+        rejections. verdicts yields the gate's verdict on each combination,
+        in combinations() order."""
         spec, f, g, iv, xs = self.spec, self.f, self.g, self.iv, self.xs
+        admitted: dict[TheoremId, list[tuple[float, ConvexityParams]]] = {}
         rejections = 0
-        block_tid = None
         for tid, q, params, _ in self.combinations():
-            if not next(verdicts).holds:
+            if next(verdicts).holds:
+                admitted.setdefault(tid, []).append((q, params))
+            else:
                 rejections += 1
-                continue
-            if tid is not block_tid:
-                block_tid, theorem_id = tid, tid.value
-                lhs_values = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
-                block = []
-                out.append(block)
-            rhs_values = self._rhs.at(tid, q, params)
-            alpha, m = params.alpha, params.m
-            block.append([
-                CaseReport(theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
-                           alpha, m, lhs, rhs, *_compare(lhs, lhs_err, terms, rhs))
-                for x, (lhs, lhs_err, terms), rhs in zip(xs, lhs_values, rhs_values)])
+        for tid, combos in admitted.items():
+            lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
+            rhs = [self._rhs.at(tid, q, params) for q, params in combos]
+            slack, tightness, holds = _verdicts(lhs, lhs_err, terms, np.array(rhs))
+            columns.append((tightness, holds))
+            theorem_id, lhs_values = tid.value, lhs.tolist()
+            out.append([
+                [CaseReport(theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
+                            params.alpha, params.m, v, r, d, t, h)
+                 for x, v, r, d, t, h in zip(xs, lhs_values, *row)]
+                for (q, params), *row in zip(combos, rhs, slack.tolist(),
+                                             tightness.tolist(), holds.tolist())])
         return rejections
 
 
@@ -535,14 +566,17 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         [gate for run in runs for *_, gate in run.combinations()], config.grid))
 
     blocks: list[_Block] = []
+    columns: list[tuple[np.ndarray, np.ndarray]] = []
     rejections = 0
     for run in runs:
-        rejections += run.evaluate(verdicts, blocks)
+        rejections += run.evaluate(verdicts, blocks, columns)
     reports = [r for block in blocks for rows in block for r in rows]
 
-    violations = sum(1 for r in reports if not r.holds)
-    finite = [r.tightness for r in reports if math.isfinite(r.tightness)]
-    max_tightness = max(finite) if finite else 0.0
+    violations = sum(int(np.count_nonzero(~holds)) for _, holds in columns)
+    tightness = np.concatenate([t.ravel() for t, _ in columns] or [np.empty(0)])
+    finite = tightness[np.isfinite(tightness)]
+    # argmax takes the first of equal maxima, as max() does
+    max_tightness = float(finite[finite.argmax()]) if finite.size else 0.0
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

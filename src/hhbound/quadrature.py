@@ -16,21 +16,27 @@ interval. Splits, tolerances and the order of summation are those of the
 depth-first recursion on each interval, so an integrand whose array and
 scalar evaluations agree gets the recursive result bit for bit, in a batch
 or alone; ``integrate`` is a batch of one. Every interval starts at the
-forced depth _MIN_DEPTH from its 129-point nested grid, sampled in one call,
-and a panel whose five points are not strictly increasing (the float64
-floor) is accepted with its Simpson estimate s as value and |s| as error.
-Where the recursion would stop with its summed estimate above the tolerance,
-because the 3-point start overstated the integral, the oracle instead runs
-its levels once more against the value it computed. An integrand value that
-is not finite stops the run with QuadratureError.
+forced depth _MIN_DEPTH from its 129-point nested grid: the grids of a batch
+are the columns of one (129, n) array, refined a level of rows per numpy
+call and sampled in one integrand call. A panel whose five points are not
+strictly increasing (the float64 floor) is accepted with its Simpson
+estimate s as value and, as error, its width times the spread of its five
+values plus 4 ulps of s. Where the recursion would stop with its summed
+estimate above the tolerance, because the 3-point start overstated the
+integral, the oracle instead runs its levels once more against the value it
+computed. An integrand value that is not finite stops the run with
+QuadratureError. Results are memoized per integrand and tolerance, then per
+interval.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule) at a block of split points, integrated piece by piece
 between the knots of f and g, with the integrals of g over [a, x] and
-[x, b] at every x of the block in one batch; the kernel and step-weight
-primitives behind them, which integrate g piece by piece between its knots;
-and the residuals of the two integral identities that generate the bounds,
-whose outer integrals split at the knots of f and g too. One routine,
+[x, b] at every x of the block in one batch, and handed to the suite as
+three float64 columns: lhs, error estimate and terms magnitude; the kernel
+and step-weight primitives behind them, which integrate g piece by piece
+between its knots; and the residuals of the two integral identities that
+generate the bounds, whose outer integrals split at the knots of f and g
+too. One routine,
 ``_integral_between``, splits every piecewise integral at its knots. The
 residuals and the step-weight profile read the antiderivative of the weight
 from one cubic Hermite table per (g, a, b), with nodes on the knots of a
@@ -40,6 +46,7 @@ piecewise weight, so smooth and piecewise weights take the same path.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -107,33 +114,28 @@ _FORCED_SPLITS = 2 ** _MIN_DEPTH - 1
 
 
 def _nested_grids(ranges: list) -> np.ndarray:
-    """Row k holds the 2**(_MIN_DEPTH + 2) + 1 points of the nested grid of
-    the interval ranges[k], each the float midpoint 0.5 * (lo + hi) of its
-    neighbours lo and hi one level up.
+    """Column k holds the 2**(_MIN_DEPTH + 2) + 1 points of the nested grid
+    of the interval ranges[k], each the float midpoint 0.5 * (lo + hi) of
+    its neighbours lo and hi one level up.
 
-    The rows are refined as one 1-D array [lo_1, hi_1, 0, lo_2, hi_2, 0,
-    ..., lo_n, hi_n], a level per numpy call, in place; the zeros keep the
-    unused points between two intervals finite. The rows are a strided view
-    of that array.
-    """
+    The columns are refined together, a level of rows per numpy call."""
     width = 2 ** (_MIN_DEPTH + 2)
-    flat = np.empty((3 * len(ranges) - 2) * width + 1)
-    flat[0::width] = [v for lo, hi in ranges for v in (0.0, lo, hi)][1:]
+    grid = np.empty((width + 1, len(ranges)))
+    grid[0], grid[width] = zip(*ranges)
     step = width // 2
     while step:
-        flat[step::2 * step] = 0.5 * (flat[:-step:2 * step] + flat[2 * step::2 * step])
+        grid[step::2 * step] = 0.5 * (grid[:-step:2 * step] + grid[2 * step::2 * step])
         step //= 2
-    return np.ndarray((len(ranges), width + 1), buffer=flat,
-                      strides=(3 * width * flat.itemsize, flat.itemsize))
+    return grid
 
 
 def _start_panels(grid: np.ndarray) -> np.ndarray:
-    """Rows (lo, lm, mid, rm, hi) of the panels four steps wide of each row
-    of grid, the panels of one row side by side in order."""
-    n, m = grid.shape
+    """Rows (lo, lm, mid, rm, hi) of the panels four steps wide of each
+    column of grid, each column's panels side by side in order."""
+    m, n = grid.shape
     out = np.empty((5, n, m // 4))
-    out[:4] = grid[:, :-1].reshape(n, -1, 4).transpose(2, 0, 1)
-    out[4] = grid[:, 4::4]
+    out[:4] = grid[:-1].reshape(-1, 4, n).transpose(1, 2, 0)
+    out[4] = grid[4::4].T
     return out.reshape(5, -1)
 
 
@@ -169,32 +171,40 @@ def _integrate_batch(fn, ranges: list, tol: float) -> list[IntegralResult]:
     narrow; from there all intervals share one level loop and one integrand
     call per level, so each result, evaluation count included, equals the
     interval's alone. A value of fn that is not finite raises QuadratureError
-    at once. If intervals fail, the QuadratureError is that of one of them:
+    at once; on the start grid it names the first such point interval by
+    interval. If intervals fail, the QuadratureError is that of one of them:
     the first to exhaust its budget, else the first left above its tolerance.
     """
     grid = _nested_grids(ranges)
-    n, m = grid.shape
+    m, n = grid.shape
 
-    def f(ts: np.ndarray) -> np.ndarray:
+    def f(ts: np.ndarray, width: int = 1) -> np.ndarray:
+        # ts holds the points of width intervals side by side, point by
+        # point; the point named is the first not finite interval by interval
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vals = np.asarray(fn(ts), dtype=float)
         if vals.shape != ts.shape:  # np.broadcast_to alone costs ~4 us a call
             vals = np.broadcast_to(vals, ts.shape)
         finite = np.isfinite(vals)
         if not finite.all():
+            first = finite.reshape(-1, width).T.argmin()
             raise QuadratureError(
-                f"integrand is not finite at t={float(ts[finite.argmin()])}")
+                f"integrand is not finite at t={float(ts.reshape(-1, width).T.flat[first])}")
         return vals
 
-    fgrid = f(grid.ravel()).reshape(n, m)
+    fgrid = f(grid.reshape(-1), n).reshape(m, n)
     x5, f5 = _start_panels(grid), _start_panels(fgrid)
+    # per-interval lists: numpy arrays took ~6 us more a batch of one, and
+    # most batches outside a suite hold one or two intervals
     eps = [_requested(tol, (b - a) * (fa + 4.0 * fm + fb) / 6.0)
-           for (a, b), (fa, fm, fb) in zip(ranges, fgrid[:, [0, m // 2, -1]].tolist())]
+           for (a, b), fa, fm, fb in zip(ranges, *fgrid[::m // 2].tolist())]
     value, est, splits = _levels(f, x5, f5, eps, ranges)
     # past the forced ones, each split samples the quarter points of its halves
     evals = [m + 4 * (k - _FORCED_SPLITS) for k in splits]
     retry_eps = [_requested(tol, v) for v in value]
-    again = [i for i in range(n) if est[i] > retry_eps[i] and retry_eps[i] < eps[i]]
+    # only these can end above their tolerance; a NaN estimate is among them
+    over = [i for i in range(n) if not est[i] <= retry_eps[i]]
+    again = [i for i in over if retry_eps[i] < eps[i]]
     if again:
         # the 3-point estimate whole can overstate |value| many times over
         # (50x for exp(300 t) on [0, 1]), so the panels were accepted too
@@ -208,12 +218,13 @@ def _integrate_batch(fn, ranges: list, tol: float) -> list[IntegralResult]:
         for i, v, e, k in zip(again, *redo):
             value[i], est[i] = v, e
             evals[i] += 4 * (k - _FORCED_SPLITS)
-    for (a, b), v, e in zip(ranges, value, est):
-        if e > _requested(tol, v):
+    for i in over:
+        if not est[i] <= _requested(tol, value[i]):
+            a, b = ranges[i]
             raise QuadratureError(
-                f"error estimate {e:.3g} above requested tolerance on [{a}, {b}]"
+                f"error estimate {est[i]:.3g} above requested tolerance on [{a}, {b}]"
             )
-    return [IntegralResult(*r) for r in zip(value, est, evals)]
+    return list(map(IntegralResult, value, est, evals))
 
 
 def _levels(f, x5: np.ndarray, f5: np.ndarray, eps: list[float],
@@ -224,7 +235,8 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, eps: list[float],
     and in order; the starting arrays are not modified.
 
     A panel whose five points are not strictly increasing has met the
-    float64 floor and is accepted with its own estimate s and error |s|.
+    float64 floor and is accepted with its own estimate s and the error
+    (hi - lo) * (max - min of its five values) + 4 * spacing(|s|).
     Also returns the splits each interval made, the forced ones included.
     A batch of one runs with a scalar tolerance and no per-panel owner;
     otherwise each level maps its panels to their intervals.
@@ -254,8 +266,14 @@ def _levels(f, x5: np.ndarray, f5: np.ndarray, eps: list[float],
         est = np.abs(delta) / 15.0
         ok = (x5[1:] > x5[:-1]).all(axis=0)
         split = ok & ~(est <= (tol if owner is None else tol[owner]))
-        levels.append((np.where(ok, s_left + s_right + delta / 15.0, s),
-                       np.where(ok, est, np.abs(s)), split))
+        value = s_left + s_right + delta / 15.0
+        if not ok.all():
+            # a floor panel's integral lies within its width times the
+            # spread of its values, plus the rounding of s
+            value = np.where(ok, value, s)
+            est = np.where(ok, est, (hi - lo) * (f5.max(axis=0) - f5.min(axis=0))
+                           + 4 * np.spacing(np.abs(s)))
+        levels.append((value, est, split))
         if owner is None:
             n_split = int(np.count_nonzero(split))
             if n_split == 0:
@@ -300,11 +318,15 @@ class _ResultMemo:
     """Bounded memo of oracle results keyed (fn, a, b, tol), with
     functools.lru_cache's cache_info() and cache_clear(). A batch fills it,
     so it stores results rather than wrapping the function that computes
-    them. Past maxsize it drops its oldest entry."""
+    them. Past maxsize it drops its oldest entry.
+
+    The results of one (fn, tol) sit in one table keyed (a, b), so a call
+    hashes fn once, not once per piece."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self._results: dict = {}
+        self._tables: dict = {}  # (fn, tol) -> {(a, b): IntegralResult}
+        self._order: deque = deque()  # ((fn, tol), (a, b)) oldest first
         self._hits = self._misses = 0
 
     def results(self, fn, pieces: list, tol: float) -> list[IntegralResult]:
@@ -312,31 +334,37 @@ class _ResultMemo:
         distinct: the stored one, else from one batch over the pieces not
         stored, which are then stored. An unhashable integrand is
         integrated afresh, and nothing is stored."""
-        results = self._results
-        found, missing = [], []
+        key = (fn, tol)
         try:
-            for lo, hi in pieces:
-                r = results.get((fn, lo, hi, tol))
-                if r is None:
-                    missing.append(len(found))
-                found.append(r)
+            table = self._tables.get(key)
         except TypeError:
             return _integrate_batch(fn, pieces, tol)
+        if table is None:
+            table = {}
+        found = list(map(table.get, pieces))
+        missing = [i for i, r in enumerate(found) if r is None]
         self._hits += len(found) - len(missing)
         self._misses += len(missing)
         if missing:
             computed = _integrate_batch(fn, [pieces[i] for i in missing], tol)
+            self._tables[key] = table
             for i, r in zip(missing, computed):
-                found[i] = results[(fn, *pieces[i], tol)] = r
-            while len(results) > self.maxsize:
-                del results[next(iter(results))]
+                found[i] = table[pieces[i]] = r
+                self._order.append((key, pieces[i]))
+            while len(self._order) > self.maxsize:
+                old, piece = self._order.popleft()
+                held = self._tables[old]
+                del held[piece]
+                if not held:
+                    del self._tables[old]
         return found
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._results))
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._order))
 
     def cache_clear(self) -> None:
-        self._results.clear()
+        self._tables.clear()
+        self._order.clear()
         self._hits = self._misses = 0
 
 
@@ -393,8 +421,13 @@ def _integral_between(fn, ranges, tol: float, knots=()) -> list[IntegralResult]:
     for lo, hi in ranges:
         if not (lo <= hi and math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidIntervalError(f"need finite lo <= hi, got [{lo}, {hi}]")
-        edges = [lo, *[k for k in inner if lo < k < hi], hi] if inner else [lo, hi]
-        cuts.append(list(zip(edges[:-1], edges[1:])) if lo != hi else [])
+        if lo == hi:
+            cuts.append([])
+        elif inner:
+            edges = [lo, *[k for k in inner if lo < k < hi], hi]
+            cuts.append(list(zip(edges[:-1], edges[1:])))
+        else:
+            cuts.append([(lo, hi)])
     pieces = list(dict.fromkeys(p for cut in cuts for p in cut))
     found = dict(zip(pieces, _integrate_cached.results(fn, pieces, tol)))
     return [_sum_results([found[p] for p in cut]) if cut
@@ -541,7 +574,8 @@ def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
 
     An x off [a, b] or NaN raises InvalidCaseError."""
     validate_split_point(iv, x)
-    return _lhs_block(True, f, g, iv, (x,))[0][:2]
+    lhs, err, _ = _lhs_block(True, f, g, iv, (x,))
+    return float(lhs[0]), float(err[0])
 
 
 def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
@@ -550,16 +584,18 @@ def lhs_point_at(f: RealFunction, g: RealFunction, iv: Interval,
 
     An x off [a, b] or NaN raises InvalidCaseError."""
     validate_split_point(iv, x)
-    return _lhs_block(False, f, g, iv, (x,))[0][:2]
+    lhs, err, _ = _lhs_block(False, f, g, iv, (x,))
+    return float(lhs[0]), float(err[0])
 
 
 def _lhs_block(endpoint_rule: bool, f: RealFunction, g: RealFunction,
-               iv: Interval, xs) -> list[tuple[float, float, float]]:
-    """(lhs, error estimate, magnitude of the lhs terms) of the endpoint or
-    the point rule at each x of xs, lhs and error estimate equal to
-    lhs_endpoint_at or lhs_point_at at that x."""
-    signed = _endpoint_signed if endpoint_rule else _point_signed
-    return [(abs(v), e, terms) for v, e, terms in signed(f, g, iv, xs)]
+               iv: Interval, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (lhs, error estimate, magnitude of the lhs terms) of the
+    endpoint or the point rule over the x of xs, lhs and error estimate
+    equal to lhs_endpoint_at or lhs_point_at at that x."""
+    rows = (_endpoint_signed if endpoint_rule else _point_signed)(f, g, iv, xs)
+    signed, err, terms = np.array(rows).T
+    return np.abs(signed), err, terms
 
 
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,

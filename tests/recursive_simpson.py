@@ -6,8 +6,12 @@ same ``IntegralResult`` bit for bit. It calls the integrand with one Python
 float per sample and sums each split panel as ``left + right``. Every panel
 shallower than ``_MIN_DEPTH`` splits; from that depth on, a panel whose five
 points are not strictly increasing has met the float64 floor and returns its
-own estimate s with error |s|, its quarter points evaluated all the same.
+own estimate s with error (hi - lo) * (max - min of its five values) +
+4 ulps of |s|, its quarter points evaluated all the same. ``nested_grid``
+is the start grid the same way: one interval, one midpoint at a time.
 """
+
+import math
 
 from hhbound.quadrature import _MIN_DEPTH, IntegralResult, QuadratureError
 
@@ -35,7 +39,8 @@ def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         rm = 0.5 * (mid + hi)
         flm, frm = f(lm), f(rm)
         if depth >= _MIN_DEPTH and not (lo < lm < mid < rm < hi):
-            return s, abs(s)
+            values = (flo, flm, fmid, frm, fhi)
+            return s, (hi - lo) * (max(values) - min(values)) + 4 * math.ulp(abs(s))
         s_left = (mid - lo) * (flo + 4.0 * flm + fmid) / 6.0
         s_right = (hi - mid) * (fmid + 4.0 * frm + fhi) / 6.0
         delta = s_left + s_right - s
@@ -57,3 +62,20 @@ def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
             f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
         )
     return IntegralResult(value, est, evals)
+
+
+def nested_grid(lo: float, hi: float) -> list[float]:
+    """The 2**(_MIN_DEPTH + 2) + 1 points of [lo, hi] that the recursion
+    samples down to _MIN_DEPTH, in order: each the midpoint 0.5 * (a + b)
+    of its neighbours a and b one level up, as Python floats."""
+    points = {0: lo, 2 ** (_MIN_DEPTH + 2): hi}
+
+    def refine(i: int, j: int) -> None:
+        if j - i > 1:
+            k = (i + j) // 2
+            points[k] = 0.5 * (points[i] + points[j])
+            refine(i, k)
+            refine(k, j)
+
+    refine(0, 2 ** (_MIN_DEPTH + 2))
+    return [points[k] for k in sorted(points)]

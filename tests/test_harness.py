@@ -2,8 +2,10 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +47,8 @@ from hhbound import (
     trapezoid_rhs_midsplit,
     verify_case,
 )
-from hhbound.harness import _compare, _write_reports
+from hhbound import harness
+from hhbound.harness import _verdicts, _write_reports
 from hhbound.quadrature import _integrate_cached, _lhs_block
 
 from exact_reference import coefficients, exact_lhs
@@ -161,13 +164,13 @@ def test_holds_slack_is_ulps_of_the_lhs_terms(endpoint_rule):
     # 1e-9, so it held against a right-hand side of 0
     f, g = parse_function("monomial:2"), parse_function("const:1")
     iv, x = Interval(0.0, 1e-3), 5e-4
-    ((lhs, lhs_err, terms),) = _lhs_block(endpoint_rule, f, g, iv, (x,))
+    lhs, lhs_err, terms = _lhs_block(endpoint_rule, f, g, iv, (x,))
     i_fg = 1e-9 / 3.0
     want = f(iv.b) * (iv.b - x) + i_fg if endpoint_rule else f(x) * iv.b + i_fg
-    assert math.isclose(terms, want, rel_tol=1e-12)
-    assert 1e-11 < lhs < 1e-9
-    assert not _compare(lhs, lhs_err, terms, 0.0)[2]
-    assert _compare(lhs, lhs_err, terms, lhs)[2]
+    assert math.isclose(terms[0], want, rel_tol=1e-12)
+    assert 1e-11 < lhs[0] < 1e-9
+    assert not _verdicts(lhs, lhs_err, terms, np.array([0.0]))[2][0]
+    assert _verdicts(lhs, lhs_err, terms, lhs)[2][0]
 
 
 ULP1 = math.ulp(1.0)
@@ -189,7 +192,82 @@ ULP1 = math.ulp(1.0)
 ])
 def test_each_term_of_the_holds_slack_decides_a_verdict(lhs, lhs_err, terms,
                                                          rhs, holds):
-    assert _compare(lhs, lhs_err, terms, rhs)[2] is holds
+    # one row alone, and the same row inside a block of other rows
+    column = lambda v: np.array([v])
+    assert _verdicts(*map(column, (lhs, lhs_err, terms, rhs)))[2].tolist() == [holds]
+    block = [np.array([0.5, v, 2.0]) for v in (lhs, lhs_err, terms, rhs)]
+    assert _verdicts(*block)[2].tolist() == [True, holds, True]
+
+
+def _one_row(lhs, lhs_err, terms, rhs):
+    """slack, tightness and holds of one row on Python floats: the rule
+    _verdicts states for a column of rows."""
+    slack = rhs - lhs
+    tightness = lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf)
+    holds = lhs <= rhs + max(4 * math.ulp(terms), 1e-9 * abs(rhs)) + lhs_err
+    return slack, tightness, holds
+
+
+def test_verdicts_of_a_block_are_the_python_float_rule_bit_for_bit():
+    # every element as one row on Python floats gives it: signed zeros, a
+    # zero or NaN rhs, terms at inf, NaN and the largest float, whose ulp
+    # np.spacing alone gets wrong, and no warning
+    top = 1.7976931348623157e308
+    rows = list(itertools.product(
+        (0.0, 2.0 ** -60, 1.0, 1e300, top), (0.0, 1e-12),
+        (0.0, 1.0, 1.5 * 2.0 ** 1023, top, math.inf, math.nan),
+        (-0.0, 0.0, -1.0, 1.0 - 1e-12, 1e-300, top, math.inf, math.nan)))
+    columns = [np.array(c) for c in zip(*rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slack, tightness, holds = _verdicts(*columns)
+    got = list(zip(map(repr, slack.tolist()), map(repr, tightness.tolist()),
+                   holds.tolist()))
+    want = [(repr(a), repr(b), c) for a, b, c in (_one_row(*row) for row in rows)]
+    assert got == want
+    assert {h for *_, h in got} == {True, False}
+
+
+def test_verdicts_of_a_zero_rhs_and_of_a_negative_zero_slack(tmp_path):
+    # rhs 0 gives tightness 0.0 for lhs 0 and inf otherwise, which JSON
+    # spells Infinity; a slack of -0.0 renders as -0.0 in both reports
+    lhs, rhs = np.array([0.0, 1e-17, 0.0]), np.array([0.0, 0.0, -0.0])
+    zero = np.zeros(3)
+    slack, tightness, holds = _verdicts(lhs, zero, zero, rhs)
+    assert tightness.tolist() == [0.0, math.inf, 0.0]
+    assert holds.tolist() == [True, False, True]
+    assert [math.copysign(1.0, v) for v in slack.tolist()] == [1.0, -1.0, -1.0]
+    rows = [CaseReport("T21", "const:0", "const:1", 0.0, 1.0, 0.5, 1.0, 1.0, 1.0,
+                       *values)
+            for values in zip(lhs.tolist(), rhs.tolist(), slack.tolist(),
+                              tightness.tolist(), holds.tolist())]
+    csv, text = io.StringIO(), io.StringIO()
+    _write_reports(csv, text, {"violations": 1}, [[rows]])
+    reports = text.getvalue().split('"reports": [')[1]
+    assert reports.count('"tightness": Infinity') == 1
+    assert reports.count('"tightness": 0.0') == 2
+    assert reports.count('"slack": -0.0') == 1
+    fields = [line.split(",") for line in csv.getvalue().splitlines()[1:]]
+    slack_at = CSV_HEADER.split(",").index("slack")
+    assert [f[slack_at] for f in fields] == ["0.0", "-1e-17", "-0.0"]
+
+
+def test_verify_case_and_run_suite_share_one_verdict_function(tmp_path, monkeypatch):
+    # verify_case calls _verdicts for its row, run_suite once per block of
+    # one spec and theorem, with a row of right-hand sides per (q, alpha, m)
+    shapes = []
+    verdicts = harness._verdicts
+
+    def counted(lhs, lhs_err, terms, rhs):
+        shapes.append(rhs.shape)
+        return verdicts(lhs, lhs_err, terms, rhs)
+
+    monkeypatch.setattr(harness, "_verdicts", counted)
+    verify_case(_known_case(), TheoremId.T21)
+    assert shapes == [(1,)]
+    shapes.clear()
+    result = run_suite(_small_config(tmp_path))
+    assert shapes == [(2, 3), (2, 3)] and len(result.reports) == 12
 
 
 def test_specs_sharing_an_integrand_share_oracle_integrals(tmp_path):

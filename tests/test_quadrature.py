@@ -1,6 +1,7 @@
 """Adaptive oracle, kernel primitives, rule left-hand sides, residuals."""
 
 import math
+import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -47,8 +48,9 @@ from hhbound.quadrature import (
     _integrate_cached,
     _KernelTimesDeriv,
     _lhs_block,
+    _nested_grids,
 )
-from recursive_simpson import integrate_recursive
+from recursive_simpson import integrate_recursive, nested_grid
 
 UNIT = Interval(0.0, 1.0)
 
@@ -273,9 +275,9 @@ def test_a_budget_of_exactly_the_splits_an_integral_makes_suffices(monkeypatch):
 
 
 def _exact_integral(spec, lo, hi):
-    """The integral of exp, sin, const:1 or pwlinear:0:0:0.5:1:1:0 over
-    [lo, hi], a piece of [0, 1] that does not cross 0.5, to well under an
-    ulp."""
+    """The integral of exp, exp:300, sin, const:1 or pwlinear:0:0:0.5:1:1:0
+    over [lo, hi], a piece of [0, 1] or of [1, 2] that does not cross 0.5,
+    to well under an ulp."""
     if spec in ("const:1", "pwlinear:0:0:0.5:1:1:0"):
         lo, hi = Fraction(lo), Fraction(hi)
         if spec == "const:1":
@@ -285,6 +287,8 @@ def _exact_integral(spec, lo, hi):
         lo, hi = Decimal(lo), Decimal(hi)
         if spec == "exp":
             return float(hi.exp() - lo.exp())
+        if spec == "exp:300":
+            return float(((300 * hi).exp() - (300 * lo).exp()) / 300)
 
         def sin(x):
             term, total, k = x, x, 1
@@ -298,22 +302,83 @@ def _exact_integral(spec, lo, hi):
         return float(2 * sin((lo + hi) / 2) * sin((hi - lo) / 2))
 
 
-@pytest.mark.parametrize("spec", ["exp", "sin", "const:1", "pwlinear:0:0:0.5:1:1:0"])
-def test_oracle_error_estimate_covers_the_error_at_float_floor(spec):
+@pytest.mark.parametrize("spec, anchors", [
+    *(pytest.param(spec, (0.001, 0.3, 0.5), id=spec) for spec in
+      ("exp", "sin", "const:1", "pwlinear:0:0:0.5:1:1:0")),
+    # integrals far above the absolute tolerance: a floor panel's error
+    # of |s| kept these from converging
+    pytest.param("exp:300", (0.5, 1.0), id="exp:300"),
+])
+def test_oracle_error_estimate_covers_the_error_at_float_floor(spec, anchors):
     # panels at the floor are accepted with their Simpson estimate s and
-    # error |s|; the summed estimate, plus the rounding of a few ulps, must
-    # still cover the distance to the exact integral
+    # error (hi - lo) * (spread of their values) + 4 ulps of s; every
+    # interval converges, and the summed estimate, plus the rounding of a
+    # few ulps, covers the distance to the exact integral
     fn = parse_function(spec)
-    for at in (0.001, 0.3, 0.5):
+    for at in anchors:
         for ulps in (1, 2, 3, 17, 40, 127, 128, 129, 300):
             hi = float(at + ulps * np.spacing(at))
-            try:
-                (res,) = _integrate_batch(fn, [(at, hi)], _LHS_TOL)
-            except QuadratureError:
-                continue
+            (res,) = _integrate_batch(fn, [(at, hi)], _LHS_TOL)
             exact = _exact_integral(spec, at, hi)
             assert abs(res.value - exact) <= res.error_estimate + 4 * np.spacing(exact), (
                 at, ulps)
+
+
+def _grid_ranges(n):
+    """n ranges, lo < hi: ends near +-1e308 that no midpoint sum overflows,
+    subnormal widths, widths of one ulp, repeats, and seeded unit ones."""
+    tiny = 5e-324
+    special = [(-8.9e307, 8.9e307), (8.9e307, 8.98e307), (-8.98e307, -8.9e307),
+               (0.0, 7 * tiny), (tiny, 20 * tiny), (-1e-310, -9.99e-311),
+               (1.0, float(np.nextafter(1.0, 2.0))), (0.25, 0.5), (0.25, 0.5)]
+    rng = np.random.default_rng(11)
+    ends = np.sort(rng.uniform(-3.0, 3.0, (max(n, 1), 2)), axis=1).tolist()
+    return (special + [tuple(e) for e in ends])[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128])
+def test_nested_grids_are_the_recursive_midpoints_bit_for_bit(n):
+    ranges = _grid_ranges(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = _nested_grids(ranges)
+    assert grid.shape == (129, n)
+    want = np.array([nested_grid(lo, hi) for lo, hi in ranges]).T
+    assert grid.tobytes() == want.tobytes()
+
+
+def test_a_start_grid_not_finite_names_its_first_point_interval_by_interval():
+    # the first integrand call holds every start grid; the point named is
+    # the first not finite in the order of the intervals and, within one,
+    # of its points: 0.75 here, although 2.0, the low end of the second
+    # interval, comes before it point by point
+    def fn(t):
+        return np.where((t >= 0.75) & (t <= 1.0) | (t >= 2.0), np.inf, t)
+
+    ranges = [(0.0, 1.0), (2.0, 3.0)]
+    first = next(t for lo, hi in ranges for t in nested_grid(lo, hi)
+                 if not np.isfinite(fn(t)))
+    assert first == 0.75
+    with pytest.raises(QuadratureError, match=r"^integrand is not finite at t=0.75$"):
+        _integrate_batch(fn, ranges, _LHS_TOL)
+
+
+def test_memo_drops_its_oldest_result_past_maxsize():
+    memo = quadrature._ResultMemo(maxsize=3)
+    exp, sin = parse_function("exp"), parse_function("sin")
+    memo.results(exp, [(0.0, 1.0), (0.0, 0.5)], _LHS_TOL)
+    memo.results(sin, [(0.0, 1.0)], _LHS_TOL)
+    assert memo.cache_info() == (0, 3, 3, 3)
+    # a fourth result pushes out the first stored, exp over [0, 1]
+    memo.results(sin, [(0.0, 0.5)], _LHS_TOL)
+    assert memo.cache_info() == (0, 4, 3, 3)
+    memo.results(exp, [(0.0, 0.5), (0.0, 1.0)], _LHS_TOL)
+    assert memo.cache_info() == (1, 5, 3, 3)
+    # three results past, each stored alone, every earlier table is gone
+    memo.results(exp, [(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)], _LHS_TOL)
+    assert memo.cache_info().currsize == 3 and len(memo._tables) == 1
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 0, 3, 0) and not memo._tables
 
 
 def _floor_ranges(at):
@@ -408,14 +473,33 @@ def test_batch_error_names_the_interval_that_fails(monkeypatch):
     with pytest.raises(QuadratureError,
                        match=r"^no convergence on \[0.0, 1.0\] after 64 panel splits$"):
         _integrate_batch(wave, [(0.0, 1e-5), (0.5, 0.50001), (0.0, 1.0)], 1e-10)
-    # a float-floor panel is accepted with its whole value as its estimate,
-    # which is above the tolerance of an integral this large
+    # exp(300 t) on [0, 1] takes 225 splits, then 548 in its rerun against
+    # its value, so a budget of 300 fails it in the rerun only; the
+    # intervals beside it converge in their first run
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 300)
+    with pytest.raises(QuadratureError,
+                       match=r"^no convergence on \[0.0, 1.0\] after 300 panel splits$"):
+        _integrate_batch(parse_function("exp:300"), [(0.0, 0.01), (0.0, 1.0), (0.99, 1.0)],
+                         1e-10)
+    # three ulps at 2**40 span 7e-4, over which sin(1e4 t) turns through 7
+    # radians: the float-floor panels cannot resolve it, and their error
+    # estimate, width times the spread of the values, says so
     big = 2.0 ** 40
     top = float(big + 3 * np.spacing(big))
+    narrow = [(at, float(at + 3 * np.spacing(at))) for at in (1.0, 2.0)]
     with pytest.raises(QuadratureError,
-                       match=rf"above requested tolerance on \[{big}, {top}\]$"):
-        _integrate_batch(parse_function("const:1"), [(0.0, 1.0), (big, top), (2.0, 3.0)],
-                         1e-10)
+                       match=rf"^error estimate \S+ above requested tolerance on "
+                             rf"\[{big}, {top}\]$"):
+        _integrate_batch(wave, [narrow[0], (big, top), narrow[1]], 1e-10)
+
+
+def test_an_error_estimate_that_is_nan_is_never_accepted():
+    # [-1e308, 1e308] is wider than the largest float: its grid points
+    # overflow, and the float-floor estimate of its panels is inf * 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError,
+                           match=r"^error estimate nan above requested tolerance"):
+            _integrate_batch(parse_function("const:1"), [(-1e308, 1e308)], _LHS_TOL)
 
 
 def test_batch_calls_its_integrand_once_per_level():
@@ -444,7 +528,7 @@ def test_lhs_block_equals_lhs_at_each_x(gspec):
         for x in xs:
             _integrate_cached.cache_clear()
             want.append(lhs_at(f, g, UNIT, x))
-        assert [(lhs, err) for lhs, err, _ in block] == want
+        assert list(zip(block[0].tolist(), block[1].tolist())) == want
 
 
 def test_product_wraps_pair():
@@ -676,7 +760,7 @@ def test_endpoint_lhs_error_and_magnitude_sum_the_weighted_integrals():
     err = fa * left.error_estimate + fb * right.error_estimate + whole.error_estimate
     size = fa * abs(left.value) + fb * abs(right.value) + abs(whole.value)
     assert lhs_endpoint_at(f, g, UNIT, x)[1] == err
-    assert _lhs_block(True, f, g, UNIT, (x,))[0][1:] == (err, size)
+    assert [c.tolist() for c in _lhs_block(True, f, g, UNIT, (x,))[1:]] == [[err], [size]]
 
 
 @pytest.mark.parametrize("x", [-0.5, 1.5, math.nan, math.inf])
@@ -695,6 +779,17 @@ def test_point_lhs_rejects_a_split_point_off_the_interval(x):
     f, g = parse_function("exp"), parse_function("const:1")
     with pytest.raises(InvalidCaseError, match="outside"):
         lhs_point_at(f, g, UNIT, x)
+
+
+def test_a_knot_at_an_end_of_a_range_adds_no_piece():
+    # only the knots strictly inside a range cut it: knots at 0.25 and 0.5
+    # leave [0.25, 0.5] one piece of 129 evaluations, and cut [0, 1] in three
+    g = parse_function("sin")
+    _integrate_cached.cache_clear()
+    inside, whole = quadrature._integral_between(
+        g, [(0.25, 0.5), (0.0, 1.0)], _LHS_TOL, knots=(0.5, 0.25, 0.5))
+    assert inside == integrate(g, Interval(0.25, 0.5), _LHS_TOL)
+    assert inside.evaluations == 129 and whole.evaluations == 3 * 129
 
 
 def test_lhs_pieces_sum_to_unsplit_value_on_smooth_integrand():
