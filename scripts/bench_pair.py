@@ -34,7 +34,13 @@ the sha256 of both reports:
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
-  high-water mark of the fresh interpreter, import included.
+  high-water mark of the fresh interpreter, import included;
+- tracemalloc peak (KiB): the most memory that tracemalloc saw allocated at
+  once during a second run_suite of the same config in the same
+  interpreter, started with the oracle memo cleared after every other
+  counter was read, so it moves none of them. It counts only what the run
+  allocates, Python objects and numpy buffers alike, and repeats from run to
+  run where RSS and page faults follow the allocator's layout.
 
 For each identities pass it records the integrand calls and points, the
 oracle memo hits and misses, the oracle batches, the minor page faults, the
@@ -56,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -74,7 +81,8 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     oracle memo and oracle batch counters of one pass over its cases, its
     worst residual and whether numpy.ma was loaded by the end of it. Both
     record the minor page faults of the counted run and the interpreter's
-    peak RSS after it.
+    peak RSS after it; a suite also records the tracemalloc peak of a second,
+    memo-cleared run.
     """
     import hhbound.bounds as bounds
     import hhbound.core as core
@@ -165,7 +173,13 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     counts["peak_rss_kb"] = peak_rss_kb()
     digests = {name: hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
                for name in _REPORTS}
-    return {"rows": len(result.reports), **counts, **memo_counts(), "sha256": digests}
+    record = {"rows": len(result.reports), **counts, **memo_counts(), "sha256": digests}
+    memo.cache_clear()
+    tracemalloc.start()
+    harness.run_suite(config)
+    record["tracemalloc_peak_kb"] = tracemalloc.get_traced_memory()[1] // 1024
+    tracemalloc.stop()
+    return record
 
 
 def _src_digest(root: Path) -> str:

@@ -71,8 +71,8 @@ class InvalidCaseError(HHBoundError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with finite endpoints and a < b, stored as
-    floats."""
+    """Closed interval [a, b] with finite endpoints, a < b and a finite
+    width b - a, stored as floats."""
 
     a: float
     b: float
@@ -82,6 +82,11 @@ class Interval:
             raise InvalidIntervalError(f"endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise InvalidIntervalError(f"need a < b, got [{self.a}, {self.b}]")
+        # the width enters every panel and moment; past the largest float it
+        # would turn each of them into inf or nan
+        if not math.isfinite(float(self.b) - float(self.a)):
+            raise InvalidIntervalError(
+                f"width b - a must be finite, got [{self.a}, {self.b}]")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 

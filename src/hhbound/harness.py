@@ -28,22 +28,31 @@ row equals what verify_case gives for the corresponding BoundCase.
 run_suite counts violations and takes the largest finite tightness from
 those arrays.
 
+A run keeps its rows as those columns to the end. Each (spec, theorem)
+block holds its text fields, a and b, the split points, the lhs column, the
+admitted (q, params) list, and rhs, slack, tightness and holds as 2-D
+arrays, a row per admitted combination. SuiteResult.reports is a read-only
+view over the blocks that builds a new CaseReport on each access, so a run
+never holds a row object of its own.
+
 CaseSpec normalizes a case where it enters, so every row holds Python
 floats, str text fields and a bool verdict. Reports are a CSV plus a
 sibling JSON file echoing the configuration and the seed; the JSON is
 byte-equal to json.dump(payload, indent=1). Each real is its shortest
 round-trip text, format_real, and a row's CSV line and JSON object share
 it; only the JSON spells a non-finite one Infinity, -Infinity or NaN. Both
-files are written in one walk over the blocks, one block per spec and
-theorem holding a list of rows per admitted (q, alpha, m). Each text a
-block's rows share is rendered once, from the first row that holds it, so a
-row renders only its rhs, slack and tightness.
+files are written in one walk over the blocks, rendered from their columns
+one list of rows, an admitted (q, alpha, m), at a time. Each text a block's
+rows share is rendered once, so a row renders only its rhs, slack and
+tightness.
 Two runs of the same config produce byte-identical files; nothing
 time-dependent is serialized.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import numbers
@@ -335,15 +344,90 @@ class CaseReport:
 CSV_HEADER = ",".join(CaseReport.__dataclass_fields__)
 
 
+class _Block:
+    """The rows of one spec and theorem as columns, in report order: a list
+    of rows per admitted (q, params) of combos, each with one row per split
+    point of xs. lhs is a float64 column over xs; rhs, slack and tightness
+    are float64 and holds bool arrays of shape (len(combos), len(xs))."""
+
+    __slots__ = ("theorem_id", "family_f", "family_g", "a", "b", "xs", "lhs",
+                 "combos", "rhs", "slack", "tightness", "holds")
+
+    def __init__(self, theorem_id: str, family_f: str, family_g: str, a: float,
+                 b: float, xs: Sequence[float], lhs: np.ndarray,
+                 combos: Sequence[tuple[float, ConvexityParams]], rhs: np.ndarray,
+                 slack: np.ndarray, tightness: np.ndarray, holds: np.ndarray) -> None:
+        self.theorem_id, self.family_f, self.family_g = theorem_id, family_f, family_g
+        self.a, self.b, self.xs, self.lhs, self.combos = a, b, xs, lhs, combos
+        self.rhs, self.slack, self.tightness, self.holds = rhs, slack, tightness, holds
+
+    def __len__(self) -> int:
+        return len(self.combos) * len(self.xs)
+
+    def row(self, k: int) -> CaseReport:
+        """A new CaseReport of the block's row k, 0 <= k < len(self)."""
+        i, j = divmod(k, len(self.xs))
+        q, params = self.combos[i]
+        return CaseReport(self.theorem_id, self.family_f, self.family_g, self.a,
+                          self.b, self.xs[j], q, params.alpha, params.m,
+                          self.lhs.item(j), self.rhs.item(i, j),
+                          self.slack.item(i, j), self.tightness.item(i, j),
+                          self.holds.item(i, j))
+
+    def rows(self) -> Iterator[CaseReport]:
+        """A new CaseReport of each row, in order."""
+        lead = (self.theorem_id, self.family_f, self.family_g, self.a, self.b)
+        lhs = self.lhs.tolist()
+        for (q, params), *row in zip(self.combos, self.rhs, self.slack,
+                                     self.tightness, self.holds):
+            for x, v, r, d, t, h in zip(self.xs, lhs, *(c.tolist() for c in row)):
+                yield CaseReport(*lead, x, q, params.alpha, params.m, v, r, d, t, h)
+
+
+class _ReportRows(Sequence):
+    """The rows of a run's blocks in report order, read-only: len, int and
+    slice indexing, and iteration. Each access builds a new CaseReport, and
+    a slice is a tuple of new ones."""
+
+    __slots__ = ("_blocks", "_starts")
+
+    def __init__(self, blocks: Sequence[_Block]) -> None:
+        self._blocks = tuple(blocks)
+        # _starts[i] is the index of block i's first row; the last, the length
+        self._starts = list(itertools.accumulate(map(len, self._blocks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("report row index out of range")
+        at = bisect.bisect_right(self._starts, k) - 1
+        return self._blocks[at].row(k - self._starts[at])
+
+    def __iter__(self) -> Iterator[CaseReport]:
+        for block in self._blocks:
+            yield from block.rows()
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """Aggregated outcome of a suite run.
+
+    reports is a read-only sequence of the rows in report order. It is a
+    view over the run's columns: each access builds a new CaseReport, so
+    reassigning a field of one changes that copy alone.
 
     wall_time lives only on this in-memory object; it is deliberately not
     serialized so that report files are byte-identical across runs.
     """
 
-    reports: tuple[CaseReport, ...]
+    reports: Sequence[CaseReport]
     violations: int
     hypothesis_rejections: int
     max_tightness: float
@@ -476,10 +560,10 @@ class _SpecRun:
     and seeded split points lie in [a, b] by construction. The right-hand
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
-    evaluate emits a theorem's rows as a block: a list of rows per admitted
-    (q, alpha, m), one row per x of xs, with the block's lhs values from one
-    batched oracle call. A spec that repeats the (f, g, [a, b]) of another
-    gets its integrals back from the oracle's memo.
+    evaluate emits a theorem's rows as a column block: a row of its 2-D
+    arrays per admitted (q, alpha, m), one element per x of xs, with the
+    block's lhs values from one batched oracle call. A spec that repeats the
+    (f, g, [a, b]) of another gets its integrals back from the oracle's memo.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...]) -> None:
@@ -515,13 +599,10 @@ class _SpecRun:
                     gate = params if tid.uses_class_params else _GATE_PLAIN
                     yield tid, q, params, (self.pair, q, gate)
 
-    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block],
-                 columns: list[tuple[np.ndarray, np.ndarray]]) -> int:
-        """Append a block of rows per theorem with an admitted combination,
-        and the block's (tightness, holds) columns, one row of each per
-        admitted (q, alpha, m), to columns; return the number of gate
-        rejections. verdicts yields the gate's verdict on each combination,
-        in combinations() order."""
+    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block]) -> int:
+        """Append a block per theorem with an admitted combination to out;
+        return the number of gate rejections. verdicts yields the gate's
+        verdict on each combination, in combinations() order."""
         spec, f, g, iv, xs = self.spec, self.f, self.g, self.iv, self.xs
         admitted: dict[TheoremId, list[tuple[float, ConvexityParams]]] = {}
         rejections = 0
@@ -532,16 +613,9 @@ class _SpecRun:
                 rejections += 1
         for tid, combos in admitted.items():
             lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
-            rhs = [self._rhs.at(tid, q, params) for q, params in combos]
-            slack, tightness, holds = _verdicts(lhs, lhs_err, terms, np.array(rhs))
-            columns.append((tightness, holds))
-            theorem_id, lhs_values = tid.value, lhs.tolist()
-            out.append([
-                [CaseReport(theorem_id, spec.f, spec.g, iv.a, iv.b, x, q,
-                            params.alpha, params.m, v, r, d, t, h)
-                 for x, v, r, d, t, h in zip(xs, lhs_values, *row)]
-                for (q, params), *row in zip(combos, rhs, slack.tolist(),
-                                             tightness.tolist(), holds.tolist())])
+            rhs = np.array([self._rhs.at(tid, q, params) for q, params in combos])
+            out.append(_Block(tid.value, spec.f, spec.g, iv.a, iv.b, xs, lhs, combos,
+                              rhs, *_verdicts(lhs, lhs_err, terms, rhs)))
         return rejections
 
 
@@ -566,14 +640,12 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         [gate for run in runs for *_, gate in run.combinations()], config.grid))
 
     blocks: list[_Block] = []
-    columns: list[tuple[np.ndarray, np.ndarray]] = []
     rejections = 0
     for run in runs:
-        rejections += run.evaluate(verdicts, blocks, columns)
-    reports = [r for block in blocks for rows in block for r in rows]
+        rejections += run.evaluate(verdicts, blocks)
 
-    violations = sum(int(np.count_nonzero(~holds)) for _, holds in columns)
-    tightness = np.concatenate([t.ravel() for t, _ in columns] or [np.empty(0)])
+    violations = sum(int(np.count_nonzero(~b.holds)) for b in blocks)
+    tightness = np.concatenate([b.tightness.ravel() for b in blocks] or [np.empty(0)])
     finite = tightness[np.isfinite(tightness)]
     # argmax takes the first of equal maxima, as max() does
     max_tightness = float(finite[finite.argmax()]) if finite.size else 0.0
@@ -597,29 +669,24 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
           open(json_path, "w", encoding="utf-8", newline="") as json_fh):
         _write_reports(csv_fh, json_fh, head, blocks)
 
-    return SuiteResult(tuple(reports), violations, rejections, max_tightness,
+    return SuiteResult(_ReportRows(blocks), violations, rejections, max_tightness,
                        time.perf_counter() - start, csv_path, json_path)
 
 
 # ---------------------------------------------------------------------------
 # report writers
 #
-# A block holds the rows of one spec and theorem in report order: one list
-# per admitted (q, alpha, m), each with one row per split point in the same
-# order and with the same lhs. _write_reports renders each real once, with
-# format_real, and writes a row's CSV line and JSON object from the same
-# texts; only JSON spells a non-finite one Infinity, -Infinity or NaN. The
-# texts a block's rows share are rendered once, from the rows in the
-# position that holds them: a and b from the block's first row, the x and
-# lhs texts from its first list, and q, alpha and m from each list's first
-# row. Texts are never keyed by float value: 0.0 and -0.0 are equal but
-# render as 0.0 and -0.0.
+# _write_reports renders each block from its columns, one admitted
+# (q, alpha, m) at a time: each real once, with format_real, and a row's CSV
+# line and JSON object from the same texts; only JSON spells a non-finite one
+# Infinity, -Infinity or NaN, decided row by row. The texts a block's rows
+# share are rendered once: a, b and the x and lhs texts per block, and q,
+# alpha and m per list of rows. Texts are never keyed by float value: 0.0 and
+# -0.0 are equal but render as 0.0 and -0.0.
 #
 # json.dump(payload, fh, indent=1) runs the pure-Python encoder (the C one
 # only serves indent=None), and building the payload holds every row as a
 # dict at once. The writer emits the same bytes one list of rows at a time.
-
-_Block = list[list[CaseReport]]
 
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
@@ -642,8 +709,8 @@ _JSON_ROW = "%s%s%s%s" + "%s".join(_JSON_SLOTS[10:])
 def _write_reports(csv_fh, json_fh, head: dict, blocks: Sequence[_Block]) -> None:
     """Write CSV_HEADER and one line per row to csv_fh, and head plus a
     final "reports" list of the rows to json_fh, as json.dump with indent=1
-    and a trailing newline would. Every row is a run_suite row: Python
-    floats, str text fields and a bool holds."""
+    and a trailing newline would. The rows are those of run_suite's column
+    blocks: str text fields, Python float a, b, x, q, alpha and m."""
     csv_fh.write(CSV_HEADER + "\n")
     text = json.dumps({**head, "reports": []}, indent=1)
     if not blocks:
@@ -653,30 +720,29 @@ def _write_reports(csv_fh, json_fh, head: dict, blocks: Sequence[_Block]) -> Non
     real = format_real
     sep = ""
     for block in blocks:
-        first = block[0]
-        r = first[0]
-        names = (r.theorem_id, r.family_f, r.family_g)
-        ends = (real(r.a), real(r.b))
+        names = (block.theorem_id, block.family_f, block.family_g)
+        ends = (real(block.a), real(block.b))
         csv_lead = ",".join((*names, *ends))
         json_lead = _JSON_LEAD % (*map(encode_basestring_ascii, names),
                                   *map(_json_text, ends))
-        xs = [real(row.x) for row in first]
-        lhs = [real(row.lhs) for row in first]
+        xs = [real(x) for x in block.xs]
+        lhs = [real(v) for v in block.lhs.tolist()]
         shared = list(zip(xs, map(_json_text, xs), lhs, map(_json_text, lhs)))
-        for rows in block:
-            r = rows[0]
-            middle = (real(r.q), real(r.alpha), real(r.m))
+        for (q, params), *row in zip(block.combos, block.rhs, block.slack,
+                                     block.tightness, block.holds):
+            middle = (real(q), real(params.alpha), real(params.m))
             csv_middle = ",".join(middle)
             json_middle = _JSON_MIDDLE % tuple(map(_json_text, middle))
             lines, objects = [], []
-            for (x, json_x, v, json_v), r in zip(shared, rows):
-                rhs, slack, tightness = real(r.rhs), real(r.slack), real(r.tightness)
-                holds = "true" if r.holds else "false"
+            for (x, json_x, v, json_v), r, d, t, h in zip(
+                    shared, *(c.tolist() for c in row)):
+                rhs, slack, tightness = real(r), real(d), real(t)
+                holds = "true" if h else "false"
                 lines.append(f"{csv_lead},{x},{csv_middle},{v},{rhs},{slack},"
                              f"{tightness},{holds}\n")
                 # only a row whose numbers do not sum to a finite value can
                 # hold a non-finite one
-                if not math.isfinite(r.rhs + r.slack + r.tightness):
+                if not math.isfinite(r + d + t):
                     rhs, slack, tightness = map(_json_text, (rhs, slack, tightness))
                 objects.append(_JSON_ROW % (json_lead, json_x, json_middle, json_v,
                                             rhs, slack, tightness, holds))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,22 @@ def test_verify_rejects_bad_x_or_q_in_one_line(theorem, g, x, q, alpha, message,
                     "--out", "reports")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["hhbound verify: error: " + message]
+
+
+def test_verify_rejects_an_interval_wider_than_the_float_range(tmp_path, capsys):
+    # both ends are finite but b - a overflows; the check used to fail later,
+    # on a derivative read at t=nan, after numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "--f", "monomial:2", "--g", "const:1",
+                     "--a=-9e307", "--b=9e307", "--x", "0", "--q", "2",
+                     "--alpha", "1", "--m", "1", "--theorem", "T21",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hhbound verify: error: width b - a must be "
+                            "finite, got [-9e+307, 9e+307]\n")
 
 
 def _run_cli(cwd, *args):

@@ -51,7 +51,7 @@ def test_interval_properties():
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf),
-                                 (math.nan, 1.0)])
+                                 (math.nan, 1.0), (-9e307, 9e307)])
 def test_interval_rejects_bad_endpoints(a, b):
     with pytest.raises(InvalidIntervalError):
         Interval(a, b)

@@ -1,10 +1,12 @@
 """Suite configuration, case verification, reports, determinism."""
 
 import dataclasses
+import gc
 import io
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -228,6 +230,20 @@ def test_verdicts_of_a_block_are_the_python_float_rule_bit_for_bit():
     assert {h for *_, h in got} == {True, False}
 
 
+def _column_block(rows):
+    """run_suite's column block of rows that share all but x, lhs and the
+    outcome: one list of rows, one row per x."""
+    r = rows[0]
+
+    def column(name):
+        return np.array([[getattr(row, name) for row in rows]])
+
+    return harness._Block(r.theorem_id, r.family_f, r.family_g, r.a, r.b,
+                          tuple(row.x for row in rows), column("lhs")[0],
+                          [(r.q, ConvexityParams(r.alpha, r.m))], column("rhs"),
+                          column("slack"), column("tightness"), column("holds"))
+
+
 def test_verdicts_of_a_zero_rhs_and_of_a_negative_zero_slack(tmp_path):
     # rhs 0 gives tightness 0.0 for lhs 0 and inf otherwise, which JSON
     # spells Infinity; a slack of -0.0 renders as -0.0 in both reports
@@ -242,7 +258,7 @@ def test_verdicts_of_a_zero_rhs_and_of_a_negative_zero_slack(tmp_path):
             for values in zip(lhs.tolist(), rhs.tolist(), slack.tolist(),
                               tightness.tolist(), holds.tolist())]
     csv, text = io.StringIO(), io.StringIO()
-    _write_reports(csv, text, {"violations": 1}, [[rows]])
+    _write_reports(csv, text, {"violations": 1}, [_column_block(rows)])
     reports = text.getvalue().split('"reports": [')[1]
     assert reports.count('"tightness": Infinity') == 1
     assert reports.count('"tightness": 0.0') == 2
@@ -289,7 +305,7 @@ def test_specs_sharing_an_integrand_share_oracle_integrals(tmp_path):
     second, _ = run(specs[1:])
     both, both_misses = run(specs)
     assert both_misses <= first_misses
-    assert both == first + second
+    assert tuple(both) == tuple(first) + tuple(second)
     assert second and second[-1].theorem_id == "T14"
 
 
@@ -321,6 +337,55 @@ def test_run_suite_writes_reports(tmp_path):
     assert payload["violations"] == 0
     assert len(payload["reports"]) == 12
     assert payload["seed"] == 20260815
+
+
+def test_suite_reports_are_a_read_only_view_of_new_rows(tmp_path):
+    # three blocks of 6, 6 and 4 rows; reports builds a new CaseReport on
+    # every access, and each way of reaching a row gives the same row
+    config = _small_config(tmp_path)
+    (spec,) = config.cases
+    more = dataclasses.replace(spec, q_values=(1.5,), theorems=("T13",),
+                               x_values=None, x_sweep=4)
+    result = run_suite(dataclasses.replace(config, cases=(spec, more)))
+    reports = result.reports
+    rows = list(reports)
+    assert len(reports) == len(rows) == 16
+    assert list(reports) == rows
+    assert [r.theorem_id for r in rows] == ["T21"] * 6 + ["T22"] * 6 + ["T13"] * 4
+    assert [reports[k] for k in range(16)] == rows
+    assert [reports[k] for k in range(-16, 0)] == rows
+    assert reports[0] == rows[0] and reports[-1] == rows[15]
+    assert reports[np.int64(7)] == rows[7]
+    for k in (16, -17):
+        with pytest.raises(IndexError):
+            reports[k]
+    for cut in (slice(None), slice(5, 13), slice(None, None, -1),
+                slice(1, 15, 4), slice(-3, None), slice(20, 30)):
+        assert reports[cut] == tuple(rows[cut])
+    assert reports[0] is not reports[0]
+    row = reports[6]
+    row.lhs, row.holds = -1.0, not row.holds
+    assert reports[6] == rows[6] != row
+    with pytest.raises(TypeError):
+        reports[0] = row
+
+
+def test_bundled_suite_keeps_its_rows_as_columns(tmp_path):
+    # a run that built a CaseReport per row peaked at 5.1-6.1 MB under
+    # tracemalloc and held 4.0-5.0 MB after it returned
+    config = default_suite(str(tmp_path))
+    _integrate_cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_suite(config)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.reports) == 17372
+    assert peak <= 3.5e6, peak
+    assert held <= 2e6, held
 
 
 def test_run_suite_report_content_is_placement_free(tmp_path):
@@ -463,7 +528,7 @@ def test_streamed_json_handles_nonfinite_and_numpy_floats():
             "hypothesis_rejections": 0, "max_tightness": 0.5}
     for reports in (rows, rows[:1], []):
         csv, got = io.StringIO(), io.StringIO()
-        _write_reports(csv, got, head, [[[r]] for r in reports])
+        _write_reports(csv, got, head, [_column_block([r]) for r in reports])
         want = io.StringIO()
         json.dump({**head, "reports": [dataclasses.asdict(r) for r in reports]},
                   want, indent=1)

@@ -20,6 +20,7 @@ from hhbound import (
     IntegralResult,
     Interval,
     InvalidCaseError,
+    InvalidIntervalError,
     InvalidParamsError,
     Product,
     QuadratureError,
@@ -112,6 +113,16 @@ def test_integrate_memoizes_registry_functions():
     first = integrate(fn, Interval(0.0, 2.0))
     second = integrate(fn, Interval(0.0, 2.0))
     assert first is second
+
+
+def test_integrate_rejects_an_interval_wider_than_the_float_range():
+    # both ends are finite but b - a overflows: the panel widths and the
+    # grid's midpoint sums would overflow, and the result read inf with a
+    # zero error estimate, after numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidIntervalError, match="width b - a must be finite"):
+            integrate(parse_function("const:1"), Interval(-9e307, 9e307))
 
 
 def test_integrate_budget_exhaustion(monkeypatch):
