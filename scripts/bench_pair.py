@@ -109,11 +109,10 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
     core.RealFunction.__call__ = counted
 
-    # _ResultMemo.results calls _integrate_batch through the module global;
-    # *rest passes on the split budget of a checkout that still takes one
+    # _ResultMemo.results calls _integrate_batch through the module global
     batch = quadrature._integrate_batch
 
-    def counted_batch(fn, ranges, tol, *rest):
+    def counted_batch(fn, ranges, tol):
         calls = 0
 
         def observed(t):
@@ -123,7 +122,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
 
         counts["oracle_batches"] += 1
         counts["oracle_intervals"] += len(ranges)
-        results = batch(observed, ranges, tol, *rest)
+        results = batch(observed, ranges, tol)
         counts["oracle_deep_batches"] += len(ranges) > 1 and calls > 1
         return results
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    AbsPower,
     ConvexityParams,
     DifferentiablePair,
     DomainSpec,
@@ -112,17 +113,6 @@ class Witness:
 class Verdict:
     holds: bool
     witness: Witness | None = None
-
-
-@dataclass(frozen=True)
-class AbsPower:
-    """Derived map t -> |fn(t)|**q; the hypothesis object of the bounds."""
-
-    fn: RealFunction
-    q: float
-
-    def __call__(self, t):
-        return np.abs(self.fn(t)) ** self.q
 
 
 def _scan_points(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray, m: float,

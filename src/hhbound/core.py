@@ -32,7 +32,6 @@ __all__ = [
     "ConvexityParams",
     "TheoremId",
     "BoundCase",
-    "BoundReport",
     "validate_split_point",
     "validate_q",
     "validate_case_params",
@@ -286,6 +285,18 @@ class RealFunction:
         return _FAMILIES[self.family_id].knots(self.params)
 
 
+@dataclass(frozen=True)
+class AbsPower:
+    """Derived map t -> |fn(t)|**q: the hypothesis object of the bounds, and
+    with q = 1, as x ** 1.0 == x, the |fn| of an integrand; hashable if fn is."""
+
+    fn: Callable
+    q: float
+
+    def __call__(self, t):
+        return np.abs(self.fn(t)) ** self.q
+
+
 def parse_function(spec: str) -> RealFunction:
     """Build a registry function from a colon-separated spec string.
 
@@ -527,14 +538,3 @@ class BoundCase:
         """The point b/m where the second derivative magnitude is taken."""
         return self.interval.b / self.params.m
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Result of checking one inequality instance: lhs, rhs and the verdict."""
-
-    theorem_id: TheoremId
-    lhs: float
-    rhs: float
-    slack: float
-    tightness: float
-    holds: bool

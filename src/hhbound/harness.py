@@ -23,10 +23,10 @@ once per rule, x and alpha, after the gate. The block's lhs, error estimate
 and terms magnitude arrive as float64 columns, and one call of the verdict
 function, _verdicts, turns them and the block's right-hand sides, a row per
 admitted (q, alpha, m), into slack, tightness and holds for every row of
-the block; verify_case calls the same function for its one row, so every
-row equals what verify_case gives for the corresponding BoundCase.
-run_suite counts violations and takes the largest finite tightness from
-those arrays.
+the block. _evaluate_block builds every block, verify_case's one-row block
+too, so a suite row is verify_case's row for its BoundCase, but with the
+spec strings where verify_case has the labels of f and g. run_suite counts
+violations and takes the largest finite tightness from those arrays.
 
 A run keeps its rows as those columns to the end. Each (spec, theorem)
 block holds its text fields, a and b, the split points, the lhs column, the
@@ -81,12 +81,12 @@ from .convexity import GridSpec, Verdict, check_hypotheses
 from .core import (
     _check_g_sup,
     BoundCase,
-    BoundReport,
     ConvexityParams,
     DifferentiablePair,
     DomainSpec,
     Interval,
     InvalidCaseError,
+    RealFunction,
     TheoremId,
     parse_function,
     sup_norm,
@@ -364,16 +364,6 @@ class _Block:
     def __len__(self) -> int:
         return len(self.combos) * len(self.xs)
 
-    def row(self, k: int) -> CaseReport:
-        """A new CaseReport of the block's row k, 0 <= k < len(self)."""
-        i, j = divmod(k, len(self.xs))
-        q, params = self.combos[i]
-        return CaseReport(self.theorem_id, self.family_f, self.family_g, self.a,
-                          self.b, self.xs[j], q, params.alpha, params.m,
-                          self.lhs.item(j), self.rhs.item(i, j),
-                          self.slack.item(i, j), self.tightness.item(i, j),
-                          self.holds.item(i, j))
-
     def rows(self) -> Iterator[CaseReport]:
         """A new CaseReport of each row, in order."""
         lead = (self.theorem_id, self.family_f, self.family_g, self.a, self.b)
@@ -408,7 +398,9 @@ class _ReportRows(Sequence):
         if not 0 <= k < len(self):
             raise IndexError("report row index out of range")
         at = bisect.bisect_right(self._starts, k) - 1
-        return self._blocks[at].row(k - self._starts[at])
+        # a block holds at most a few hundred rows
+        return next(itertools.islice(self._blocks[at].rows(), k - self._starts[at],
+                                     None))
 
     def __iter__(self) -> Iterator[CaseReport]:
         for block in self._blocks:
@@ -440,27 +432,37 @@ class SuiteResult:
 # single-case verification
 
 
-def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> BoundReport:
-    """Evaluate one inequality instance and compare the two sides.
-
-    The left-hand side comes from oracle quadrature (endpoint rule for
-    T13/T21/C11/C21, point rule for T14/T22/C12/C22), the right-hand side
-    from the closed forms. ``holds`` allows the oracle's own error estimate
+def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> CaseReport:
+    """Evaluate one inequality instance and return the row a suite reports
+    for it: the case's a, b, x, q, alpha and m, the labels of f and g, the
+    oracle left-hand side (endpoint rule for T13/T21/C11/C21, point rule for
+    T14/T22/C12/C22), the closed-form right-hand side and _verdicts' slack,
+    tightness and holds. ``holds`` allows the oracle's own error estimate
     plus max(4 ulps of the magnitude of the lhs terms, 1e-9 * |rhs|): the
     terms are |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| + |I_fg| for the endpoint
-    rule and |f(x)| |I_g| + |I_fg| for the point rule. The verdict is
-    _verdicts', as for every row of a suite.
+    rule and |f(x)| |I_g| + |I_fg| for the point rule.
 
     The |f'|**q hypothesis is a precondition here; the suite runner gates on
     check_hypotheses before evaluating a combination.
     """
-    tid = TheoremId(theorem_id)
-    lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, case.pair.f, case.g,
-                                     case.interval, (case.x,))
-    rhs = float(evaluate_bound(case, tid))
-    slack, tightness, holds = _verdicts(lhs, lhs_err, terms, np.array([rhs]))
-    return BoundReport(tid, float(lhs[0]), rhs, float(slack[0]),
-                       float(tightness[0]), bool(holds[0]))
+    f, tid = case.pair.f, TheoremId(theorem_id)
+    block = _evaluate_block(tid, f.label, case.g.label, f, case.g, case.interval,
+                            (case.x,), ((case.q, case.params),),
+                            lambda tid, q, params: [evaluate_bound(case, tid)])
+    return next(block.rows())
+
+
+def _evaluate_block(tid: TheoremId, family_f: str, family_g: str, f: RealFunction,
+                    g: RealFunction, iv: Interval, xs: Sequence[float],
+                    combos: Sequence[tuple[float, ConvexityParams]],
+                    rhs_at) -> _Block:
+    """The block of theorem tid's rows at the split points xs, a list of
+    rows per (q, params) of combos, whose right-hand sides at xs are
+    rhs_at(tid, q, params)."""
+    lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
+    rhs = np.array([rhs_at(tid, q, params) for q, params in combos])
+    return _Block(tid.value, family_f, family_g, iv.a, iv.b, xs, lhs, combos, rhs,
+                  *_verdicts(lhs, lhs_err, terms, rhs))
 
 
 # np.spacing is math.ulp below the top binade, whose spacing math.ulp gives
@@ -560,10 +562,9 @@ class _SpecRun:
     and seeded split points lie in [a, b] by construction. The right-hand
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
-    evaluate emits a theorem's rows as a column block: a row of its 2-D
-    arrays per admitted (q, alpha, m), one element per x of xs, with the
-    block's lhs values from one batched oracle call. A spec that repeats the
-    (f, g, [a, b]) of another gets its integrals back from the oracle's memo.
+    evaluate emits a block per theorem with _evaluate_block. A spec that
+    repeats the (f, g, [a, b]) of another gets its integrals back from the
+    oracle's memo.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...]) -> None:
@@ -603,7 +604,6 @@ class _SpecRun:
         """Append a block per theorem with an admitted combination to out;
         return the number of gate rejections. verdicts yields the gate's
         verdict on each combination, in combinations() order."""
-        spec, f, g, iv, xs = self.spec, self.f, self.g, self.iv, self.xs
         admitted: dict[TheoremId, list[tuple[float, ConvexityParams]]] = {}
         rejections = 0
         for tid, q, params, _ in self.combinations():
@@ -612,10 +612,8 @@ class _SpecRun:
             else:
                 rejections += 1
         for tid, combos in admitted.items():
-            lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
-            rhs = np.array([self._rhs.at(tid, q, params) for q, params in combos])
-            out.append(_Block(tid.value, spec.f, spec.g, iv.a, iv.b, xs, lhs, combos,
-                              rhs, *_verdicts(lhs, lhs_err, terms, rhs)))
+            out.append(_evaluate_block(tid, self.spec.f, self.spec.g, self.f, self.g,
+                                       self.iv, self.xs, combos, self._rhs.at))
         return rejections
 
 

@@ -54,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    AbsPower,
     BoundCase,
     DifferentiablePair,
     HHBoundError,
@@ -677,16 +678,6 @@ def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     return abs(sign_val - rhs)
 
 
-@dataclass(frozen=True)
-class _Abs:
-    """|fn|; hashable for memoization."""
-
-    fn: RealFunction | Product
-
-    def __call__(self, t):
-        return np.abs(self.fn(t))
-
-
 def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
                      x: float) -> tuple[float, float]:
     """Magnitudes of the terms of the endpoint and point identities,
@@ -694,8 +685,9 @@ def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
     |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
     knots = (*f.knots, *g.knots)
     g_left, g_right = (r.value for r in _integral_between(
-        _Abs(g), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots))
-    fg = _integral_between(_Abs(Product(f, g)), [(iv.a, iv.b)], _LHS_TOL, knots)[0].value
+        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots))
+    fg = _integral_between(AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL,
+                           knots)[0].value
     return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
             abs(f(x)) * (g_left + g_right) + fg)
 

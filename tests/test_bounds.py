@@ -267,6 +267,10 @@ def test_symmetry_detection():
     assert is_symmetric_about_midpoint(parse_function("poly:0:1:-1"), UNIT)
     assert not is_symmetric_about_midpoint(parse_function("monomial:1"), UNIT)
     assert not is_symmetric_about_midpoint(parse_function("sin"), UNIT)
+    # pinned from both sides of the 1e-10 tolerance: g rises by d on [0, 1]
+    for d, symmetric in ((0.5e-10, True), (2e-10, False)):
+        g = parse_function(f"pwlinear:0:1:1:{1.0 + d!r}")
+        assert is_symmetric_about_midpoint(g, UNIT) is symmetric
 
 
 def _case(gspec="const:1", x=0.5, q=1.0, params=ConvexityParams(1.0, 1.0)):
@@ -287,6 +291,18 @@ def test_evaluate_bound_dispatch():
 def test_evaluate_bound_rejects_off_midpoint():
     with pytest.raises(InvalidCaseError):
         evaluate_bound(_case(x=0.4), "C21")
+
+
+@pytest.mark.parametrize("offset, at_midpoint", [
+    (0.5e-12, True), (-0.5e-12, True), (2e-12, False), (-2e-12, False)])
+def test_midpoint_tolerance_is_pinned_from_both_sides(offset, at_midpoint):
+    # x counts as the midpoint within 1e-12 of the width of [a, b]
+    case = _case(x=0.5 + offset)
+    if at_midpoint:
+        assert evaluate_bound(case, "C21") == evaluate_bound(_case(), "C21")
+    else:
+        with pytest.raises(InvalidCaseError):
+            evaluate_bound(case, "C21")
 
 
 def test_evaluate_bound_rejects_asymmetric_weight():

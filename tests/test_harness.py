@@ -154,6 +154,25 @@ def test_verify_case_known_values():
     assert math.isclose(rep.tightness, rep.lhs / rep.rhs, rel_tol=1e-15)
 
 
+def test_verify_case_returns_the_row_of_its_case():
+    # the README quickstart case: lhs, rhs, slack, tightness and holds as
+    # verify_case gave them when it returned only the outcome
+    f, g = parse_function("monomial:2"), parse_function("const:1")
+    case = BoundCase(DifferentiablePair.from_family(f, DomainSpec(4.0)), g,
+                     Interval(0.0, 1.0), x=0.25, q=2.0,
+                     params=ConvexityParams(0.75, 0.75), g_sup=1.0)
+    rep = verify_case(case, "T21")
+    assert rep == CaseReport("T21", f.label, g.label, 0.0, 1.0, 0.25, 2.0, 0.75,
+                             0.75, 0.41666666666666663, 0.5613027117406494,
+                             0.14463604507398276, 0.742320779770592, True)
+    assert type(rep.theorem_id) is str and rep.theorem_id == TheoremId.T21
+    # the family texts are the labels of f and g, not the specs they came from
+    case = dataclasses.replace(
+        case, pair=DifferentiablePair.from_family(parse_function("exp"),
+                                                  DomainSpec(4.0)))
+    assert verify_case(case, "T21").family_f == "exp:1"
+
+
 def test_verify_case_equality_point():
     rep = verify_case(_known_case(x=0.0), TheoremId.T21)
     assert abs(rep.tightness - 1.0) <= 1e-9
@@ -280,7 +299,7 @@ def test_verify_case_and_run_suite_share_one_verdict_function(tmp_path, monkeypa
 
     monkeypatch.setattr(harness, "_verdicts", counted)
     verify_case(_known_case(), TheoremId.T21)
-    assert shapes == [(1,)]
+    assert shapes == [(1, 1)]
     shapes.clear()
     result = run_suite(_small_config(tmp_path))
     assert shapes == [(2, 3), (2, 3)] and len(result.reports) == 12
@@ -605,10 +624,8 @@ def test_suite_rows_equal_verify_case(tmp_path):
                         for x in xs:
                             case = BoundCase(pair, g, iv, x, q, params, g_sup)
                             rep = verify_case(case, tid)
-                            expected.append(CaseReport(
-                                tid, spec.f, spec.g, iv.a, iv.b, x, q, alpha,
-                                m, rep.lhs, rep.rhs, rep.slack, rep.tightness,
-                                rep.holds))
+                            expected.append(dataclasses.replace(
+                                rep, family_f=spec.f, family_g=spec.g))
     assert rejected > 0
     assert result.hypothesis_rejections == rejected
     assert {r.theorem_id for r in expected} == {t.value for t in TheoremId}
