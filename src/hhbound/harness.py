@@ -364,14 +364,15 @@ class _Block:
     def __len__(self) -> int:
         return len(self.combos) * len(self.xs)
 
-    def rows(self) -> Iterator[CaseReport]:
-        """A new CaseReport of each row, in order."""
-        lead = (self.theorem_id, self.family_f, self.family_g, self.a, self.b)
-        lhs = self.lhs.tolist()
-        for (q, params), *row in zip(self.combos, self.rhs, self.slack,
-                                     self.tightness, self.holds):
-            for x, v, r, d, t, h in zip(self.xs, lhs, *(c.tolist() for c in row)):
-                yield CaseReport(*lead, x, q, params.alpha, params.m, v, r, d, t, h)
+    def row(self, k: int) -> CaseReport:
+        """A new CaseReport of the block's row k, 0 <= k < len(self)."""
+        i, j = divmod(k, len(self.xs))
+        q, params = self.combos[i]
+        return CaseReport(self.theorem_id, self.family_f, self.family_g, self.a,
+                          self.b, self.xs[j], q, params.alpha, params.m,
+                          self.lhs.item(j), self.rhs.item(i, j),
+                          self.slack.item(i, j), self.tightness.item(i, j),
+                          self.holds.item(i, j))
 
 
 class _ReportRows(Sequence):
@@ -398,13 +399,11 @@ class _ReportRows(Sequence):
         if not 0 <= k < len(self):
             raise IndexError("report row index out of range")
         at = bisect.bisect_right(self._starts, k) - 1
-        # a block holds at most a few hundred rows
-        return next(itertools.islice(self._blocks[at].rows(), k - self._starts[at],
-                                     None))
+        return self._blocks[at].row(k - self._starts[at])
 
     def __iter__(self) -> Iterator[CaseReport]:
         for block in self._blocks:
-            yield from block.rows()
+            yield from map(block.row, range(len(block)))
 
 
 @dataclass(frozen=True)
@@ -445,22 +444,22 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> CaseReport:
     The |f'|**q hypothesis is a precondition here; the suite runner gates on
     check_hypotheses before evaluating a combination.
     """
-    f, tid = case.pair.f, TheoremId(theorem_id)
+    f, tid, params = case.pair.f, TheoremId(theorem_id), case.params
+    combo = (float(case.q), ConvexityParams(float(params.alpha), float(params.m)))
     block = _evaluate_block(tid, f.label, case.g.label, f, case.g, case.interval,
-                            (case.x,), ((case.q, case.params),),
-                            lambda tid, q, params: [evaluate_bound(case, tid)])
-    return next(block.rows())
+                            (float(case.x),), (combo,),
+                            np.array([[evaluate_bound(case, tid)]]))
+    return block.row(0)
 
 
 def _evaluate_block(tid: TheoremId, family_f: str, family_g: str, f: RealFunction,
                     g: RealFunction, iv: Interval, xs: Sequence[float],
                     combos: Sequence[tuple[float, ConvexityParams]],
-                    rhs_at) -> _Block:
+                    rhs: np.ndarray) -> _Block:
     """The block of theorem tid's rows at the split points xs, a list of
-    rows per (q, params) of combos, whose right-hand sides at xs are
-    rhs_at(tid, q, params)."""
+    rows per (q, params) of combos, whose right-hand sides are the rows of
+    rhs, one per combination."""
     lhs, lhs_err, terms = _lhs_block(tid.uses_endpoint_rule, f, g, iv, xs)
-    rhs = np.array([rhs_at(tid, q, params) for q, params in combos])
     return _Block(tid.value, family_f, family_g, iv.a, iv.b, xs, lhs, combos, rhs,
                   *_verdicts(lhs, lhs_err, terms, rhs))
 
@@ -612,8 +611,9 @@ class _SpecRun:
             else:
                 rejections += 1
         for tid, combos in admitted.items():
+            rhs = np.array([self._rhs.at(tid, q, params) for q, params in combos])
             out.append(_evaluate_block(tid, self.spec.f, self.spec.g, self.f, self.g,
-                                       self.iv, self.xs, combos, self._rhs.at))
+                                       self.iv, self.xs, combos, rhs))
         return rejections
 
 

@@ -166,6 +166,12 @@ def test_verify_case_returns_the_row_of_its_case():
                              0.75, 0.41666666666666663, 0.5613027117406494,
                              0.14463604507398276, 0.742320779770592, True)
     assert type(rep.theorem_id) is str and rep.theorem_id == TheoremId.T21
+    # the coordinates are floats, as in a suite row, whatever the case holds
+    odd = dataclasses.replace(case, x=0, q=np.float64(2.0),
+                              params=ConvexityParams(np.float64(0.75), 1))
+    got = verify_case(odd, "T21")
+    assert (got.x, got.q, got.alpha, got.m) == (0.0, 2.0, 0.75, 1.0)
+    assert all(type(v) is float for v in (got.x, got.q, got.alpha, got.m))
     # the family texts are the labels of f and g, not the specs they came from
     case = dataclasses.replace(
         case, pair=DifferentiablePair.from_family(parse_function("exp"),
@@ -387,6 +393,29 @@ def test_suite_reports_are_a_read_only_view_of_new_rows(tmp_path):
     assert reports[6] == rows[6] != row
     with pytest.raises(TypeError):
         reports[0] = row
+
+
+def test_suite_reports_build_only_the_rows_they_return(tmp_path, monkeypatch):
+    # one block of 400 rows: an index builds one CaseReport and a slice one
+    # per row it holds, wherever in the block they lie
+    config = _small_config(tmp_path)
+    (spec,) = config.cases
+    spec = dataclasses.replace(spec, q_values=(1.5,), theorems=("T13",),
+                               x_values=None, x_sweep=400)
+    reports = run_suite(dataclasses.replace(config, cases=(spec,))).reports
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return CaseReport(*fields)
+
+    monkeypatch.setattr(harness, "CaseReport", counted)
+    assert reports[-1].x == 1.0 and len(built) == 1
+    for cut, n in ((slice(None), 400), (slice(390, None), 10), (slice(None, None, 8), 50)):
+        built.clear()
+        assert len(reports[cut]) == len(built) == n
+    built.clear()
+    assert len(list(reports)) == len(built) == 400
 
 
 def test_bundled_suite_keeps_its_rows_as_columns(tmp_path):
