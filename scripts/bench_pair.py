@@ -31,6 +31,9 @@ the sha256 of both reports:
   they integrated, and the deep batches among them: those of more than one
   interval that called their integrand more than once, so that their panels
   went through the multi-interval levels past the nested grids;
+- oracle result objects: the quadrature.IntegralResult instances built over
+  the run, wherever they were built; the oracle's own results are plain
+  triples, so this counts the public results asked for;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
@@ -43,9 +46,9 @@ the sha256 of both reports:
   run where RSS and page faults follow the allocator's layout.
 
 For each identities pass it records the integrand calls and points, the
-oracle memo hits and misses, the oracle batches, the minor page faults, the
-peak RSS, the worst residual, and whether numpy.ma was loaded by the end of
-the pass.
+oracle memo hits and misses, the oracle batches and result objects, the
+minor page faults, the peak RSS, the worst residual, and whether numpy.ma
+was loaded by the end of the pass.
 
 The result goes to BENCH_<name>.json in the current directory.
 """
@@ -78,8 +81,9 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     For suite_default and sweep_fresh_x, the counters and report digests of
     one run_suite: the bundled suite, or the suite of the sweep_fresh_x
     operation of rep 0 of seed. For an identities workload, the integrand,
-    oracle memo and oracle batch counters of one pass over its cases, its
-    worst residual and whether numpy.ma was loaded by the end of it. Both
+    oracle memo, oracle batch and result object counters of one pass over
+    its cases, its worst residual and whether numpy.ma was loaded by the end
+    of it. Both
     record the minor page faults of the counted run and the interpreter's
     peak RSS after it; a suite also records the tracemalloc peak of a second,
     memo-cleared run.
@@ -127,6 +131,15 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
         return results
 
     quadrature._integrate_batch = counted_batch
+
+    counts["oracle_result_objects"] = 0
+    result_init = quadrature.IntegralResult.__init__
+
+    def counted_result(self, *args, **kwargs):
+        counts["oracle_result_objects"] += 1
+        result_init(self, *args, **kwargs)
+
+    quadrature.IntegralResult.__init__ = counted_result
 
     def minor_faults() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

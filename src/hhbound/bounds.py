@@ -42,7 +42,7 @@ from .core import (
     validate_q,
     validate_split_point,
 )
-from .quadrature import IntegralResult, _integral_between, _sum_results
+from .quadrature import IntegralResult, _integral_between
 
 __all__ = [
     "ComponentIntegralId",
@@ -212,11 +212,13 @@ _ORACLE_TOL = 1e-10
 
 
 def _oracle(left, right, iv: Interval, x: float, alpha: float) -> IntegralResult:
-    # each integrand kinks or changes formula at x, so each side goes alone
-    return _sum_results([
+    # each integrand kinks or changes formula at x, so each side goes alone;
+    # the sides' values, error estimates and evaluations add
+    value, err, evals = sum(
         _integral_between(_MomentIntegrand(*side, iv.a, iv.b, x, alpha),
-                          [(lo, hi)], _ORACLE_TOL)[0]
-        for side, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if side is not None])
+                          [(lo, hi)], _ORACLE_TOL)[:, 0]
+        for side, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if side is not None).tolist()
+    return IntegralResult(value, err, int(evals))
 
 
 def oracle_trapezoid_moment(iv: Interval, x: float, alpha: float) -> IntegralResult:

@@ -25,14 +25,17 @@ values plus 4 ulps of s. Where the recursion would stop with its summed
 estimate above the tolerance, because the 3-point start overstated the
 integral, the oracle instead runs its levels once more against the value it
 computed. An integrand value that is not finite stops the run with
-QuadratureError. Results are memoized per integrand and tolerance, then per
-interval.
+QuadratureError. A batch hands back a plain (value, error estimate,
+evaluations) triple per interval, and those triples are memoized per
+integrand and tolerance, then per interval; ``integrate`` wraps its one in
+an IntegralResult.
 
 On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
 and point rule) at a block of split points, integrated piece by piece
 between the knots of f and g, with the integrals of g over [a, x] and
-[x, b] at every x of the block in one batch, and handed to the suite as
-three float64 columns: lhs, error estimate and terms magnitude; the kernel
+[x, b] at every x of the block in one batch, and computed elementwise from
+the integrals' value and error columns as the three float64 columns handed
+to the suite: lhs, error estimate and terms magnitude; the kernel
 and step-weight primitives behind them, which integrate g piece by piece
 between its knots; and the residuals of the two integral identities that
 generate the bounds, whose outer integrals split at the knots of f and g
@@ -49,6 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -164,9 +168,10 @@ def _requested(tol: float, value: float) -> float:
     return max(tol, tol * abs(value))
 
 
-def _integrate_batch(fn, ranges: list, tol: float) -> list[IntegralResult]:
+def _integrate_batch(fn, ranges: list, tol: float) -> list[tuple[float, float, int]]:
     """Integrate fn over each (lo, hi) of ranges, lo < hi, to tolerance tol
-    and with at most DEFAULT_PANEL_BUDGET splits per interval and pass.
+    and with at most DEFAULT_PANEL_BUDGET splits per interval and pass: a
+    (value, error estimate, evaluations) triple per interval.
 
     The first integrand call takes every interval's nested grid, however
     narrow; from there all intervals share one level loop and one integrand
@@ -225,7 +230,7 @@ def _integrate_batch(fn, ranges: list, tol: float) -> list[IntegralResult]:
             raise QuadratureError(
                 f"error estimate {est[i]:.3g} above requested tolerance on [{a}, {b}]"
             )
-    return list(map(IntegralResult, value, est, evals))
+    return list(zip(value, est, evals))
 
 
 def _levels(f, x5: np.ndarray, f5: np.ndarray, eps: list[float],
@@ -316,22 +321,23 @@ class _CacheInfo(NamedTuple):
 
 
 class _ResultMemo:
-    """Bounded memo of oracle results keyed (fn, a, b, tol), with
-    functools.lru_cache's cache_info() and cache_clear(). A batch fills it,
-    so it stores results rather than wrapping the function that computes
-    them. Past maxsize it drops its oldest entry.
+    """Bounded memo of the oracle's (value, error estimate, evaluations)
+    triples keyed (fn, a, b, tol), with functools.lru_cache's cache_info()
+    and cache_clear(). A batch fills it, so it stores results rather than
+    wrapping the function that computes them. Past maxsize it drops its
+    oldest entry.
 
     The results of one (fn, tol) sit in one table keyed (a, b), so a call
     hashes fn once, not once per piece."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self._tables: dict = {}  # (fn, tol) -> {(a, b): IntegralResult}
+        self._tables: dict = {}  # (fn, tol) -> {(a, b): (value, error, evaluations)}
         self._order: deque = deque()  # ((fn, tol), (a, b)) oldest first
         self._hits = self._misses = 0
 
-    def results(self, fn, pieces: list, tol: float) -> list[IntegralResult]:
-        """The oracle's result over each (lo, hi) of pieces, which are
+    def results(self, fn, pieces: list, tol: float) -> list[tuple[float, float, int]]:
+        """The oracle's triple over each (lo, hi) of pieces, which are
         distinct: the stored one, else from one batch over the pieces not
         stored, which are then stored. An unhashable integrand is
         integrated afresh, and nothing is stored."""
@@ -397,26 +403,30 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     test, and a panel at the float64 floor takes its whole estimate as error.
     This is a batch of one, and an interval integrated in a batch beside
     others gets the same result, evaluation count included, raises the same
-    error on its own, and is memoized the same way: results for hashable
-    integrands live in one bounded memo (``_integrate_cached``, 4096
-    entries) keyed by the integrand and the exact (a, b, tol) triple, which
-    the batched integrals of the left-hand sides fill too; an unhashable
-    integrand is integrated afresh on every call. An error raised by the
-    integrand propagates from the one run that raised it.
+    error on its own, and is memoized the same way: the value, error
+    estimate and evaluations of hashable integrands live in one bounded memo
+    (``_integrate_cached``, 4096 entries) keyed by the integrand and the
+    exact (a, b, tol) triple, which the batched integrals of the left-hand
+    sides fill too, and each call returns a new IntegralResult of them; an
+    unhashable integrand is integrated afresh on every call. An error raised
+    by the integrand propagates from the one run that raised it.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidParamsError(f"tol must be finite and positive, got {tol}")
-    return _integrate_cached.results(fn, [(iv.a, iv.b)], tol)[0]
+    return IntegralResult(*_integrate_cached.results(fn, [(iv.a, iv.b)], tol)[0])
 
 
-def _integral_between(fn, ranges, tol: float, knots=()) -> list[IntegralResult]:
-    """Integral of fn over each [lo, hi] of ranges, summed over the pieces
+def _integral_between(fn, ranges, tol: float, knots=()) -> np.ndarray:
+    """Rows (value, error estimate, evaluations) of the integral of fn over
+    each [lo, hi] of ranges, a column per range, summed over the pieces
     between the knots strictly inside it, as QUADPACK's QAGP does with
     breakpoints (Piessens et al., QUADPACK, 1983): a feature between the
     oracle's samples can hide inside one panel, but not across a piece
     boundary. The distinct pieces the memo does not hold are integrated in
-    one batch; a range with lo == hi gives a zero result, and one that is
-    not finite with lo <= hi raises InvalidIntervalError."""
+    one batch, and a range's pieces are summed left to right from zero; a
+    range of one piece takes its triple as it is, a range with lo == hi
+    gives zeros, and one that is not finite with lo <= hi raises
+    InvalidIntervalError."""
     inner = sorted(set(knots))
     cuts = []
     for lo, hi in ranges:
@@ -431,18 +441,10 @@ def _integral_between(fn, ranges, tol: float, knots=()) -> list[IntegralResult]:
             cuts.append([(lo, hi)])
     pieces = list(dict.fromkeys(p for cut in cuts for p in cut))
     found = dict(zip(pieces, _integrate_cached.results(fn, pieces, tol)))
-    return [_sum_results([found[p] for p in cut]) if cut
-            else IntegralResult(0.0, 0.0, 0) for cut in cuts]
-
-
-def _sum_results(pieces: list[IntegralResult]) -> IntegralResult:
-    """Integral over adjacent pieces: values, error estimates and evaluations
-    summed; one piece is returned as it is."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return IntegralResult(sum(p.value for p in pieces),
-                          sum(p.error_estimate for p in pieces),
-                          sum(p.evaluations for p in pieces))
+    rows = [found[cut[0]] if len(cut) == 1 else
+            [sum(column) for column in zip((0.0, 0.0, 0), *map(found.get, cut))]
+            for cut in cuts]
+    return np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3).T
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,7 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     """
     validate_split_point(iv, x)
     validate_split_point(iv, t, "t")
-    val = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0].value
+    val = float(_integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0, 0])
     return val if x <= t else -val
 
 
@@ -594,40 +596,40 @@ def _lhs_block(endpoint_rule: bool, f: RealFunction, g: RealFunction,
     """Columns (lhs, error estimate, magnitude of the lhs terms) of the
     endpoint or the point rule over the x of xs, lhs and error estimate
     equal to lhs_endpoint_at or lhs_point_at at that x."""
-    rows = (_endpoint_signed if endpoint_rule else _point_signed)(f, g, iv, xs)
-    signed, err, terms = np.array(rows).T
+    signed, err, terms = (_endpoint_signed if endpoint_rule else _point_signed)(f, g, iv, xs)
     return np.abs(signed), err, terms
 
 
 def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                     xs) -> list[tuple[float, float, float]]:
-    """(signed deviation, error estimate, magnitude) of the endpoint rule at
-    each x of xs; the magnitude is |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| +
-    |I_fg|."""
+                     xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (signed deviation, error estimate, magnitude) of the endpoint
+    rule over the x of xs; the magnitude is |f(a)| |I_g[a,x]| +
+    |f(b)| |I_g[x,b]| + |I_fg|."""
     # the integrals of g over [a, x] and [x, b] at every x run as one batch
     knots = (*f.knots, *g.knots)
-    i_g = _integral_between(g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)],
-                            _LHS_TOL, knots)
-    (i_fg,) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
+    i_g, i_g_err, _ = _integral_between(
+        g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)], _LHS_TOL, knots)
+    i_fg, i_fg_err, _ = _integral_between(
+        Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)[:, 0].tolist()
     fa, fb = f(iv.a), f(iv.b)
-    return [(fa * left.value + fb * right.value - i_fg.value,
-             abs(fa) * left.error_estimate + abs(fb) * right.error_estimate
-             + i_fg.error_estimate,
-             abs(fa) * abs(left.value) + abs(fb) * abs(right.value) + abs(i_fg.value))
-            for left, right in zip(i_g[:len(xs)], i_g[len(xs):])]
+    n = len(xs)
+    size = np.abs(i_g)
+    return (fa * i_g[:n] + fb * i_g[n:] - i_fg,
+            abs(fa) * i_g_err[:n] + abs(fb) * i_g_err[n:] + i_fg_err,
+            abs(fa) * size[:n] + abs(fb) * size[n:] + abs(i_fg))
 
 
 def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
-                  xs) -> list[tuple[float, float, float]]:
-    """(signed deviation, error estimate, magnitude) of the point rule at
-    each x of xs; the magnitude is |f(x)| |I_g| + |I_fg|."""
+                  xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (signed deviation, error estimate, magnitude) of the point
+    rule over the x of xs; the magnitude is |f(x)| |I_g| + |I_fg|."""
     knots = (*f.knots, *g.knots)
-    (i_g,) = _integral_between(g, [(iv.a, iv.b)], _LHS_TOL, knots)
-    (i_fg,) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
-    return [(fx * i_g.value - i_fg.value,
-             abs(fx) * i_g.error_estimate + i_fg.error_estimate,
-             abs(fx) * abs(i_g.value) + abs(i_fg.value))
-            for fx in f(np.asarray(xs, dtype=float)).tolist()]
+    (i_g, i_g_err, _), (i_fg, i_fg_err, _) = (
+        _integral_between(fn, [(iv.a, iv.b)], _LHS_TOL, knots)[:, 0].tolist()
+        for fn in (g, Product(f, g)))
+    fx = f(np.asarray(xs, dtype=float))
+    size = np.abs(fx)
+    return fx * i_g - i_fg, size * i_g_err + i_fg_err, size * abs(i_g) + abs(i_fg)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +651,11 @@ def residual_endpoint_identity(case: BoundCase) -> float:
 
 def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                        x: float) -> float:
-    ((sign_val, *_),) = _endpoint_signed(pair.f, g, iv, (x,))
+    sign_val = _endpoint_signed(pair.f, g, iv, (x,))[0][0]
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
     knots = (*pair.f.knots, *g.knots)
-    (rhs,) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)
-    return abs(sign_val - rhs.value)
+    rhs = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0, 0]
+    return float(abs(sign_val - rhs))
 
 
 def residual_point_identity(case: BoundCase) -> float:
@@ -669,13 +671,13 @@ def residual_point_identity(case: BoundCase) -> float:
 
 def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                     x: float) -> float:
-    ((sign_val, *_),) = _point_signed(pair.f, g, iv, (x,))
+    sign_val = _point_signed(pair.f, g, iv, (x,))[0][0]
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
     knots = (*pair.f.knots, *g.knots)
-    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL, knots)[0].value
-           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0].value)
-    return abs(sign_val - rhs)
+    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL, knots)[0, 0]
+           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0, 0])
+    return float(abs(sign_val - rhs))
 
 
 def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
@@ -684,10 +686,10 @@ def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
     |f(a)| int_a^x |g| + |f(b)| int_x^b |g| + int |fg| and
     |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
     knots = (*f.knots, *g.knots)
-    g_left, g_right = (r.value for r in _integral_between(
-        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots))
-    fg = _integral_between(AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL,
-                           knots)[0].value
+    g_left, g_right = _integral_between(
+        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots)[0].tolist()
+    fg = float(_integral_between(AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL,
+                                 knots)[0, 0])
     return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
             abs(f(x)) * (g_left + g_right) + fg)
 

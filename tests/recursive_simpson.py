@@ -2,22 +2,23 @@
 
 This is the recursive form of ``hhbound.quadrature``'s oracle, kept only so
 tests can require the breadth-first, array-evaluating oracle to return the
-same ``IntegralResult`` bit for bit. It calls the integrand with one Python
-float per sample and sums each split panel as ``left + right``. Every panel
-shallower than ``_MIN_DEPTH`` splits; from that depth on, a panel whose five
-points are not strictly increasing has met the float64 floor and returns its
-own estimate s with error (hi - lo) * (max - min of its five values) +
-4 ulps of |s|, its quarter points evaluated all the same. ``nested_grid``
-is the start grid the same way: one interval, one midpoint at a time.
+same (value, error estimate, evaluations) triple bit for bit. It calls the
+integrand with one Python float per sample and sums each split panel as
+``left + right``. Every panel shallower than ``_MIN_DEPTH`` splits; from
+that depth on, a panel whose five points are not strictly increasing has
+met the float64 floor and returns its own estimate s with error
+(hi - lo) * (max - min of its five values) + 4 ulps of |s|, its quarter
+points evaluated all the same. ``nested_grid`` is the start grid the same
+way: one interval, one midpoint at a time.
 """
 
 import math
 
-from hhbound.quadrature import _MIN_DEPTH, IntegralResult, QuadratureError
+from hhbound.quadrature import _MIN_DEPTH, QuadratureError
 
 
 def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
-                        max_panels: int) -> IntegralResult:
+                        max_panels: int) -> tuple[float, float, int]:
     evals = 0
     panels = 0
 
@@ -61,7 +62,7 @@ def integrate_recursive(fn, a: float, b: float, abs_tol: float, rel_tol: float,
         raise QuadratureError(
             f"error estimate {est:.3g} above requested tolerance on [{a}, {b}]"
         )
-    return IntegralResult(value, est, evals)
+    return value, est, evals
 
 
 def nested_grid(lo: float, hi: float) -> list[float]:

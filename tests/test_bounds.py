@@ -35,7 +35,7 @@ from hhbound import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
-from hhbound.quadrature import _integral_between, _sum_results
+from hhbound.quadrature import IntegralResult, _integral_between
 
 UNIT = Interval(0.0, 1.0)
 SHIFTED = Interval(2.0, 5.0)
@@ -170,9 +170,10 @@ def _side_integrands(cid, iv, x, alpha):
 
 
 def _sides_alone(left, right, iv, x):
-    return _sum_results([
-        _integral_between(fn, [(lo, hi)], bounds._ORACLE_TOL)[0]
-        for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if fn is not None])
+    sides = [_integral_between(fn, [(lo, hi)], bounds._ORACLE_TOL)[:, 0].tolist()
+             for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if fn is not None]
+    value, err, evals = (sum(column) for column in zip(*sides))
+    return IntegralResult(value, err, int(evals))
 
 
 @pytest.mark.parametrize("cid", list(ComponentIntegralId))
