@@ -34,6 +34,11 @@ the sha256 of both reports:
 - oracle result objects: the quadrature.IntegralResult instances built over
   the run, wherever they were built; the oracle's own results are plain
   triples, so this counts the public results asked for;
+- gate requests: the (pair, q, params) requests that run_suite passed to its
+  hypothesis gate, whichever of check_hypotheses and convexity._gate it
+  calls, and how many of them were distinct within each call;
+- gate slab comparisons: the calls of convexity._slab_violation, one per
+  (q, alpha) and x-slab that the gate compared;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
@@ -89,6 +94,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     memo-cleared run.
     """
     import hhbound.bounds as bounds
+    import hhbound.convexity as convexity
     import hhbound.core as core
     import hhbound.harness as harness
     import hhbound.quadrature as quadrature
@@ -178,6 +184,20 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
+    counts["gate_slab_comparisons"] = 0
+    rebind(convexity, "_slab_violation", "gate_slab_comparisons")
+
+    def counted_gate(entry):
+        def wrapped(requests, *args, **kwargs):
+            counts["gate_requests"] += len(requests)
+            counts["gate_distinct_requests"] += len(set(requests))
+            return entry(requests, *args, **kwargs)
+        return wrapped
+
+    counts["gate_requests"] = counts["gate_distinct_requests"] = 0
+    for name in ("check_hypotheses", "_gate"):
+        if hasattr(harness, name):
+            setattr(harness, name, counted_gate(getattr(harness, name)))
 
     faults0 = minor_faults()
     result = harness.run_suite(config)

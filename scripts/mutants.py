@@ -14,9 +14,10 @@ or, for the oracle's level loop and the suite's verdicts,
 
 or, for the hypothesis gate and its slab loop,
 
-    python3 scripts/mutants.py --tests tests/test_convexity.py -- \
+    python3 scripts/mutants.py --tests tests/test_convexity.py tests/test_harness.py -- \
         convexity._scan_points convexity._scratch convexity._slab_violation \
-        convexity._scan convexity.check_hypotheses convexity.classify_region
+        convexity._scan convexity.check_hypotheses convexity._gate \
+        convexity.classify_region
 
 Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
 changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,

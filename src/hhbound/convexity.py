@@ -22,8 +22,9 @@ raises it to each q (q = 1 for the class checks of fn itself, which leaves
 the values bit for bit) and compares once per alpha. It walks the grid in
 x-slabs: runs of whole (y, t) planes, six of the default 51 x 51 grid, about
 128 KB per array (loop blocking; Lam, Rothberg and Wolf, ASPLOS 1991). Each
-check_hypotheses or classify_region call allocates one slab-sized scratch
-set, lhs, rhs, gap and the violation mask, and every group writes into it.
+gate call (_gate, behind check_hypotheses) or classify_region call
+allocates one slab-sized scratch set, lhs, rhs, gap and the violation mask,
+and every group writes into it.
 In each slab the scan points go into rhs, the map is evaluated there, each
 q's power is written into lhs and checked finite, and each (q, alpha) fills
 rhs and gap and takes the slab's first largest violation. A later slab's
@@ -37,6 +38,15 @@ size of the grid is allocated. A map that is not finite somewhere on the grid (a
 and would otherwise pass. check_convex_direct stays a separate literal
 full-grid scan, with its own finiteness check, as an independent
 cross-check.
+
+The suite's gate reads only whether each request holds, so it decides
+without witnesses (_gate): a (q, alpha) is compared in no slab after the
+first one in which it violates, and its failing verdict carries no
+witness. Its holds bits, and its errors, are those of check_hypotheses,
+since each q's power is still written and checked finite in every slab.
+The public checks, check_hypothesis, check_hypotheses,
+check_alpha_m_convex and classify_region, scan every slab and return the
+first largest violation of the whole grid as the witness.
 """
 
 from __future__ import annotations
@@ -169,7 +179,8 @@ def _scan(fn, b_star: float, m: float,
           alphas_by_q: dict[float, Iterable[float]], grid: GridSpec,
           not_finite: Callable[[float], str],
           scratch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-          absolute: bool = False) -> dict[tuple[float, float], Verdict]:
+          absolute: bool = False,
+          witnesses: bool = True) -> dict[tuple[float, float], Verdict]:
     """Verdicts of h**q in the (alpha, m) class on [0, b_star], keyed
     (q, alpha), where h is fn, or |fn| when absolute (the gate's |f'|).
 
@@ -183,6 +194,10 @@ def _scan(fn, b_star: float, m: float,
     order: the lexicographically smallest (x, y, t) index triple among the
     maximal violations, and grids are increasing, so index order is value
     order. A (q, alpha) with no violation holds.
+
+    Without witnesses, a (q, alpha) is compared in no slab after the first
+    in which it violates, and its failing verdict carries no witness. Each
+    q's power is still written and checked finite in every slab.
 
     After the last slab, an h**q that was not finite somewhere on the grid
     raises InvalidCaseError with the message not_finite(q), for the first
@@ -231,6 +246,8 @@ def _scan(fn, b_star: float, m: float,
                 finite[q] = False
                 continue
             for alpha, (x_term, y_term) in by_alpha.items():
+                if not witnesses and found[(q, alpha)][0] > -np.inf:
+                    continue
                 np.add(x_term[i0:i0 + n], y_term, out=r)
                 np.subtract(lhs_q, r, out=g)
                 violation = _slab_violation(r, g, mask)
@@ -242,12 +259,14 @@ def _scan(fn, b_star: float, m: float,
             raise InvalidCaseError(not_finite(q))
     out = {}
     for key, (top, index) in found.items():
-        if top > -np.inf:
+        if top == -np.inf:
+            out[key] = Verdict(True)
+        elif not witnesses:
+            out[key] = Verdict(False)
+        else:
             i, j, k = np.unravel_index(index, (len(xs), len(ys), len(ts)))
             out[key] = Verdict(False, Witness(float(xs[i]), float(ys[j]),
                                               float(ts[k]), float(top)))
-        else:
-            out[key] = Verdict(True)
     return out
 
 
@@ -330,6 +349,14 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
     not finite somewhere on the grid raises InvalidCaseError naming f, q and
     b_star, instead of a verdict.
     """
+    return _gate(requests, grid, witnesses=True)
+
+
+def _gate(requests: Sequence[tuple[DifferentiablePair, float, ConvexityParams]],
+          grid: GridSpec, witnesses: bool) -> list[Verdict]:
+    """check_hypotheses, whose failing verdicts carry no witness unless
+    witnesses is set. Without witnesses, each request stops at the first
+    slab where it violates (_scan); holds and the errors are the same."""
     groups: dict[tuple[DifferentiablePair, float], dict] = {}
     for pair, q, params in requests:
         validate_q(q)
@@ -341,7 +368,8 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
         found = _scan(
             pair.f_prime, b_star, m, alphas_by_q, grid,
             lambda q: (f"|f'|**q is not finite on [0, {b_star:g}] for "
-                       f"f = {pair.f.label}, q = {q:g}"), scratch, absolute=True)
+                       f"f = {pair.f.label}, q = {q:g}"), scratch, absolute=True,
+            witnesses=witnesses)
         for (q, alpha), verdict in found.items():
             verdicts[(pair, m, q, alpha)] = verdict
     return [verdicts[(pair, params.m, q, params.alpha)]

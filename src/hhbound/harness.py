@@ -12,11 +12,16 @@ run_suite plans a run before evaluating it. Every check a BoundCase and
 evaluate_bound make runs for every combination of every spec before the
 gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
 an invalid combination is an error even where the gate would reject it. All
-gate verdicts come from one batched check_hypotheses call, given one
-request per combination in plan order. A block's lhs values come from one
-batched oracle call, which integrates the weight over [a, x] and [x, b] at
-every x together and reads f(a) and f(b) once; a block that repeats an
-(f, g, [a, b]) of an earlier one finds its integrals in the oracle's memo.
+gate verdicts come from one batched convexity._gate call, given one request
+per combination in plan order. The run reads only whether each verdict
+holds, so the gate decides without witnesses: a rejected request stops at
+its first violating x-slab, and each verdict holds exactly when
+check_hypotheses' does. The specs of a run share one DifferentiablePair
+per (f, b_star), so the gate groups equal pairs by identity. A block's lhs
+values come from one batched oracle call, which integrates the weight over
+[a, x] and [x, b] at every x together and reads f(a) and f(b) once; a block
+that repeats an (f, g, [a, b]) of an earlier one finds its integrals in the
+oracle's memo.
 A spec's right-hand sides come from one bounds._BlockRhs, which reads each
 derivative magnitude once per point and the moments of the general forms
 once per rule, x and alpha, after the gate. The block's lhs, error estimate
@@ -77,7 +82,7 @@ from .bounds import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
-from .convexity import GridSpec, Verdict, check_hypotheses
+from .convexity import GridSpec, Verdict, _gate
 from .core import (
     _check_g_sup,
     BoundCase,
@@ -441,8 +446,8 @@ def verify_case(case: BoundCase, theorem_id: TheoremId | str) -> CaseReport:
     terms are |f(a)| |I_g[a,x]| + |f(b)| |I_g[x,b]| + |I_fg| for the endpoint
     rule and |f(x)| |I_g| + |I_fg| for the point rule.
 
-    The |f'|**q hypothesis is a precondition here; the suite runner gates on
-    check_hypotheses before evaluating a combination.
+    The |f'|**q hypothesis is a precondition here; the suite runner gates
+    each combination on check_hypotheses' verdict before evaluating it.
     """
     f, tid, params = case.pair.f, TheoremId(theorem_id), case.params
     combo = (float(case.q), ConvexityParams(float(params.alpha), float(params.m)))
@@ -557,7 +562,9 @@ class _SpecRun:
     theorem checks once per theorem. So an invalid combination is an error
     whether or not the gate would admit it. sup|g| is computed once per
     spec: g_sup is the explicit one or that sup times SUP_SAFETY_FACTOR, and
-    the g_sup check reads the same sup. CaseSpec checks x_values; swept
+    the g_sup check reads the same sup. The pair is the one in pairs equal
+    to this spec's, added there when there is none, so the specs of a run
+    share one pair object per (f, b_star). CaseSpec checks x_values; swept
     and seeded split points lie in [a, b] by construction. The right-hand
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
@@ -566,14 +573,16 @@ class _SpecRun:
     oracle's memo.
     """
 
-    def __init__(self, spec: CaseSpec, xs: tuple[float, ...]) -> None:
+    def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
+                 pairs: dict[DifferentiablePair, DifferentiablePair]) -> None:
         self.spec = spec
         self.xs = xs
         self.f = parse_function(spec.f)
         self.g = parse_function(spec.g)
         self.iv = Interval(spec.a, spec.b)
-        self.pair = DifferentiablePair.from_family(
+        pair = DifferentiablePair.from_family(
             self.f, DomainSpec(spec.effective_b_star()))
+        self.pair = pairs.setdefault(pair, pair)
         self.pair.validate_finite_difference(self.iv)
         exact_sup = sup_norm(self.g, self.iv)
         self.g_sup = (exact_sup * SUP_SAFETY_FACTOR if spec.g_sup is None
@@ -622,9 +631,12 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 
     Report order is the config order. Random split points are drawn up
     front from the config seed. The gate verdicts of the whole run come from
-    one check_hypotheses call, given one request per combination in plan
-    order. Specs that share an (f, g, [a, b]) share the oracle integrals
-    behind their lhs values through the oracle's bounded memo.
+    one convexity._gate call without witnesses, given one request per
+    combination in plan order: each holds as check_hypotheses' would, and a
+    rejected one is compared in no x-slab after its first violation. Specs
+    that share an f and b_star share one DifferentiablePair. Specs that
+    share an (f, g, [a, b]) share the oracle integrals behind their lhs
+    values through the oracle's bounded memo.
     """
     start = time.perf_counter()
     # numpy.random, with the secrets and hmac modules it imports, loads only
@@ -632,10 +644,12 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     rng = (np.random.default_rng(config.seed)
            if any(spec.x_random is not None for spec in config.cases) else None)
     resolved = [_resolve_xs(spec, rng) for spec in config.cases]
-    runs = [_SpecRun(spec, xs) for spec, xs in zip(config.cases, resolved)]
+    pairs: dict[DifferentiablePair, DifferentiablePair] = {}
+    runs = [_SpecRun(spec, xs, pairs) for spec, xs in zip(config.cases, resolved)]
 
-    verdicts = iter(check_hypotheses(
-        [gate for run in runs for *_, gate in run.combinations()], config.grid))
+    # the run reads only whether each verdict holds, so it asks for no witness
+    verdicts = iter(_gate([gate for run in runs for *_, gate in run.combinations()],
+                          config.grid, witnesses=False))
 
     blocks: list[_Block] = []
     rejections = 0

@@ -317,7 +317,8 @@ def test_convex_direct_rejects_non_finite_function():
 
 def _suite_gate_requests(specs):
     """The distinct gate requests of a suite run over specs, in run order."""
-    runs = [_SpecRun(spec, ()) for spec in specs]
+    pairs = {}
+    runs = [_SpecRun(spec, (), pairs) for spec in specs]
     return list(dict.fromkeys(gate for run in runs
                               for *_, gate in run.combinations()))
 
@@ -442,6 +443,94 @@ def test_a_power_not_finite_only_in_the_last_slab_names_its_q(monkeypatch):
         scan({1.0: {1.0}, 2.0: {1.0}})
     with pytest.raises(InvalidCaseError, match="q = 2"):
         scan({2.0: {1.0}, 1.0: {1.0}})
+
+
+def _counted_comparisons(monkeypatch):
+    """A list that grows by one per _slab_violation call from here on."""
+    calls = []
+    compare = convexity._slab_violation
+
+    def counted(rhs, gap, mask):
+        calls.append(None)
+        return compare(rhs, gap, mask)
+
+    monkeypatch.setattr(convexity, "_slab_violation", counted)
+    return calls
+
+
+def test_a_request_stops_at_its_first_violating_slab_without_witnesses(
+        monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # 4.5 is the midpoint of x + y = 9 for x = 0..9: it violates in slab 0
+    fn = _half_integer_map(22.0, {4.5: 1.0})
+    grid = GridSpec(23, 23, 3)
+    calls = _counted_comparisons(monkeypatch)
+
+    def scan(witnesses):
+        calls.clear()
+        verdict = convexity._scan(fn, 22.0, 1.0, {1.0: {1.0}}, grid, str,
+                                  convexity._scratch(grid),
+                                  witnesses=witnesses)[(1.0, 1.0)]
+        return verdict, len(calls)
+
+    assert scan(False) == (Verdict(False), 1)
+    assert scan(True) == (Verdict(False, Witness(0.0, 9.0, 0.5, 1.0)), 5)
+
+
+def test_a_power_not_finite_after_every_alpha_failed_still_names_its_q(
+        monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # every alpha fails at 4.5 in slab 0; 1e200**2 overflows at 21.5, a scan
+    # point only of the last slab
+    fn = _half_integer_map(22.0, {4.5: 1.0, 21.5: 1e200})
+    grid = GridSpec(23, 23, 3)
+    calls = _counted_comparisons(monkeypatch)
+
+    def scan(alphas_by_q):
+        return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
+                               lambda q: f"not finite for q = {q:g}",
+                               convexity._scratch(grid), witnesses=False)
+
+    assert scan({1.0: {0.5, 1.0}}) == {(1.0, 0.5): Verdict(False),
+                                       (1.0, 1.0): Verdict(False)}
+    assert len(calls) == 2
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({2.0: {0.5, 1.0}})
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({1.0: {1.0}, 2.0: {1.0}})
+
+
+def _gate_bits(requests, grid):
+    """The gate's holds bits without witnesses, after checking that they
+    are check_hypotheses's and that no failing verdict carries a witness."""
+    bits = convexity._gate(requests, grid, witnesses=False)
+    assert all(v.witness is None for v in bits)
+    want = check_hypotheses(requests, grid)
+    assert any(v.holds for v in want) and not all(v.holds for v in want)
+    assert [v.holds for v in bits] == [v.holds for v in want]
+    return bits
+
+
+@pytest.mark.parametrize("suite, grid", [
+    ("bundled", GridSpec()),
+    ("equivalence", GridSpec(21, 21, 21)),
+])
+def test_gate_without_witnesses_keeps_the_verdicts_of_a_suite(suite, grid,
+                                                              tmp_path):
+    specs = (default_suite(str(tmp_path)).cases if suite == "bundled"
+             else _equivalence_specs())
+    requests = _suite_gate_requests(specs)
+    if suite == "bundled":
+        assert len(requests) == 192
+    _gate_bits(requests, grid)
+
+
+@pytest.mark.parametrize("planes", [5, 7])
+def test_gate_without_witnesses_keeps_the_verdicts_in_partial_slabs(
+        monkeypatch, planes):
+    grid = GridSpec(23, 17, 19)
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", planes * 8 * 17 * 19)
+    _gate_bits(_gate_requests(), grid)
 
 
 def test_slabs_that_do_not_divide_the_grid_keep_the_dense_verdicts(monkeypatch):

@@ -24,7 +24,7 @@ from hhbound import (
     parse_function,
     sup_norm,
 )
-from hhbound.core import validate_g_sup
+from hhbound.core import validate_case_params, validate_g_sup
 
 # one representative instance per public family, reused by several tests
 SAMPLE_SPECS = (
@@ -242,6 +242,20 @@ def test_bound_case_rejects_invalid(square_pair, kw):
 def test_bound_case_interval_beyond_domain(square_pair):
     with pytest.raises(InvalidCaseError):
         _case(square_pair, interval=Interval(0.0, 5.0))
+
+
+@pytest.mark.parametrize("excess, accepted", [(0.5e-12, True), (2e-12, False)])
+def test_scaled_endpoint_may_pass_b_star_by_one_part_in_1e12(excess, accepted):
+    # b/m = 2 (1 + excess), exactly, against b_star = 2: the slack admits
+    # b/m up to b_star (1 + 1e-12) and no further
+    iv = Interval(0.0, 1.0 + excess)
+    params = ConvexityParams(1.0, 0.5)
+    assert iv.b / params.m == 2.0 * (1.0 + excess)
+    if accepted:
+        validate_case_params(iv, 1.0, params, 2.0)
+    else:
+        with pytest.raises(InvalidCaseError, match="exceeds b_star"):
+            validate_case_params(iv, 1.0, params, 2.0)
 
 
 @given(c0=st.floats(-5, 5), c1=st.floats(-5, 5), c2=st.floats(-5, 5),

@@ -30,6 +30,7 @@ from hhbound import (
     InvalidParamsError,
     SuiteConfig,
     TheoremId,
+    check_hypotheses,
     check_hypothesis,
     classical_symmetric_rhs,
     default_suite,
@@ -783,6 +784,42 @@ def test_gate_on_working_domain_has_no_false_violations(tmp_path):
     assert result.violations == 0
     assert len(result.reports) == 3060
     assert result.hypothesis_rejections == 258
+
+
+def test_run_suite_asks_one_gate_call_for_bits_alone(tmp_path, monkeypatch):
+    import hhbound.convexity as convexity
+
+    calls = []
+    entry = harness._gate
+
+    def counted(requests, grid, witnesses):
+        calls.append((list(requests), witnesses))
+        return entry(requests, grid, witnesses)
+
+    scratch_sets = []
+    scratch = convexity._scratch
+
+    def counted_scratch(grid):
+        scratch_sets.append(grid)
+        return scratch(grid)
+
+    monkeypatch.setattr(harness, "_gate", counted)
+    monkeypatch.setattr(convexity, "_scratch", counted_scratch)
+    grid = GridSpec(21, 21, 21)
+    # each spec twice: six specs of three (f, b_star)
+    specs = _equivalence_specs() * 2
+    result = run_suite(SuiteConfig(cases=specs, output_dir=str(tmp_path),
+                                   grid=grid))
+    [(requests, witnesses)] = calls
+    assert not witnesses and scratch_sets == [grid]
+    # a request per combination in plan order, and one pair object per
+    # (f, b_star), so the gate groups equal pairs by identity
+    pairs = {}
+    runs = [harness._SpecRun(spec, (), pairs) for spec in specs]
+    assert requests == [gate for run in runs for *_, gate in run.combinations()]
+    assert len({id(pair) for pair, _, _ in requests}) == len(pairs) == 3
+    want = check_hypotheses(requests, grid)
+    assert result.hypothesis_rejections == sum(not v.holds for v in want) > 0
 
 
 def test_run_suite_counts_rejections(tmp_path):
