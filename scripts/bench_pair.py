@@ -34,9 +34,10 @@ the sha256 of both reports:
 - oracle result objects: the quadrature.IntegralResult instances built over
   the run, wherever they were built; the oracle's own results are plain
   triples, so this counts the public results asked for;
-- gate requests: the (pair, q, params) requests that run_suite passed to its
-  hypothesis gate, whichever of check_hypotheses and convexity._gate it
-  calls, and how many of them were distinct within each call;
+- gate requests: the combinations of the run, each of which its hypothesis
+  gate decides, and the distinct requests among them: the (pair, m, q,
+  alpha) entries of the gate's plan, counted group by group as
+  convexity._scan scans them;
 - gate slab comparisons: the calls of convexity._slab_violation, one per
   (q, alpha) and x-slab that the gate compared;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
@@ -187,17 +188,19 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     counts["gate_slab_comparisons"] = 0
     rebind(convexity, "_slab_violation", "gate_slab_comparisons")
 
-    def counted_gate(entry):
-        def wrapped(requests, *args, **kwargs):
-            counts["gate_requests"] += len(requests)
-            counts["gate_distinct_requests"] += len(set(requests))
-            return entry(requests, *args, **kwargs)
-        return wrapped
+    # the gate scans each (pair, m) group of its plan once, with the alphas
+    # of each of the group's q
+    scan = convexity._scan
 
-    counts["gate_requests"] = counts["gate_distinct_requests"] = 0
-    for name in ("check_hypotheses", "_gate"):
-        if hasattr(harness, name):
-            setattr(harness, name, counted_gate(getattr(harness, name)))
+    def counted_scan(fn, b_star, m, alphas_by_q, *args, **kwargs):
+        counts["gate_distinct_requests"] += sum(map(len, alphas_by_q.values()))
+        return scan(fn, b_star, m, alphas_by_q, *args, **kwargs)
+
+    counts["gate_requests"] = sum(
+        len(spec.theorems) * len(spec.q_values) * len(spec.alpha_values)
+        * len(spec.m_values) for spec in config.cases)
+    counts["gate_distinct_requests"] = 0
+    convexity._scan = counted_scan
 
     faults0 = minor_faults()
     result = harness.run_suite(config)

@@ -19,6 +19,12 @@ or, for the hypothesis gate and its slab loop,
         convexity._scan convexity.check_hypotheses convexity._gate \
         convexity.classify_region
 
+or, for the gate plan from the specs' requests to their verdicts,
+
+    python3 scripts/mutants.py --tests tests/test_convexity.py tests/test_harness.py -- \
+        convexity._gate convexity.check_hypotheses harness._SpecRun.__init__ \
+        harness._SpecRun.evaluate harness.run_suite
+
 Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
 changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,
 ``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap. For each mutant

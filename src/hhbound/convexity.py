@@ -39,11 +39,16 @@ and would otherwise pass. check_convex_direct stays a separate literal
 full-grid scan, with its own finiteness check, as an independent
 cross-check.
 
-The suite's gate reads only whether each request holds, so it decides
-without witnesses (_gate): a (q, alpha) is compared in no slab after the
-first one in which it violates, and its failing verdict carries no
-witness. Its holds bits, and its errors, are those of check_hypotheses,
-since each q's power is still written and checked finite in every slab.
+The gate, _gate, takes a plan: the alphas of each q per (pair, m) group,
+each distinct request once. It scans the groups in the plan's order and
+returns their verdicts keyed the same way, then by (q, alpha).
+check_hypotheses is a front to it that builds a plan from its list of
+requests and maps the verdicts back. The suite's run reads only whether
+each request holds, so it asks for no witnesses: a (q, alpha) is compared
+in no slab after the first one in which it violates, and its failing
+verdict carries no witness. Its holds bits, and its errors, are those of
+check_hypotheses, since each q's power is still written and checked finite
+in every slab.
 The public checks, check_hypothesis, check_hypotheses,
 check_alpha_m_convex and classify_region, scan every slab and return the
 first largest violation of the whole grid as the witness.
@@ -336,6 +341,10 @@ def check_hypothesis(pair: DifferentiablePair, q: float, params: ConvexityParams
     return check_hypotheses([(pair, q, params)], grid)[0]
 
 
+# a gate plan: per (pair, m) group, the alphas of each q
+_Plan = dict[tuple[DifferentiablePair, float], dict[float, set[float]]]
+
+
 def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
                                               ConvexityParams]],
                      grid: GridSpec = GridSpec()) -> list[Verdict]:
@@ -349,31 +358,32 @@ def check_hypotheses(requests: Sequence[tuple[DifferentiablePair, float,
     not finite somewhere on the grid raises InvalidCaseError naming f, q and
     b_star, instead of a verdict.
     """
-    return _gate(requests, grid, witnesses=True)
-
-
-def _gate(requests: Sequence[tuple[DifferentiablePair, float, ConvexityParams]],
-          grid: GridSpec, witnesses: bool) -> list[Verdict]:
-    """check_hypotheses, whose failing verdicts carry no witness unless
-    witnesses is set. Without witnesses, each request stops at the first
-    slab where it violates (_scan); holds and the errors are the same."""
-    groups: dict[tuple[DifferentiablePair, float], dict] = {}
+    plan: _Plan = {}
     for pair, q, params in requests:
         validate_q(q)
-        groups.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
+        plan.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
+    verdicts = _gate(plan, grid, witnesses=True)
+    return [verdicts[pair, params.m][q, params.alpha] for pair, q, params in requests]
+
+
+def _gate(plan: _Plan, grid: GridSpec, witnesses: bool
+          ) -> dict[tuple[DifferentiablePair, float], dict[tuple[float, float], Verdict]]:
+    """The verdicts of a plan's requests, keyed as the plan, then by
+    (q, alpha). Its q values must be valid (validate_q); the groups are
+    scanned in the plan's order, and each in one _scan, all in one _scratch
+    set. A failing verdict carries no witness unless witnesses is set:
+    without witnesses each request stops at the first slab where it
+    violates, and holds and the errors are the same."""
     scratch = _scratch(grid)
-    verdicts: dict[tuple, Verdict] = {}
-    for (pair, m), alphas_by_q in groups.items():
+    verdicts = {}
+    for (pair, m), alphas_by_q in plan.items():
         b_star = pair.domain.b_star
-        found = _scan(
+        verdicts[pair, m] = _scan(
             pair.f_prime, b_star, m, alphas_by_q, grid,
             lambda q: (f"|f'|**q is not finite on [0, {b_star:g}] for "
                        f"f = {pair.f.label}, q = {q:g}"), scratch, absolute=True,
             witnesses=witnesses)
-        for (q, alpha), verdict in found.items():
-            verdicts[(pair, m, q, alpha)] = verdict
-    return [verdicts[(pair, params.m, q, params.alpha)]
-            for pair, q, params in requests]
+    return verdicts
 
 
 def classify_region(fn: RealFunction, domain: DomainSpec,

@@ -11,17 +11,19 @@ right-hand side.
 run_suite plans a run before evaluating it. Every check a BoundCase and
 evaluate_bound make runs for every combination of every spec before the
 gate, once per spec, per (q, m) or per theorem, whichever it depends on, so
-an invalid combination is an error even where the gate would reject it. All
-gate verdicts come from one batched convexity._gate call, given one request
-per combination in plan order. The run reads only whether each verdict
-holds, so the gate decides without witnesses: a rejected request stops at
-its first violating x-slab, and each verdict holds exactly when
-check_hypotheses' does. The specs of a run share one DifferentiablePair
-per (f, b_star), so the gate groups equal pairs by identity. A block's lhs
-values come from one batched oracle call, which integrates the weight over
-[a, x] and [x, b] at every x together and reads f(a) and f(b) once; a block
-that repeats an (f, g, [a, b]) of an earlier one finds its integrals in the
-oracle's memo.
+an invalid combination is an error even where the gate would reject it.
+Each spec adds its gate requests to one plan for the run, the alphas of
+each q per (pair, m) group, so the plan holds each distinct request once.
+All gate verdicts come from one convexity._gate call on that plan, keyed as
+the plan, and each spec reads its own back by key. The run reads only
+whether each verdict holds, so the gate decides without witnesses: a
+rejected request stops at its first violating x-slab, and each verdict
+holds exactly when check_hypotheses' does. The specs of a run share one
+DifferentiablePair per (f, b_star), so the gate groups equal pairs by
+identity. A block's lhs values come from one batched oracle call, which
+integrates the weight over [a, x] and [x, b] at every x together and reads
+f(a) and f(b) once; a block that repeats an (f, g, [a, b]) of an earlier one
+finds its integrals in the oracle's memo.
 A spec's right-hand sides come from one bounds._BlockRhs, which reads each
 derivative magnitude once per point and the moments of the general forms
 once per rule, x and alpha, after the gate. The block's lhs, error estimate
@@ -82,7 +84,7 @@ from .bounds import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
-from .convexity import GridSpec, Verdict, _gate
+from .convexity import GridSpec, _Plan, _gate
 from .core import (
     _check_g_sup,
     BoundCase,
@@ -541,9 +543,6 @@ def reduction_check(iv: Interval, n_cases: int) -> float:
 
 _GATE_PLAIN = ConvexityParams(1.0, 1.0)
 
-# one hypothesis gate request: check_hypothesis's (pair, q, params)
-_GateRequest = tuple[DifferentiablePair, float, ConvexityParams]
-
 
 def _resolve_xs(spec: CaseSpec, rng: np.random.Generator | None) -> tuple[float, ...]:
     if spec.x_sweep is not None:
@@ -560,7 +559,11 @@ class _SpecRun:
     every combination of the spec, before the gate sees any of them: the
     g_sup check once, the q, [a, b] and b/m checks once per (q, m), and the
     theorem checks once per theorem. So an invalid combination is an error
-    whether or not the gate would admit it. sup|g| is computed once per
+    whether or not the gate would admit it. Then the spec adds its gate
+    requests to plan, the run's: per gate m, each q with the alphas of that
+    m, where a class theorem gates its own (alpha, m) and a plain one
+    (1, 1). A (pair, m) group and its q values keep the order in which
+    they first appear in report order. sup|g| is computed once per
     spec: g_sup is the explicit one or that sup times SUP_SAFETY_FACTOR, and
     the g_sup check reads the same sup. The pair is the one in pairs equal
     to this spec's, added there when there is none, so the specs of a run
@@ -568,13 +571,16 @@ class _SpecRun:
     and seeded split points lie in [a, b] by construction. The right-hand
     sides of every combination come from one bounds._BlockRhs over xs,
     which owns the reuse of the |f'| values and the general forms' moments.
-    evaluate emits a block per theorem with _evaluate_block. A spec that
+    evaluate reads the spec's verdicts from the gate's answer to the plan,
+    by (pair, m) once per gate m and then by (q, alpha), in report order,
+    and emits a block per theorem with _evaluate_block. A spec that
     repeats the (f, g, [a, b]) of another gets its integrals back from the
     oracle's memo.
     """
 
     def __init__(self, spec: CaseSpec, xs: tuple[float, ...],
-                 pairs: dict[DifferentiablePair, DifferentiablePair]) -> None:
+                 pairs: dict[DifferentiablePair, DifferentiablePair],
+                 plan: _Plan) -> None:
         self.spec = spec
         self.xs = xs
         self.f = parse_function(spec.f)
@@ -597,28 +603,34 @@ class _SpecRun:
                 validate_case_params(self.iv, q, params, self.pair.domain.b_star)
         for tid in spec.theorems:
             _check_theorem(tid, self.g, self.iv, xs, self.params)
+        # the alphas the spec gates at each m, in report order
+        self.gated: dict[float, set[float]] = {}
+        for tid in spec.theorems:
+            for params in self.params if tid.uses_class_params else (_GATE_PLAIN,):
+                self.gated.setdefault(params.m, set()).add(params.alpha)
+        for m, alphas in self.gated.items():
+            group = plan.setdefault((self.pair, m), {})
+            for q in spec.q_values:
+                group.setdefault(q, set()).update(alphas)
         self._rhs = _BlockRhs(self.pair.f_prime, self.iv, xs, self.g_sup)
 
-    def combinations(self) -> Iterator[tuple[TheoremId, float, ConvexityParams,
-                                             _GateRequest]]:
-        """(theorem, q, params, gate request) in report order."""
+    def evaluate(self, verdicts: dict[tuple[DifferentiablePair, float], dict],
+                 out: list[_Block]) -> int:
+        """Append a block per theorem with an admitted combination to out;
+        return the number of gate rejections. verdicts is _gate's answer
+        to the run's plan. A theorem listed twice adds its rows, and its
+        rejections, twice."""
+        found = {m: verdicts[self.pair, m] for m in self.gated}
+        admitted: dict[TheoremId, list[tuple[float, ConvexityParams]]] = {}
+        rejections = 0
         for tid in self.spec.theorems:
             for q in self.spec.q_values:
                 for params in self.params:
                     gate = params if tid.uses_class_params else _GATE_PLAIN
-                    yield tid, q, params, (self.pair, q, gate)
-
-    def evaluate(self, verdicts: Iterator[Verdict], out: list[_Block]) -> int:
-        """Append a block per theorem with an admitted combination to out;
-        return the number of gate rejections. verdicts yields the gate's
-        verdict on each combination, in combinations() order."""
-        admitted: dict[TheoremId, list[tuple[float, ConvexityParams]]] = {}
-        rejections = 0
-        for tid, q, params, _ in self.combinations():
-            if next(verdicts).holds:
-                admitted.setdefault(tid, []).append((q, params))
-            else:
-                rejections += 1
+                    if found[gate.m][q, gate.alpha].holds:
+                        admitted.setdefault(tid, []).append((q, params))
+                    else:
+                        rejections += 1
         for tid, combos in admitted.items():
             rhs = np.array([self._rhs.at(tid, q, params) for q, params in combos])
             out.append(_evaluate_block(tid, self.spec.f, self.spec.g, self.f, self.g,
@@ -630,13 +642,14 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     """Run every case of the config and persist CSV and JSON reports.
 
     Report order is the config order. Random split points are drawn up
-    front from the config seed. The gate verdicts of the whole run come from
-    one convexity._gate call without witnesses, given one request per
-    combination in plan order: each holds as check_hypotheses' would, and a
-    rejected one is compared in no x-slab after its first violation. Specs
-    that share an f and b_star share one DifferentiablePair. Specs that
-    share an (f, g, [a, b]) share the oracle integrals behind their lhs
-    values through the oracle's bounded memo.
+    front from the config seed. The specs add their gate requests to one
+    plan as they are set up, and the gate verdicts of the whole run come
+    from one convexity._gate call on it without witnesses: it asks each
+    distinct (f, b_star, m, q, alpha) once, each holds as check_hypotheses'
+    would, and a rejected one is compared in no x-slab after its first
+    violation. Specs that share an f and b_star share one
+    DifferentiablePair. Specs that share an (f, g, [a, b]) share the oracle
+    integrals behind their lhs values through the oracle's bounded memo.
     """
     start = time.perf_counter()
     # numpy.random, with the secrets and hmac modules it imports, loads only
@@ -645,11 +658,11 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
            if any(spec.x_random is not None for spec in config.cases) else None)
     resolved = [_resolve_xs(spec, rng) for spec in config.cases]
     pairs: dict[DifferentiablePair, DifferentiablePair] = {}
-    runs = [_SpecRun(spec, xs, pairs) for spec, xs in zip(config.cases, resolved)]
+    plan: _Plan = {}
+    runs = [_SpecRun(spec, xs, pairs, plan) for spec, xs in zip(config.cases, resolved)]
 
     # the run reads only whether each verdict holds, so it asks for no witness
-    verdicts = iter(_gate([gate for run in runs for *_, gate in run.combinations()],
-                          config.grid, witnesses=False))
+    verdicts = _gate(plan, config.grid, witnesses=False)
 
     blocks: list[_Block] = []
     rejections = 0

@@ -315,12 +315,24 @@ def test_convex_direct_rejects_non_finite_function():
         check_convex_direct(parse_function("exp:800"), DomainSpec(1.0))
 
 
+def _plan(requests):
+    """The gate plan of (pair, q, params) requests, as check_hypotheses
+    builds it."""
+    plan = {}
+    for pair, q, params in requests:
+        plan.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
+    return plan
+
+
 def _suite_gate_requests(specs):
-    """The distinct gate requests of a suite run over specs, in run order."""
-    pairs = {}
-    runs = [_SpecRun(spec, (), pairs) for spec in specs]
-    return list(dict.fromkeys(gate for run in runs
-                              for *_, gate in run.combinations()))
+    """The distinct gate requests of a suite run over specs: its plan's, in
+    plan order."""
+    pairs, plan = {}, {}
+    for spec in specs:
+        _SpecRun(spec, (), pairs, plan)
+    return [(pair, q, ConvexityParams(alpha, m))
+            for (pair, m), alphas_by_q in plan.items()
+            for q, alphas in alphas_by_q.items() for alpha in sorted(alphas)]
 
 
 def _dense_gate_verdicts(requests, grid):
@@ -501,9 +513,16 @@ def test_a_power_not_finite_after_every_alpha_failed_still_names_its_q(
 
 
 def _gate_bits(requests, grid):
-    """The gate's holds bits without witnesses, after checking that they
-    are check_hypotheses's and that no failing verdict carries a witness."""
-    bits = convexity._gate(requests, grid, witnesses=False)
+    """The gate's holds bits without witnesses on the plan of requests, after
+    checking that its verdicts are keyed as the plan, that they are
+    check_hypotheses's and that no failing verdict carries a witness."""
+    plan = _plan(requests)
+    found = convexity._gate(plan, grid, witnesses=False)
+    assert list(found) == list(plan)
+    assert all(set(found[key]) == {(q, alpha) for q, alphas in by_q.items()
+                                   for alpha in alphas}
+               for key, by_q in plan.items())
+    bits = [found[pair, params.m][q, params.alpha] for pair, q, params in requests]
     assert all(v.witness is None for v in bits)
     want = check_hypotheses(requests, grid)
     assert any(v.holds for v in want) and not all(v.holds for v in want)

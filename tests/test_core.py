@@ -165,6 +165,23 @@ def test_finite_difference_catches_wrong_derivative(domain4):
         pair.validate_finite_difference(Interval(0.0, 1.0))
 
 
+@pytest.mark.parametrize("declared, deviation", [
+    ("const:1.00015", 1.5e-4), ("const:1.0003", None)])
+def test_finite_difference_bound_is_pinned_from_both_sides(declared, deviation,
+                                                           domain4):
+    # f = t and a declared f' = c deviate by |c - 1| everywhere, against the
+    # bound 1e-4 * (1 + c), about 2e-4: 1.5e-4 is inside it and 3e-4 outside,
+    # so the bound scaled by 10 or by 0.1 moves one case across
+    pair = DifferentiablePair(parse_function("monomial:1"),
+                              parse_function(declared), domain4)
+    if deviation is None:
+        with pytest.raises(InvalidCaseError, match="derivative mismatch"):
+            pair.validate_finite_difference(Interval(0.0, 1.0))
+    else:
+        assert pair.validate_finite_difference(
+            Interval(0.0, 1.0)) == pytest.approx(deviation, rel=1e-6)
+
+
 def test_finite_difference_rejects_non_finite_values(domain4):
     # e**(800 t) overflows inside [0, 1]: the deviation is NaN there, which
     # no "deviation > allowed" test can catch

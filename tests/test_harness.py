@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -57,6 +58,7 @@ from hhbound.quadrature import _integrate_cached, _lhs_block
 from exact_reference import coefficients, exact_lhs
 
 UNIT = Interval(0.0, 1.0)
+PLAIN = ConvexityParams(1.0, 1.0)
 
 
 @given(v=st.floats(allow_nan=False, allow_infinity=False))
@@ -445,6 +447,12 @@ def test_run_suite_report_content_is_placement_free(tmp_path):
     assert "jobs" not in text
 
 
+def test_run_suite_wall_time_is_the_time_of_the_run(tmp_path):
+    start = time.perf_counter()
+    result = run_suite(_small_config(tmp_path))
+    assert 0.0 < result.wall_time <= time.perf_counter() - start
+
+
 def test_run_suite_explicit_g_sup_is_exact(tmp_path):
     result = run_suite(_small_config(tmp_path))
     by_key = {(r.theorem_id, r.q, r.x): r for r in result.reports}
@@ -792,9 +800,9 @@ def test_run_suite_asks_one_gate_call_for_bits_alone(tmp_path, monkeypatch):
     calls = []
     entry = harness._gate
 
-    def counted(requests, grid, witnesses):
-        calls.append((list(requests), witnesses))
-        return entry(requests, grid, witnesses)
+    def counted(plan, grid, witnesses):
+        calls.append((plan, witnesses))
+        return entry(plan, grid, witnesses)
 
     scratch_sets = []
     scratch = convexity._scratch
@@ -810,16 +818,84 @@ def test_run_suite_asks_one_gate_call_for_bits_alone(tmp_path, monkeypatch):
     specs = _equivalence_specs() * 2
     result = run_suite(SuiteConfig(cases=specs, output_dir=str(tmp_path),
                                    grid=grid))
-    [(requests, witnesses)] = calls
+    [(plan, witnesses)] = calls
     assert not witnesses and scratch_sets == [grid]
-    # a request per combination in plan order, and one pair object per
-    # (f, b_star), so the gate groups equal pairs by identity
+    # a request per combination, in report order: a class theorem's own
+    # (alpha, m), and (1, 1) for a plain one
     pairs = {}
-    runs = [harness._SpecRun(spec, (), pairs) for spec in specs]
-    assert requests == [gate for run in runs for *_, gate in run.combinations()]
-    assert len({id(pair) for pair, _, _ in requests}) == len(pairs) == 3
-    want = check_hypotheses(requests, grid)
-    assert result.hypothesis_rejections == sum(not v.holds for v in want) > 0
+    runs = [harness._SpecRun(spec, (), pairs, {}) for spec in specs]
+    requests = [(run.pair, q, params if tid.uses_class_params else PLAIN)
+                for run in runs for tid in run.spec.theorems
+                for q in run.spec.q_values for params in run.params]
+    # the plan holds each distinct request once, its (pair, m) groups and
+    # their q in first-appearance order, and one pair object per
+    # (f, b_star), so the gate groups equal pairs by identity
+    want = {}
+    for pair, q, params in requests:
+        want.setdefault((pair, params.m), {}).setdefault(q, set()).add(params.alpha)
+    assert plan == want
+    assert [(key, list(by_q)) for key, by_q in plan.items()] == [
+        (key, list(by_q)) for key, by_q in want.items()]
+    assert len({id(pair) for pair, _ in plan}) == len(pairs) == 3
+    verdicts = check_hypotheses(requests, grid)
+    assert result.hypothesis_rejections == sum(not v.holds for v in verdicts) > 0
+
+
+def test_run_suite_hashes_pairs_a_few_times_per_spec_and_gate_m(tmp_path,
+                                                                monkeypatch):
+    # a spec hashes its pair once to share it, and (pair, m) once per gate m
+    # to add its requests to the plan and once to read its verdicts back;
+    # a request tuple per combination hashed pairs 5,124 times
+    calls = []
+    hash_pair = DifferentiablePair.__hash__
+
+    def counted(pair):
+        calls.append(pair)
+        return hash_pair(pair)
+
+    monkeypatch.setattr(DifferentiablePair, "__hash__", counted)
+    config = default_suite(str(tmp_path))
+    gate_ms = sum(len({m for tid in spec.theorems
+                       for m in (spec.m_values if tid.uses_class_params else (1.0,))})
+                  for spec in config.cases)
+    assert gate_ms == 90
+    run_suite(config)
+    assert 0 < len(calls) <= 3 * gate_ms
+
+
+def test_run_suite_keeps_a_theorem_listed_twice(tmp_path):
+    # t**2 is admitted at alpha = 1 and rejected at alpha = 0.5; each listing
+    # of T21 adds its rows and its rejections
+    once = _run_one(tmp_path / "once", alpha_values=(1.0, 0.5))
+    twice = _run_one(tmp_path / "twice", alpha_values=(1.0, 0.5),
+                     theorems=("T21", "T21"))
+    assert (len(once.reports), once.hypothesis_rejections) == (1, 1)
+    assert (len(twice.reports), twice.hypothesis_rejections) == (2, 2)
+    assert list(twice.reports) == [once.reports[0]] * 2
+
+
+def test_run_suite_names_the_first_overflow_in_report_order(tmp_path):
+    # |f'|**2 overflows for both f, and |f'| does not. The gate scans each
+    # (pair, m) group where it first appears in report order, so the second
+    # spec's f is named, though the third spec's shares the first one's pair
+    def spec(f, b_star, q, m):
+        return CaseSpec(f=f, g="const:1", a=0.0, b=1.0, q_values=(q,),
+                        alpha_values=(1.0,), m_values=(m,), theorems=("T21",),
+                        x_values=(0.5,), b_star=b_star)
+
+    first, second = spec("exp:350", 2.0, 1.0, 1.0), spec("exp:700", 1.0, 2.0, 1.0)
+    third = spec("exp:350", 2.0, 2.0, 0.5)
+    for specs, named in (((first, second, third), "exp:700"),
+                         ((first, third, second), "exp:350")):
+        with pytest.raises(InvalidCaseError, match=f"f = {named}, q = 2$"):
+            run_suite(SuiteConfig(cases=specs, output_dir=str(tmp_path)))
+    # check_hypotheses scans its requests' groups in the same order
+    pairs = [DifferentiablePair.from_family(parse_function(s.f),
+                                            DomainSpec(s.b_star))
+             for s in (first, second, third)]
+    with pytest.raises(InvalidCaseError, match="f = exp:700, q = 2$"):
+        check_hypotheses([(pairs[0], 1.0, PLAIN), (pairs[1], 2.0, PLAIN),
+                          (pairs[2], 2.0, ConvexityParams(1.0, 0.5))])
 
 
 def test_run_suite_counts_rejections(tmp_path):
