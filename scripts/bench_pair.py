@@ -36,10 +36,16 @@ the sha256 of both reports:
   triples, so this counts the public results asked for;
 - gate requests: the combinations of the run, each of which its hypothesis
   gate decides, and the distinct requests among them: the (pair, m, q,
-  alpha) entries of the gate's plan, counted group by group as
-  convexity._scan scans them;
+  alpha) entries of the plan that the run hands to convexity._gate;
 - gate slab comparisons: the calls of convexity._slab_violation, one per
-  (q, alpha) and x-slab that the gate compared;
+  (q, alpha) and x-slab that the gate compared. Without witnesses the gate
+  compares a q of an alpha only once every smaller q of that alpha in its
+  (pair, m) group has violated, so a q above one that holds is compared in
+  no slab;
+- gate implied: the plan entries that hold and were compared in no slab,
+  admitted by the power-mean step from a smaller q. Each _slab_violation
+  call is attributed to its (pair, m, q, alpha) through the local variables
+  of the convexity._scan frame that made it;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
@@ -185,22 +191,39 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
-    counts["gate_slab_comparisons"] = 0
-    rebind(convexity, "_slab_violation", "gate_slab_comparisons")
+    # (f', b_star, m, q, alpha) of every request compared in some slab
+    compared = set()
+    slab_violation = convexity._slab_violation
 
-    # the gate scans each (pair, m) group of its plan once, with the alphas
-    # of each of the group's q
-    scan = convexity._scan
+    def counted_comparison(rhs, gap, mask):
+        scan = sys._getframe(1).f_locals
+        compared.add((scan["fn"], scan["b_star"], scan["m"], scan["q"],
+                      scan["alpha"]))
+        counts["gate_slab_comparisons"] += 1
+        return slab_violation(rhs, gap, mask)
 
-    def counted_scan(fn, b_star, m, alphas_by_q, *args, **kwargs):
-        counts["gate_distinct_requests"] += sum(map(len, alphas_by_q.values()))
-        return scan(fn, b_star, m, alphas_by_q, *args, **kwargs)
+    # run_suite makes one gate call, on the plan of the whole run
+    gate = harness._gate
+
+    def counted_gate(plan, grid, witnesses):
+        verdicts = gate(plan, grid, witnesses)
+        for (pair, m), alphas_by_q in plan.items():
+            for q, alphas in alphas_by_q.items():
+                for alpha in alphas:
+                    counts["gate_distinct_requests"] += 1
+                    counts["gate_implied"] += (
+                        verdicts[pair, m][q, alpha].holds
+                        and (pair.f_prime, pair.domain.b_star, m, q, alpha)
+                        not in compared)
+        return verdicts
 
     counts["gate_requests"] = sum(
         len(spec.theorems) * len(spec.q_values) * len(spec.alpha_values)
         * len(spec.m_values) for spec in config.cases)
-    counts["gate_distinct_requests"] = 0
-    convexity._scan = counted_scan
+    for key in ("gate_distinct_requests", "gate_slab_comparisons", "gate_implied"):
+        counts[key] = 0
+    convexity._slab_violation = counted_comparison
+    harness._gate = counted_gate
 
     faults0 = minor_faults()
     result = harness.run_suite(config)

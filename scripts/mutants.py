@@ -27,7 +27,9 @@ or, for the gate plan from the specs' requests to their verdicts,
 
 Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
 changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,
-``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap. For each mutant
+``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap; or it runs one
+``for`` loop backwards, its iterable wrapped in ``reversed(list(...))``, the
+fault of a loop whose order decides a result. For each mutant
 the script writes a copy of ``src/`` with that one change to a temporary
 directory and runs ``python -m pytest -x -q`` on the named tests against it,
 one subprocess at a time. A mutated module is written back from its syntax
@@ -66,6 +68,16 @@ _SYMBOLS = {
 # a tolerance exit: not strictly equivalent, but it changes a result only
 # where an error estimate equals its tolerance exactly
 _BOUNDARY = "boundary only: no test has an error estimate exactly on its tolerance"
+# a loop that fills a dict keyed (q, alpha) or q: every reader looks its
+# entries up by key, so their order changes no result
+_ORDER_ONLY = "it orders a dict that is read only by key"
+_RESCAN_ORDER = ("it fills the rescan's {q: alphas} in another order, and _scan "
+                 "sorts its q; every q was checked finite before the rescan, so "
+                 "the rescan raises nothing")
+# a validation loop: not strictly equivalent, but it changes which error is
+# raised only when two of the items it checks are invalid
+_FIRST_INVALID = ("a validation loop: it checks the same items and raises on an "
+                  "invalid one either way; no test passes two invalid ones")
 
 # (function, source of the mutated expression, mutation) -> why no test tells
 # the mutant from the original
@@ -85,6 +97,26 @@ KNOWN_EQUIVALENT = {
     ("harness._verdicts", "rel > floor", "> -> >="):
         "where rel equals floor both branches of np.where give the same "
         "float, and floor, 4 ulps of the terms, is never a zero of either sign",
+    ("convexity._scan", "for alpha in sorted(alphas_by_q[q]) if finite[q] else ()",
+     "reversed"):
+        "it orders the alphas of each q, not the q of an alpha's chain, which "
+        "are appended in sorted q order either way; the alphas of a slab "
+        "compare independently (see `for alpha in due`)",
+    ("convexity._scan", "for alpha in due", "reversed"):
+        "each alpha writes rhs, gap and the mask afresh from its own terms "
+        "and the q's lhs, which no comparison overwrites, so no alpha reads "
+        "what another left",
+    ("convexity._scan", "for key, (top, index) in found.items()", "reversed"):
+        _ORDER_ONLY,
+    ("convexity._scan", "for alpha, q in lead.items()", "reversed"): _RESCAN_ORDER,
+    ("convexity._scan", "for later in (q, *chains[alpha])", "reversed"): _RESCAN_ORDER,
+    ("convexity.classify_region", "for alpha in alpha_grid", "reversed"): _FIRST_INVALID,
+    ("convexity.classify_region", "for m in m_grid", "reversed"): _FIRST_INVALID,
+    # the checks of __init__; the q and theorem loops that fill the plan
+    # have the same source, and their mutants are killed
+    ("harness._SpecRun.__init__", "for q in spec.q_values", "reversed"): _FIRST_INVALID,
+    ("harness._SpecRun.__init__", "for params in by_m", "reversed"): _FIRST_INVALID,
+    ("harness._SpecRun.__init__", "for tid in spec.theorems", "reversed"): _FIRST_INVALID,
 }
 
 
@@ -110,11 +142,13 @@ def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
 
 
 def _sites(func: ast.FunctionDef) -> list[tuple[ast.AST, int | None]]:
-    # (node, None) for a binary operator, (node, k) for the k-th comparison
-    # of a chain, in source order
+    # (node, None) for a binary operator or a for loop, (node, k) for the
+    # k-th comparison of a chain, in source order
     sites: list[tuple[ast.AST, int | None]] = []
     for node in ast.walk(func):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
+            sites.append((node, None))
+        elif isinstance(node, ast.For):
             sites.append((node, None))
         elif isinstance(node, ast.Compare):
             sites.extend((node, k) for k, op in enumerate(node.ops) if type(op) in _SWAPS)
@@ -129,16 +163,24 @@ def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
     for i in range(count):
         tree = ast.parse(source)  # a fresh tree per mutant, changed in place
         node, k = _sites(_find(tree, qualname))[i]
-        expression = " ".join(ast.get_source_segment(source, node).split())
-        old = node.op if k is None else node.ops[k]
-        new = _SWAPS[type(old)]()
-        if k is None:
-            node.op = new
+        if isinstance(node, ast.For):
+            expression = (f"for {ast.get_source_segment(source, node.target)} "
+                          f"in {ast.get_source_segment(source, node.iter)}")
+            node.iter = ast.Call(ast.Name("reversed", ast.Load()),
+                                 [ast.Call(ast.Name("list", ast.Load()), [node.iter], [])],
+                                 [])
+            mutation = "reversed"
         else:
-            node.ops[k] = new
-        found.append(Mutant(f"{module}.{qualname}", expression,
-                            f"{_SYMBOLS[type(old)]} -> {_SYMBOLS[type(new)]}",
-                            ast.unparse(tree) + "\n"))
+            expression = " ".join(ast.get_source_segment(source, node).split())
+            old = node.op if k is None else node.ops[k]
+            new = _SWAPS[type(old)]()
+            if k is None:
+                node.op = new
+            else:
+                node.ops[k] = new
+            mutation = f"{_SYMBOLS[type(old)]} -> {_SYMBOLS[type(new)]}"
+        found.append(Mutant(f"{module}.{qualname}", " ".join(expression.split()),
+                            mutation, ast.unparse(tree) + "\n"))
     return found
 
 

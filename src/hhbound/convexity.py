@@ -46,12 +46,26 @@ check_hypotheses is a front to it that builds a plan from its list of
 requests and maps the verdicts back. The suite's run reads only whether
 each request holds, so it asks for no witnesses: a (q, alpha) is compared
 in no slab after the first one in which it violates, and its failing
-verdict carries no witness. Its holds bits, and its errors, are those of
-check_hypotheses, since each q's power is still written and checked finite
-in every slab.
+verdict carries no witness. Without witnesses the gate also uses the
+power-mean step that the source paper's proofs rest on. Take h >= 0 in the
+(alpha, m) class with m in [0, 1], p >= 1 and w = t**alpha in [0, 1]:
+
+    h(t*x + m*(1-t)*y)**p <= (w*h(x) + (1-w)*m*h(y))**p
+                          <= w*h(x)**p + (1-w)*(m*h(y))**p
+                          <= w*h(x)**p + m*(1-w)*h(y)**p,
+
+since s**p increases, is convex (Jensen with weights w and 1 - w), and
+m**p <= m. With h = |f'|**q, an admitted (pair, q, alpha, m) admits every
+larger q of the same pair, alpha and m. So the suite admits a request on
+the grid at the smallest such q and by implication above it; a grid
+verdict at a larger q could differ from that only at a tolerance margin,
+since each q's gaps meet their own threshold 1e-12 * (1 + |rhs|). Its
+errors are those of check_hypotheses: every q is still checked finite in
+every slab.
 The public checks, check_hypothesis, check_hypotheses,
 check_alpha_m_convex and classify_region, scan every slab and return the
-first largest violation of the whole grid as the witness.
+first largest violation of the whole grid as the witness. classify_region
+checks fn itself, which may be negative, so the step does not apply to it.
 """
 
 from __future__ import annotations
@@ -204,6 +218,18 @@ def _scan(fn, b_star: float, m: float,
     in which it violates, and its failing verdict carries no witness. Each
     q's power is still written and checked finite in every slab.
 
+    Without witnesses and with h = |fn| >= 0, the power-mean step (see
+    _gate) admits every larger q of an alpha once a q of it is admitted. So
+    each slab takes the q in increasing order, and each alpha compares only
+    its lead, the smallest of its q that has not yet violated. A (q, alpha)
+    above a lead that holds on every slab is admitted without a comparison.
+    One that violated where it was compared fails. A lead that was first
+    compared after the first slab has skipped the slabs before it, so it and
+    the larger q of its alpha are scanned afresh once the pass is done.
+    A q that compares nothing in a slab writes no power there: since h >= 0
+    and s**q increases, h**q is finite on the slab exactly when the slab's
+    largest h raised to q is.
+
     After the last slab, an h**q that was not finite somewhere on the grid
     raises InvalidCaseError with the message not_finite(q), for the first
     such q in alphas_by_q's order: a NaN gap compares false and would
@@ -211,6 +237,9 @@ def _scan(fn, b_star: float, m: float,
     """
     lhs, rhs, gap, viol = scratch
     xs, ys, ts = _domain_axes(b_star, grid)
+    # the power-mean step: an h**q >= 0 in the class puts every larger q of
+    # its alpha there too
+    implied = absolute and not witnesses
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy = np.asarray(fn(xs)), np.asarray(fn(ys))
         if absolute:
@@ -219,18 +248,25 @@ def _scan(fn, b_star: float, m: float,
         powers = {q: (fx ** q, fy ** q) for q in alphas_by_q}
     finite = {q: bool(np.isfinite(fxq).all() and np.isfinite(fyq).all())
               for q, (fxq, fyq) in powers.items()}
-    # per finite q, per alpha: the rhs terms t**alpha h(x)**q over (x, t)
-    # and m (1 - t**alpha) h(y)**q over (y, t)
+    # per finite q in increasing order, per alpha: the rhs terms
+    # t**alpha h(x)**q over (x, t) and m (1 - t**alpha) h(y)**q over (y, t)
     terms: dict[float, dict] = {}
-    for q, alphas in alphas_by_q.items():
+    qs_by_alpha: dict[float, list[float]] = {}
+    for q in sorted(alphas_by_q):
         fxq, fyq = powers[q]
-        for alpha in sorted(alphas) if finite[q] else ():
+        for alpha in sorted(alphas_by_q[q]) if finite[q] else ():
             ta = ts[None, None, :] ** alpha
             terms.setdefault(q, {})[alpha] = (ta * fxq[:, None, None],
                                               m * (1.0 - ta) * fyq[None, :, None])
+            qs_by_alpha.setdefault(alpha, []).append(q)
     # (q, alpha) -> (largest violation so far, its flat grid index)
     found = {(q, alpha): (-np.inf, 0)
              for q, by_alpha in terms.items() for alpha in by_alpha}
+    # per alpha, its q in increasing order: when implied, only its lead, the
+    # first q that has not violated, is compared, from slab since[alpha] on
+    chains = {alpha: iter(qs) for alpha, qs in qs_by_alpha.items()}
+    lead = {alpha: next(chain) for alpha, chain in chains.items()}
+    since = dict.fromkeys(chains, 0)
     planes = len(rhs)
     for i0 in range(0, grid.nx, planes):
         x_slab = xs[i0:i0 + planes]
@@ -245,20 +281,29 @@ def _scan(fn, b_star: float, m: float,
         for q, by_alpha in terms.items():
             if not finite[q]:
                 continue
+            # a lead has not violated yet, so it needs no look at found
+            due = [alpha for alpha in by_alpha if witnesses or (
+                lead[alpha] == q if implied else found[q, alpha][0] == -np.inf)]
             with np.errstate(over="ignore", invalid="ignore"):
+                if implied and not due:
+                    # h >= 0 and s**q increases, so h**q is finite exactly
+                    # where its largest value is
+                    finite[q] = bool(np.isfinite(np.max(h) ** q))
+                    continue
                 lhs_q = np.power(h, q, out=lhs[:n])
             if not np.isfinite(lhs_q, out=mask).all():
                 finite[q] = False
                 continue
-            for alpha, (x_term, y_term) in by_alpha.items():
-                if not witnesses and found[(q, alpha)][0] > -np.inf:
-                    continue
+            for alpha in due:
+                x_term, y_term = by_alpha[alpha]
                 np.add(x_term[i0:i0 + n], y_term, out=r)
                 np.subtract(lhs_q, r, out=g)
                 violation = _slab_violation(r, g, mask)
-                if violation is not None and violation[0] > found[(q, alpha)][0]:
-                    found[(q, alpha)] = (violation[0],
-                                         i0 * g[0].size + violation[1])
+                if violation is not None and violation[0] > found[q, alpha][0]:
+                    found[q, alpha] = (violation[0], i0 * g[0].size + violation[1])
+                    if implied:
+                        lead[alpha] = next(chains[alpha], None)
+                        since[alpha] = i0
     for q in alphas_by_q:
         if not finite[q]:
             raise InvalidCaseError(not_finite(q))
@@ -272,6 +317,16 @@ def _scan(fn, b_star: float, m: float,
             i, j, k = np.unravel_index(index, (len(xs), len(ys), len(ts)))
             out[key] = Verdict(False, Witness(float(xs[i]), float(ys[j]),
                                               float(ts[k]), float(top)))
+    # a lead first compared after the first slab skipped the slabs before:
+    # it and the rest of its chain are scanned afresh
+    rest: dict[float, set[float]] = {}
+    for alpha, q in lead.items():
+        if q is not None and since[alpha] > 0:
+            for later in (q, *chains[alpha]):
+                rest.setdefault(later, set()).add(alpha)
+    if rest:
+        out.update(_scan(fn, b_star, m, rest, grid, not_finite, scratch,
+                         absolute, witnesses))
     return out
 
 
@@ -371,9 +426,24 @@ def _gate(plan: _Plan, grid: GridSpec, witnesses: bool
     """The verdicts of a plan's requests, keyed as the plan, then by
     (q, alpha). Its q values must be valid (validate_q); the groups are
     scanned in the plan's order, and each in one _scan, all in one _scratch
-    set. A failing verdict carries no witness unless witnesses is set:
-    without witnesses each request stops at the first slab where it
-    violates, and holds and the errors are the same."""
+    set. The errors are the same either way.
+
+    With witnesses, each verdict is the grid verdict of check_hypothesis.
+    Without, a failing verdict carries no witness, each request stops at the
+    first slab where it violates, and a request is admitted on the grid at
+    the smallest q of its pair, alpha and m that holds there and by
+    implication above it. The implication is the power-mean step: for
+    h = |f'|**q >= 0 in the (alpha, m) class, m in [0, 1], p >= 1 and
+    w = t**alpha,
+
+        h(t*x + m*(1-t)*y)**p <= (w*h(x) + (1-w)*m*h(y))**p
+                              <= w*h(x)**p + (1-w)*(m*h(y))**p
+                              <= w*h(x)**p + m*(1-w)*h(y)**p,
+
+    because s**p increases, is convex and m**p <= m; so |f'|**(q*p) is in
+    the class too. A grid verdict at a larger q could differ from the
+    implied one only at a tolerance margin: its gaps meet their own
+    threshold 1e-12 * (1 + |rhs|)."""
     scratch = _scratch(grid)
     verdicts = {}
     for (pair, m), alphas_by_q in plan.items():

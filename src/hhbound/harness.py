@@ -17,8 +17,9 @@ each q per (pair, m) group, so the plan holds each distinct request once.
 All gate verdicts come from one convexity._gate call on that plan, keyed as
 the plan, and each spec reads its own back by key. The run reads only
 whether each verdict holds, so the gate decides without witnesses: a
-rejected request stops at its first violating x-slab, and each verdict
-holds exactly when check_hypotheses' does. The specs of a run share one
+rejected request stops at its first violating x-slab, and a request is
+admitted on the grid at the smallest q of its (pair, alpha, m) that holds
+there and, by the power-mean step (convexity._gate), above it. The specs of a run share one
 DifferentiablePair per (f, b_star), so the gate groups equal pairs by
 identity. A block's lhs values come from one batched oracle call, which
 integrates the weight over [a, x] and [x, b] at every x together and reads
@@ -645,9 +646,10 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     front from the config seed. The specs add their gate requests to one
     plan as they are set up, and the gate verdicts of the whole run come
     from one convexity._gate call on it without witnesses: it asks each
-    distinct (f, b_star, m, q, alpha) once, each holds as check_hypotheses'
-    would, and a rejected one is compared in no x-slab after its first
-    violation. Specs that share an f and b_star share one
+    distinct (f, b_star, m, q, alpha) once, admits it on the grid at the
+    smallest q of its f, b_star, m and alpha that holds there and by
+    implication above it, and compares a rejected one in no x-slab after
+    its first violation. Specs that share an f and b_star share one
     DifferentiablePair. Specs that share an (f, g, [a, b]) share the oracle
     integrals behind their lhs values through the oracle's bounded memo.
     """

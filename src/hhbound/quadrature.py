@@ -559,9 +559,15 @@ class _KernelTimesDeriv:
     b: float
     x: float
 
-    def __call__(self, t):
+    def __post_init__(self) -> None:
+        # the table and W(x) are fixed once the integrand is built, so no
+        # call hashes g or evaluates W at the anchor
         table = _antiderivative_table(self.g, self.a, self.b)
-        return (table.values(t) - table.values(self.x)) * self.f_prime(t)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_anchor", table.values(self.x))
+
+    def __call__(self, t):
+        return (self._table.values(t) - self._anchor) * self.f_prime(t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hhbound
+import hhbound.cli as cli
 import hhbound.quadrature as quadrature
 from hhbound.cli import main
 
@@ -466,6 +467,33 @@ def test_identities_flag_a_kernel_error_at_small_scale(monkeypatch, capsys):
         quadrature._integrate_cached.cache_clear()
     assert code == 2
     assert "TOLERANCE EXCEEDED" in capsys.readouterr().out
+
+
+_UNIT_IDENTITIES = ["identities", "--f", "monomial:2", "--g", "sin",
+                    "--a", "0", "--b", "1", "--x", "0.3"]
+
+
+@pytest.mark.parametrize("residual, scale", [("_endpoint_residual", 0),
+                                             ("_point_residual", 1)])
+@pytest.mark.parametrize("share, code", [(0.9e-7, 0), (1.1e-7, 2)])
+def test_identities_residual_gate_is_pinned_from_both_sides(
+        monkeypatch, capsys, residual, scale, share, code):
+    # no natural input leaves a residual near 1e-7 of its identity's terms,
+    # so each residual is set to a share of them just inside and just
+    # outside the gate; a gate ten times wider or narrower flips one verdict
+    monkeypatch.setattr(cli, residual, lambda pair, g, iv, x: share * cli._identity_scales(
+        pair.f, g, iv, x)[scale])
+    assert main(_UNIT_IDENTITIES) == code
+
+
+@pytest.mark.parametrize("share, code", [(0.9e-10, 0), (1.1e-10, 2)])
+def test_identities_envelope_gate_is_pinned_from_both_sides(monkeypatch, capsys,
+                                                            share, code):
+    # the envelope excess of a natural weight is 0.0 or far below the gate,
+    # so it is set to a share of sup |g| (b - a) just inside and just outside
+    monkeypatch.setattr(cli, "envelope_excess",
+                        lambda g, iv, x, n: share * cli.sup_norm(g, iv) * (iv.b - iv.a))
+    assert main(_UNIT_IDENTITIES) == code
 
 
 @pytest.mark.parametrize("f, g", [("monomial:2", "affine:-1:0"),

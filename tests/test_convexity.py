@@ -368,12 +368,12 @@ def test_screened_gate_equals_dense_verdicts(suite, grid, tmp_path):
     assert check_hypotheses(requests[::-1], grid) == want[::-1]
 
 
-def _half_integer_map(b_star, values):
+def _half_integer_map(b_star, values, default=0.0):
     """A map on [0, b_star] that is values[p] at the half-integers p it names
-    and 0 at every other half-integer, read exactly from a table. On a grid
-    of integer x and y and t in {0, 0.5, 1}, every scan point at m = 1 is a
-    half-integer."""
-    table = np.zeros(2 * int(b_star) + 1)
+    and default at every other half-integer, read exactly from a table. On a
+    grid of integer x and y and t in {0, 0.5, 1}, every scan point at m = 1
+    is a half-integer."""
+    table = np.full(2 * int(b_star) + 1, default)
     for p, v in values.items():
         table[int(2 * p)] = v
 
@@ -455,6 +455,15 @@ def test_a_power_not_finite_only_in_the_last_slab_names_its_q(monkeypatch):
         scan({1.0: {1.0}, 2.0: {1.0}})
     with pytest.raises(InvalidCaseError, match="q = 2"):
         scan({2.0: {1.0}, 1.0: {1.0}})
+
+
+def test_the_first_power_not_finite_in_request_order_is_named():
+    # f' = 700 e**(700 t) is finite on [0, 1]; its square and cube are not
+    narrow = DifferentiablePair.from_family(parse_function("exp:700"),
+                                            DomainSpec(1.0))
+    for qs in ((2.0, 3.0), (3.0, 2.0)):
+        with pytest.raises(InvalidCaseError, match=f"q = {qs[0]:g}"):
+            check_hypotheses([(narrow, q, PLAIN) for q in qs])
 
 
 def _counted_comparisons(monkeypatch):
@@ -550,6 +559,98 @@ def test_gate_without_witnesses_keeps_the_verdicts_in_partial_slabs(
     grid = GridSpec(23, 17, 19)
     monkeypatch.setattr(convexity, "_SLAB_BYTES", planes * 8 * 17 * 19)
     _gate_bits(_gate_requests(), grid)
+
+
+@st.composite
+def _unit_scale_functions(draw):
+    """A polynomial of degree one to four or a piecewise-linear function on
+    [0, 1], its coefficients or values in [-1, 1]."""
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        return RealFunction("poly", tuple(draw(st.lists(unit, min_size=2,
+                                                        max_size=5))))
+    inner = draw(st.lists(st.integers(1, 15), unique=True, max_size=4))
+    knots = (0.0, *sorted(k / 16 for k in inner), 1.0)
+    return RealFunction("pwlinear", tuple(v for x in knots for v in (x, draw(unit))))
+
+
+@given(f=_unit_scale_functions())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_gate_without_witnesses_keeps_the_verdicts_of_chains_in_q(f):
+    pair = DifferentiablePair.from_family(f, DomainSpec(1.0))
+    qs = (1.0, 1.5, 2.0, 3.0)
+    requests = [(pair, q, ConvexityParams(alpha, m))
+                for m in (0.5, 1.0) for alpha in (0.25, 0.5, 1.0) for q in qs]
+    grid = GridSpec(13, 11, 9)
+    with pytest.MonkeyPatch.context() as patch:
+        # three x-planes per slab: five slabs, the last partial
+        patch.setattr(convexity, "_SLAB_BYTES", 3 * 8 * 11 * 9)
+        want = [v.holds for v in check_hypotheses(requests, grid)]
+        found = convexity._gate(_plan(requests), grid, witnesses=False)
+    # the grid verdicts of each (m, alpha), q increasing, are monotone: once
+    # a q holds, every larger one does
+    for k in range(0, len(requests), len(qs)):
+        assert want[k:k + len(qs)] == sorted(want[k:k + len(qs)]), requests[k][2]
+    assert [found[pair, params.m][q, params.alpha].holds
+            for pair, q, params in requests] == want
+
+
+def test_a_chain_whose_smallest_q_fails_in_a_late_slab_rescans_the_rest(
+        monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    grid = GridSpec(23, 23, 3)
+    calls = _counted_comparisons(monkeypatch)
+    # h = 1 but at 21.5 and 22: at x = 21, y = 22 and t = 0.5, in the last
+    # slab, 1.26 > (1 + 1.5) / 2, and 1.26**q < (1 + 1.5**q) / 2 for q = 2
+    # and 3, so q = 1 violates only there and the larger q compare nothing
+    # before it
+    late = {21.5: 1.26, 22.0: 1.5}
+    # 1 + 1.5e-12 at 0.5, between x = 0 and y = 1 in the first slab: a gap
+    # of 1.5e-12 is inside the threshold 2e-12 at q = 1, and its square and
+    # cube, 3e-12 and 4.5e-12, are outside it
+    early = {**late, 0.5: 1.0 + 1.5e-12}
+
+    def scan(values, witnesses):
+        fn = _half_integer_map(22.0, values, default=1.0)
+        found = convexity._scan(fn, 22.0, 1.0, {1.0: {1.0}, 2.0: {1.0}, 3.0: {1.0}},
+                                grid, str, convexity._scratch(grid),
+                                absolute=True, witnesses=witnesses)
+        return [found[q, 1.0].holds for q in (1.0, 2.0, 3.0)]
+
+    for values, want, compared in ((late, [False, True, True], 11),
+                                   (early, [False, False, False], 8)):
+        assert scan(values, True) == want
+        calls.clear()
+        assert scan(values, False) == want
+        # q = 1 in the five slabs and q = 2 in the last, then afresh: q = 2
+        # in every slab where it holds, or q = 2 and 3 in the first
+        assert len(calls) == compared
+
+
+def test_a_power_not_finite_only_where_its_q_is_implied_names_its_q(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # h is top, whose square is finite, but at 21.5, a scan point only of the
+    # last slab, where it is top (1 + 5e-13): q = 1 holds there, inside its
+    # threshold, and the square overflows
+    top = math.sqrt(np.finfo(float).max) * (1.0 - 1e-13)
+    fn = _half_integer_map(22.0, {21.5: top * (1.0 + 5e-13)}, default=top)
+    grid = GridSpec(23, 23, 3)
+    calls = _counted_comparisons(monkeypatch)
+
+    def scan(alphas_by_q, witnesses=False):
+        return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
+                               lambda q: f"not finite for q = {q:g}",
+                               convexity._scratch(grid), absolute=True,
+                               witnesses=witnesses)
+
+    assert scan({1.0: {1.0}}) == {(1.0, 1.0): Verdict(True)}
+    calls.clear()
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({1.0: {1.0}, 2.0: {1.0}})
+    # q = 2 compared nothing: q = 1 held in every slab
+    assert len(calls) == 5
+    with pytest.raises(InvalidCaseError, match="q = 2"):
+        scan({2.0: {1.0}, 1.0: {1.0}}, witnesses=True)
 
 
 def test_slabs_that_do_not_divide_the_grid_keep_the_dense_verdicts(monkeypatch):

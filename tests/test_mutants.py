@@ -53,3 +53,26 @@ def test_a_mutant_changes_only_its_own_operator():
     exec(gt.source, ns)
     assert original["Box"]().toy(-2, -2) == -ns["Box"]().toy(-2, -2)
     assert original["Box"]().toy(-1, -2) == ns["Box"]().toy(-1, -2)
+
+
+LOOP = '''
+def first_over(values, bound):
+    for v in values:
+        if v > bound:
+            return v
+    return None
+'''
+
+
+def test_a_for_loop_gives_one_mutant_that_runs_it_backwards():
+    found = mutants.mutants(LOOP, "loop", "first_over")
+    assert [(m.expression, m.mutation) for m in found] == [
+        ("for v in values", "reversed"),
+        ("v > bound", "> -> >="),
+    ]
+    original, ns = {}, {}
+    exec(LOOP, original)
+    exec(found[0].source, ns)
+    # an iterator runs backwards too, through the list it is read into
+    assert original["first_over"](iter([1, 5, 9]), 2) == 5
+    assert ns["first_over"](iter([1, 5, 9]), 2) == 9
