@@ -37,7 +37,10 @@ tree by ``ast.unparse``, so a first run, which must pass, tests the copy with
 each named module unparsed and unchanged. A mutant that no test kills
 survives. The survivors are printed, with the reason beside those in
 KNOWN_EQUIVALENT, which lists mutants that change no result the tests can
-observe; the exit status is 1 if any other mutant survives. The sweep is
+observe. A mutant is known by its function, the source of its expression,
+its mutation and its ordinal among the function's sites with that source
+(printed as ``#1`` and up after the source), so two identical loops of one
+function are told apart; the exit status is 1 if any other mutant survives. The sweep is
 slow, one test run per mutant, and is not part of the test suite.
 """
 
@@ -50,6 +53,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,56 +83,58 @@ _RESCAN_ORDER = ("it fills the rescan's {q: alphas} in another order, and _scan 
 _FIRST_INVALID = ("a validation loop: it checks the same items and raises on an "
                   "invalid one either way; no test passes two invalid ones")
 
-# (function, source of the mutated expression, mutation) -> why no test tells
-# the mutant from the original
+# (function, source of the mutated expression, ordinal, mutation) -> why no
+# test tells the mutant from the original; the ordinal tells apart the sites
+# of one function with the same source, 0 for the first in source order
 KNOWN_EQUIVALENT = {
-    ("convexity._slab_violation", "gap.flat[top] > _GAP_TOL", "> -> >="):
+    ("convexity._slab_violation", "gap.flat[top] > _GAP_TOL", 0, "> -> >="):
         "the screen is an early exit: at equality the full test finds no gap "
         "of the slab above tol * (1 + |rhs|) >= tol >= its largest gap, and "
         "returns the same None",
-    ("quadrature._integrate_batch", "retry_eps[i] < eps[i]", "< -> <="):
+    ("quadrature._integrate_batch", "retry_eps[i] < eps[i]", 0, "< -> <="):
         "at equality the rerun repeats the first run against the same "
         "tolerance, and the final check raises the same error",
-    ("quadrature._integrate_batch", "est[i] <= retry_eps[i]", "<= -> <"): _BOUNDARY,
-    ("quadrature._integrate_batch", "est[i] <= _requested(tol, value[i])", "<= -> <"):
+    ("quadrature._integrate_batch", "est[i] <= retry_eps[i]", 0, "<= -> <"): _BOUNDARY,
+    ("quadrature._integrate_batch", "est[i] <= _requested(tol, value[i])", 0, "<= -> <"):
         _BOUNDARY,
-    ("quadrature._levels", "est <= (tol if owner is None else tol[owner])",
+    ("quadrature._levels", "est <= (tol if owner is None else tol[owner])", 0,
      "<= -> <"): _BOUNDARY,
-    ("harness._verdicts", "rel > floor", "> -> >="):
+    ("harness._verdicts", "rel > floor", 0, "> -> >="):
         "where rel equals floor both branches of np.where give the same "
         "float, and floor, 4 ulps of the terms, is never a zero of either sign",
-    ("convexity._scan", "for alpha in sorted(alphas_by_q[q]) if finite[q] else ()",
+    ("convexity._scan", "for alpha in sorted(alphas_by_q[q]) if finite[q] else ()", 0,
      "reversed"):
         "it orders the alphas of each q, not the q of an alpha's chain, which "
         "are appended in sorted q order either way; the alphas of a slab "
         "compare independently (see `for alpha in due`)",
-    ("convexity._scan", "for alpha in due", "reversed"):
+    ("convexity._scan", "for alpha in due", 0, "reversed"):
         "each alpha writes rhs, gap and the mask afresh from its own terms "
         "and the q's lhs, which no comparison overwrites, so no alpha reads "
         "what another left",
-    ("convexity._scan", "for key, (top, index) in found.items()", "reversed"):
+    ("convexity._scan", "for key, (top, index) in found.items()", 0, "reversed"):
         _ORDER_ONLY,
-    ("convexity._scan", "for alpha, q in lead.items()", "reversed"): _RESCAN_ORDER,
-    ("convexity._scan", "for later in (q, *chains[alpha])", "reversed"): _RESCAN_ORDER,
-    ("convexity.classify_region", "for alpha in alpha_grid", "reversed"): _FIRST_INVALID,
-    ("convexity.classify_region", "for m in m_grid", "reversed"): _FIRST_INVALID,
-    # the checks of __init__; the q and theorem loops that fill the plan
-    # have the same source, and their mutants are killed
-    ("harness._SpecRun.__init__", "for q in spec.q_values", "reversed"): _FIRST_INVALID,
-    ("harness._SpecRun.__init__", "for params in by_m", "reversed"): _FIRST_INVALID,
-    ("harness._SpecRun.__init__", "for tid in spec.theorems", "reversed"): _FIRST_INVALID,
+    ("convexity._scan", "for alpha, q in lead.items()", 0, "reversed"): _RESCAN_ORDER,
+    ("convexity._scan", "for later in (q, *chains[alpha])", 0, "reversed"): _RESCAN_ORDER,
+    ("convexity.classify_region", "for alpha in alpha_grid", 0, "reversed"): _FIRST_INVALID,
+    ("convexity.classify_region", "for m in m_grid", 0, "reversed"): _FIRST_INVALID,
+    # the checks of __init__, the first of two loops of each source; the
+    # second q and theorem loops fill the plan, and their mutants are killed
+    ("harness._SpecRun.__init__", "for q in spec.q_values", 0, "reversed"): _FIRST_INVALID,
+    ("harness._SpecRun.__init__", "for params in by_m", 0, "reversed"): _FIRST_INVALID,
+    ("harness._SpecRun.__init__", "for tid in spec.theorems", 0, "reversed"): _FIRST_INVALID,
 }
 
 
 class Mutant(NamedTuple):
     function: str
     expression: str
+    ordinal: int  # the earlier sites of the function with this expression
     mutation: str
     source: str
 
     @property
-    def key(self) -> tuple[str, str, str]:
-        return self.function, self.expression, self.mutation
+    def key(self) -> tuple[str, str, int, str]:
+        return self.function, self.expression, self.ordinal, self.mutation
 
 
 def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
@@ -155,23 +161,42 @@ def _sites(func: ast.FunctionDef) -> list[tuple[ast.AST, int | None]]:
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
 
 
+def _expression(source: str, node: ast.AST) -> str:
+    if isinstance(node, ast.For):
+        text = (f"for {ast.get_source_segment(source, node.target)} "
+                f"in {ast.get_source_segment(source, node.iter)}")
+    else:
+        text = ast.get_source_segment(source, node)
+    return " ".join(text.split())
+
+
+def _ordinals(source: str, sites: list[tuple[ast.AST, int | None]]) -> list[int]:
+    # a site's ordinal counts the earlier sites with its expression, the
+    # comparisons of a chain among them
+    seen: Counter[str] = Counter()
+    ordinals = []
+    for node, _ in sites:
+        expression = _expression(source, node)
+        ordinals.append(seen[expression])
+        seen[expression] += 1
+    return ordinals
+
+
 def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
     """Every one-operator mutant of function qualname in a module's source,
     in source order, each with the module's whole mutated source."""
-    count = len(_sites(_find(ast.parse(source), qualname)))
+    ordinals = _ordinals(source, _sites(_find(ast.parse(source), qualname)))
     found = []
-    for i in range(count):
+    for i, ordinal in enumerate(ordinals):
         tree = ast.parse(source)  # a fresh tree per mutant, changed in place
         node, k = _sites(_find(tree, qualname))[i]
+        expression = _expression(source, node)
         if isinstance(node, ast.For):
-            expression = (f"for {ast.get_source_segment(source, node.target)} "
-                          f"in {ast.get_source_segment(source, node.iter)}")
             node.iter = ast.Call(ast.Name("reversed", ast.Load()),
                                  [ast.Call(ast.Name("list", ast.Load()), [node.iter], [])],
                                  [])
             mutation = "reversed"
         else:
-            expression = " ".join(ast.get_source_segment(source, node).split())
             old = node.op if k is None else node.ops[k]
             new = _SWAPS[type(old)]()
             if k is None:
@@ -179,9 +204,15 @@ def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
             else:
                 node.ops[k] = new
             mutation = f"{_SYMBOLS[type(old)]} -> {_SYMBOLS[type(new)]}"
-        found.append(Mutant(f"{module}.{qualname}", " ".join(expression.split()),
-                            mutation, ast.unparse(tree) + "\n"))
+        found.append(Mutant(f"{module}.{qualname}", expression, ordinal, mutation,
+                            ast.unparse(tree) + "\n"))
     return found
+
+
+def _site(m: Mutant) -> str:
+    # the ordinal is shown where it tells two sites apart
+    ordinal = f" #{m.ordinal}" if m.ordinal else ""
+    return f"{m.function} `{m.expression}`{ordinal} {m.mutation}"
 
 
 def _passes(src: Path, tests: list[str], root: Path) -> bool:
@@ -225,8 +256,7 @@ def main() -> int:
             killed = not _passes(src, args.tests, root)
             target.write_text(unparsed[module], encoding="utf-8")
             verdict = "killed" if killed else "SURVIVED"
-            print(f"[{i}/{len(todo)}] {verdict}: {mutant.function} "
-                  f"`{mutant.expression}` {mutant.mutation}", file=sys.stderr)
+            print(f"[{i}/{len(todo)}] {verdict}: {_site(mutant)}", file=sys.stderr)
             if not killed:
                 survivors.append(mutant)
 
@@ -235,8 +265,7 @@ def main() -> int:
     for m in survivors:
         reason = KNOWN_EQUIVALENT.get(m.key)
         unexplained += reason is None
-        print(f"{m.function} `{m.expression}` {m.mutation}: "
-              f"{reason or 'not known to be equivalent'}")
+        print(f"{_site(m)}: {reason or 'not known to be equivalent'}")
     return 1 if unexplained else 0
 
 

@@ -14,9 +14,10 @@ cross-checks rather than shared code.
 Every closed form here has an oracle twin computed by adaptive quadrature of
 the defining integral; the two routes are never collapsed. One table,
 _ORACLE_SIDES, states what each twin integrates on [a, x] and on [x, b]. The
-twins request the lhs oracle's 1e-10: for small alpha the cusp of the weight
-at t = b sends thousands of panels to the float64 floor, each counting its
-whole value as error, and their sum alone exceeded a 1e-12 request.
+twins request the lhs oracle's tolerance, quadrature._LHS_TOL: for small
+alpha the cusp of the weight at t = b sends thousands of panels to the
+float64 floor, each counting its whole value as error, and their sum alone
+exceeded a 1e-12 request.
 
 evaluate_bound and the suite runner take every right-hand side from a
 _BlockRhs, which alone decides which |f'| values a theorem reads, and
@@ -42,7 +43,7 @@ from .core import (
     validate_q,
     validate_split_point,
 )
-from .quadrature import IntegralResult, _integral_between
+from .quadrature import _LHS_TOL, IntegralResult, _integral_between
 
 __all__ = [
     "ComponentIntegralId",
@@ -208,17 +209,13 @@ _ORACLE_SIDES = {
     ComponentIntegralId.T22_LEFT_COMPLEMENT: ((_from_a, _rise), None),
 }
 
-_ORACLE_TOL = 1e-10
-
-
 def _oracle(left, right, iv: Interval, x: float, alpha: float) -> IntegralResult:
     # each integrand kinks or changes formula at x, so each side goes alone;
     # the sides' values, error estimates and evaluations add
-    value, err, evals = sum(
-        _integral_between(_MomentIntegrand(*side, iv.a, iv.b, x, alpha),
-                          [(lo, hi)], _ORACLE_TOL)[:, 0]
-        for side, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if side is not None).tolist()
-    return IntegralResult(value, err, int(evals))
+    sides = [_integral_between(_MomentIntegrand(*side, iv.a, iv.b, x, alpha),
+                               [(lo, hi)], _LHS_TOL)[0]
+             for side, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if side is not None]
+    return IntegralResult(*(sum(column) for column in zip(*sides)))
 
 
 def oracle_trapezoid_moment(iv: Interval, x: float, alpha: float) -> IntegralResult:

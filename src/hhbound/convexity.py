@@ -214,20 +214,17 @@ def _scan(fn, b_star: float, m: float,
     maximal violations, and grids are increasing, so index order is value
     order. A (q, alpha) with no violation holds.
 
-    Without witnesses, a (q, alpha) is compared in no slab after the first
-    in which it violates, and its failing verdict carries no witness. Each
-    q's power is still written and checked finite in every slab.
-
-    Without witnesses and with h = |fn| >= 0, the power-mean step (see
-    _gate) admits every larger q of an alpha once a q of it is admitted. So
-    each slab takes the q in increasing order, and each alpha compares only
-    its lead, the smallest of its q that has not yet violated. A (q, alpha)
-    above a lead that holds on every slab is admitted without a comparison.
-    One that violated where it was compared fails. A lead that was first
+    Without witnesses, which needs absolute (h = |fn| >= 0), a failing
+    verdict carries no witness, and the power-mean step (see _gate) admits
+    every larger q of an alpha once a q of it is admitted. So each slab
+    takes the q in increasing order, and each alpha compares only its lead,
+    the smallest of its q that has not yet violated. A (q, alpha) above a
+    lead that holds on every slab is admitted without a comparison. One
+    that violated where it was compared fails. A lead that was first
     compared after the first slab has skipped the slabs before it, so it and
-    the larger q of its alpha are scanned afresh once the pass is done.
-    A q that compares nothing in a slab writes no power there: since h >= 0
-    and s**q increases, h**q is finite on the slab exactly when the slab's
+    the larger q of its alpha are scanned afresh once the pass is done. A q
+    that compares nothing in a slab writes no power there: since h >= 0 and
+    s**q increases, h**q is finite on the slab exactly when the slab's
     largest h raised to q is.
 
     After the last slab, an h**q that was not finite somewhere on the grid
@@ -237,9 +234,6 @@ def _scan(fn, b_star: float, m: float,
     """
     lhs, rhs, gap, viol = scratch
     xs, ys, ts = _domain_axes(b_star, grid)
-    # the power-mean step: an h**q >= 0 in the class puts every larger q of
-    # its alpha there too
-    implied = absolute and not witnesses
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy = np.asarray(fn(xs)), np.asarray(fn(ys))
         if absolute:
@@ -262,8 +256,10 @@ def _scan(fn, b_star: float, m: float,
     # (q, alpha) -> (largest violation so far, its flat grid index)
     found = {(q, alpha): (-np.inf, 0)
              for q, by_alpha in terms.items() for alpha in by_alpha}
-    # per alpha, its q in increasing order: when implied, only its lead, the
-    # first q that has not violated, is compared, from slab since[alpha] on
+    # per alpha, its q in increasing order: without witnesses only its lead,
+    # the first q that has not violated, is compared, from slab since[alpha]
+    # on: the power-mean step puts an h**q >= 0 in the class for every
+    # larger q of its alpha too
     chains = {alpha: iter(qs) for alpha, qs in qs_by_alpha.items()}
     lead = {alpha: next(chain) for alpha, chain in chains.items()}
     since = dict.fromkeys(chains, 0)
@@ -281,11 +277,9 @@ def _scan(fn, b_star: float, m: float,
         for q, by_alpha in terms.items():
             if not finite[q]:
                 continue
-            # a lead has not violated yet, so it needs no look at found
-            due = [alpha for alpha in by_alpha if witnesses or (
-                lead[alpha] == q if implied else found[q, alpha][0] == -np.inf)]
+            due = [alpha for alpha in by_alpha if witnesses or lead[alpha] == q]
             with np.errstate(over="ignore", invalid="ignore"):
-                if implied and not due:
+                if not due:
                     # h >= 0 and s**q increases, so h**q is finite exactly
                     # where its largest value is
                     finite[q] = bool(np.isfinite(np.max(h) ** q))
@@ -301,7 +295,7 @@ def _scan(fn, b_star: float, m: float,
                 violation = _slab_violation(r, g, mask)
                 if violation is not None and violation[0] > found[q, alpha][0]:
                     found[q, alpha] = (violation[0], i0 * g[0].size + violation[1])
-                    if implied:
+                    if not witnesses:
                         lead[alpha] = next(chains[alpha], None)
                         since[alpha] = i0
     for q in alphas_by_q:

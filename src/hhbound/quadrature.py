@@ -27,20 +27,17 @@ integral, the oracle instead runs its levels once more against the value it
 computed. An integrand value that is not finite stops the run with
 QuadratureError. A batch hands back a plain (value, error estimate,
 evaluations) triple per interval, and those triples are memoized per
-integrand and tolerance, then per interval; ``integrate`` wraps its one in
-an IntegralResult.
+integrand and tolerance, then per interval.
 
-On top of the oracle sit the two weighted-rule left-hand sides (endpoint rule
-and point rule) at a block of split points, integrated piece by piece
-between the knots of f and g, with the integrals of g over [a, x] and
-[x, b] at every x of the block in one batch, and computed elementwise from
-the integrals' value and error columns as the three float64 columns handed
-to the suite: lhs, error estimate and terms magnitude; the kernel
-and step-weight primitives behind them, which integrate g piece by piece
-between its knots; and the residuals of the two integral identities that
-generate the bounds, whose outer integrals split at the knots of f and g
-too. One routine,
-``_integral_between``, splits every piecewise integral at its knots. The
+``_integral_between`` is the oracle's one front door: it splits each range
+at the knots strictly inside it and hands back one plain triple per range;
+``integrate`` wraps its one in an IntegralResult. On it sit the two
+weighted-rule left-hand sides (endpoint rule and point rule) at a block of
+split points, with the integrals of g over [a, x] and [x, b] at every x in
+one batch; only the endpoint rule reads triples as numpy columns, and both
+hand the suite float64 columns of lhs, error estimate and terms magnitude.
+The kernel and step-weight primitives and the residuals of the two integral
+identities that generate the bounds read plain floats from the triples. The
 residuals and the step-weight profile read the antiderivative of the weight
 from one cubic Hermite table per (g, a, b), with nodes on the knots of a
 piecewise weight, so smooth and piecewise weights take the same path.
@@ -52,7 +49,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +82,9 @@ __all__ = [
 ]
 
 DEFAULT_PANEL_BUDGET = 1 << 20
+# the oracle's tolerance for the left-hand sides, the scales of the identity
+# residuals, the closed forms' oracle twins and integrate's default
+_LHS_TOL = 1e-10
 
 
 class QuadratureError(HHBoundError):
@@ -379,7 +378,7 @@ class _ResultMemo:
 _integrate_cached = _ResultMemo(maxsize=4096)
 
 
-def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
+def integrate(fn, iv: Interval, tol: float = _LHS_TOL) -> IntegralResult:
     """Integrate ``fn`` over ``iv`` adaptively.
 
     Parameters
@@ -413,20 +412,22 @@ def integrate(fn, iv: Interval, tol: float = 1e-10) -> IntegralResult:
     """
     if not 0.0 < tol < math.inf:
         raise InvalidParamsError(f"tol must be finite and positive, got {tol}")
-    return IntegralResult(*_integrate_cached.results(fn, [(iv.a, iv.b)], tol)[0])
+    return IntegralResult(*_integral_between(fn, [(iv.a, iv.b)], tol)[0])
 
 
-def _integral_between(fn, ranges, tol: float, knots=()) -> np.ndarray:
-    """Rows (value, error estimate, evaluations) of the integral of fn over
-    each [lo, hi] of ranges, a column per range, summed over the pieces
-    between the knots strictly inside it, as QUADPACK's QAGP does with
-    breakpoints (Piessens et al., QUADPACK, 1983): a feature between the
-    oracle's samples can hide inside one panel, but not across a piece
-    boundary. The distinct pieces the memo does not hold are integrated in
-    one batch, and a range's pieces are summed left to right from zero; a
-    range of one piece takes its triple as it is, a range with lo == hi
-    gives zeros, and one that is not finite with lo <= hi raises
-    InvalidIntervalError."""
+def _integral_between(fn, ranges, tol: float,
+                      knots=()) -> list[tuple[float, float, int]]:
+    """A (value, error estimate, evaluations) triple per [lo, hi] of ranges:
+    the integral of fn over it, summed over the pieces between the knots
+    strictly inside it, as QUADPACK's QAGP does with breakpoints (Piessens
+    et al., QUADPACK, 1983): a feature between the oracle's samples can hide
+    inside one panel, but not across a piece boundary. The distinct pieces
+    the memo does not hold are integrated in one batch. A range of one piece
+    gets the memo's triple as it is, a range of several the sum of theirs
+    taken left to right from (0.0, 0.0, 0), and a range with lo == hi that
+    zero triple; one that is not finite with lo <= hi raises
+    InvalidIntervalError. Every oracle integral, integrate's included, is
+    asked for here."""
     inner = sorted(set(knots))
     cuts = []
     for lo, hi in ranges:
@@ -441,10 +442,9 @@ def _integral_between(fn, ranges, tol: float, knots=()) -> np.ndarray:
             cuts.append([(lo, hi)])
     pieces = list(dict.fromkeys(p for cut in cuts for p in cut))
     found = dict(zip(pieces, _integrate_cached.results(fn, pieces, tol)))
-    rows = [found[cut[0]] if len(cut) == 1 else
-            [sum(column) for column in zip((0.0, 0.0, 0), *map(found.get, cut))]
+    return [found[cut[0]] if len(cut) == 1 else
+            tuple(sum(column) for column in zip((0.0, 0.0, 0), *map(found.get, cut)))
             for cut in cuts]
-    return np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3).T
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     """
     validate_split_point(iv, x)
     validate_split_point(iv, t, "t")
-    val = float(_integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)[0, 0])
+    ((val, _, _),) = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)
     return val if x <= t else -val
 
 
@@ -573,8 +573,6 @@ class _KernelTimesDeriv:
 # ---------------------------------------------------------------------------
 # weighted-rule left-hand sides
 
-_LHS_TOL = 1e-10
-
 
 def lhs_endpoint_at(f: RealFunction, g: RealFunction, iv: Interval,
                     x: float) -> tuple[float, float]:
@@ -611,14 +609,15 @@ def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
     """Columns (signed deviation, error estimate, magnitude) of the endpoint
     rule over the x of xs; the magnitude is |f(a)| |I_g[a,x]| +
     |f(b)| |I_g[x,b]| + |I_fg|."""
-    # the integrals of g over [a, x] and [x, b] at every x run as one batch
     knots = (*f.knots, *g.knots)
-    i_g, i_g_err, _ = _integral_between(
-        g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)], _LHS_TOL, knots)
-    i_fg, i_fg_err, _ = _integral_between(
-        Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)[:, 0].tolist()
-    fa, fb = f(iv.a), f(iv.b)
     n = len(xs)
+    # the integrals of g over [a, x] and [x, b] at every x run as one batch,
+    # read as columns
+    values, errors, _ = zip(*_integral_between(
+        g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)], _LHS_TOL, knots))
+    i_g, i_g_err = (np.fromiter(column, float, 2 * n) for column in (values, errors))
+    ((i_fg, i_fg_err, _),) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
+    fa, fb = f(iv.a), f(iv.b)
     size = np.abs(i_g)
     return (fa * i_g[:n] + fb * i_g[n:] - i_fg,
             abs(fa) * i_g_err[:n] + abs(fb) * i_g_err[n:] + i_fg_err,
@@ -630,9 +629,8 @@ def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
     """Columns (signed deviation, error estimate, magnitude) of the point
     rule over the x of xs; the magnitude is |f(x)| |I_g| + |I_fg|."""
     knots = (*f.knots, *g.knots)
-    (i_g, i_g_err, _), (i_fg, i_fg_err, _) = (
-        _integral_between(fn, [(iv.a, iv.b)], _LHS_TOL, knots)[:, 0].tolist()
-        for fn in (g, Product(f, g)))
+    ((i_g, i_g_err, _),), ((i_fg, i_fg_err, _),) = (
+        _integral_between(fn, [(iv.a, iv.b)], _LHS_TOL, knots) for fn in (g, Product(f, g)))
     fx = f(np.asarray(xs, dtype=float))
     size = np.abs(fx)
     return fx * i_g - i_fg, size * i_g_err + i_fg_err, size * abs(i_g) + abs(i_fg)
@@ -660,7 +658,7 @@ def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     sign_val = _endpoint_signed(pair.f, g, iv, (x,))[0][0]
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
     knots = (*pair.f.knots, *g.knots)
-    rhs = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0, 0]
+    ((rhs, _, _),) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)
     return float(abs(sign_val - rhs))
 
 
@@ -681,9 +679,10 @@ def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
     knots = (*pair.f.knots, *g.knots)
-    rhs = (_integral_between(left, [(iv.a, x)], _RESIDUAL_OUTER_TOL, knots)[0, 0]
-           + _integral_between(right, [(x, iv.b)], _RESIDUAL_OUTER_TOL, knots)[0, 0])
-    return float(abs(sign_val - rhs))
+    ((left_rhs, _, _),), ((right_rhs, _, _),) = (
+        _integral_between(fn, [(lo, hi)], _RESIDUAL_OUTER_TOL, knots)
+        for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)))
+    return float(abs(sign_val - (left_rhs + right_rhs)))
 
 
 def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
@@ -692,10 +691,10 @@ def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
     |f(a)| int_a^x |g| + |f(b)| int_x^b |g| + int |fg| and
     |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
     knots = (*f.knots, *g.knots)
-    g_left, g_right = _integral_between(
-        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots)[0].tolist()
-    fg = float(_integral_between(AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL,
-                                 knots)[0, 0])
+    (g_left, _, _), (g_right, _, _) = _integral_between(
+        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots)
+    ((fg, _, _),) = _integral_between(
+        AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL, knots)
     return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
             abs(f(x)) * (g_left + g_right) + fg)
 

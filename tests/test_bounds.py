@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhbound import bounds
 from hhbound import (
     BoundCase,
     ComponentIntegralId,
@@ -35,7 +34,7 @@ from hhbound import (
     trapezoid_rhs_convex,
     trapezoid_rhs_midsplit,
 )
-from hhbound.quadrature import IntegralResult, _integral_between
+from hhbound.quadrature import _LHS_TOL, IntegralResult, _integral_between
 
 UNIT = Interval(0.0, 1.0)
 SHIFTED = Interval(2.0, 5.0)
@@ -170,10 +169,10 @@ def _side_integrands(cid, iv, x, alpha):
 
 
 def _sides_alone(left, right, iv, x):
-    sides = [_integral_between(fn, [(lo, hi)], bounds._ORACLE_TOL)[:, 0].tolist()
+    sides = [_integral_between(fn, [(lo, hi)], _LHS_TOL)[0]
              for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)) if fn is not None]
     value, err, evals = (sum(column) for column in zip(*sides))
-    return IntegralResult(value, err, int(evals))
+    return IntegralResult(value, err, evals)
 
 
 @pytest.mark.parametrize("cid", list(ComponentIntegralId))

@@ -490,7 +490,7 @@ def test_a_request_stops_at_its_first_violating_slab_without_witnesses(
     def scan(witnesses):
         calls.clear()
         verdict = convexity._scan(fn, 22.0, 1.0, {1.0: {1.0}}, grid, str,
-                                  convexity._scratch(grid),
+                                  convexity._scratch(grid), absolute=True,
                                   witnesses=witnesses)[(1.0, 1.0)]
         return verdict, len(calls)
 
@@ -510,7 +510,8 @@ def test_a_power_not_finite_after_every_alpha_failed_still_names_its_q(
     def scan(alphas_by_q):
         return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
                                lambda q: f"not finite for q = {q:g}",
-                               convexity._scratch(grid), witnesses=False)
+                               convexity._scratch(grid), absolute=True,
+                               witnesses=False)
 
     assert scan({1.0: {0.5, 1.0}}) == {(1.0, 0.5): Verdict(False),
                                        (1.0, 1.0): Verdict(False)}

@@ -76,3 +76,25 @@ def test_a_for_loop_gives_one_mutant_that_runs_it_backwards():
     # an iterator runs backwards too, through the list it is read into
     assert original["first_over"](iter([1, 5, 9]), 2) == 5
     assert ns["first_over"](iter([1, 5, 9]), 2) == 9
+
+
+TWICE = '''
+def check_then_fill(items, out):
+    for item in items:
+        if item < 0:
+            raise ValueError(item)
+    for item in items:
+        out.append(item)
+'''
+
+
+def test_two_identical_loops_of_one_function_get_distinct_keys():
+    found = mutants.mutants(TWICE, "twice", "check_then_fill")
+    loops = [m for m in found if m.mutation == "reversed"]
+    assert [m.key for m in loops] == [
+        ("twice.check_then_fill", "for item in items", 0, "reversed"),
+        ("twice.check_then_fill", "for item in items", 1, "reversed"),
+    ]
+    # so do the two comparisons of a chain with one operator
+    chain = mutants.mutants("def f(a, b):\n    return 0 < a < b\n", "m", "f")
+    assert len({m.key for m in chain}) == len(chain) == 2

@@ -9,6 +9,7 @@ cover.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -151,3 +152,21 @@ def test_benchmark_reads_only_names_that_exist():
         except AttributeError:
             unresolved.append(name)
     assert unresolved == []
+
+
+def test_every_tolerance_has_one_row_in_the_readme_table():
+    # each module-level _*TOL, _*GATE, _*ULPS or _*MARGIN of src/ is named
+    # as module._NAME in the first cell of exactly one row of the table
+    root = Path(__file__).resolve().parents[1]
+    pattern = re.compile(r"_[A-Z][A-Z_]*(TOL|GATE|ULPS|MARGIN)")
+    defined = set()
+    for path in (root / "src" / "hhbound").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                defined.update(f"{path.stem}.{t.id}" for t in node.targets
+                               if isinstance(t, ast.Name) and pattern.fullmatch(t.id))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \|", table, re.M)
+    assert len(defined) >= 10 and len(rows) == len(set(rows))
+    assert {name for name in rows if pattern.fullmatch(name.split(".")[1])} == defined

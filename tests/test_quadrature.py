@@ -599,6 +599,14 @@ def test_kernel_known_value():
     assert kernel_K(g, UNIT, 0.5, 0.5) == 0.0
 
 
+def test_kernel_tolerance_buys_its_accuracy():
+    # the oracle's Boole correction is exact up to quintics, so t**6 shows
+    # the accuracy of kernel_K's request: at 1e-12 its integral over [0, 1]
+    # is 1.9e-15 off 1/7 relative, at 1e-11 it is 8.0e-14 off
+    g = parse_function("monomial:6")
+    assert abs(kernel_K(g, UNIT, 0.0, 1.0) - 1.0 / 7.0) <= 1e-14 / 7.0
+
+
 def test_kernel_rejects_outside_points():
     with pytest.raises(HHBoundError):
         kernel_K(parse_function("const:1"), UNIT, -0.1, 0.5)
@@ -824,7 +832,7 @@ def test_a_knot_at_an_end_of_a_range_adds_no_piece():
     g = parse_function("sin")
     _integrate_cached.cache_clear()
     inside, whole = quadrature._integral_between(
-        g, [(0.25, 0.5), (0.0, 1.0)], _LHS_TOL, knots=(0.5, 0.25, 0.5)).T.tolist()
+        g, [(0.25, 0.5), (0.0, 1.0)], _LHS_TOL, knots=(0.5, 0.25, 0.5))
     assert IntegralResult(*inside) == integrate(g, Interval(0.25, 0.5), _LHS_TOL)
     assert inside[2] == 129 and whole[2] == 3 * 129
 
@@ -883,3 +891,24 @@ def test_identity_residuals_step_weight(x):
     assert residual_endpoint_identity(case) <= 1e-9
     assert residual_point_identity(case) <= 1e-9
     assert envelope_excess(g, UNIT, x) <= 1e-10
+
+
+def test_identity_scales_are_the_magnitudes_of_the_terms():
+    # f = t**2 and g = t on [1, 2] at x = 1.25: the integrals of |g| are
+    # 0.28125 and 1.21875, that of |fg| is 3.75, all exact in Simpson
+    f, g = parse_function("monomial:2"), parse_function("monomial:1")
+    endpoint, point = quadrature._identity_scales(f, g, Interval(1.0, 2.0), 1.25)
+    assert math.isclose(endpoint, 1.0 * 0.28125 + 4.0 * 1.21875 + 3.75, rel_tol=1e-14)
+    assert math.isclose(point, 1.5625 * 1.5 + 3.75, rel_tol=1e-14)
+
+
+def test_residual_outer_tolerance_buys_its_accuracy():
+    # an identity holds exactly, so its residual is the oracle's error, and
+    # on f = t**8 and g = t over [0, 1.5] the outer integral dominates it:
+    # with the outer request at 1e-8 both residuals below are 1.7e-12, at
+    # 1e-7 they are 7.0e-11
+    pair = DifferentiablePair.from_family(parse_function("monomial:8"), DomainSpec(4.0))
+    g, iv = parse_function("monomial:1"), Interval(0.0, 1.5)
+    for x, residual in ((iv.b, residual_endpoint_identity), (iv.a, residual_point_identity)):
+        case = BoundCase(pair, g, iv, x, 1.0, ConvexityParams(1.0, 1.0), 2.0)
+        assert residual(case) <= 1e-11
