@@ -45,7 +45,9 @@ the sha256 of both reports:
 - gate implied: the plan entries that hold and were compared in no slab,
   admitted by the power-mean step from a smaller q. Each _slab_violation
   call is attributed to its (pair, m, q, alpha) through the local variables
-  of the convexity._scan frame that made it;
+  of the convexity._gate frame that scans the (pair, m) group and of the
+  convexity._scan frame that made the call, so the attribution holds
+  whatever map the gate hands _scan for a pair;
 - minor page faults: what resource.getrusage's ru_minflt gained over the
   run, the cost of touching freshly allocated memory;
 - peak RSS: resource.getrusage's ru_maxrss (KiB) at the end of the run, the
@@ -191,14 +193,16 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
     for name in ("absolute_moment", "trapezoid_moment", "midpoint_moment"):
         rebind(bounds, name, "moment_evaluations")
     rebind(harness, "format_real", "text_conversions")
-    # (f', b_star, m, q, alpha) of every request compared in some slab
+    # (pair, m, q, alpha) of every request compared in some slab
     compared = set()
     slab_violation = convexity._slab_violation
 
     def counted_comparison(rhs, gap, mask):
-        scan = sys._getframe(1).f_locals
-        compared.add((scan["fn"], scan["b_star"], scan["m"], scan["q"],
-                      scan["alpha"]))
+        scan = gate_frame = sys._getframe(1)
+        while gate_frame.f_code is not convexity._gate.__code__:
+            gate_frame = gate_frame.f_back
+        group, here = gate_frame.f_locals, scan.f_locals
+        compared.add((group["pair"], group["m"], here["q"], here["alpha"]))
         counts["gate_slab_comparisons"] += 1
         return slab_violation(rhs, gap, mask)
 
@@ -213,8 +217,7 @@ def count(out_dir: str, workload: str, seed: int) -> dict:
                     counts["gate_distinct_requests"] += 1
                     counts["gate_implied"] += (
                         verdicts[pair, m][q, alpha].holds
-                        and (pair.f_prime, pair.domain.b_star, m, q, alpha)
-                        not in compared)
+                        and (pair, m, q, alpha) not in compared)
         return verdicts
 
     counts["gate_requests"] = sum(

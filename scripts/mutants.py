@@ -28,7 +28,8 @@ or, for the gate plan from the specs' requests to their verdicts,
 Each function is named ``module.qualname`` within ``src/hhbound``. A mutant
 changes one operator inside one of them: ``+``/``-`` and ``*``/``/`` swap,
 ``**`` becomes ``*``, and ``<``/``<=`` and ``>``/``>=`` swap; or it runs one
-``for`` loop backwards, its iterable wrapped in ``reversed(list(...))``, the
+``for`` loop or one ``for`` clause of a comprehension or generator
+expression backwards, its iterable wrapped in ``reversed(list(...))``, the
 fault of a loop whose order decides a result. For each mutant
 the script writes a copy of ``src/`` with that one change to a temporary
 directory and runs ``python -m pytest -x -q`` on the named tests against it,
@@ -40,7 +41,9 @@ KNOWN_EQUIVALENT, which lists mutants that change no result the tests can
 observe. A mutant is known by its function, the source of its expression,
 its mutation and its ordinal among the function's sites with that source
 (printed as ``#1`` and up after the source), so two identical loops of one
-function are told apart; the exit status is 1 if any other mutant survives. The sweep is
+function are told apart. An entry of KNOWN_EQUIVALENT for a swept function
+that matches none of its mutants is stale, and is printed too; the exit
+status is 1 if any other mutant survives or any entry is stale. The sweep is
 slow, one test run per mutant, and is not part of the test suite.
 """
 
@@ -72,12 +75,18 @@ _SYMBOLS = {
 # a tolerance exit: not strictly equivalent, but it changes a result only
 # where an error estimate equals its tolerance exactly
 _BOUNDARY = "boundary only: no test has an error estimate exactly on its tolerance"
-# a loop that fills a dict keyed (q, alpha) or q: every reader looks its
-# entries up by key, so their order changes no result
+# a loop that fills a dict: every reader looks its entries up by key, so
+# their order changes no result
 _ORDER_ONLY = "it orders a dict that is read only by key"
+# a loop over the alphas of one q in _scan
+_ALPHA_ORDER = ("it orders the alphas of a q, which compare independently (see "
+                "`for alpha in due`), and each alpha's pending q are appended in "
+                "increasing q order either way")
 _RESCAN_ORDER = ("it fills the rescan's {q: alphas} in another order, and _scan "
                  "sorts its q; every q was checked finite before the rescan, so "
                  "the rescan raises nothing")
+# a loop that repeats one step and never reads its variable
+_UNUSED = "the loop variable is unused, so each pass does the same step"
 # a validation loop: not strictly equivalent, but it changes which error is
 # raised only when two of the items it checks are invalid
 _FIRST_INVALID = ("a validation loop: it checks the same items and raises on an "
@@ -99,29 +108,58 @@ KNOWN_EQUIVALENT = {
         _BOUNDARY,
     ("quadrature._levels", "est <= (tol if owner is None else tol[owner])", 0,
      "<= -> <"): _BOUNDARY,
+    ("quadrature._integrate_batch", "for i, v, e, k in zip(again, *redo)", 0, "reversed"):
+        "each item writes only its own index i of value, est and evals",
+    ("quadrature._levels", "for _ in range(_MIN_DEPTH)", 0, "reversed"): _UNUSED,
+    ("quadrature._levels", "for _ in range(_MIN_DEPTH)", 1, "reversed"): _UNUSED,
     ("harness._verdicts", "rel > floor", 0, "> -> >="):
         "where rel equals floor both branches of np.where give the same "
         "float, and floor, 4 ulps of the terms, is never a zero of either sign",
-    ("convexity._scan", "for alpha in sorted(alphas_by_q[q]) if finite[q] else ()", 0,
-     "reversed"):
-        "it orders the alphas of each q, not the q of an alpha's chain, which "
-        "are appended in sorted q order either way; the alphas of a slab "
-        "compare independently (see `for alpha in due`)",
     ("convexity._scan", "for alpha in due", 0, "reversed"):
         "each alpha writes rhs, gap and the mask afresh from its own terms "
         "and the q's lhs, which no comparison overwrites, so no alpha reads "
         "what another left",
     ("convexity._scan", "for key, (top, index) in found.items()", 0, "reversed"):
         _ORDER_ONLY,
-    ("convexity._scan", "for alpha, q in lead.items()", 0, "reversed"): _RESCAN_ORDER,
-    ("convexity._scan", "for later in (q, *chains[alpha])", 0, "reversed"): _RESCAN_ORDER,
+    # the axes' finite dict, the filter of qs, which is sorted, and a slab's
+    # finite dict; the fourth, the error loop, is killed
+    ("convexity._scan", "for q in alphas_by_q", 0, "reversed"): _ORDER_ONLY,
+    ("convexity._scan", "for q in alphas_by_q", 1, "reversed"): "qs is sorted",
+    ("convexity._scan", "for q in alphas_by_q", 2, "reversed"): _ORDER_ONLY,
+    # t_alpha's two clauses, then the terms of a q, pending and due
+    ("convexity._scan", "for q in qs", 0, "reversed"): _ORDER_ONLY,
+    ("convexity._scan", "for alpha in alphas_by_q[q]", 0, "reversed"): _ORDER_ONLY,
+    ("convexity._scan", "for alpha in alphas_by_q[q]", 1, "reversed"): _ALPHA_ORDER,
+    ("convexity._scan", "for alpha in terms[q]", 0, "reversed"): _ALPHA_ORDER,
+    ("convexity._scan", "for alpha in by_alpha", 0, "reversed"): _ALPHA_ORDER,
+    ("convexity._scan", "for alpha, left in pending.items()", 0, "reversed"):
+        _RESCAN_ORDER,
+    ("convexity._scan", "for q in left if since[alpha] > 0 else ()", 0, "reversed"):
+        _RESCAN_ORDER,
     ("convexity.classify_region", "for alpha in alpha_grid", 0, "reversed"): _FIRST_INVALID,
     ("convexity.classify_region", "for m in m_grid", 0, "reversed"): _FIRST_INVALID,
+    ("convexity.classify_region", "for m in m_grid", 1, "reversed"):
+        "each m's scan writes the shared scratch set before it reads it, by_m "
+        "is read by key, and the not-finite message names no m",
     # the checks of __init__, the first of two loops of each source; the
     # second q and theorem loops fill the plan, and their mutants are killed
     ("harness._SpecRun.__init__", "for q in spec.q_values", 0, "reversed"): _FIRST_INVALID,
     ("harness._SpecRun.__init__", "for params in by_m", 0, "reversed"): _FIRST_INVALID,
     ("harness._SpecRun.__init__", "for tid in spec.theorems", 0, "reversed"): _FIRST_INVALID,
+    ("harness._SpecRun.__init__", "for p in self.params", 0, "reversed"):
+        "by_m keeps another alpha of each m, which validate_case_params does not "
+        "read, and takes the m in another order: " + _FIRST_INVALID,
+    ("harness._SpecRun.evaluate", "for m in self.gated", 0, "reversed"): _ORDER_ONLY,
+    ("harness.run_suite", "for spec in config.cases", 0, "reversed"):
+        "any() of the same items",
+    ("harness.run_suite", "for b in blocks", 0, "reversed"):
+        "an integer sum of the same counts",
+    ("harness.run_suite", "for b in blocks", 1, "reversed"):
+        "the largest finite tightness is the same float in any order, unless it "
+        "is a zero of both signs, which no test has",
+    ("bounds._oracle", "for side, lo, hi in ((left, iv.a, x), (right, x, iv.b))", 0,
+     "reversed"):
+        "sum adds at most two sides to 0, and 0 + a + b == 0 + b + a bit for bit",
 }
 
 
@@ -147,22 +185,32 @@ def _find(tree: ast.Module, qualname: str) -> ast.FunctionDef:
                 if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
+_LOOPS = (ast.For, ast.comprehension)
+
+
+def _position(site: tuple[ast.AST, int | None]) -> tuple[int, int, int]:
+    # a comprehension's for clause has no position of its own: its target's
+    node, k = site
+    anchor = node.target if isinstance(node, ast.comprehension) else node
+    return anchor.lineno, anchor.col_offset, k or 0
+
+
 def _sites(func: ast.FunctionDef) -> list[tuple[ast.AST, int | None]]:
-    # (node, None) for a binary operator or a for loop, (node, k) for the
-    # k-th comparison of a chain, in source order
+    # (node, None) for a binary operator, a for loop or a for clause,
+    # (node, k) for the k-th comparison of a chain, in source order
     sites: list[tuple[ast.AST, int | None]] = []
     for node in ast.walk(func):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
             sites.append((node, None))
-        elif isinstance(node, ast.For):
+        elif isinstance(node, _LOOPS):
             sites.append((node, None))
         elif isinstance(node, ast.Compare):
             sites.extend((node, k) for k, op in enumerate(node.ops) if type(op) in _SWAPS)
-    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
+    return sorted(sites, key=_position)
 
 
 def _expression(source: str, node: ast.AST) -> str:
-    if isinstance(node, ast.For):
+    if isinstance(node, _LOOPS):
         text = (f"for {ast.get_source_segment(source, node.target)} "
                 f"in {ast.get_source_segment(source, node.iter)}")
     else:
@@ -191,7 +239,7 @@ def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
         tree = ast.parse(source)  # a fresh tree per mutant, changed in place
         node, k = _sites(_find(tree, qualname))[i]
         expression = _expression(source, node)
-        if isinstance(node, ast.For):
+        if isinstance(node, _LOOPS):
             node.iter = ast.Call(ast.Name("reversed", ast.Load()),
                                  [ast.Call(ast.Name("list", ast.Load()), [node.iter], [])],
                                  [])
@@ -207,6 +255,14 @@ def mutants(source: str, module: str, qualname: str) -> list[Mutant]:
         found.append(Mutant(f"{module}.{qualname}", expression, ordinal, mutation,
                             ast.unparse(tree) + "\n"))
     return found
+
+
+def stale(functions: list[str], found: list[Mutant],
+          known: dict = KNOWN_EQUIVALENT) -> list[tuple[str, str, int, str]]:
+    """The keys of known whose function is one of functions, each named
+    ``module.qualname``, and that match none of the mutants found there."""
+    keys = {m.key for m in found}
+    return [key for key in known if key[0] in functions and key not in keys]
 
 
 def _site(m: Mutant) -> str:
@@ -266,7 +322,10 @@ def main() -> int:
         reason = KNOWN_EQUIVALENT.get(m.key)
         unexplained += reason is None
         print(f"{_site(m)}: {reason or 'not known to be equivalent'}")
-    return 1 if unexplained else 0
+    old = stale(args.functions, [m for _, m in todo])
+    for key in old:
+        print(f"{_site(Mutant(*key, source=''))}: stale, it matches no mutant")
+    return 1 if unexplained or old else 0
 
 
 if __name__ == "__main__":

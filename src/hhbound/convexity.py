@@ -17,27 +17,31 @@ Otherwise, if that gap violates, it is the slab's first largest violation;
 only if it does not is the threshold built for the slab.
 
 One scan routine serves the class checks and the hypothesis gate. It
-evaluates the map once per m (the gate's |f'| once per (pair, m) group),
-raises it to each q (q = 1 for the class checks of fn itself, which leaves
-the values bit for bit) and compares once per alpha. It walks the grid in
-x-slabs: runs of whole (y, t) planes, six of the default 51 x 51 grid, about
-128 KB per array (loop blocking; Lam, Rothberg and Wolf, ASPLOS 1991). Each
-gate call (_gate, behind check_hypotheses) or classify_region call
-allocates one slab-sized scratch set, lhs, rhs, gap and the violation mask,
-and every group writes into it.
-In each slab the scan points go into rhs, the map is evaluated there, each
-q's power is written into lhs and checked finite, and each (q, alpha) fills
-rhs and gap and takes the slab's first largest violation. A later slab's
-violation replaces the kept one only when strictly greater, so ties go to
-the earlier slab and the kept one is the first largest violation in C order
-of the whole grid, the witness. Every value comes from the same float
+evaluates a map once per m: the class checks scan fn itself, and the gate
+scans AbsPower(f', 1), the map |f'|, once per (pair, m) group. It raises the
+map to each q (q = 1 for the class checks, which leaves the values bit for
+bit) and compares once per alpha. It walks the grid in x-slabs: runs of
+whole (y, t) planes, six of the default 51 x 51 grid, about 128 KB per array
+(loop blocking; Lam, Rothberg and Wolf, ASPLOS 1991). Each gate call (_gate,
+behind check_hypotheses) or classify_region call allocates one slab-sized
+scratch set, lhs, rhs, gap and the violation mask, and every group writes
+into it. In each slab the scan points go into rhs, the map is evaluated
+there, each compared q's power is written into lhs, and each (q, alpha)
+fills rhs and gap and takes the slab's first largest violation. A later
+slab's violation replaces the kept one only when strictly greater, so ties
+go to the earlier slab and the kept one is the first largest violation in C
+order of the whole grid, the witness. Every value comes from the same float
 expressions as a fresh-array scan of the whole grid, so verdicts and
 witnesses are bit for bit those of the unscreened test, and no array the
-size of the grid is allocated. A map that is not finite somewhere on the grid (an overflowed
-|f'|**q, say) is rejected with InvalidCaseError: a NaN gap compares false
-and would otherwise pass. check_convex_direct stays a separate literal
-full-grid scan, with its own finiteness check, as an independent
-cross-check.
+size of the grid is allocated.
+
+One finiteness rule covers the axes and every slab: since |h|**q increases
+in |h| for q >= 1, a q is finite exactly when the largest |value| of the map
+there, NaN if one is NaN, raised to q is finite. A map whose power is not
+finite somewhere on the grid (an overflowed |f'|**q, say) is rejected with
+InvalidCaseError: a NaN gap compares false and would otherwise pass.
+check_convex_direct stays a separate literal full-grid scan, with its own
+finiteness check, as an independent cross-check.
 
 The gate, _gate, takes a plan: the alphas of each q per (pair, m) group,
 each distinct request once. It scans the groups in the plan's order and
@@ -60,8 +64,8 @@ larger q of the same pair, alpha and m. So the suite admits a request on
 the grid at the smallest such q and by implication above it; a grid
 verdict at a larger q could differ from that only at a tolerance margin,
 since each q's gaps meet their own threshold 1e-12 * (1 + |rhs|). Its
-errors are those of check_hypotheses: every q is still checked finite in
-every slab.
+errors are those of check_hypotheses: the finiteness rule still covers
+every q in every slab.
 The public checks, check_hypothesis, check_hypotheses,
 check_alpha_m_convex and classify_region, scan every slab and return the
 first largest violation of the whole grid as the witness. classify_region
@@ -177,7 +181,7 @@ def _slab_violation(rhs: np.ndarray, gap: np.ndarray,
     all three may be overwritten.
     """
     # argmax returns the first maximum in C order. The threshold never rounds
-    # below tol, and _scan's finiteness check leaves no NaN gap, so without a
+    # below tol, and _scan's finiteness rule leaves no NaN gap, so without a
     # maximum above tol nothing can violate; when the first maximum violates,
     # it is the first largest violation
     top = np.argmax(gap)
@@ -194,19 +198,25 @@ def _slab_violation(rhs: np.ndarray, gap: np.ndarray,
     return gap.flat[top], top
 
 
+def _largest_abs(h: np.ndarray) -> np.floating:
+    """The largest |value| of h, NaN when h holds one: np.max and np.min
+    propagate NaN."""
+    return np.maximum(np.max(h), -np.min(h))
+
+
 def _scan(fn, b_star: float, m: float,
           alphas_by_q: dict[float, Iterable[float]], grid: GridSpec,
           not_finite: Callable[[float], str],
           scratch: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-          absolute: bool = False,
           witnesses: bool = True) -> dict[tuple[float, float], Verdict]:
-    """Verdicts of h**q in the (alpha, m) class on [0, b_star], keyed
-    (q, alpha), where h is fn, or |fn| when absolute (the gate's |f'|).
+    """Verdicts of fn**q in the (alpha, m) class on [0, b_star], keyed
+    (q, alpha). fn must be >= 0 on [0, b_star] when a q is not 1 or without
+    witnesses: the gate hands it AbsPower(f', 1), the map |f'|.
 
     The grid is scanned in x-slabs as long as scratch, a _scratch set of
-    grid, which this scan overwrites. In each slab, h is evaluated once at
-    the scan points, raised to each q once into lhs and checked finite, and
-    each (q, alpha) fills rhs and gap and takes the slab's first largest
+    grid, which this scan overwrites. In each slab, fn is evaluated once at
+    the scan points, raised to each q that is compared there once into lhs,
+    and each (q, alpha) fills rhs and gap and takes the slab's first largest
     violating gap (_slab_violation). Slabs run in x order and a later
     slab's violation replaces the kept one only when strictly greater, so
     the kept one is the first largest violation of the whole grid in C
@@ -214,80 +224,66 @@ def _scan(fn, b_star: float, m: float,
     maximal violations, and grids are increasing, so index order is value
     order. A (q, alpha) with no violation holds.
 
-    Without witnesses, which needs absolute (h = |fn| >= 0), a failing
-    verdict carries no witness, and the power-mean step (see _gate) admits
-    every larger q of an alpha once a q of it is admitted. So each slab
-    takes the q in increasing order, and each alpha compares only its lead,
-    the smallest of its q that has not yet violated. A (q, alpha) above a
-    lead that holds on every slab is admitted without a comparison. One
-    that violated where it was compared fails. A lead that was first
-    compared after the first slab has skipped the slabs before it, so it and
-    the larger q of its alpha are scanned afresh once the pass is done. A q
-    that compares nothing in a slab writes no power there: since h >= 0 and
-    s**q increases, h**q is finite on the slab exactly when the slab's
-    largest h raised to q is.
+    One finiteness rule covers the axes and each slab: as |h|**q increases
+    in |h| for q >= 1, fn**q is finite on the axes and the slabs scanned so
+    far exactly when the largest |fn| there (NaN where fn is NaN) raised to
+    q is. Terms, powers and comparisons are made only for a q that is
+    finite so far. After the last slab, an fn**q that was not finite
+    somewhere on the grid raises InvalidCaseError with the message
+    not_finite(q), for the first such q in alphas_by_q's order: a NaN gap
+    compares false and would otherwise pass.
 
-    After the last slab, an h**q that was not finite somewhere on the grid
-    raises InvalidCaseError with the message not_finite(q), for the first
-    such q in alphas_by_q's order: a NaN gap compares false and would
-    otherwise pass.
+    Without witnesses, a failing verdict carries no witness, and the
+    power-mean step (see _gate) admits every larger q of an alpha once a q
+    of it is admitted. So each alpha keeps its pending q in increasing
+    order and each slab compares only its lead, the first of them; a lead
+    that violates is dropped. A pending q above a lead that holds on every
+    slab is admitted without a comparison. One that violated where it was
+    compared fails. A lead that was first compared after the first slab has
+    skipped the slabs before it, so it and the rest of its alpha's pending
+    q are scanned afresh once the pass is done.
     """
     lhs, rhs, gap, viol = scratch
     xs, ys, ts = _domain_axes(b_star, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         fx, fy = np.asarray(fn(xs)), np.asarray(fn(ys))
-        if absolute:
-            # the gate's fn is a RealFunction, which returns new float arrays
-            fx, fy = np.abs(fx, out=fx), np.abs(fy, out=fy)
-        powers = {q: (fx ** q, fy ** q) for q in alphas_by_q}
-    finite = {q: bool(np.isfinite(fxq).all() and np.isfinite(fyq).all())
-              for q, (fxq, fyq) in powers.items()}
+        largest = np.maximum(_largest_abs(fx), _largest_abs(fy))
+        finite = {q: bool(np.isfinite(largest ** q)) for q in alphas_by_q}
+    qs = sorted(q for q in alphas_by_q if finite[q])
+    t_alpha = {alpha: ts[None, None, :] ** alpha
+               for q in qs for alpha in alphas_by_q[q]}
     # per finite q in increasing order, per alpha: the rhs terms
-    # t**alpha h(x)**q over (x, t) and m (1 - t**alpha) h(y)**q over (y, t)
-    terms: dict[float, dict] = {}
-    qs_by_alpha: dict[float, list[float]] = {}
-    for q in sorted(alphas_by_q):
-        fxq, fyq = powers[q]
-        for alpha in sorted(alphas_by_q[q]) if finite[q] else ():
-            ta = ts[None, None, :] ** alpha
-            terms.setdefault(q, {})[alpha] = (ta * fxq[:, None, None],
-                                              m * (1.0 - ta) * fyq[None, :, None])
-            qs_by_alpha.setdefault(alpha, []).append(q)
-    # (q, alpha) -> (largest violation so far, its flat grid index)
-    found = {(q, alpha): (-np.inf, 0)
-             for q, by_alpha in terms.items() for alpha in by_alpha}
-    # per alpha, its q in increasing order: without witnesses only its lead,
-    # the first q that has not violated, is compared, from slab since[alpha]
-    # on: the power-mean step puts an h**q >= 0 in the class for every
-    # larger q of its alpha too
-    chains = {alpha: iter(qs) for alpha, qs in qs_by_alpha.items()}
-    lead = {alpha: next(chain) for alpha, chain in chains.items()}
-    since = dict.fromkeys(chains, 0)
+    # t**alpha fn(x)**q over (x, t) and m (1 - t**alpha) fn(y)**q over (y, t);
+    # per alpha, its pending q in increasing order; per (q, alpha), the
+    # largest violation so far and its flat grid index
+    terms, pending, found = {}, {}, {}
+    for q in qs:
+        fxq, fyq = fx ** q, fy ** q
+        terms[q] = {alpha: (t_alpha[alpha] * fxq[:, None, None],
+                            m * (1.0 - t_alpha[alpha]) * fyq[None, :, None])
+                    for alpha in alphas_by_q[q]}
+        for alpha in terms[q]:
+            pending.setdefault(alpha, []).append(q)
+            found[q, alpha] = (-np.inf, 0)
+    # without witnesses, the slab from which an alpha's lead is compared
+    since = dict.fromkeys(pending, 0)
     planes = len(rhs)
     for i0 in range(0, grid.nx, planes):
         x_slab = xs[i0:i0 + planes]
         n = len(x_slab)
         r, g, mask = rhs[:n], gap[:n], viol[:n]
         with np.errstate(over="ignore", invalid="ignore"):
-            # the scan points live in rhs until h is evaluated there; fn
+            # the scan points live in rhs until fn is evaluated there; fn
             # returns a new array
             h = np.asarray(fn(_scan_points(x_slab, ys, ts, m, out=r)))
-            if absolute:
-                np.abs(h, out=h)
+            largest = np.maximum(largest, _largest_abs(h))
+            finite = {q: bool(np.isfinite(largest ** q)) for q in alphas_by_q}
         for q, by_alpha in terms.items():
-            if not finite[q]:
+            due = [alpha for alpha in by_alpha
+                   if witnesses or pending[alpha][:1] == [q]]
+            if not finite[q] or not due:
                 continue
-            due = [alpha for alpha in by_alpha if witnesses or lead[alpha] == q]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not due:
-                    # h >= 0 and s**q increases, so h**q is finite exactly
-                    # where its largest value is
-                    finite[q] = bool(np.isfinite(np.max(h) ** q))
-                    continue
-                lhs_q = np.power(h, q, out=lhs[:n])
-            if not np.isfinite(lhs_q, out=mask).all():
-                finite[q] = False
-                continue
+            lhs_q = np.power(h, q, out=lhs[:n])
             for alpha in due:
                 x_term, y_term = by_alpha[alpha]
                 np.add(x_term[i0:i0 + n], y_term, out=r)
@@ -296,7 +292,7 @@ def _scan(fn, b_star: float, m: float,
                 if violation is not None and violation[0] > found[q, alpha][0]:
                     found[q, alpha] = (violation[0], i0 * g[0].size + violation[1])
                     if not witnesses:
-                        lead[alpha] = next(chains[alpha], None)
+                        pending[alpha].pop(0)
                         since[alpha] = i0
     for q in alphas_by_q:
         if not finite[q]:
@@ -312,15 +308,14 @@ def _scan(fn, b_star: float, m: float,
             out[key] = Verdict(False, Witness(float(xs[i]), float(ys[j]),
                                               float(ts[k]), float(top)))
     # a lead first compared after the first slab skipped the slabs before:
-    # it and the rest of its chain are scanned afresh
+    # it and the rest of its alpha's pending q are scanned afresh
     rest: dict[float, set[float]] = {}
-    for alpha, q in lead.items():
-        if q is not None and since[alpha] > 0:
-            for later in (q, *chains[alpha]):
-                rest.setdefault(later, set()).add(alpha)
+    for alpha, left in pending.items():
+        for q in left if since[alpha] > 0 else ():
+            rest.setdefault(q, set()).add(alpha)
     if rest:
         out.update(_scan(fn, b_star, m, rest, grid, not_finite, scratch,
-                         absolute, witnesses))
+                         witnesses))
     return out
 
 
@@ -419,8 +414,10 @@ def _gate(plan: _Plan, grid: GridSpec, witnesses: bool
           ) -> dict[tuple[DifferentiablePair, float], dict[tuple[float, float], Verdict]]:
     """The verdicts of a plan's requests, keyed as the plan, then by
     (q, alpha). Its q values must be valid (validate_q); the groups are
-    scanned in the plan's order, and each in one _scan, all in one _scratch
-    set. The errors are the same either way.
+    scanned in the plan's order, each in one _scan of AbsPower(f', 1), the
+    map |f'| of its pair, all in one _scratch set. _scan's one finiteness
+    rule raises for a |f'|**q that is not finite somewhere on the grid, the
+    same error either way.
 
     With witnesses, each verdict is the grid verdict of check_hypothesis.
     Without, a failing verdict carries no witness, each request stops at the
@@ -443,9 +440,9 @@ def _gate(plan: _Plan, grid: GridSpec, witnesses: bool
     for (pair, m), alphas_by_q in plan.items():
         b_star = pair.domain.b_star
         verdicts[pair, m] = _scan(
-            pair.f_prime, b_star, m, alphas_by_q, grid,
+            AbsPower(pair.f_prime, 1.0), b_star, m, alphas_by_q, grid,
             lambda q: (f"|f'|**q is not finite on [0, {b_star:g}] for "
-                       f"f = {pair.f.label}, q = {q:g}"), scratch, absolute=True,
+                       f"f = {pair.f.label}, q = {q:g}"), scratch,
             witnesses=witnesses)
     return verdicts
 

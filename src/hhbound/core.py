@@ -288,7 +288,9 @@ class RealFunction:
 @dataclass(frozen=True)
 class AbsPower:
     """Derived map t -> |fn(t)|**q: the hypothesis object of the bounds, and
-    with q = 1, as x ** 1.0 == x, the |fn| of an integrand; hashable if fn is."""
+    with q = 1, as x ** 1.0 == x, the |fn| of an integrand and the map that
+    the hypothesis gate scans, AbsPower(f', 1), raising it to each q under
+    one finiteness rule; hashable if fn is."""
 
     fn: Callable
     q: float

@@ -448,13 +448,23 @@ def test_a_power_not_finite_only_in_the_last_slab_names_its_q(monkeypatch):
     def scan(alphas_by_q):
         return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
                                lambda q: f"not finite for q = {q:g}",
-                               convexity._scratch(grid), absolute=True)
+                               convexity._scratch(grid))
 
     assert not scan({1.0: {1.0}})[(1.0, 1.0)].holds
     with pytest.raises(InvalidCaseError, match="q = 2"):
         scan({1.0: {1.0}, 2.0: {1.0}})
     with pytest.raises(InvalidCaseError, match="q = 2"):
         scan({2.0: {1.0}, 1.0: {1.0}})
+
+
+def test_a_map_minus_infinite_only_in_the_last_slab_is_not_finite(monkeypatch):
+    monkeypatch.setattr(convexity, "_SLAB_BYTES", _FIVE_PLANES)
+    # fn is 1 on the integer axes and -inf at 21.5, a scan point only of the
+    # last slab: its largest value is finite there, its largest |value| not
+    fn = _half_integer_map(22.0, {21.5: -np.inf}, default=1.0)
+    fn.label = "h"
+    with pytest.raises(InvalidCaseError, match="h is not finite"):
+        classify_region(fn, DomainSpec(22.0), (0.5, 1.0), (1.0,), GridSpec(23, 23, 3))
 
 
 def test_the_first_power_not_finite_in_request_order_is_named():
@@ -490,7 +500,7 @@ def test_a_request_stops_at_its_first_violating_slab_without_witnesses(
     def scan(witnesses):
         calls.clear()
         verdict = convexity._scan(fn, 22.0, 1.0, {1.0: {1.0}}, grid, str,
-                                  convexity._scratch(grid), absolute=True,
+                                  convexity._scratch(grid),
                                   witnesses=witnesses)[(1.0, 1.0)]
         return verdict, len(calls)
 
@@ -510,7 +520,7 @@ def test_a_power_not_finite_after_every_alpha_failed_still_names_its_q(
     def scan(alphas_by_q):
         return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
                                lambda q: f"not finite for q = {q:g}",
-                               convexity._scratch(grid), absolute=True,
+                               convexity._scratch(grid),
                                witnesses=False)
 
     assert scan({1.0: {0.5, 1.0}}) == {(1.0, 0.5): Verdict(False),
@@ -615,7 +625,7 @@ def test_a_chain_whose_smallest_q_fails_in_a_late_slab_rescans_the_rest(
         fn = _half_integer_map(22.0, values, default=1.0)
         found = convexity._scan(fn, 22.0, 1.0, {1.0: {1.0}, 2.0: {1.0}, 3.0: {1.0}},
                                 grid, str, convexity._scratch(grid),
-                                absolute=True, witnesses=witnesses)
+                                witnesses=witnesses)
         return [found[q, 1.0].holds for q in (1.0, 2.0, 3.0)]
 
     for values, want, compared in ((late, [False, True, True], 11),
@@ -641,7 +651,7 @@ def test_a_power_not_finite_only_where_its_q_is_implied_names_its_q(monkeypatch)
     def scan(alphas_by_q, witnesses=False):
         return convexity._scan(fn, 22.0, 1.0, alphas_by_q, grid,
                                lambda q: f"not finite for q = {q:g}",
-                               convexity._scratch(grid), absolute=True,
+                               convexity._scratch(grid),
                                witnesses=witnesses)
 
     assert scan({1.0: {1.0}}) == {(1.0, 1.0): Verdict(True)}

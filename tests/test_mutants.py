@@ -98,3 +98,48 @@ def test_two_identical_loops_of_one_function_get_distinct_keys():
     # so do the two comparisons of a chain with one operator
     chain = mutants.mutants("def f(a, b):\n    return 0 < a < b\n", "m", "f")
     assert len({m.key for m in chain}) == len(chain) == 2
+
+
+CLAUSES = '''
+def clauses(rows, bound):
+    squares = [v * v for row in rows for v in row]
+    return squares, next(v for v in squares if v > bound)
+'''
+
+
+def test_each_for_clause_of_a_comprehension_gives_one_reversed_mutant():
+    found = mutants.mutants(CLAUSES, "clauses", "clauses")
+    assert [(m.expression, m.mutation) for m in found] == [
+        ("v * v", "* -> /"),
+        ("for row in rows", "reversed"),
+        ("for v in row", "reversed"),
+        ("for v in squares", "reversed"),
+        ("v > bound", "> -> >="),
+    ]
+    original = {}
+    exec(CLAUSES, original)
+    assert original["clauses"]([[1, 2], [3]], 1) == ([1, 4, 9], 4)
+    results = []
+    for m in found[1:4]:
+        ns = {}
+        exec(m.source, ns)
+        results.append(ns["clauses"]([[1, 2], [3]], 1))
+    # the outer clause, the inner one, and the generator expression's
+    assert results == [([9, 1, 4], 9), ([4, 1, 9], 4), ([1, 4, 9], 9)]
+
+
+def test_known_entries_that_match_no_mutant_of_a_swept_function_are_stale():
+    found = mutants.mutants(TOY, "toy", "Box.toy")
+    known = {
+        ("toy.Box.toy", "a ** 2", 0, "** -> *"): "a site of the function",
+        ("toy.Box.toy", "a ** 2", 1, "** -> *"): "no second such site",
+        ("toy.Box.toy", "a - b", 0, "- -> +"): "no such expression",
+        ("toy.untouched", "a + b", 0, "+ -> -"): "a function not swept",
+    }
+    assert mutants.stale(["toy.Box.toy"], found, known) == [
+        ("toy.Box.toy", "a ** 2", 1, "** -> *"),
+        ("toy.Box.toy", "a - b", 0, "- -> +"),
+    ]
+    # a swept function with no site at all leaves every entry of it stale
+    assert mutants.stale(["toy.untouched"], [], known) == [
+        ("toy.untouched", "a + b", 0, "+ -> -")]
