@@ -12,6 +12,12 @@ or, for the oracle's level loop and the suite's verdicts,
         -- quadrature._nested_grids quadrature._integrate_batch quadrature._levels \
         harness._verdicts
 
+or, for the oracle's front door and the callers that split at its knots,
+
+    python3 scripts/mutants.py --tests tests/test_quadrature.py tests/test_bounds.py \
+        tests/test_cli.py -- quadrature._integral_between quadrature.integrate \
+        quadrature.kernel_K quadrature._identity_scales
+
 or, for the hypothesis gate and its slab loop,
 
     python3 scripts/mutants.py --tests tests/test_convexity.py tests/test_harness.py -- \

@@ -29,8 +29,12 @@ QuadratureError. A batch hands back a plain (value, error estimate,
 evaluations) triple per interval, and those triples are memoized per
 integrand and tolerance, then per interval.
 
-``_integral_between`` is the oracle's one front door: it splits each range
-at the knots strictly inside it and hands back one plain triple per range;
+``_integral_between`` is the oracle's one front door, and it holds the one
+splitting rule: every oracle integral is split at the knots of its integrand
+strictly inside the range. An integrand states its knots: a registry
+function its own, a Product those of f and g, the kernel integrand those of
+g and f', an AbsPower those of the map it wraps; one with no ``knots`` has
+none. The front door hands back one plain triple per range, and
 ``integrate`` wraps its one in an IntegralResult. On it sit the two
 weighted-rule left-hand sides (endpoint rule and point rule) at a block of
 split points, with the integrals of g over [a, x] and [x, b] at every x in
@@ -102,13 +106,18 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class Product:
-    """Pointwise product of two registry functions; hashable for memoization."""
+    """Pointwise product of two registry functions; hashable for memoization.
+    Its knots are those of f and of g, where the product can kink."""
 
     f: RealFunction
     g: RealFunction
 
     def __call__(self, t):
         return self.f(t) * self.g(t)
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        return (*self.f.knots, *self.g.knots)
 
 
 _MIN_DEPTH = 5  # guards against coincidental early agreement across a kink
@@ -395,6 +404,9 @@ def integrate(fn, iv: Interval, tol: float = _LHS_TOL) -> IntegralResult:
         the accumulated error estimate is below it. A tol that is not finite
         and positive raises InvalidParamsError before fn is called.
 
+    The integral is split at the knots of fn strictly inside iv, if fn
+    states any (``fn.knots``), as every oracle integral is.
+
     Each pass (a rerun against the computed value is the second) may split
     at most DEFAULT_PANEL_BUDGET panels; exceeding it raises QuadratureError,
     as does an integrand value that is not finite. The first integrand call
@@ -415,20 +427,21 @@ def integrate(fn, iv: Interval, tol: float = _LHS_TOL) -> IntegralResult:
     return IntegralResult(*_integral_between(fn, [(iv.a, iv.b)], tol)[0])
 
 
-def _integral_between(fn, ranges, tol: float,
-                      knots=()) -> list[tuple[float, float, int]]:
+def _integral_between(fn, ranges, tol: float) -> list[tuple[float, float, int]]:
     """A (value, error estimate, evaluations) triple per [lo, hi] of ranges:
-    the integral of fn over it, summed over the pieces between the knots
-    strictly inside it, as QUADPACK's QAGP does with breakpoints (Piessens
-    et al., QUADPACK, 1983): a feature between the oracle's samples can hide
-    inside one panel, but not across a piece boundary. The distinct pieces
-    the memo does not hold are integrated in one batch. A range of one piece
-    gets the memo's triple as it is, a range of several the sum of theirs
-    taken left to right from (0.0, 0.0, 0), and a range with lo == hi that
-    zero triple; one that is not finite with lo <= hi raises
-    InvalidIntervalError. Every oracle integral, integrate's included, is
-    asked for here."""
-    inner = sorted(set(knots))
+    the integral of fn over it, summed over the pieces between the knots of
+    fn strictly inside it (``fn.knots``, none if fn has no such attribute),
+    as QUADPACK's QAGP does with breakpoints (Piessens et al., QUADPACK,
+    1983): a feature between the oracle's samples can hide inside one panel,
+    but not across a piece boundary. The distinct pieces the memo does not
+    hold are integrated in one batch, range by range and each range's left
+    to right, the order in which the batch picks the error it raises. A
+    range of one piece gets the memo's triple as it is, a range of several
+    the sum of theirs taken left to right from (0.0, 0.0, 0), and a range
+    with lo == hi that zero triple; one that is not finite with lo <= hi
+    raises InvalidIntervalError. Every oracle integral, integrate's
+    included, is asked for here, so all of them split by this one rule."""
+    inner = sorted(set(getattr(fn, "knots", ())))
     cuts = []
     for lo, hi in ranges:
         if not (lo <= hi and math.isfinite(lo) and math.isfinite(hi)):
@@ -455,8 +468,8 @@ _KERNEL_TOL = 1e-12
 
 def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     """Signed integral of g from x to t, for x, t inside ``iv``, to the
-    oracle tolerance 1e-12, with g integrated piece by piece between its
-    knots.
+    oracle tolerance 1e-12, split at the knots of g strictly inside [x, t]
+    like every oracle integral.
 
     Antisymmetric in (x, t) by construction: the integral is always computed
     over the sorted pair and the sign attached afterwards. An x or t off
@@ -464,7 +477,7 @@ def kernel_K(g: RealFunction, iv: Interval, x: float, t: float) -> float:
     """
     validate_split_point(iv, x)
     validate_split_point(iv, t, "t")
-    ((val, _, _),) = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL, g.knots)
+    ((val, _, _),) = _integral_between(g, [(min(x, t), max(x, t))], _KERNEL_TOL)
     return val if x <= t else -val
 
 
@@ -551,6 +564,7 @@ class _KernelTimesDeriv:
 
     Anchored at x = a it is the left branch S_g(t) f'(t) of the step weight,
     since the table's W(a) is exactly 0.0; anchored at x = b, the right one.
+    Its knots are those of g and f', where it can kink.
     """
 
     g: RealFunction
@@ -568,6 +582,10 @@ class _KernelTimesDeriv:
 
     def __call__(self, t):
         return (self._table.values(t) - self._anchor) * self.f_prime(t)
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        return (*self.g.knots, *self.f_prime.knots)
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +627,13 @@ def _endpoint_signed(f: RealFunction, g: RealFunction, iv: Interval,
     """Columns (signed deviation, error estimate, magnitude) of the endpoint
     rule over the x of xs; the magnitude is |f(a)| |I_g[a,x]| +
     |f(b)| |I_g[x,b]| + |I_fg|."""
-    knots = (*f.knots, *g.knots)
     n = len(xs)
     # the integrals of g over [a, x] and [x, b] at every x run as one batch,
     # read as columns
     values, errors, _ = zip(*_integral_between(
-        g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)], _LHS_TOL, knots))
+        g, [*((iv.a, x) for x in xs), *((x, iv.b) for x in xs)], _LHS_TOL))
     i_g, i_g_err = (np.fromiter(column, float, 2 * n) for column in (values, errors))
-    ((i_fg, i_fg_err, _),) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL, knots)
+    ((i_fg, i_fg_err, _),) = _integral_between(Product(f, g), [(iv.a, iv.b)], _LHS_TOL)
     fa, fb = f(iv.a), f(iv.b)
     size = np.abs(i_g)
     return (fa * i_g[:n] + fb * i_g[n:] - i_fg,
@@ -628,9 +645,8 @@ def _point_signed(f: RealFunction, g: RealFunction, iv: Interval,
                   xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (signed deviation, error estimate, magnitude) of the point
     rule over the x of xs; the magnitude is |f(x)| |I_g| + |I_fg|."""
-    knots = (*f.knots, *g.knots)
     ((i_g, i_g_err, _),), ((i_fg, i_fg_err, _),) = (
-        _integral_between(fn, [(iv.a, iv.b)], _LHS_TOL, knots) for fn in (g, Product(f, g)))
+        _integral_between(fn, [(iv.a, iv.b)], _LHS_TOL) for fn in (g, Product(f, g)))
     fx = f(np.asarray(xs, dtype=float))
     size = np.abs(fx)
     return fx * i_g - i_fg, size * i_g_err + i_fg_err, size * abs(i_g) + abs(i_fg)
@@ -647,8 +663,10 @@ def residual_endpoint_identity(case: BoundCase) -> float:
 
     Compares the signed endpoint-rule deviation against the double integral
     of kernel times derivative, with the kernel W(t) - W(x) read from the
-    knot-aligned antiderivative table of g, smooth or piecewise. The outer
-    integral is split at the knots of f and g, where its integrand kinks.
+    knot-aligned antiderivative table of g, smooth or piecewise. Like every
+    oracle integral, each integral is split at the knots of its integrand
+    strictly inside its range: those of g at the knots of g, that of f·g at
+    those of f and g, and the outer one at those of g and f'.
     """
     return _endpoint_residual(case.pair, case.g, case.interval, case.x)
 
@@ -657,8 +675,7 @@ def _endpoint_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
                        x: float) -> float:
     sign_val = _endpoint_signed(pair.f, g, iv, (x,))[0][0]
     integrand = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, x)
-    knots = (*pair.f.knots, *g.knots)
-    ((rhs, _, _),) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL, knots)
+    ((rhs, _, _),) = _integral_between(integrand, [(iv.a, iv.b)], _RESIDUAL_OUTER_TOL)
     return float(abs(sign_val - rhs))
 
 
@@ -667,8 +684,10 @@ def residual_point_identity(case: BoundCase) -> float:
 
     The right-hand side integrates S_g(t) f'(t) over each branch separately,
     with S_g read from the knot-aligned antiderivative table of g: the
-    kernel anchored at a on [a, x] and the kernel anchored at b on [x, b],
-    each integral split at the knots of f and g inside its branch.
+    kernel anchored at a on [a, x] and the kernel anchored at b on [x, b].
+    Like every oracle integral, each integral is split at the knots of its
+    integrand strictly inside its range: that of g at the knots of g, that
+    of f·g at those of f and g, and each branch at those of g and f'.
     """
     return _point_residual(case.pair, case.g, case.interval, case.x)
 
@@ -678,9 +697,8 @@ def _point_residual(pair: DifferentiablePair, g: RealFunction, iv: Interval,
     sign_val = _point_signed(pair.f, g, iv, (x,))[0][0]
     left = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.a)
     right = _KernelTimesDeriv(g, pair.f_prime, iv.a, iv.b, iv.b)
-    knots = (*pair.f.knots, *g.knots)
     ((left_rhs, _, _),), ((right_rhs, _, _),) = (
-        _integral_between(fn, [(lo, hi)], _RESIDUAL_OUTER_TOL, knots)
+        _integral_between(fn, [(lo, hi)], _RESIDUAL_OUTER_TOL)
         for fn, lo, hi in ((left, iv.a, x), (right, x, iv.b)))
     return float(abs(sign_val - (left_rhs + right_rhs)))
 
@@ -690,11 +708,9 @@ def _identity_scales(f: RealFunction, g: RealFunction, iv: Interval,
     """Magnitudes of the terms of the endpoint and point identities,
     |f(a)| int_a^x |g| + |f(b)| int_x^b |g| + int |fg| and
     |f(x)| int_a^b |g| + int |fg|, the scales their residuals are judged by."""
-    knots = (*f.knots, *g.knots)
     (g_left, _, _), (g_right, _, _) = _integral_between(
-        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL, knots)
-    ((fg, _, _),) = _integral_between(
-        AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL, knots)
+        AbsPower(g, 1.0), [(iv.a, x), (x, iv.b)], _LHS_TOL)
+    ((fg, _, _),) = _integral_between(AbsPower(Product(f, g), 1.0), [(iv.a, iv.b)], _LHS_TOL)
     return (abs(f(iv.a)) * g_left + abs(f(iv.b)) * g_right + fg,
             abs(f(x)) * (g_left + g_right) + fg)
 

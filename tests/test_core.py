@@ -24,7 +24,7 @@ from hhbound import (
     parse_function,
     sup_norm,
 )
-from hhbound.core import validate_case_params, validate_g_sup
+from hhbound.core import AbsPower, validate_case_params, validate_g_sup
 
 # one representative instance per public family, reused by several tests
 SAMPLE_SPECS = (
@@ -137,6 +137,19 @@ def test_knots():
     assert pw.knots == (0.0, 2.0, 4.0)
     assert derivative(pw).knots == (0.0, 2.0, 4.0)
     assert parse_function("sin").knots == ()
+    # |fn|**q kinks where fn does, and a map with no knots has none
+    assert AbsPower(pw, 2.0).knots == (0.0, 2.0, 4.0)
+    assert AbsPower(np.negative, 1.0).knots == ()
+
+
+def test_abs_power_at_one_is_abs_bit_for_bit():
+    # at q = 1 the map takes no power: it is |fn| bit for bit, signed zeros,
+    # infinities and NaN included, as x ** 1.0 == x
+    ts = np.array([-0.0, 0.0, -1.5, 2.5, 5e-324, -np.inf, np.inf, np.nan, -np.nan, 1e308])
+    h = AbsPower(np.negative, 1.0)
+    assert h(ts).tobytes() == np.abs(np.negative(ts)).tobytes()
+    for t in ts.tolist():
+        assert np.float64(h(t)).tobytes() == np.abs(np.negative(t)).tobytes()
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)

@@ -1,6 +1,7 @@
 """Adaptive oracle, kernel primitives, rule left-hand sides, residuals."""
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -25,6 +26,7 @@ from hhbound import (
     Product,
     QuadratureError,
     RealFunction,
+    derivative,
     envelope_excess,
     integrate,
     kernel_K,
@@ -505,6 +507,20 @@ def test_batch_error_names_the_interval_that_fails(monkeypatch):
                        match=rf"^error estimate \S+ above requested tolerance on "
                              rf"\[{big}, {top}\]$"):
         _integrate_batch(wave, [narrow[0], (big, top), narrow[1]], 1e-10)
+    # of two intervals that fail, the first in the batch is named, whether
+    # both exhaust the budget in the same level of the rerun (exp(300 t) on
+    # [1, 2] takes 225 and 548 splits too) or of the first run, or both end
+    # above their tolerance
+    floor = [(at, float(at + 3 * np.spacing(at))) for at in (big, 2.0 * big)]
+    for fn, pair, budget, cause in (
+            (parse_function("exp:300"), [(0.0, 1.0), (1.0, 2.0)], 300, "no convergence on"),
+            (wave, [(0.0, 1.0), (1.0, 2.0)], 64, "no convergence on"),
+            (wave, floor, 64, r"error estimate \S+ above requested tolerance on")):
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", budget)
+        for one, other in (pair, pair[::-1]):
+            with pytest.raises(QuadratureError,
+                               match=rf"^{cause} {re.escape(f'[{one[0]}, {one[1]}]')}"):
+                _integrate_batch(fn, [(0.0, 1e-5), one, other], 1e-10)
 
 
 def test_an_error_estimate_that_is_nan_is_never_accepted():
@@ -826,15 +842,63 @@ def test_point_lhs_rejects_a_split_point_off_the_interval(x):
         lhs_point_at(f, g, UNIT, x)
 
 
+@dataclass(frozen=True)
+class _Knotted:
+    """fn, said to kink at knots."""
+
+    fn: object
+    knots: tuple
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
 def test_a_knot_at_an_end_of_a_range_adds_no_piece():
     # only the knots strictly inside a range cut it: knots at 0.25 and 0.5
     # leave [0.25, 0.5] one piece of 129 evaluations, and cut [0, 1] in three
     g = parse_function("sin")
     _integrate_cached.cache_clear()
     inside, whole = quadrature._integral_between(
-        g, [(0.25, 0.5), (0.0, 1.0)], _LHS_TOL, knots=(0.5, 0.25, 0.5))
+        _Knotted(g, (0.5, 0.25, 0.5)), [(0.25, 0.5), (0.0, 1.0)], _LHS_TOL)
     assert IntegralResult(*inside) == integrate(g, Interval(0.25, 0.5), _LHS_TOL)
     assert inside[2] == 129 and whole[2] == 3 * 129
+
+
+def test_the_front_door_names_the_first_piece_that_fails(monkeypatch):
+    # the pieces go to one batch range by range, each range's left to right,
+    # and all four run out of the budget in the same level
+    monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 64)
+    wave = _Knotted(RealFunction("sin", (1e4,)), (1.0, 3.0))
+    with pytest.raises(QuadratureError, match=r"^no convergence on \[2.0, 3.0\] "):
+        quadrature._integral_between(wave, [(2.0, 4.0), (0.0, 2.0)], _LHS_TOL)
+
+
+def test_integrate_splits_at_the_knots_of_its_integrand():
+    # unsplit at the knots, [0, 1] reads 0.001 with estimate 0.0: the spike
+    # falls between the samples
+    res = integrate(parse_function(MOVED_SPIKE), UNIT)
+    assert abs(res.value - 0.500999995) <= 1e-9 * 0.500999995
+    assert res.error_estimate < 1e-9
+
+
+def test_a_product_is_split_at_the_knots_of_both_factors():
+    # each factor is linear between 0.3 and 0.6, so each of the three pieces
+    # of the product is a quadratic that its first 129 points integrate
+    f, g = parse_function("pwlinear:0:0:0.3:1:1:0"), parse_function("pwlinear:0:1:0.6:0:1:1")
+    fg = Product(f, g)
+    res = integrate(fg, UNIT)
+    assert res.evaluations == 129 * 3
+    exact = _piecewise_exact(fg, (0.3, 0.6), 0.0, 1.0)
+    assert abs(res.value - exact) <= 1e-15
+
+
+def test_the_kernel_integrand_is_split_at_the_knots_of_g_and_f_prime():
+    f, g = parse_function("pwlinear:0:0:0.3:1:1:0"), parse_function("pwlinear:0:0:0.5:1:1:0")
+    fn = _KernelTimesDeriv(g, derivative(f), 0.0, 1.0, 0.2)
+    (whole,) = quadrature._integral_between(fn, [(0.0, 1.0)], _RESIDUAL_OUTER_TOL)
+    pieces = [_integrate_batch(fn, [piece], _RESIDUAL_OUTER_TOL)[0]
+              for piece in ((0.0, 0.3), (0.3, 0.5), (0.5, 1.0))]
+    assert whole == tuple(sum(column) for column in zip((0.0, 0.0, 0), *pieces))
 
 
 @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0),
