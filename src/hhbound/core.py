@@ -288,18 +288,16 @@ class RealFunction:
 @dataclass(frozen=True)
 class AbsPower:
     """Derived map t -> |fn(t)|**q: the hypothesis object of the bounds, and
-    with q = 1 the |fn| of an integrand and the map that the hypothesis gate
-    scans, AbsPower(f', 1), raising it to each q under one finiteness rule;
-    hashable if fn is. At q = 1 it takes no power, as x ** 1.0 == x bit for
-    bit. Its knots are those of fn, if fn has any, so the oracle splits an
-    integral of |fn|**q where it splits one of fn."""
+    with q = 1, as x ** 1.0 == x, the |fn| of an integrand and the map that
+    the hypothesis gate scans, AbsPower(f', 1), raising it to each q under
+    one finiteness rule; hashable if fn is. Its knots are those of fn, if fn
+    has any, since it wraps any callable, so the oracle splits an integral
+    of |fn|**q where it splits one of fn."""
 
     fn: Callable
     q: float
 
     def __call__(self, t):
-        if self.q == 1.0:
-            return np.abs(self.fn(t))
         return np.abs(self.fn(t)) ** self.q
 
     @property

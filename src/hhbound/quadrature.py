@@ -107,7 +107,8 @@ class IntegralResult:
 @dataclass(frozen=True)
 class Product:
     """Pointwise product of two registry functions; hashable for memoization.
-    Its knots are those of f and of g, where the product can kink."""
+    Its knots are those of f and of g, where the product can kink, so both
+    factors must state their knots, as every RealFunction does."""
 
     f: RealFunction
     g: RealFunction
